@@ -3,11 +3,12 @@
 A basis state of an n-qubit register is a right-nested tuple of booleans with
 qubit 0 outermost, so index k maps to the bits of k read most significant
 first: |10> is (inr *, inl *).  encode and decode translate between state
-vectors and value distributions over these tuples; compile_isometry turns a
-matrix into a lambda that destructures its argument one qubit at a time and
-superposes the encoded columns.  run_circuit folds a gate list over an input
-both ways, through the rewrite engine and through plain matrix products, so
-the two can be compared.
+vectors and value distributions over these tuples; compile_gate turns a
+g-qubit matrix acting on chosen qubits of an n-qubit register into a lambda
+that destructures its argument one qubit at a time and superposes the
+columns of U (x) I, written straight from the small matrix.  run_circuit folds
+a gate list over an input both ways, through the rewrite engine and through a
+tensor contraction of the state with each gate, so the two can be compared.
 """
 
 from __future__ import annotations
@@ -23,18 +24,18 @@ import numpy as np
 from .config import get_tolerance
 from .rewrite import normalize
 from .syntax import (
+    App,
     Distribution,
     InlV,
     InrV,
     Lam,
     LetPair,
+    Match,
     PairV,
     PureTerm,
     Seq,
     Var,
     Void,
-    mk_app,
-    mk_match,
     singleton,
 )
 from .types import qubits
@@ -178,21 +179,23 @@ def _primed(base: str, depth: int) -> str:
 
 
 def _case_tree(images: Sequence[Distribution], qubit_count: int, depth: int) -> PureTerm:
+    # each node distribution has one summand and is canonical as it stands;
+    # canonicalizing it would only walk the whole subtree again
     z = _primed("z", depth)
     w = _primed("x", depth + 1)
     if qubit_count == 1:
         left = Distribution(((1, Seq(Var(w), images[0])),))
         right = Distribution(((1, Seq(Var(w), images[1])),))
-        body = mk_match(singleton(Var(z)), w, left, w, right)
+        body = singleton(Match(Var(z), w, left, w, right))
         return Lam(z, qubits(1), body)
     x = _primed("x", depth)
     y = _primed("y", depth)
     half = len(images) // 2
     sub_left = _case_tree(images[:half], qubit_count - 1, depth + 1)
     sub_right = _case_tree(images[half:], qubit_count - 1, depth + 1)
-    left = Distribution(((1, Seq(Var(w), mk_app(sub_left, singleton(Var(y))))),))
-    right = Distribution(((1, Seq(Var(w), mk_app(sub_right, singleton(Var(y))))),))
-    arm = mk_match(singleton(Var(x)), w, left, w, right)
+    left = Distribution(((1, Seq(Var(w), singleton(App(sub_left, Var(y))))),))
+    right = Distribution(((1, Seq(Var(w), singleton(App(sub_right, Var(y))))),))
+    arm = singleton(Match(Var(x), w, left, w, right))
     body = Distribution(((1, LetPair(x, y, Var(z), arm)),))
     return Lam(z, qubits(qubit_count), body)
 
@@ -210,27 +213,12 @@ def case_construct(qubit_count: int, images: Sequence[Distribution]) -> PureTerm
     return _case_tree(list(images), qubit_count, 0)
 
 
-def compile_isometry(gate: GateMatrix) -> PureTerm:
-    """A lambda on n-qubit registers that acts as the matrix does.
-
-    The argument is destructured qubit by qubit; the leaf for basis state k
-    sequences the consumed bits away and returns the encoded k-th column.
-    Rejects matrices whose columns are not orthonormal.
-    """
-    m = gate.matrix
-    dev = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
-    if dev > get_tolerance():
-        raise NotAnIsometry(
-            f"columns are not orthonormal (largest deviation {dev:.3g})"
-        )
-    n = gate.qubit_count
-    images = [encode(StateVector(m[:, k])) for k in range(m.shape[1])]
-    return case_construct(n, images)
+_MAX_REGISTER = 12
 
 
-def expand_gate(gate: GateMatrix, targets: Sequence[int], qubit_count: int) -> GateMatrix:
-    """Embed a gate into a wider register, acting on the given qubits in the
-    given order and leaving the rest alone."""
+def _check_targets(gate: GateMatrix, targets: Sequence[int], qubit_count: int) -> None:
+    """Reject target lists that do not place the gate on distinct qubits of
+    the register, and registers too wide to compile."""
     g = gate.qubit_count
     if len(targets) != g:
         raise ValueError(f"gate acts on {g} qubits, got {len(targets)} targets")
@@ -239,24 +227,103 @@ def expand_gate(gate: GateMatrix, targets: Sequence[int], qubit_count: int) -> G
     for q in targets:
         if not 0 <= q < qubit_count:
             raise ValueError(f"target {q} out of range for {qubit_count} qubits")
-    if qubit_count > 12:
-        raise ValueError("registers wider than 12 qubits are not supported")
-    dim = 1 << qubit_count
-    # global index bit j sits at shift qubit_count-1-j; gate bit g' at g-1-g'
+    # the case tree has 2^n leaves whatever the gate's width
+    if qubit_count > _MAX_REGISTER:
+        raise ValueError(f"registers wider than {_MAX_REGISTER} qubits are not supported")
+
+
+def _spread(targets: Sequence[int], qubit_count: int) -> list[int]:
+    """Entry r is gate index r with its bits moved to the target positions of
+    a register index (gate bit 0, the most significant, to targets[0]).  The
+    last entry is the mask of all target bits."""
+    g = len(targets)
     shifts = [qubit_count - 1 - q for q in targets]
+    return [
+        sum(((r >> (g - 1 - pos)) & 1) << sh for pos, sh in enumerate(shifts))
+        for r in range(1 << g)
+    ]
+
+
+def _compile(gate: GateMatrix, targets: Sequence[int], qubit_count: int) -> PureTerm:
+    """The case tree of U (x) I for a gate on the given targets, which must
+    already be checked."""
+    m = gate.matrix
+    # (U (x) I)^dagger (U (x) I) - I = (U^dagger U - I) (x) I, so checking U suffices
+    dev = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
+    if dev > get_tolerance():
+        raise NotAnIsometry(
+            f"columns are not orthonormal (largest deviation {dev:.3g})"
+        )
+    n = qubit_count
+    spread = _spread(targets, n)
+    mask = spread[-1]
+    # the gate's rows in register index order, which is also summand order
+    rows = sorted(range(len(spread)), key=spread.__getitem__)
+    column_of = {bits: r for r, bits in enumerate(spread)}
+    columns = m.T.tolist()
+    values = [basis_value(i, n) for i in range(1 << n)]
+    cut = get_tolerance()
+    images = []
+    for k in range(1 << n):
+        base = k & ~mask
+        col = columns[column_of[k & mask]]
+        images.append(Distribution(tuple(
+            (col[r], values[base | spread[r]]) for r in rows if abs(col[r]) > cut
+        )))
+    return case_construct(n, images)
+
+
+def compile_gate(gate: GateMatrix, targets: Sequence[int], qubit_count: int) -> PureTerm:
+    """A lambda on n-qubit registers that applies the gate to the target
+    qubits, in the given order, and leaves the rest alone.
+
+    The term is the one compile_isometry gives for expand_gate(gate, targets,
+    qubit_count), built from the gate's own matrix: the leaf for basis state
+    k superposes the at most 2^g nonzero entries of column k of U (x) I.
+    Rejects bad targets first, then matrices whose columns are not
+    orthonormal.
+    """
+    _check_targets(gate, targets, qubit_count)
+    return _compile(gate, targets, qubit_count)
+
+
+def compile_isometry(gate: GateMatrix) -> PureTerm:
+    """A lambda on n-qubit registers that acts as the matrix does.
+
+    The argument is destructured qubit by qubit; the leaf for basis state k
+    sequences the consumed bits away and returns the encoded k-th column.
+    Rejects matrices whose columns are not orthonormal.
+    """
+    n = gate.qubit_count
+    return _compile(gate, range(n), n)
+
+
+def expand_gate(gate: GateMatrix, targets: Sequence[int], qubit_count: int) -> GateMatrix:
+    """Embed a gate into a wider register, acting on the given qubits in the
+    given order and leaving the rest alone."""
+    _check_targets(gate, targets, qubit_count)
+    dim = 1 << qubit_count
+    spread = _spread(targets, qubit_count)
+    mask = spread[-1]
+    column_of = {bits: r for r, bits in enumerate(spread)}
     out = np.zeros((dim, dim), dtype=complex)
     for k in range(dim):
-        sub = 0
-        base = k
-        for sh in shifts:
-            sub = (sub << 1) | ((k >> sh) & 1)
-            base &= ~(1 << sh)
-        for r in range(1 << g):
-            i = base
-            for pos, sh in enumerate(shifts):
-                i |= ((r >> (g - 1 - pos)) & 1) << sh
-            out[i, k] = gate.matrix[r, sub]
+        base = k & ~mask
+        sub = column_of[k & mask]
+        for r, bits in enumerate(spread):
+            out[base | bits, k] = gate.matrix[r, sub]
     return GateMatrix(out)
+
+
+def _apply_gate(gate: GateMatrix, targets: Sequence[int], state: StateVector) -> StateVector:
+    """The gate applied to the target qubits of a state, as a contraction of
+    the state's (2,)*n tensor with the gate's (2,)*2g tensor."""
+    n = state.qubit_count
+    g = len(targets)
+    u = gate.matrix.reshape((2,) * (2 * g))
+    psi = state.amplitudes.reshape((2,) * n)
+    out = np.tensordot(u, psi, axes=(list(range(g, 2 * g)), list(targets)))
+    return StateVector(np.moveaxis(out, list(range(g)), list(targets)).reshape(-1))
 
 
 def run_circuit(
@@ -266,19 +333,21 @@ def run_circuit(
     max_steps: int | None = None,
 ) -> tuple[Distribution, StateVector]:
     """Apply a gate list to an input state along both routes: compile each
-    gate, apply it as a term, and normalize; and multiply the matrices out.
-    Returns the final distribution and the final vector."""
+    gate, apply it as a term, and normalize; and contract the state with the
+    gates.  Returns the final distribution and the final vector."""
     n = state.qubit_count
     d = encode(state)
     v = state
     for gate, targets in gates:
-        wide = expand_gate(gate, targets, n)
-        lam = compile_isometry(wide)
+        lam = compile_gate(gate, targets, n)
+        # d is canonical (encode emits index order, normalize canonicalizes),
+        # and so is the application of one lambda to each of its summands
+        app = Distribution(tuple((a, App(lam, t)) for a, t in d.summands))
         if max_steps is None:
-            d = normalize(mk_app(lam, d))
+            d = normalize(app)
         else:
-            d = normalize(mk_app(lam, d), max_steps=max_steps)
-        v = matrix_apply(wide, v)
+            d = normalize(app, max_steps=max_steps)
+        v = _apply_gate(gate, targets, v)
     return d, v
 
 

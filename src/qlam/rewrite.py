@@ -5,10 +5,15 @@ One step rewrites a single summand: the leftmost whose term is not a value
 term the order is fixed: in an application the argument reduces before the
 operator, sequencing, destructuring and case analysis reduce their head
 position first, and redexes fire only on values.  A summand's reduct is a
-distribution; it splices in place with the coefficient multiplied through.
-Nothing is canonicalized mid-flight, only `normalize` canonicalizes its final
-answer, so traces show the raw arithmetic including interference terms that
-later merge away.
+distribution.  A contraction at the top of the term (beta, sequencing on the
+unit value, a pair destructured, a case taken) gives the substituted body as
+it stands.  A redex inside an evaluation context gives a reduct rebuilt
+through the `mk_*` constructors, which canonicalize it: alpha-equivalent
+summands of that one reduct merge and are sorted.  The reduct then splices
+in place of its summand with the coefficient multiplied through, and the
+splice merges nothing across summands; only `normalize` canonicalizes the
+whole distribution, at the end, so traces show the raw arithmetic between
+summands, including interference terms that later merge away.
 """
 
 from __future__ import annotations

@@ -518,7 +518,8 @@ def _require_values(d: Distribution, what: str) -> None:
 #
 # Levels: 0 terms that swallow everything to their right (abstraction, let),
 # 1 sequencing, 2 application, 3 atoms.  Match is brace-delimited and counts
-# as an atom.  The output re-parses to an alpha-equivalent distribution.
+# as an atom, except as the operator or argument of an application, where it
+# is parenthesized.  The output re-parses to an alpha-equivalent distribution.
 
 _LOW, _SEQ, _APP, _ATOMIC = 0, 1, 2, 3
 
@@ -570,7 +571,7 @@ def _show_term(t: PureTerm, level: int) -> str:
             return (f"match {_show_term(s, _LOW)} {{ inl {x1} -> {show_dist(b1)}"
                     f" | inr {x2} -> {show_dist(b2)} }}")
         case App(f, a):
-            s = f"{_show_term(f, _APP)} {_show_term(a, _ATOMIC)}"
+            s = f"{_show_applied(f, _APP)} {_show_applied(a, _ATOMIC)}"
             return f"({s})" if level > _APP else s
         case Seq(h, tail):
             s = f"{_show_term(h, _APP)} ; {_show_seq_tail(tail)}"
@@ -583,6 +584,13 @@ def _show_term(t: PureTerm, level: int) -> str:
             return f"({s})" if level > _LOW else s
         case _:
             raise TypeError(f"not a pure term: {t!r}")
+
+
+def _show_applied(t: PureTerm, level: int) -> str:
+    # the parser reads a match only where a term may start, not as an
+    # operator or argument, so there it needs parentheses
+    s = _show_term(t, level)
+    return f"({s})" if isinstance(t, Match) else s
 
 
 def _show_seq_tail(tail: Distribution) -> str:

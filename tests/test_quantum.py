@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from qlam import quantum
 from qlam.quantum import (
     FileFormatError,
     GateMatrix,
@@ -14,6 +16,7 @@ from qlam.quantum import (
     StateVector,
     basis_value,
     case_construct,
+    compile_gate,
     compile_isometry,
     decode,
     encode,
@@ -364,6 +367,149 @@ def test_run_circuit_preserves_norm():
         _sv(0, 0, 1, 0),
     )
     assert abs(norm(d) - 1) < 1e-9
+
+
+# ------------------------------------------------------------- compile gate
+#
+# The reference is the dense route: widen the gate to the whole register,
+# encode every column of the wide matrix, and build the case tree over them.
+
+
+def _dense_route(gate, targets, n):
+    wide = expand_gate(gate, targets, n)
+    m = wide.matrix
+    images = [encode(StateVector(m[:, k])) for k in range(m.shape[1])]
+    return wide, case_construct(n, images)
+
+
+def _random_unitary(rng, g):
+    raw = rng.normal(size=(1 << g, 1 << g)) + 1j * rng.normal(size=(1 << g, 1 << g))
+    u, _ = np.linalg.qr(raw)
+    return GateMatrix(u)
+
+
+def _placements(gate, max_n):
+    g = gate.qubit_count
+    for n in range(g, max_n + 1):
+        for targets in itertools.permutations(range(n), g):
+            yield targets, n
+
+
+def test_compile_gate_equals_dense_route_on_library_gates():
+    for name, gate in gate_library.items():
+        for targets, n in _placements(gate, 4):
+            wide, want = _dense_route(gate, targets, n)
+            assert compile_gate(gate, targets, n) == want, (name, targets, n)
+            assert compile_isometry(wide) == want, (name, targets, n)
+
+
+def test_compile_gate_equals_dense_route_on_random_unitaries():
+    rng = np.random.default_rng(11)
+    for g in (1, 2):
+        for _ in range(3):
+            gate = _random_unitary(rng, g)
+            for targets, n in _placements(gate, 5):
+                _, want = _dense_route(gate, targets, n)
+                assert compile_gate(gate, list(targets), n) == want, (targets, n)
+
+
+def test_compile_gate_drops_rounding_dust_like_encode():
+    dusty = GateMatrix(gate_library["H"].matrix + 1e-9 * np.array([[1, -1], [-1, 1]]))
+    for targets, n in _placements(dusty, 3):
+        _, want = _dense_route(dusty, targets, n)
+        assert compile_gate(dusty, targets, n) == want
+    cnot = GateMatrix(gate_library["CNOT"].matrix + 1e-9)
+    _, want = _dense_route(cnot, [2, 0], 3)
+    assert compile_gate(cnot, [2, 0], 3) == want
+
+
+def _dense_run(gates, state):
+    # run_circuit as it was: widen, compile, apply through mk_app, and
+    # multiply the dense matrices out
+    d = encode(state)
+    v = state
+    for gate, targets in gates:
+        wide = expand_gate(gate, targets, state.qubit_count)
+        d = normalize(mk_app(compile_isometry(wide), d))
+        v = matrix_apply(wide, v)
+    return d, v
+
+
+def _random_circuit(rng, n, length):
+    names = [k for k, g in gate_library.items() if g.qubit_count <= n]
+    gates = []
+    for _ in range(length):
+        if rng.random() < 0.2:
+            gate = _random_unitary(rng, 1 + int(n > 1 and rng.random() < 0.5))
+        else:
+            gate = gate_library[names[rng.integers(len(names))]]
+        targets = [int(q) for q in rng.permutation(n)[:gate.qubit_count]]
+        gates.append((gate, targets))
+    return gates
+
+
+def test_run_circuit_matches_dense_route_on_random_circuits(monkeypatch):
+    rng = np.random.default_rng(5)
+    cases = []
+    for n in (1, 2, 3, 4):
+        for _ in range(4):
+            if rng.random() < 0.5:
+                amps = np.zeros(1 << n, dtype=complex)
+                amps[rng.integers(1 << n)] = 1
+            else:
+                amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+                amps /= np.linalg.norm(amps)
+            cases.append((_random_circuit(rng, n, 1 + int(rng.integers(6))), StateVector(amps)))
+    wants = [_dense_run(gates, state) for gates, state in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run_circuit took the dense route")
+
+    for name in ("expand_gate", "matrix_apply", "mk_app"):
+        monkeypatch.setattr(quantum, name, forbidden, raising=False)
+    for (gates, state), (want_d, want_v) in zip(cases, wants):
+        d, v = run_circuit(gates, state)
+        assert d == want_d
+        assert np.abs(_amps(v) - _amps(want_v)).max() < 1e-12
+
+
+def _zero_state(n):
+    amps = np.zeros(1 << n)
+    amps[0] = 1
+    return StateVector(amps)
+
+
+def _raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return info.type, str(info.value)
+
+
+def test_compile_gate_errors_match_dense_route():
+    h, cnot = gate_library["H"], gate_library["CNOT"]
+    bad_targets = [
+        (h, [0, 1], 2),            # arity
+        (cnot, [1, 1], 2),         # duplicate
+        (h, [2], 2),               # out of range
+        (cnot, [0, -1], 3),
+        (h, [0], 13),              # register too wide
+    ]
+    for gate, targets, n in bad_targets:
+        want = _raised(expand_gate, gate, targets, n)
+        assert want[0] is ValueError
+        assert _raised(compile_gate, gate, targets, n) == want
+        assert _raised(run_circuit, [(gate, targets)], _zero_state(n)) == want
+    rng = np.random.default_rng(2)
+    for gate, targets, n in [
+        (GateMatrix(np.ones((2, 2))), [1], 3),
+        (GateMatrix(np.diag([1, 1 + 1e-3])), [0], 2),
+        (GateMatrix(rng.normal(size=(4, 4))), [2, 0], 3),
+        (GateMatrix(np.ones((4, 4))), [0, 0], 2),        # targets checked first
+    ]:
+        want = _raised(lambda: compile_isometry(expand_gate(gate, targets, n)))
+        assert _raised(compile_gate, gate, targets, n) == want
+        assert _raised(run_circuit, [(gate, targets)], _zero_state(n)) == want
+    assert _raised(compile_gate, GateMatrix(np.ones((2, 2))), [1], 3)[0] is NotAnIsometry
 
 
 # -------------------------------------------------------------- file formats

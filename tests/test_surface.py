@@ -5,8 +5,10 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from generator import ProgramGen
 
 from qlam.surface import ParseError, parse_program, parse_type, pretty_print
 from qlam.syntax import (
@@ -23,6 +25,7 @@ from qlam.syntax import (
     Void,
     add,
     canonicalize,
+    dist_alpha_eq,
     scale,
     show_dist,
     singleton,
@@ -237,6 +240,18 @@ def test_pretty_print_parenthesizes_operators():
     assert pretty_print(d2) == "(x ; y) z"
 
 
+def test_pretty_print_parenthesizes_applied_match():
+    m = "match inl * { inl a -> inl a | inr b -> inr b }"
+    arg = parse_program(rf"(\x:B. x) ({m})")
+    assert pretty_print(arg) == rf"(\x:U+U. x) ({m})"
+    op = parse_program(f"({m}) y")
+    assert pretty_print(op) == f"({m}) y"
+    for d in (arg, op):
+        assert parse_program(pretty_print(d)) == canonicalize(d)
+    # elsewhere a match prints bare, as before
+    assert pretty_print(parse_program(f"{m} ; x")) == f"{m} ; x"
+
+
 _CORPUS = [
     r"\x:(U+U). x",
     "1/sqrt2 * inl * + 1/sqrt2 * inr *",
@@ -267,3 +282,38 @@ def test_scalar_round_trip(a, b):
     d = Distribution(((a, INL), (b, INR)))
     again = parse_program(show_dist(d))
     assert dict((t, c) for c, t in again.summands) == {INL: a, INR: b}
+
+
+# Generated programs, and generated programs put in the operator and argument
+# positions of applications through a match, print and parse back.
+
+
+def _generated(g: ProgramGen, kind: int) -> Distribution:
+    if kind == 0:
+        return g.trace_program()[0]
+    if kind == 1:
+        return g.flow_program()[0]
+    return g.value_distribution()
+
+
+@st.composite
+def _printable_programs(draw):
+    g = ProgramGen(draw(st.integers(0, 2**32)))
+    d = _generated(g, draw(st.integers(0, 2)))
+    if draw(st.booleans()):
+        return d
+    scrut = draw(st.sampled_from([Var("s"), INL, INR]))
+    left, right = (_generated(g, draw(st.integers(0, 2))) for _ in range(2))
+    m = Match(scrut, g.fresh("u"), left, g.fresh("w"), right)
+    other = draw(st.sampled_from([Var("f"), STAR, Lam("x", BOOL, d), m]))
+    apps = [App(m, other), App(other, m), App(App(m, other), m)]
+    picked = draw(st.lists(st.sampled_from(apps), min_size=1, max_size=3))
+    summands = [(draw(st.sampled_from([1, -1, 0.5j, _R2])), t) for t in picked]
+    applied = Distribution(tuple(summands))
+    return add(applied, d) if draw(st.booleans()) else applied
+
+
+@settings(max_examples=300, deadline=None)
+@given(_printable_programs())
+def test_generated_programs_round_trip(d):
+    assert dist_alpha_eq(parse_program(pretty_print(d)), canonicalize(d))
