@@ -79,9 +79,8 @@ def _cmd_eval(args) -> int:
     ty = None
     if not args.no_check:
         ty = type_of_program(d)
-    steps = args.max_steps or DEFAULT_MAX_STEPS
     if args.trace:
-        trace = trace_normalize(d, max_steps=steps)
+        trace = trace_normalize(d, max_steps=args.max_steps)
         for i, snapshot in enumerate(trace[:-1]):
             _emit(
                 args.format,
@@ -92,7 +91,7 @@ def _cmd_eval(args) -> int:
             )
         nf = trace[-1]
     else:
-        nf = normalize(d, max_steps=steps)
+        nf = normalize(d, max_steps=args.max_steps)
     fields = {"event": "normal-form", "program": pretty_print(nf)}
     if ty is not None:
         fields["type"] = show_type(ty)
@@ -142,8 +141,7 @@ def _cmd_run(args) -> int:
     circ_path = Path(args.circuit)
     gates = parse_circuit(_read(args.circuit), args.circuit, base_dir=circ_path.parent)
     state = _parse_input_state(args.input)
-    steps = args.max_steps or DEFAULT_MAX_STEPS
-    d, oracle = run_circuit(gates, state, max_steps=steps)
+    d, oracle = run_circuit(gates, state, max_steps=args.max_steps)
     decoded = decode(d, state.qubit_count)
     deviation = float(np.abs(decoded.amplitudes - oracle.amplitudes).max())
     if args.format == "json-lines":
@@ -177,9 +175,8 @@ def _cmd_equiv(args) -> int:
         raise TypeCheckError(
             ErrorKind.MISMATCH, f"the programs have incomparable types {t1} and {t2}"
         )
-    steps = args.max_steps or DEFAULT_MAX_STEPS
-    n1 = normalize(d1, max_steps=steps)
-    n2 = normalize(d2, max_steps=steps)
+    n1 = normalize(d1, max_steps=args.max_steps)
+    n2 = normalize(d2, max_steps=args.max_steps)
     same = congruent(n1, n2)
     common = show_type(t2 if subtype(t1, t2) else t1)
     _emit(
@@ -198,7 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tolerance", type=float, metavar="E",
                         help="numeric tolerance for norms and comparisons (default 1e-6)")
-    common.add_argument("--max-steps", type=int, metavar="N",
+    common.add_argument("--max-steps", type=int, metavar="N", default=DEFAULT_MAX_STEPS,
                         help=f"rewrite step budget (default {DEFAULT_MAX_STEPS})")
     common.add_argument("--format", choices=["text", "json-lines"], default="text",
                         help="output format")
@@ -248,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.tolerance is not None:
             set_tolerance(args.tolerance)
-        if args.max_steps is not None and args.max_steps <= 0:
+        if args.max_steps <= 0:
             raise ValueError("--max-steps must be positive")
         return args.fn(args)
     except TypeCheckError as e:

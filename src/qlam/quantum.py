@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import get_tolerance
-from .rewrite import normalize
+from .rewrite import DEFAULT_MAX_STEPS, normalize
 from .syntax import (
     App,
     Distribution,
@@ -330,7 +330,7 @@ def run_circuit(
     gates: Sequence[tuple[GateMatrix, Sequence[int]]],
     state: StateVector,
     *,
-    max_steps: int | None = None,
+    max_steps: int = DEFAULT_MAX_STEPS,
 ) -> tuple[Distribution, StateVector]:
     """Apply a gate list to an input state along both routes: compile each
     gate, apply it as a term, and normalize; and contract the state with the
@@ -343,10 +343,7 @@ def run_circuit(
         # d is canonical (encode emits index order, normalize canonicalizes),
         # and so is the application of one lambda to each of its summands
         app = Distribution(tuple((a, App(lam, t)) for a, t in d.summands))
-        if max_steps is None:
-            d = normalize(app)
-        else:
-            d = normalize(app, max_steps=max_steps)
+        d = normalize(app, max_steps=max_steps)
         v = _apply_gate(gate, targets, v)
     return d, v
 

@@ -8,17 +8,21 @@ position first, and redexes fire only on values.  A summand's reduct is a
 distribution.  A contraction at the top of the term (beta, sequencing on the
 unit value, a pair destructured, a case taken) gives the substituted body as
 it stands.  A redex inside an evaluation context gives a reduct rebuilt
-through the `mk_*` constructors, which canonicalize it: alpha-equivalent
-summands of that one reduct merge and are sorted.  The reduct then splices
-in place of its summand with the coefficient multiplied through, and the
-splice merges nothing across summands; only `normalize` canonicalizes the
-whole distribution, at the end, so traces show the raw arithmetic between
-summands, including interference terms that later merge away.
+through the `mk_*` constructors, which canonicalize that one reduct.
+
+`step`, `normalize` and `trace_normalize` all read one generator,
+`_reductions`.  It keeps the summands in a single list, splices each reduct
+in place of its summand with the coefficient multiplied through, and is the
+only place that counts steps against the limit.  The splice merges nothing
+across summands; `normalize` canonicalizes once, at the end, so traces show
+the raw arithmetic between summands, including interference terms that later
+merge away.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .syntax import (
@@ -131,38 +135,13 @@ def _as_operator(at: PureTerm, d: Distribution) -> PureTerm:
 
 
 def step(d: Distribution, rng: random.Random | None = None) -> StepResult:
-    """Reduce one summand, leftmost by default, any reducible one under rng."""
-    res, _ = _step_from(d, 0, rng)
-    return res
-
-
-def _step_from(
-    d: Distribution, start: int, rng: random.Random | None
-) -> tuple[StepResult, int]:
-    if rng is None:
-        candidates = []
-        for i in range(start, len(d.summands)):
-            if not is_value(d.summands[i][1]):
-                candidates = [i]
-                break
-    else:
-        candidates = [i for i, (_, t) in enumerate(d.summands) if not is_value(t)]
-        start = 0
-    if not candidates:
-        return NormalForm(), start
-    i = candidates[0] if rng is None else rng.choice(candidates)
-    a, t = d.summands[i]
+    """The one-step relation: reduce one summand, the leftmost reducible one
+    by default, any reducible one under rng."""
     try:
-        r = reduce_term(t)
+        summands = next(_reductions(d, 1, rng), None)
     except StuckError as e:
-        return Stuck(e.term, e.reason), start
-    assert r is not None
-    spliced = (
-        d.summands[:i]
-        + tuple((a * b, u) for b, u in r.summands)
-        + d.summands[i + 1:]
-    )
-    return Stepped(Distribution(spliced)), i
+        return Stuck(e.term, e.reason)
+    return NormalForm() if summands is None else Stepped(Distribution(tuple(summands)))
 
 
 def normalize(
@@ -172,21 +151,10 @@ def normalize(
 ) -> Distribution:
     """Iterate step to a normal form, canonicalized.  Raises StuckError on a
     stuck summand and StepLimitExceeded past max_steps."""
-    cur = d
-    cursor = 0
-    steps = 0
-    while True:
-        res, cursor = _step_from(cur, cursor, rng)
-        match res:
-            case NormalForm():
-                return canonicalize(cur)
-            case Stuck(term, reason):
-                raise StuckError(term, reason)
-            case Stepped(nd):
-                steps += 1
-                if steps > max_steps:
-                    raise StepLimitExceeded(max_steps)
-                cur = nd
+    summands = d.summands
+    for summands in _reductions(d, max_steps, rng):
+        pass
+    return canonicalize(Distribution(tuple(summands)))
 
 
 def trace_normalize(
@@ -200,18 +168,37 @@ def trace_normalize(
     normalize returns).  Length is at most max_steps + 1.
     """
     trace = [d]
-    cur = d
-    cursor = 0
+    for summands in _reductions(d, max_steps, None):
+        trace.append(Distribution(tuple(summands)))
+    trace[-1] = canonicalize(trace[-1])
+    return trace
+
+
+def _reductions(
+    d: Distribution, max_steps: int, rng: random.Random | None
+) -> Iterator[list[tuple[complex, PureTerm]]]:
+    """Step until no summand is reducible, yielding the one summand list
+    after every step.  Summands left of the cursor are values.  The step past
+    max_steps is taken before the limit raises, so if it is stuck, StuckError
+    wins."""
+    summands = list(d.summands)
+    i = 0
+    steps = 0
     while True:
-        res, cursor = _step_from(cur, cursor, None)
-        match res:
-            case NormalForm():
-                trace[-1] = canonicalize(cur)
-                return trace
-            case Stuck(term, reason):
-                raise StuckError(term, reason)
-            case Stepped(nd):
-                if len(trace) > max_steps:
-                    raise StepLimitExceeded(max_steps)
-                cur = nd
-                trace.append(nd)
+        if rng is None:
+            while i < len(summands) and is_value(summands[i][1]):
+                i += 1
+            if i == len(summands):
+                return
+        else:
+            candidates = [j for j, (_, t) in enumerate(summands) if not is_value(t)]
+            if not candidates:
+                return
+            i = rng.choice(candidates)
+        a, t = summands[i]
+        r = reduce_term(t)
+        steps += 1
+        if steps > max_steps:
+            raise StepLimitExceeded(max_steps)
+        summands[i:i + 1] = [(a * b, u) for b, u in r.summands]
+        yield summands

@@ -25,6 +25,7 @@ back untouched every subterm in which no substituted name is free.
 from __future__ import annotations
 
 import cmath
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import count
 
@@ -459,28 +460,26 @@ def mk_pair(first: Distribution, second: Distribution) -> Distribution:
 
 def mk_inl(d: Distribution) -> Distribution:
     _require_values(d, "injection arguments")
-    return canonicalize(Distribution(tuple((a, InlV(v)) for a, v in d.summands)))
+    return _in_context(d, InlV)
 
 
 def mk_inr(d: Distribution) -> Distribution:
     _require_values(d, "injection arguments")
-    return canonicalize(Distribution(tuple((a, InrV(v)) for a, v in d.summands)))
+    return _in_context(d, InrV)
 
 
 def mk_app(fun: PureTerm, arg: Distribution) -> Distribution:
     if not isinstance(fun, PureTerm):
         raise ValueError(f"operator must be a single pure term, got {fun!r}")
-    return canonicalize(Distribution(tuple((a, App(fun, t)) for a, t in arg.summands)))
+    return _in_context(arg, lambda t: App(fun, t))
 
 
 def mk_seq(heads: Distribution, tail: Distribution) -> Distribution:
-    return canonicalize(Distribution(tuple((a, Seq(h, tail)) for a, h in heads.summands)))
+    return _in_context(heads, lambda h: Seq(h, tail))
 
 
 def mk_let(left: str, right: str, scrutinees: Distribution, body: Distribution) -> Distribution:
-    return canonicalize(Distribution(
-        tuple((a, LetPair(left, right, s, body)) for a, s in scrutinees.summands)
-    ))
+    return _in_context(scrutinees, lambda s: LetPair(left, right, s, body))
 
 
 def mk_match(
@@ -490,10 +489,17 @@ def mk_match(
     right_name: str,
     right_body: Distribution,
 ) -> Distribution:
-    return canonicalize(Distribution(
-        tuple((a, Match(s, left_name, left_body, right_name, right_body))
-              for a, s in scrutinees.summands)
-    ))
+    return _in_context(
+        scrutinees, lambda s: Match(s, left_name, left_body, right_name, right_body)
+    )
+
+
+def _in_context(d: Distribution, build: Callable[[PureTerm], PureTerm]) -> Distribution:
+    """Put every summand of d into the same one-hole context.  The context
+    is shared, so the built terms merge and sort exactly as their holes do:
+    canonicalizing the holes gives the canonical result without keying a
+    copy of the context per summand."""
+    return Distribution(tuple((a, build(t)) for a, t in canonicalize(d).summands))
 
 
 def _require_values(d: Distribution, what: str) -> None:

@@ -129,8 +129,15 @@ def test_eval_no_check_step_limit(write):
     assert code == 4
 
 
-def test_nonpositive_max_steps_rejected(write):
+def test_eval_no_check_rejects_a_non_finite_coefficient(write, capsys):
+    src = r"1e200 * ((\x:U. 1e200 * x) *)"
+    assert main(["eval", "--no-check", write("overflow.qlam", src)]) == 2
+    assert "non-finite coefficient" in capsys.readouterr().err
+
+
+def test_nonpositive_max_steps_rejected(write, capsys):
     assert main(["eval", "--max-steps", "0", write("x.qlam", "*\n")]) == 2
+    assert capsys.readouterr().err == "error: --max-steps must be positive\n"
 
 
 # ------------------------------------------------------------- compile-gate

@@ -2,8 +2,10 @@
 
 `canonicalize` hands back a one-summand distribution as it is, so the
 parser's `mk_*` calls on single scrutinees and arguments compute no
-alpha-keys, and the checker keeps the term or distribution it types and
-prints it only when an error is raised or a derivation's subject is read.
+alpha-keys.  The `mk_*` constructors key only the holes they fill, never the
+shared context around them.  The checker keeps the term or distribution it
+types and prints it only when an error is raised or a derivation's subject
+is read.
 
 The equivalence tests hold the new code to the behaviour it replaced: the
 merge-and-sort canonical form (`reference_canonicalize`), derivation
@@ -26,7 +28,15 @@ from hypothesis import strategies as st
 import qlam.syntax as syntax
 import qlam.typecheck as typecheck
 from generator import ProgramGen, flow_programs, trace_programs
-from qlam.quantum import GateMatrix, StateVector, case_construct, compile_isometry, encode
+from qlam.quantum import (
+    GateMatrix,
+    StateVector,
+    case_construct,
+    compile_gate,
+    compile_isometry,
+    encode,
+    gate_library,
+)
 from qlam.surface import parse_program, parse_type, pretty_print
 from qlam.syntax import (
     App,
@@ -43,6 +53,13 @@ from qlam.syntax import (
     Void,
     add,
     canonicalize,
+    is_value_distribution,
+    mk_app,
+    mk_inl,
+    mk_inr,
+    mk_let,
+    mk_match,
+    mk_seq,
     scale,
     show_dist,
     show_term,
@@ -56,7 +73,7 @@ from qlam.typecheck import (
     check_orthogonal_judgment,
     check_program,
 )
-from qlam.types import Arrow, qubits
+from qlam.types import BOOL, Arrow, qubits
 
 _R2 = 1 / math.sqrt(2)
 
@@ -174,6 +191,28 @@ def _distributions(draw):
 @given(_distributions())
 def test_canonicalize_matches_the_merge_and_sort_reference(d):
     assert canonicalize(d) == reference_canonicalize(d)
+
+
+_ID = Lam("b", BOOL, singleton(Var("b")))
+_TAIL = Distribution(((_R2, InlV(Void())), (_R2, InrV(Void()))))
+_BODY = singleton(PairV(Var("y"), Var("x")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_distributions())
+def test_mk_constructors_match_the_reference_on_built_terms(d):
+    cases = [
+        (lambda h: mk_app(_ID, h), lambda t: App(_ID, t)),
+        (lambda h: mk_seq(h, _TAIL), lambda t: Seq(t, _TAIL)),
+        (lambda h: mk_let("x", "y", h, _BODY), lambda t: LetPair("x", "y", t, _BODY)),
+        (lambda h: mk_match(h, "x", _TAIL, "y", _BODY),
+         lambda t: Match(t, "x", _TAIL, "y", _BODY)),
+    ]
+    if is_value_distribution(d):
+        cases += [(mk_inl, InlV), (mk_inr, InrV)]
+    for mk, build in cases:
+        built = Distribution(tuple((a, build(t)) for a, t in d.summands))
+        assert mk(d) == reference_canonicalize(built)
 
 
 # ----------------------------------------------------- derivation subjects
@@ -339,3 +378,21 @@ def test_a_failed_check_prints_its_location_once_when_raised(monkeypatch):
         check_program(parse_program(r"\x:#(U+U). (x, x)"))
     assert e.value.location == "x"
     assert calls == [Var("x")]
+
+
+def test_applying_a_gate_to_a_state_keys_no_application(monkeypatch):
+    lam = compile_gate(gate_library["H"], (1,), 4)
+    amps = np.random.default_rng(5).normal(size=16) + 0.5
+    state = encode(StateVector(amps / np.linalg.norm(amps)))
+    assert len(state) == 16
+    want = reference_canonicalize(
+        Distribution(tuple((a, App(lam, t)) for a, t in state.summands)))
+    real = syntax.term_key
+
+    def holes_only(t):
+        if isinstance(t, App):
+            raise AssertionError("keyed the operator with its argument")
+        return real(t)
+
+    monkeypatch.setattr(syntax, "term_key", holes_only)
+    assert mk_app(lam, state) == want

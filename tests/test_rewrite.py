@@ -1,4 +1,10 @@
-"""Small-step reduction: redex rules, context order, strategies, traces."""
+"""Small-step reduction: redex rules, context order, strategies, traces.
+
+The stepping loop is one worklist generator read by `step`, `normalize` and
+`trace_normalize`.  The equivalence tests hold it to the loop it replaced,
+kept below as `reference_*`: every step rebuilt the whole distribution as a
+tuple splice, and each driver kept its own step count.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +12,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qlam.rewrite as rewrite
+from generator import ProgramGen
 from qlam.quantum import StateVector, compile_isometry, encode, gate_library
 from qlam.rewrite import (
+    DEFAULT_MAX_STEPS,
     NormalForm,
     StepLimitExceeded,
     Stepped,
@@ -19,6 +30,7 @@ from qlam.rewrite import (
     step,
     trace_normalize,
 )
+from qlam.surface import parse_program
 from qlam.syntax import (
     App,
     Distribution,
@@ -32,7 +44,9 @@ from qlam.syntax import (
     Var,
     Void,
     add,
+    canonicalize,
     congruent,
+    is_value,
     mk_app,
     mk_seq,
     scale,
@@ -253,3 +267,161 @@ def test_randomized_strategy_on_wide_distribution():
     reference = normalize(d)
     for seed in range(12):
         assert congruent(normalize(d, rng=random.Random(seed)), reference)
+
+
+# ------------------------------------------------- worklist vs tuple splice
+
+
+def _reference_step_from(d, start, rng):
+    if rng is None:
+        candidates = []
+        for i in range(start, len(d.summands)):
+            if not is_value(d.summands[i][1]):
+                candidates = [i]
+                break
+    else:
+        candidates = [i for i, (_, t) in enumerate(d.summands) if not is_value(t)]
+        start = 0
+    if not candidates:
+        return NormalForm(), start
+    i = candidates[0] if rng is None else rng.choice(candidates)
+    a, t = d.summands[i]
+    try:
+        r = reduce_term(t)
+    except StuckError as e:
+        return Stuck(e.term, e.reason), start
+    spliced = (
+        d.summands[:i]
+        + tuple((a * b, u) for b, u in r.summands)
+        + d.summands[i + 1:]
+    )
+    return Stepped(Distribution(spliced)), i
+
+
+def reference_step(d, rng=None):
+    return _reference_step_from(d, 0, rng)[0]
+
+
+def reference_normalize(d, max_steps=DEFAULT_MAX_STEPS, rng=None):
+    cur = d
+    cursor = 0
+    steps = 0
+    while True:
+        res, cursor = _reference_step_from(cur, cursor, rng)
+        match res:
+            case NormalForm():
+                return canonicalize(cur)
+            case Stuck(term, reason):
+                raise StuckError(term, reason)
+            case Stepped(nd):
+                steps += 1
+                if steps > max_steps:
+                    raise StepLimitExceeded(max_steps)
+                cur = nd
+
+
+def reference_trace_normalize(d, max_steps=DEFAULT_MAX_STEPS):
+    trace = [d]
+    cur = d
+    cursor = 0
+    while True:
+        res, cursor = _reference_step_from(cur, cursor, None)
+        match res:
+            case NormalForm():
+                trace[-1] = canonicalize(cur)
+                return trace
+            case Stuck(term, reason):
+                raise StuckError(term, reason)
+            case Stepped(nd):
+                if len(trace) > max_steps:
+                    raise StepLimitExceeded(max_steps)
+                cur = nd
+                trace.append(nd)
+
+
+def _outcome(run, *args, **kwargs):
+    """The result of a call, or the type and text of what it raised."""
+    try:
+        return run(*args, **kwargs)
+    except (StuckError, StepLimitExceeded) as e:
+        return type(e), str(e)
+
+
+@st.composite
+def _runs(draw):
+    """A generator program, a sum of two, or one with a stuck summand added,
+    and a step limit that some of them exceed."""
+    g = ProgramGen(draw(st.integers(0, 2**32)))
+
+    def program():
+        return g.trace_program()[0] if draw(st.booleans()) else g.flow_program()[0]
+
+    d = program()
+    shape = draw(st.sampled_from(["one", "sum", "stuck"]))
+    if shape == "sum":
+        d = add(d, scale(draw(st.sampled_from([1, -1, 0.5j])), program()))
+    elif shape == "stuck":
+        d = add(d, singleton(App(STAR, STAR), 0.5))
+    return d, draw(st.sampled_from([1, 3, 10, DEFAULT_MAX_STEPS]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_runs())
+def test_worklist_matches_the_tuple_splice_loop(run):
+    d, limit = run
+    assert _outcome(trace_normalize, d, limit) == _outcome(reference_trace_normalize, d, limit)
+    assert _outcome(normalize, d, limit) == _outcome(reference_normalize, d, limit)
+    for seed in range(3):
+        assert _outcome(normalize, d, limit, random.Random(seed)) == _outcome(
+            reference_normalize, d, limit, random.Random(seed))
+    # every step result along the leftmost reduction, and under a seeded rng
+    cur = d
+    for _ in range(100):
+        res = step(cur)
+        assert res == reference_step(cur)
+        assert step(cur, random.Random(7)) == reference_step(cur, random.Random(7))
+        if not isinstance(res, Stepped):
+            break
+        cur = res.dist
+
+
+def test_normalize_builds_one_distribution_not_one_per_step(monkeypatch):
+    wide = Distribution(tuple(
+        (0.1, App(IDENT, App(IDENT, (INL, INR)[k % 2]))) for k in range(100)))
+    assert len(trace_normalize(wide)) - 1 == 200
+    want = reference_normalize(wide)
+    built = 0
+    real = rewrite.Distribution
+
+    def counting(*args, **kwargs):
+        nonlocal built
+        built += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rewrite, "Distribution", counting)
+    assert normalize(wide) == want
+    assert built <= 2
+
+
+def test_a_stuck_step_past_the_limit_raises_stuck_error():
+    # one beta step, then the unit value applied to the unit value
+    d = singleton(App(App(IDENT, STAR), STAR))
+    assert isinstance(step(_stepped(d)), Stuck)
+    for run in (normalize, trace_normalize):
+        with pytest.raises(StuckError):
+            run(d, max_steps=1)
+        with pytest.raises(StepLimitExceeded):
+            run(d, max_steps=0)
+
+
+# --------------------------------------------------------------- overflow
+
+# scaled by 1e200 twice: the spliced coefficient overflows to infinity, which
+# only a program that skipped the norm check can reach
+OVERFLOW_SRC = r"1e200 * ((\x:U. 1e200 * x) *)"
+
+
+@pytest.mark.parametrize("run", [normalize, trace_normalize])
+def test_a_non_finite_coefficient_is_rejected(run):
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        run(parse_program(OVERFLOW_SRC))
