@@ -12,11 +12,12 @@ import argparse
 import json
 import sys
 import traceback
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
 
-from .config import set_tolerance
+from .config import tolerance
 from .quantum import (
     FileFormatError,
     NotAnIsometry,
@@ -243,11 +244,11 @@ def _report(args, code: int, kind: str, message: str, **extra) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.tolerance is not None:
-            set_tolerance(args.tolerance)
-        if args.max_steps <= 0:
-            raise ValueError("--max-steps must be positive")
-        return args.fn(args)
+        # --tolerance holds for this call only, also when main runs in-process
+        with nullcontext() if args.tolerance is None else tolerance(args.tolerance):
+            if args.max_steps <= 0:
+                raise ValueError("--max-steps must be positive")
+            return args.fn(args)
     except TypeCheckError as e:
         extra = {}
         if e.span is not None:

@@ -21,6 +21,7 @@ merge away.
 
 from __future__ import annotations
 
+import cmath
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -180,7 +181,9 @@ def _reductions(
     """Step until no summand is reducible, yielding the one summand list
     after every step.  Summands left of the cursor are values.  The step past
     max_steps is taken before the limit raises, so if it is stuck, StuckError
-    wins."""
+    wins.  A spliced coefficient that overflows raises the ValueError a
+    `Distribution` would, at the step that makes it, whether or not the
+    caller builds a distribution from every step."""
     summands = list(d.summands)
     i = 0
     steps = 0
@@ -200,5 +203,9 @@ def _reductions(
         steps += 1
         if steps > max_steps:
             raise StepLimitExceeded(max_steps)
-        summands[i:i + 1] = [(a * b, u) for b, u in r.summands]
+        spliced = [(a * b, u) for b, u in r.summands]
+        for c, _ in spliced:
+            if not cmath.isfinite(c):
+                raise ValueError(f"non-finite coefficient {c!r}")
+        summands[i:i + 1] = spliced
         yield summands

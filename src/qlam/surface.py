@@ -11,13 +11,16 @@ tighter than summand `+`.  A lambda body extends as far right as possible.
 Types: `#` binds tightest, then `*`, then `+`, then `->`; `U` is the unit
 type and `B` abbreviates `U+U` on input (printed expanded).  `--` starts a
 comment.
+
+The lexer is one pass of a single regex; each token is a plain tuple
+`(kind, value, start, end)` of offsets.  Line and column are computed only
+when a `ParseError` or `HeadNotPure` error is raised.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from .syntax import (
@@ -25,6 +28,7 @@ from .syntax import (
     Lam,
     Var,
     Void,
+    _trusted,
     add,
     canonicalize,
     mk_app,
@@ -58,129 +62,125 @@ class ParseError(ValueError):
         self.span = span
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    value: object
-    span: SourceSpan
+def _span(text: str, start: int, end: int) -> SourceSpan:
+    """The span of text[start:end], with 1-based line and column."""
+    line_start = text.rfind("\n", 0, start) + 1
+    return SourceSpan(start, end, text.count("\n", 0, start) + 1, start - line_start + 1)
 
 
 _NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-_SCALAR_RE = re.compile(rf"({_NUM})(?:(/sqrt2)|/({_NUM})|([+-]{_NUM})i|(i))?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+# Skip blanks and comments, then read an identifier or keyword (group 1), a
+# scalar (2, parts 3-7), punctuation (8), any other character (9) or the end
+# (no group).  A `.` before a non-ASCII word character is in group 9, where it
+# is told apart from a malformed number such as `.²`.
+_TOKEN_RE = re.compile(
+    r"(?:[ \t\r\n]+|--[^\n]*)*"
+    r"(?:([A-Za-z_][A-Za-z0-9_']*)"
+    rf"|(({_NUM})(?:(/sqrt2)|/({_NUM})|([+-]{_NUM})i|(i))?)"
+    r"|(->|\.(?![^\W\d_A-Za-z])|[-\\(),;+*={}|:#])"
+    r"|(.)"
+    r"|\Z)",
+    re.S,
+)
 _KEYWORDS = frozenset({"let", "in", "match", "inl", "inr"})
-_SINGLES = frozenset("\\.(),;+*={}|:#")
+_SQRT2 = math.sqrt(2)
+
+_Token = tuple[str, object, int, int]
 
 
 def _lex(text: str) -> list[_Token]:
-    line_starts = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
-
-    def span(start: int, end: int) -> SourceSpan:
-        ln = bisect_right(line_starts, start)
-        return SourceSpan(start, end, ln, start - line_starts[ln - 1] + 1)
-
     toks: list[_Token] = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch in " \t\r\n":
-            pos += 1
-            continue
-        if ch == "-":
-            if text.startswith("->", pos):
-                toks.append(_Token("->", "->", span(pos, pos + 2)))
-                pos += 2
-                continue
-            if text.startswith("--", pos):
-                nl = text.find("\n", pos)
-                pos = n if nl < 0 else nl + 1
-                continue
-            toks.append(_Token("-", "-", span(pos, pos + 1)))
-            pos += 1
-            continue
-        if ch.isdigit() or (ch == "." and pos + 1 < n and text[pos + 1].isdigit()):
-            m = _SCALAR_RE.match(text, pos)
-            if not m or m.start() != pos:
-                raise ParseError(f"bad number at {text[pos:pos + 8]!r}", span(pos, pos + 1))
-            num = float(m.group(1))
-            if m.group(2):
-                value: complex | float = num / math.sqrt(2)
-            elif m.group(3):
-                denom = float(m.group(3))
-                if denom == 0:
-                    raise ParseError("zero denominator in scalar", span(pos, m.end()))
-                value = num / denom
-            elif m.group(4):
-                value = complex(num, float(m.group(4)))
-            elif m.group(5):
-                value = complex(0.0, num)
-            else:
-                value = num
-            toks.append(_Token("scalar", value, span(pos, m.end())))
-            pos = m.end()
-            continue
-        m = _IDENT_RE.match(text, pos)
-        if m:
-            name = m.group(0)
-            kind = name if name in _KEYWORDS else "ident"
-            toks.append(_Token(kind, name, span(pos, m.end())))
-            pos = m.end()
-            continue
-        if ch in _SINGLES:
-            toks.append(_Token(ch, ch, span(pos, pos + 1)))
-            pos += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", span(pos, pos + 1))
-    toks.append(_Token("eof", None, span(n, n)))
+    append = toks.append
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastindex
+        if group == 1:
+            name = m[1]
+            start, end = m.span(1)
+            append((name if name in _KEYWORDS else "ident", name, start, end))
+        elif group == 8:
+            op = m[8]
+            start, end = m.span(8)
+            append((op, op, start, end))
+        elif group == 2:
+            start, end = m.span(2)
+            append(("scalar", _scalar(text, m), start, end))
+        elif group is None:
+            break
+        else:
+            start = m.start(9)
+            ch = m[9]
+            if ch.isdigit() or (ch == "." and text[start + 1:start + 2].isdigit()):
+                raise ParseError(f"bad number at {text[start:start + 8]!r}",
+                                 _span(text, start, start + 1))
+            if ch != ".":
+                raise ParseError(f"unexpected character {ch!r}", _span(text, start, start + 1))
+            append((".", ".", start, start + 1))
+    append(("eof", None, len(text), len(text)))
     return toks
 
 
+def _scalar(text: str, m: re.Match) -> complex | float:
+    num = float(m[3])
+    if m[4]:
+        return num / _SQRT2
+    if m[5]:
+        denom = float(m[5])
+        if denom == 0:
+            raise ParseError("zero denominator in scalar", _span(text, *m.span(2)))
+        return num / denom
+    if m[6]:
+        return complex(num, float(m[6]))
+    if m[7]:
+        return complex(0.0, num)
+    return num
+
+
 _ATOM_STARTS = frozenset({"*", "ident", "(", "inl", "inr"})
+_ONE = complex(1)
+
+
+def _found(tok: _Token) -> str:
+    return "end of input" if tok[0] == "eof" else repr(tok[1])
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _lex(text)
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def take(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def error(self, message: str, tok: _Token) -> ParseError:
+        return ParseError(message, _span(self.text, tok[2], tok[3]))
 
     def at(self, kind: str) -> bool:
-        return self.tokens[self.pos].kind == kind
+        return self.tokens[self.pos][0] == kind
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            found = "end of input" if tok.kind == "eof" else repr(tok.value)
-            raise ParseError(f"expected {what}, found {found}", tok.span)
-        return self.take()
+    def expect(self, kind: str, what: str) -> object:
+        """The value of the next token, which must be of this kind."""
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            raise self.error(f"expected {what}, found {_found(tok)}", tok)
+        self.pos += 1
+        return tok[1]
 
     # -- distributions ------------------------------------------------------
 
     def dist(self) -> Distribution:
         parts = [self.summand()]
         while self.at("+"):
-            self.take()
+            self.pos += 1
             parts.append(self.summand())
         return parts[0] if len(parts) == 1 else add(*parts)
 
     def summand(self) -> Distribution:
-        neg = False
-        if self.at("-"):
-            self.take()
-            neg = True
+        neg = self.at("-")
+        if neg:
+            self.pos += 1
         coeff: complex | float = 1
-        scaled = False
-        if self.at("scalar"):
-            coeff = self.take().value  # type: ignore[assignment]
-            scaled = True
+        scaled = self.at("scalar")
+        if scaled:
+            coeff = self.tokens[self.pos][1]  # type: ignore[assignment]
+            self.pos += 1
             self.expect("*", "'*' after a scalar coefficient")
         body = self.seq_term()
         if neg:
@@ -192,27 +192,26 @@ class _Parser:
     def seq_term(self) -> Distribution:
         first = self.head_term()
         if self.at(";"):
-            self.take()
-            tail = self.seq_term()
-            return mk_seq(first, tail)
+            self.pos += 1
+            return mk_seq(first, self.seq_term())
         return first
 
     def head_term(self) -> Distribution:
-        tok = self.peek()
-        if tok.kind == "\\":
-            self.take()
-            name = self.expect("ident", "a parameter name").value
+        tok = self.tokens[self.pos]
+        kind = tok[0]
+        if kind == "\\":
+            self.pos += 1
+            name = self.expect("ident", "a parameter name")
             self.expect(":", "':' and a parameter type")
             ann = self.type_expr()
             self.expect(".", "'.' after the parameter type")
-            body = self.dist()
-            return singleton(Lam(name, ann, body))
-        if tok.kind == "let":
-            self.take()
+            return singleton(Lam(name, ann, self.dist()))
+        if kind == "let":
+            self.pos += 1
             self.expect("(", "'(' after let")
-            x = self.expect("ident", "a name").value
+            x = self.expect("ident", "a name")
             self.expect(",", "',' between the pair names")
-            y = self.expect("ident", "a name").value
+            y = self.expect("ident", "a name")
             self.expect(")", "')' after the pair names")
             self.expect("=", "'='")
             scrut = self.dist()
@@ -221,18 +220,18 @@ class _Parser:
             try:
                 return mk_let(x, y, scrut, body)
             except ValueError as e:
-                raise ParseError(str(e), tok.span) from None
-        if tok.kind == "match":
-            self.take()
+                raise self.error(str(e), tok) from None
+        if kind == "match":
+            self.pos += 1
             scrut = self.dist()
             self.expect("{", "'{' after the matched term")
             self.expect("inl", "'inl'")
-            x1 = self.expect("ident", "a name").value
+            x1 = self.expect("ident", "a name")
             self.expect("->", "'->'")
             b1 = self.dist()
             self.expect("|", "'|' between the branches")
             self.expect("inr", "'inr'")
-            x2 = self.expect("ident", "a name").value
+            x2 = self.expect("ident", "a name")
             self.expect("->", "'->'")
             b2 = self.dist()
             self.expect("}", "'}' after the branches")
@@ -241,112 +240,108 @@ class _Parser:
 
     def app_term(self) -> Distribution:
         cur = self.atom()
-        while self.peek().kind in _ATOM_STARTS:
-            tok = self.peek()
+        tokens = self.tokens
+        while tokens[self.pos][0] in _ATOM_STARTS:
+            tok = tokens[self.pos]
             arg = self.atom()
             summands = cur.summands
             if len(summands) != 1 or summands[0][0] != 1:
                 raise TypeCheckError(
                     ErrorKind.HEAD_NOT_PURE,
                     "the operator of an application must be a single unscaled term",
-                    span=tok.span,
+                    span=_span(self.text, tok[2], tok[3]),
                 )
             cur = mk_app(summands[0][1], arg)
         return cur
 
     def atom(self) -> Distribution:
-        tok = self.peek()
-        if tok.kind == "*":
-            self.take()
-            return singleton(Void())
-        if tok.kind == "ident":
-            self.take()
-            return singleton(Var(tok.value))
-        if tok.kind in ("inl", "inr"):
-            self.take()
+        tok = self.tokens[self.pos]
+        kind = tok[0]
+        if kind == "*":
+            self.pos += 1
+            return _trusted(((_ONE, Void()),))
+        if kind == "ident":
+            self.pos += 1
+            return _trusted(((_ONE, Var(tok[1])),))
+        if kind == "inl" or kind == "inr":
+            self.pos += 1
             arg = self.atom()
             try:
-                return mk_inl(arg) if tok.kind == "inl" else mk_inr(arg)
+                return mk_inl(arg) if kind == "inl" else mk_inr(arg)
             except ValueError:
-                raise ParseError(f"{tok.kind} applies to values only", tok.span) from None
-        if tok.kind == "(":
-            self.take()
+                raise self.error(f"{kind} applies to values only", tok) from None
+        if kind == "(":
+            self.pos += 1
             first = self.dist()
             if self.at(","):
-                self.take()
+                self.pos += 1
                 second = self.dist()
                 self.expect(")", "')' after the pair")
                 try:
                     return mk_pair(first, second)
                 except ValueError:
-                    raise ParseError("pair components must be values", tok.span) from None
+                    raise self.error("pair components must be values", tok) from None
             self.expect(")", "')'")
             return first
-        found = "end of input" if tok.kind == "eof" else repr(tok.value)
-        raise ParseError(f"expected a term, found {found}", tok.span)
+        raise self.error(f"expected a term, found {_found(tok)}", tok)
 
     # -- types --------------------------------------------------------------
 
     def type_expr(self) -> Type:
         left = self.sum_type()
         if self.at("->"):
-            self.take()
+            self.pos += 1
             return Arrow(left, self.type_expr())
         return left
 
     def sum_type(self) -> Type:
-        parts = [self.prod_type()]
-        while self.at("+"):
-            self.take()
-            parts.append(self.prod_type())
-        out = parts[-1]
-        for p in reversed(parts[:-1]):
-            out = Sum(p, out)
-        return out
+        return self.right_nested("+", self.prod_type, Sum)
 
     def prod_type(self) -> Type:
-        parts = [self.sharp_type()]
-        while self.at("*"):
-            self.take()
-            parts.append(self.sharp_type())
-        out = parts[-1]
-        for p in reversed(parts[:-1]):
-            out = Prod(p, out)
+        return self.right_nested("*", self.sharp_type, Prod)
+
+    def right_nested(self, sep: str, operand, node) -> Type:
+        """operand (sep operand)*, grouped to the right."""
+        parts = [operand()]
+        while self.at(sep):
+            self.pos += 1
+            parts.append(operand())
+        out = parts.pop()
+        while parts:
+            out = node(parts.pop(), out)
         return out
 
     def sharp_type(self) -> Type:
         if self.at("#"):
-            self.take()
+            self.pos += 1
             return Sharp(self.sharp_type())
         return self.atom_type()
 
     def atom_type(self) -> Type:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.take()
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        if tok[0] == "(":
             t = self.type_expr()
             self.expect(")", "')'")
             return t
-        if tok.kind == "ident":
-            self.take()
-            if tok.value == "U":
+        if tok[0] == "ident":
+            if tok[1] == "U":
                 return UNIT
-            if tok.value == "B":
+            if tok[1] == "B":
                 return BOOL
-            raise ParseError(f"unknown type name {tok.value!r}", tok.span)
-        found = "end of input" if tok.kind == "eof" else repr(tok.value)
-        raise ParseError(f"expected a type, found {found}", tok.span)
+            raise self.error(f"unknown type name {tok[1]!r}", tok)
+        raise self.error(f"expected a type, found {_found(tok)}", tok)
 
 
 def parse_program(text: str) -> Distribution:
-    p = _Parser(_lex(text))
+    p = _Parser(text)
     d = p.dist()
     p.expect("eof", "end of input")
     return d
 
 
 def parse_type(text: str) -> Type:
-    p = _Parser(_lex(text))
+    p = _Parser(text)
     t = p.type_expr()
     p.expect("eof", "end of input")
     return t

@@ -157,6 +157,17 @@ class Distribution:
         return show_dist(self)
 
 
+def _trusted(summands: tuple[tuple[complex, PureTerm], ...]) -> Distribution:
+    """A distribution of summands that are already valid: a non-empty tuple
+    of finite complex coefficients and pure terms.  It skips the checks of
+    `Distribution.__post_init__`, which public construction runs, so callers
+    pass only coefficients taken from a validated distribution or literals."""
+    d = object.__new__(Distribution)
+    object.__setattr__(d, "summands", summands)
+    object.__setattr__(d, "_fv", None)
+    return d
+
+
 def singleton(t: PureTerm, coeff: complex = 1) -> Distribution:
     return Distribution(((coeff, t),))
 
@@ -498,8 +509,10 @@ def _in_context(d: Distribution, build: Callable[[PureTerm], PureTerm]) -> Distr
     """Put every summand of d into the same one-hole context.  The context
     is shared, so the built terms merge and sort exactly as their holes do:
     canonicalizing the holes gives the canonical result without keying a
-    copy of the context per summand."""
-    return Distribution(tuple((a, build(t)) for a, t in canonicalize(d).summands))
+    copy of the context per summand.  The coefficients come from a validated
+    distribution and the terms from node constructors, so the result skips
+    re-validation."""
+    return _trusted(tuple((a, build(t)) for a, t in canonicalize(d).summands))
 
 
 def _require_values(d: Distribution, what: str) -> None:

@@ -9,7 +9,7 @@ import math
 import pytest
 
 from qlam.cli import main
-from qlam.config import DEFAULT_TOLERANCE, set_tolerance
+from qlam.config import DEFAULT_TOLERANCE, get_tolerance, set_tolerance
 from qlam.quantum import format_matrix, gate_library
 
 _R2 = 1 / math.sqrt(2)
@@ -84,6 +84,15 @@ def test_tolerance_flag_loosens_norm_check(write):
     assert main(["check", "--tolerance", "1e-2", path]) == 0
 
 
+@pytest.mark.parametrize("exit_code, src", [(0, "0.999999 * inl *\n"), (1, "0.5 * *\n")])
+def test_tolerance_flag_lasts_one_call(write, exit_code, src):
+    path = write("p.qlam", src)
+    assert main(["check", "--tolerance", "0.3", path]) == exit_code
+    assert get_tolerance() == DEFAULT_TOLERANCE
+    assert main(["check", "--tolerance", "0.3", path + ".missing"]) == 3
+    assert get_tolerance() == DEFAULT_TOLERANCE
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as e:
         main(["frobnicate"])
@@ -133,6 +142,18 @@ def test_eval_no_check_rejects_a_non_finite_coefficient(write, capsys):
     src = r"1e200 * ((\x:U. 1e200 * x) *)"
     assert main(["eval", "--no-check", write("overflow.qlam", src)]) == 2
     assert "non-finite coefficient" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trace", [[], ["--trace"]])
+def test_eval_no_check_overflow_then_divergence_exits_two_with_and_without_trace(
+    write, capsys, trace
+):
+    # the overflowing summand is spliced at the second step, before the
+    # divergent one can run into the step limit
+    src = r"1e200 * ((\x:U. 1e200 * x) *) + (\x:U. x x) (\x:U. x x)"
+    path = write("overflow.qlam", src)
+    assert main(["eval", "--no-check", "--max-steps", "50", *trace, path]) == 2
+    assert capsys.readouterr().err == "error: non-finite coefficient (inf+0j)\n"
 
 
 def test_nonpositive_max_steps_rejected(write, capsys):
