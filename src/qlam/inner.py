@@ -4,7 +4,9 @@ Two value distributions pair up summand by summand: alpha-equivalent value
 terms contribute the product of conjugated left coefficient and right
 coefficient, distinct terms contribute nothing.  This makes distinct pure
 values an orthonormal family by construction.  Only value distributions have
-an inner product; anything else is a usage error.
+an inner product; anything else is a usage error.  Either side may also be
+given in its `keyed` form, so a distribution paired with many others is keyed
+once.
 """
 
 from __future__ import annotations
@@ -12,24 +14,38 @@ from __future__ import annotations
 import math
 
 from .config import get_tolerance
-from .syntax import Distribution, canonicalize, is_value, show_term, term_key
+from .syntax import Distribution, is_value, show_term, term_key
 
 
-def inner_product(v: Distribution, w: Distribution) -> complex:
+# a value distribution's canonical coefficients by alpha-key
+Keyed = dict[tuple, complex]
+
+
+def keyed(v: Distribution) -> Keyed:
+    """The form inner products are taken in: alpha-equivalent summands
+    merged and the keys in `canonicalize` order, so sums run in the same
+    order.  A caller that pairs one value distribution with many others keys
+    it once and passes this instead."""
     _require_values(v)
-    _require_values(w)
-    left: dict[tuple, complex] = {}
-    for a, t in canonicalize(v).summands:
-        left[term_key(t)] = a
+    out: Keyed = {}
+    for a, t in v.summands:
+        k = term_key(t)
+        out[k] = out[k] + a if k in out else a
+    return dict(sorted(out.items()))
+
+
+def inner_product(v: Distribution | Keyed, w: Distribution | Keyed) -> complex:
+    left = v if isinstance(v, dict) else keyed(v)
+    right = w if isinstance(w, dict) else keyed(w)
     out = 0j
-    for b, t in canonicalize(w).summands:
-        a = left.get(term_key(t))
+    for k, b in right.items():
+        a = left.get(k)
         if a is not None:
             out += a.conjugate() * b
     return out
 
 
-def orthogonal(v: Distribution, w: Distribution, tol: float | None = None) -> bool:
+def orthogonal(v: Distribution | Keyed, w: Distribution | Keyed, tol: float | None = None) -> bool:
     """|<v|w>| <= tol.  Pass tol=0.0 to demand an exact zero."""
     if tol is None:
         tol = get_tolerance()

@@ -307,7 +307,8 @@ def _subst(t: PureTerm, mapping: dict[str, PureTerm]) -> PureTerm:
 def _subst_dist(d: Distribution, mapping: dict[str, PureTerm]) -> Distribution:
     if not mapping or mapping.keys().isdisjoint(free_vars_dist(d)):
         return d
-    return Distribution(tuple((a, _subst(t, mapping)) for a, t in d.summands))
+    # the coefficients are d's own, already checked
+    return _trusted(tuple((a, _subst(t, mapping)) for a, t in d.summands))
 
 
 def _under_binders(

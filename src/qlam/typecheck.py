@@ -2,33 +2,43 @@
 
 Inference is syntax-directed over annotated lambdas.  Context entries carry a
 use count: non-flat variables must be used exactly once (the second use and an
-unused exit both fail), flat variables are free.  Eliminations pick their pure
-or superposed rule by the inferred head type: a bare unit/product/sum selects
-the pure rule, a Sharp-headed one selects the superposed rule, which types the
-binders at Sharp-lifted component types and Sharp-lifts the result.  Case
-branches are checked under the full shared context with forked usage state and
-must consume the same non-flat variables; they must also satisfy the
-orthogonality side condition, decided by a three-tier procedure (exhaustive
-enumeration over finite value inventories, a structural constructor-disjointness
-criterion, refusal).
+unused exit both fail), flat variables are free.
 
-A distribution types either as a single unscaled term, as a closed norm-1
-superposition of values, or as one elimination distributed across all summands
-(the same operator applied to an argument distribution, the same tail sequenced
-after a head distribution, and so on), which is exactly how reduction spreads a
-distribution through an elimination position.
+Each elimination (application, sequencing, `let`, `match`) has one rule.  It
+types a distribution whose summands all put their own term into the hole of
+one shared context: the same operator, the same tail, or the same binders and
+bodies.  The holes are typed together as a distribution, so `Σ αᵢ f aᵢ` reads
+as `f (Σ αᵢ aᵢ)`, which is exactly how reduction spreads a distribution
+through an elimination position; a single term is the one-summand case.  The
+rule picks its pure or superposed form by the inferred type of the holes: a
+bare unit/product/sum selects the pure form, a Sharp-headed one the superposed
+form, which types the binders at Sharp-lifted component types and Sharp-lifts
+the result.  Any other distribution types only as a closed norm-1
+superposition of values.
+
+Case branches are checked under the full shared context with forked usage
+state and must consume the same non-flat variables.  They must also be
+orthogonal, which is decided by a three-tier procedure: exhaustive
+enumeration over finite value inventories, a structural constructor-
+disjointness criterion, refusal.  Enumeration grounds each branch once per
+assignment of the binder and the shared variables.  A shared variable whose
+type has a Sharp may hold a superposition of its basis values, so every left
+instance must be orthogonal to every right instance that agrees with it on
+the other, flat, shared variables, not only to the one under the same
+assignment.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
 from .config import get_tolerance
-from .inner import orthogonal
+from .inner import Keyed, keyed, orthogonal
 from .rewrite import StepLimitExceeded, StuckError, normalize
 from .syntax import (
     App,
@@ -43,6 +53,7 @@ from .syntax import (
     Seq,
     Var,
     Void,
+    _trusted,
     alpha_eq,
     canonicalize,
     dist_alpha_eq,
@@ -77,6 +88,8 @@ TypingContext = Mapping[str, Type]
 Location = str | PureTerm | Distribution
 
 _INVENTORY_CAP = 256
+# enumeration runs when the product of the binder and shared-name inventory
+# sizes is at most this, which bounds the ground instances of each branch
 _PAIR_CAP = 1024
 _INSTANCE_STEPS = 4096
 
@@ -244,50 +257,72 @@ class _Checker:
                 tv, dv = self.infer_term(v)
                 ty = Sum(Unknown(), tv)
                 return ty, Derivation("inr", t, ty, (dv,))
-            case App(f, a):
+            case App() | Seq() | LetPair() | Match():
+                return self._infer_elim(((1, t),), t)
+            case _:
+                raise TypeCheckError(ErrorKind.MISMATCH, f"not a pure term: {t!r}")
+
+    def _infer_elim(
+        self, summands: tuple[tuple[complex, PureTerm], ...], here: PureTerm | Distribution
+    ) -> tuple[Type, Derivation]:
+        """The elimination rules.  `here` is either a single term, the one
+        unscaled summand, or a distribution whose summands all put their own
+        hole into one shared context: the same operator, tail, or binders and
+        bodies.  The holes are typed together as a distribution, which reads
+        `Σ αᵢ f aᵢ` as `f (Σ αᵢ aᵢ)`: the shape reduction produces when it
+        spreads an elimination over a superposition."""
+        t0 = summands[0][1]
+        if len(summands) > 1 and not all(_same_context(t0, t) for _, t in summands[1:]):
+            t0 = None  # no shared context: no rule matches below
+        match t0:
+            case App(f, _):
                 tf, df = self.infer_term(f)
                 if not isinstance(tf, Arrow):
                     raise TypeCheckError(
                         ErrorKind.MISMATCH,
                         f"operator has type {tf}, a function type is required",
-                        t,
+                        here,
                     )
-                ta, da = self.infer_term(a)
+                ta, da = self.infer_dist(_holes(summands, "arg"))
                 if not subtype(ta, tf.dom):
+                    what = "argument" if isinstance(here, PureTerm) else "argument distribution"
                     raise TypeCheckError(
                         ErrorKind.MISMATCH,
-                        f"argument has type {ta}, expected {tf.dom}",
-                        t,
+                        f"{what} has type {ta}, expected {tf.dom}",
+                        here,
                     )
-                return tf.cod, Derivation("apply", t, tf.cod, (df, da))
-            case Seq(h, tail):
-                th, dh = self.infer_term(h)
+                return tf.cod, Derivation("apply", here, tf.cod, (df, da))
+            case Seq(_, tail):
+                th, dh = self.infer_dist(_holes(summands, "head"))
                 m, core = peel_sharps(th)
                 if not isinstance(core, Unit):
+                    what = ("sequencing head has" if isinstance(here, PureTerm)
+                            else "sequencing heads have")
                     raise TypeCheckError(
                         ErrorKind.MISMATCH,
-                        f"sequencing head has type {th}, the unit type is required",
-                        t,
+                        f"{what} type {th}, the unit type is required",
+                        here,
                     )
                 tt, dt = self.infer_dist(tail)
-                if m == 0:
-                    return tt, Derivation("seq-pure", t, tt, (dh, dt))
-                ty = sharp_lift(tt)
-                return ty, Derivation("seq-super", t, ty, (dh, dt))
-            case LetPair(x, y, s, body):
-                ts, ds = self.infer_term(s)
-                ty, children, rule = self._infer_let_parts(ts, x, y, body, t)
-                return ty, Derivation(rule, t, ty, (ds, *children))
-            case Match(s, x1, b1, x2, b2):
-                ts, ds = self.infer_term(s)
-                ty, children, rule = self._infer_match_parts(ts, x1, b1, x2, b2, t)
-                return ty, Derivation(rule, t, ty, (ds, *children))
-            case _:
-                raise TypeCheckError(ErrorKind.MISMATCH, f"not a pure term: {t!r}")
+                ty = sharp_lift(tt) if m else tt
+                return ty, Derivation("seq-super" if m else "seq-pure", here, ty, (dh, dt))
+            case LetPair(x, y, _, body):
+                ts, ds = self.infer_dist(_holes(summands, "scrutinee"))
+                return self._infer_let(ts, ds, x, y, body, here)
+            case Match(_, x1, b1, x2, b2):
+                ts, ds = self.infer_dist(_holes(summands, "scrutinee"))
+                return self._infer_match(ts, ds, x1, b1, x2, b2, here)
+        raise TypeCheckError(
+            ErrorKind.MISMATCH,
+            "a proper distribution must be a superposition of values or a single "
+            "elimination distributed across its summands",
+            here,
+        )
 
-    def _infer_let_parts(
-        self, scrut_ty: Type, x: str, y: str, body: Distribution, here: Location
-    ) -> tuple[Type, tuple[Derivation, ...], str]:
+    def _infer_let(
+        self, scrut_ty: Type, ds: Derivation, x: str, y: str, body: Distribution,
+        here: PureTerm | Distribution,
+    ) -> tuple[Type, Derivation]:
         m, core = peel_sharps(scrut_ty)
         if not isinstance(core, Prod):
             raise TypeCheckError(
@@ -295,29 +330,25 @@ class _Checker:
                 f"destructured term has type {scrut_ty}, a product type is required",
                 here,
             )
-        if m == 0:
-            self._bind(x, core.left)
-            self._bind(y, core.right)
-            bt, bd = self.infer_dist(body)
-            self._unbind(y, here)
-            self._unbind(x, here)
-            return bt, (bd,), "let-pure"
-        self._bind(x, sharp_lift(core.left))
-        self._bind(y, sharp_lift(core.right))
+        lift = sharp_lift if m else _unlifted
+        self._bind(x, lift(core.left))
+        self._bind(y, lift(core.right))
         bt, bd = self.infer_dist(body)
         self._unbind(y, here)
         self._unbind(x, here)
-        return sharp_lift(bt), (bd,), "let-super"
+        ty = lift(bt)
+        return ty, Derivation("let-super" if m else "let-pure", here, ty, (ds, bd))
 
-    def _infer_match_parts(
+    def _infer_match(
         self,
         scrut_ty: Type,
+        ds: Derivation,
         x1: str,
         b1: Distribution,
         x2: str,
         b2: Distribution,
-        here: Location,
-    ) -> tuple[Type, tuple[Derivation, ...], str]:
+        here: PureTerm | Distribution,
+    ) -> tuple[Type, Derivation]:
         m, core = peel_sharps(scrut_ty)
         if not isinstance(core, Sum):
             raise TypeCheckError(
@@ -325,9 +356,9 @@ class _Checker:
                 f"matched term has type {scrut_ty}, a sum type is required",
                 here,
             )
-        unitary = m >= 1
-        lt = sharp_lift(core.left) if unitary else core.left
-        rt = sharp_lift(core.right) if unitary else core.right
+        lift = sharp_lift if m else _unlifted
+        lt = lift(core.left)
+        rt = lift(core.right)
         snap = self._snapshot()
         self._bind(x1, lt)
         t1, d1 = self.infer_dist(b1)
@@ -347,64 +378,58 @@ class _Checker:
                 here,
             )
         self._require_orthogonal(x1, lt, b1, x2, rt, b2, here)
-        if unitary:
-            return sharp_lift(joined), (d1, d2), "match-super"
-        return joined, (d1, d2), "match-pure"
+        ty = lift(joined)
+        return ty, Derivation("match-super" if m else "match-pure", here, ty, (ds, d1, d2))
 
     # -- distributions ------------------------------------------------------
 
     def infer_dist(self, d: Distribution) -> tuple[Type, Derivation]:
         s = d.summands
+        if len(s) != 1 or s[0][0] != 1:
+            d = canonicalize(d)
+            s = d.summands
         if len(s) == 1 and s[0][0] == 1:
-            return self.infer_term(s[0][1])
-        cd = canonicalize(d)
-        s = cd.summands
-        if len(s) == 1 and s[0][0] == 1:
-            return self.infer_term(s[0][1])
-        if is_value_distribution(cd):
-            return self._infer_superposition(cd, expected_core=None)
-        return self._infer_unapplied(cd)
+            t = s[0][1]
+            if isinstance(t, (App, Seq, LetPair, Match)):
+                return self._infer_elim(s, t)
+            return self.infer_term(t)
+        if is_value_distribution(d):
+            return self._infer_superposition(d, expected_core=None)
+        return self._infer_elim(s, d)
 
     def check_dist(self, d: Distribution, expected: Type) -> Derivation:
-        s = d.summands
-        single = None
-        if len(s) == 1 and s[0][0] == 1:
-            single = s[0][1]
-        else:
-            cd = canonicalize(d)
-            if len(cd.summands) == 1 and cd.summands[0][0] == 1:
-                single = cd.summands[0][1]
-            elif is_value_distribution(cd):
-                n, core = peel_sharps(expected)
-                if isinstance(core, Arrow):
-                    raise TypeCheckError(
-                        ErrorKind.SUP_AT_ARROW_TYPE,
-                        "a superposition cannot inhabit a function type",
-                        d,
-                    )
-                if n == 0:
-                    raise TypeCheckError(
-                        ErrorKind.MISMATCH,
-                        f"a proper distribution cannot have the bare type {expected}",
-                        d,
-                    )
-                _, der = self._infer_superposition(cd, expected_core=core)
-                return der
-            else:
-                ty, der = self._infer_unapplied(cd)
-                if not subtype(ty, expected):
-                    raise TypeCheckError(
-                        ErrorKind.MISMATCH,
-                        f"distribution has type {ty}, expected {expected}",
-                        d,
-                    )
-                return der
-        ty, der = self.infer_term(single)
+        cd = canonicalize(d)
+        s = cd.summands
+        single = len(s) == 1 and s[0][0] == 1
+        if not single and is_value_distribution(cd):
+            n, core = peel_sharps(expected)
+            if isinstance(core, Arrow):
+                raise TypeCheckError(
+                    ErrorKind.SUP_AT_ARROW_TYPE,
+                    "a superposition cannot inhabit a function type",
+                    d,
+                )
+            if n == 0:
+                raise TypeCheckError(
+                    ErrorKind.MISMATCH,
+                    f"a proper distribution cannot have the bare type {expected}",
+                    d,
+                )
+            _, der = self._infer_superposition(cd, expected_core=core)
+            return der
+        # cd is canonical already: a proper one goes to the elimination rule
+        ty, der = self.infer_dist(cd) if single else self._infer_elim(s, cd)
         if not subtype(ty, expected):
+            if single:
+                raise TypeCheckError(
+                    ErrorKind.MISMATCH,
+                    f"term has type {ty}, expected {expected}",
+                    s[0][1],
+                )
             raise TypeCheckError(
                 ErrorKind.MISMATCH,
-                f"term has type {ty}, expected {expected}",
-                single,
+                f"distribution has type {ty}, expected {expected}",
+                d,
             )
         return der
 
@@ -468,81 +493,6 @@ class _Checker:
         ty = Sharp(ground_unknowns(joined))
         return ty, Derivation("superposition", cd, ty, tuple(children))
 
-    def _infer_unapplied(self, cd: Distribution) -> tuple[Type, Derivation]:
-        """A proper distribution of elimination forms, typed by re-aggregating
-        the notation: the same operator applied across an argument
-        distribution, the same tail after a head distribution, the same body
-        over a scrutinee distribution.  This is exactly the shape reduction
-        produces when it distributes an elimination over a superposition."""
-        s = cd.summands
-        terms = [t for _, t in s]
-        if all(isinstance(t, App) for t in terms):
-            f0 = terms[0].fun
-            if all(alpha_eq(f0, t.fun) for t in terms[1:]):
-                tf, df = self.infer_term(f0)
-                if not isinstance(tf, Arrow):
-                    raise TypeCheckError(
-                        ErrorKind.MISMATCH,
-                        f"operator has type {tf}, a function type is required",
-                        cd,
-                    )
-                argd = Distribution(tuple((a, t.arg) for a, t in s))
-                ta, da = self.infer_dist(argd)
-                if not subtype(ta, tf.dom):
-                    raise TypeCheckError(
-                        ErrorKind.MISMATCH,
-                        f"argument distribution has type {ta}, expected {tf.dom}",
-                        cd,
-                    )
-                return tf.cod, Derivation("apply", cd, tf.cod, (df, da))
-        elif all(isinstance(t, Seq) for t in terms):
-            tail0 = terms[0].tail
-            if all(dist_alpha_eq(tail0, t.tail) for t in terms[1:]):
-                headd = Distribution(tuple((a, t.head) for a, t in s))
-                th, dh = self.infer_dist(headd)
-                m, core = peel_sharps(th)
-                if not isinstance(core, Unit):
-                    raise TypeCheckError(
-                        ErrorKind.MISMATCH,
-                        f"sequencing heads have type {th}, the unit type is required",
-                        cd,
-                    )
-                tt, dt = self.infer_dist(tail0)
-                ty = sharp_lift(tt) if m >= 1 else tt
-                rule = "seq-super" if m >= 1 else "seq-pure"
-                return ty, Derivation(rule, cd, ty, (dh, dt))
-        elif all(isinstance(t, LetPair) for t in terms):
-            x, y, body0 = terms[0].left, terms[0].right, terms[0].body
-            if all(
-                t.left == x and t.right == y and dist_alpha_eq(body0, t.body)
-                for t in terms[1:]
-            ):
-                scrd = Distribution(tuple((a, t.scrutinee) for a, t in s))
-                ts, ds = self.infer_dist(scrd)
-                ty, children, rule = self._infer_let_parts(ts, x, y, body0, cd)
-                return ty, Derivation(rule, cd, ty, (ds, *children))
-        elif all(isinstance(t, Match) for t in terms):
-            m0 = terms[0]
-            if all(
-                t.left_name == m0.left_name
-                and t.right_name == m0.right_name
-                and dist_alpha_eq(m0.left_body, t.left_body)
-                and dist_alpha_eq(m0.right_body, t.right_body)
-                for t in terms[1:]
-            ):
-                scrd = Distribution(tuple((a, t.scrutinee) for a, t in s))
-                ts, ds = self.infer_dist(scrd)
-                ty, children, rule = self._infer_match_parts(
-                    ts, m0.left_name, m0.left_body, m0.right_name, m0.right_body, cd
-                )
-                return ty, Derivation(rule, cd, ty, (ds, *children))
-        raise TypeCheckError(
-            ErrorKind.MISMATCH,
-            "a proper distribution must be a superposition of values or a single "
-            "elimination distributed across its summands",
-            cd,
-        )
-
     # -- branch orthogonality ----------------------------------------------
 
     def _require_orthogonal(
@@ -564,6 +514,39 @@ class _Checker:
             assert stack, f"branch variable {x} escaped typing"
             shared[x] = stack[-1].ty
         _decide_orthogonality(shared, (x1, t1), b1, (x2, t2), b2, here)
+
+
+def _same_context(t0: PureTerm, t: PureTerm) -> bool:
+    """Whether t is the elimination t0 with another term in its hole.  The
+    context is usually the very same object, so identity is tried before
+    alpha-equivalence."""
+    match t0:
+        case App(f, _):
+            return isinstance(t, App) and (t.fun is f or alpha_eq(f, t.fun))
+        case Seq(_, tail):
+            return isinstance(t, Seq) and (t.tail is tail or dist_alpha_eq(tail, t.tail))
+        case LetPair(x, y, _, body):
+            return (isinstance(t, LetPair) and t.left == x and t.right == y
+                    and (t.body is body or dist_alpha_eq(body, t.body)))
+        case Match(_, x1, b1, x2, b2):
+            return (isinstance(t, Match) and t.left_name == x1 and t.right_name == x2
+                    and (t.left_body is b1 or dist_alpha_eq(b1, t.left_body))
+                    and (t.right_body is b2 or dist_alpha_eq(b2, t.right_body)))
+    return False
+
+
+def _holes(summands: tuple[tuple[complex, PureTerm], ...], part: str) -> Distribution:
+    """The distribution of the terms in the holes, field `part` of each
+    summand.  The coefficients come from a checked distribution or are the
+    literal 1 of a single term, so it skips re-validation."""
+    if len(summands) == 1:
+        a, t = summands[0]
+        return _trusted(((a, getattr(t, part)),))
+    return _trusted(tuple((a, getattr(t, part)) for a, t in summands))
+
+
+def _unlifted(ty: Type) -> Type:
+    return ty
 
 
 def _enumerate_values(ty: Type, cap: int = _INVENTORY_CAP) -> list[PureTerm] | None:
@@ -618,8 +601,9 @@ def _decide_orthogonality(
         for inv in inventories.values():
             total *= len(inv)
         if total <= _PAIR_CAP:
+            superposable = {x for x, ty in shared.items() if not is_flat(ty)}
             _enumerated_orthogonality(
-                inventories, x1, inv1, b1, x2, inv2, b2, here
+                inventories, superposable, x1, inv1, b1, x2, inv2, b2, here
             )
             return
     if (
@@ -641,6 +625,7 @@ def _decide_orthogonality(
 
 def _enumerated_orthogonality(
     inventories: dict[str, list[PureTerm]],
+    superposable: set[str],
     x1: str,
     inv1: list[PureTerm],
     b1: Distribution,
@@ -649,26 +634,60 @@ def _enumerated_orthogonality(
     b2: Distribution,
     here: Location,
 ) -> None:
+    """Every ground instance of the left branch must be orthogonal to every
+    ground instance of the right one that gives the flat shared names the
+    same values.
+
+    The binders hold basis values of different cases, so every pair of theirs
+    counts.  So does every pair of values of a superposable shared name: it
+    may hold σ = Σ αᵢ eᵢ, and ⟨L(σ)|R(σ)⟩ = Σᵢⱼ ᾱᵢ αⱼ ⟨L(eᵢ)|R(eⱼ)⟩ is zero for
+    every σ only when each ⟨L(eᵢ)|R(eⱼ)⟩ is.  A flat name holds one basis
+    value, the same in both branches.  Each instance is keyed once.  The pairs
+    under one assignment are compared as soon as they are grounded, so a
+    failure among them is reported before any pair across assignments.
+    """
     names = sorted(inventories)
+    groups: dict[tuple, list] = {}
     for combo in itertools.product(*(inventories[x] for x in names)):
         base = dict(zip(names, combo))
-        firsts = [
-            (w1, _ground_branch(b1, {**base, x1: w1}, here)) for w1 in inv1
-        ]
+        lefts = [(w1, keyed(_ground_branch(b1, {**base, x1: w1}, here))) for w1 in inv1]
+        rights = []
         for w2 in inv2:
-            right = _ground_branch(b2, {**base, x2: w2}, here)
-            for w1, left in firsts:
-                if not orthogonal(left, right):
-                    witness = ", ".join(
-                        f"{x} := {show_term(v)}" for x, v in base.items()
-                    )
-                    witness = witness or "the empty substitution"
-                    raise TypeCheckError(
-                        ErrorKind.ORTHOGONALITY_FAILURE,
-                        f"branches are not orthogonal under {witness} "
-                        f"(binders {show_term(w1)} / {show_term(w2)})",
-                        here,
-                    )
+            rights.append((w2, keyed(_ground_branch(b2, {**base, x2: w2}, here))))
+            _require_pairs_orthogonal(base, lefts, base, rights[-1:], here)
+        flat = tuple(v for x, v in base.items() if x not in superposable)
+        groups.setdefault(flat, []).append((base, lefts, rights))
+    for group in groups.values():
+        for base1, lefts, _ in group:
+            for base2, _, rights in group:
+                if base2 is not base1:
+                    _require_pairs_orthogonal(base1, lefts, base2, rights, here)
+
+
+def _require_pairs_orthogonal(
+    base1: dict[str, PureTerm],
+    lefts: list[tuple[PureTerm, Keyed]],
+    base2: dict[str, PureTerm],
+    rights: list[tuple[PureTerm, Keyed]],
+    here: Location,
+) -> None:
+    for w2, right in rights:
+        for w1, left in lefts:
+            if not orthogonal(left, right):
+                witness = _assignment(base1)
+                if base2 is not base1:
+                    witness += f" / {_assignment(base2)}"
+                raise TypeCheckError(
+                    ErrorKind.ORTHOGONALITY_FAILURE,
+                    f"branches are not orthogonal under {witness} "
+                    f"(binders {show_term(w1)} / {show_term(w2)})",
+                    here,
+                )
+
+
+def _assignment(base: dict[str, PureTerm]) -> str:
+    text = ", ".join(f"{x} := {show_term(v)}" for x, v in base.items())
+    return text or "the empty substitution"
 
 
 def _ground_branch(
@@ -714,26 +733,31 @@ def _structurally_disjoint(v1: list[PureTerm], v2: list[PureTerm]) -> bool:
 # ---------------------------------------------------------------------------
 # public interface
 
+@contextmanager
+def _scope(ctx: TypingContext, where: str, *binders: tuple[str, Type]) -> Iterator[_Checker]:
+    """A checker with ctx bound and then the binders, innermost.  Leaving the
+    scope closes the binders or, when there are none, every context variable,
+    so a non-flat one that was never used is a linearity violation."""
+    c = _Checker()
+    for x, ty in (*ctx.items(), *binders):
+        c._bind(x, ty)
+    yield c
+    for x in reversed([x for x, _ in binders] or list(ctx)):
+        c._unbind(x, where)
+
+
 def check_pure(ctx: TypingContext, t: PureTerm) -> Type:
     """Infer the type of a pure term under a context.  Non-flat context
     variables must be consumed exactly once."""
-    c = _Checker()
-    for x, ty in ctx.items():
-        c._bind(x, ty)
-    ty, _ = c.infer_term(t)
-    for x in reversed(list(ctx)):
-        c._unbind(x, "the top-level context")
+    with _scope(ctx, "the top-level context") as c:
+        ty, _ = c.infer_term(t)
     return ground_unknowns(ty)
 
 
 def check_distribution(ctx: TypingContext, d: Distribution, expected: Type) -> bool:
     """True when d checks against expected under ctx; raises otherwise."""
-    c = _Checker()
-    for x, ty in ctx.items():
-        c._bind(x, ty)
-    c.check_dist(d, expected)
-    for x in reversed(list(ctx)):
-        c._unbind(x, "the top-level context")
+    with _scope(ctx, "the top-level context") as c:
+        c.check_dist(d, expected)
     return True
 
 
@@ -749,15 +773,11 @@ def check_orthogonal_judgment(
     ground instantiation of the free variables makes them orthogonal.  True on
     success; raises with OrthogonalityFailure or OrthogonalityUndecided (or an
     ordinary typing error from the branch checks) otherwise."""
+    for binder, branch in ((binder1, v1), (binder2, v2)):
+        with _scope(ctx_shared, "the orthogonality judgment", binder) as c:
+            c.check_dist(branch, result)
     x1, t1 = binder1
     x2, t2 = binder2
-    for name, ty, branch in ((x1, t1, v1), (x2, t2, v2)):
-        c = _Checker()
-        for x, sty in ctx_shared.items():
-            c._bind(x, sty)
-        c._bind(name, ty)
-        c.check_dist(branch, result)
-        c._unbind(name, "the orthogonality judgment")
     grounded = {x: ground_unknowns(ty) for x, ty in ctx_shared.items()}
     _decide_orthogonality(
         grounded,

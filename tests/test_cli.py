@@ -6,11 +6,14 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from qlam.cli import main
 from qlam.config import DEFAULT_TOLERANCE, get_tolerance, set_tolerance
-from qlam.quantum import format_matrix, gate_library
+from qlam.quantum import StateVector, case_construct, encode, format_matrix, gate_library
+from qlam.surface import pretty_print
+from qlam.syntax import singleton
 
 _R2 = 1 / math.sqrt(2)
 
@@ -56,6 +59,15 @@ def test_check_norm_violation(write, capsys):
     code = main(["check", write("half.qlam", "0.5 * inl * + 0.5 * inr *\n")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_check_rejects_a_distant_duplicate_column(write, capsys):
+    images = [encode(StateVector(np.eye(4)[:, k])) for k in range(4)]
+    images[3] = images[0]
+    src = pretty_print(singleton(case_construct(2, images)))
+    assert main(["check", "--format", "json-lines", write("distant.qlam", src)]) == 1
+    event = json.loads(_lines(capsys)[-1])
+    assert event["event"] == "error" and event["kind"] == "OrthogonalityFailure"
 
 
 def test_check_json_error_event(write, capsys):

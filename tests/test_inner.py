@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlam.inner import inner_product, norm, orthogonal
+from qlam.inner import inner_product, keyed, norm, orthogonal
 from qlam.syntax import (
     App,
     Distribution,
@@ -22,6 +22,7 @@ from qlam.syntax import (
     canonicalize,
     scale,
     singleton,
+    term_key,
 )
 from qlam.types import UNIT
 
@@ -169,3 +170,25 @@ def test_norm_triangle(v, w):
 @given(_dists)
 def test_norm_nonnegative(v):
     assert norm(v) >= 0.0
+
+
+def reference_inner_product(v: Distribution, w: Distribution) -> complex:
+    """The inner product as it was computed from both canonical forms."""
+    left = {term_key(t): a for a, t in canonicalize(v).summands}
+    out = 0j
+    for b, t in canonicalize(w).summands:
+        a = left.get(term_key(t))
+        if a is not None:
+            out += a.conjugate() * b
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dists, _dists)
+def test_keyed_forms_give_the_reference_inner_product_exactly(v, w):
+    # repeated summands merge, and sums run in canonical order either way
+    v2 = add(v, scale(0.5j, v))
+    want = reference_inner_product(v2, w)
+    assert inner_product(v2, w) == want
+    assert inner_product(keyed(v2), keyed(w)) == want
+    assert list(keyed(v2).values()) == [a for a, _ in canonicalize(v2).summands]

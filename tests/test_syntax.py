@@ -18,6 +18,7 @@ from qlam.syntax import (
     Seq,
     Var,
     Void,
+    _trusted,
     add,
     alpha_eq,
     canonicalize,
@@ -417,3 +418,39 @@ def test_scaling_by_one_is_identity(d):
 def test_add_commutes_modulo_congruence(d1, d2):
     # tol covers reassociation of float sums when three or more summands merge
     assert congruent(add(d1, d2), add(d2, d1), tol=1e-9)
+
+
+# ------------------------------------------------------ re-validation
+
+
+def test_substitution_skips_revalidation(monkeypatch):
+    body = Distribution((
+        (0.6, InlV(Var("x"))),
+        (0.8j, Seq(Var("y"), Distribution(((1j, PairV(Var("x"), STAR)),)))),
+    ))
+    want = Distribution((
+        (0.6, InlV(STAR)),
+        (0.8j, Seq(Var("y"), Distribution(((1j, PairV(STAR, STAR)),)))),
+    ))
+    calls = [0]
+    original = Distribution.__post_init__
+
+    def counting(self):
+        calls[0] += 1
+        original(self)
+
+    monkeypatch.setattr(Distribution, "__post_init__", counting)
+    got = substitute_dist(body, "x", STAR)
+    assert calls[0] == 0
+    assert got == want
+
+
+def test_combinators_still_check_their_coefficients():
+    big = singleton(STAR, 1e200)
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        scale(1e200, big)
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        mk_pair(big, big)
+    # add makes no new coefficient, so it shows its check on one that slipped in
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        add(big, _trusted(((complex("inf"), STAR),)))

@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from qlam.config import tolerance
+from qlam.quantum import StateVector, case_construct, encode
 from qlam.surface import parse_program
 from qlam.syntax import (
     App,
@@ -354,6 +356,30 @@ def test_orthogonality_with_shared_enumerable_variable():
             BOOL,
         ),
     )
+
+
+def test_superposed_shared_variable_is_compared_across_its_values():
+    # c and "not c" are orthogonal at each basis value of c, but not when c
+    # may be a superposition: the left branch at inl * meets the right at inr *
+    neg = parse_program("match c { inl a -> a ; inr * | inr b -> b ; inl * }")
+    assert check_orthogonal_judgment(
+        {"c": BOOL}, ("x1", UNIT), parse_program("c"), ("x2", UNIT), neg, BOOL,
+    ) is True
+    with pytest.raises(TypeCheckError) as e:
+        check_orthogonal_judgment(
+            {"c": SBOOL}, ("x1", UNIT), parse_program("c"), ("x2", UNIT), neg, SBOOL,
+        )
+    assert e.value.kind is ErrorKind.ORTHOGONALITY_FAILURE
+    assert "under c := inl * / c := inr * (binders * / *)" in str(e.value)
+
+
+def test_case_tree_with_a_distant_duplicate_column_is_rejected():
+    # columns 0 and 3 differ in both index bits; the outer match meets them
+    # under different values of the shared, superposable second qubit
+    images = [encode(StateVector(np.eye(4)[:, k])) for k in range(4)]
+    images[3] = images[0]
+    _rejects(ErrorKind.ORTHOGONALITY_FAILURE,
+             lambda: check_program(singleton(case_construct(2, images))))
 
 
 def test_function_dependent_branches_are_undecided():
