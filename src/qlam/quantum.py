@@ -102,18 +102,17 @@ class GateMatrix:
 # ---------------------------------------------------------------------------
 # basis values
 
-def _bit_value(b: int) -> PureTerm:
-    return InrV(Void()) if b else InlV(Void())
+# |0> and |1> of one qubit
+_BITS = (InlV(Void()), InrV(Void()))
 
 
 def basis_value(index: int, qubit_count: int) -> PureTerm:
     """The tuple of booleans for basis state |index>, qubit 0 outermost."""
     if not 0 <= index < (1 << qubit_count):
         raise ValueError(f"basis index {index} out of range for {qubit_count} qubits")
-    bits = [(index >> (qubit_count - 1 - j)) & 1 for j in range(qubit_count)]
-    t = _bit_value(bits[-1])
-    for b in reversed(bits[:-1]):
-        t = PairV(_bit_value(b), t)
+    t = _BITS[index & 1]
+    for j in range(1, qubit_count):
+        t = PairV(_BITS[(index >> j) & 1], t)
     return t
 
 

@@ -17,9 +17,24 @@ syntax and are compared only up to alpha-equivalence in the given summand
 order.
 
 Every compound node and every distribution caches its free-variable set in a
-`_fv` field, computed on first use.  The field takes no part in construction,
-equality, hashing, `repr` or `match` patterns.  Substitution uses it to hand
-back untouched every subterm in which no substituted name is free.
+`_fv` field, computed on first use.  Substitution uses it to hand back
+untouched every subterm in which no substituted name is free.
+
+Ground values are hash-consed.  A ground value is the unit value, or a pair
+or injection built only from ground values: it has no variable and no
+abstraction, so it is closed and means the same thing wherever it occurs.
+`Void()` is the one unit value, and a `PairV`, `InlV` or `InrV` made of
+ground values comes from `_interned`, which hands back the one live object
+per distinct ground value from a table that holds its values weakly, so
+every path that builds one (the parser, the `mk_*` constructors,
+substitution, `encode`) shares it.  An interned node carries
+its empty free-variable set and its `term_key`, built in O(1) from its
+children's keys, so keying, canonicalizing and comparing a distribution of
+ground values costs O(1) per summand, and the checker keeps a ground value's
+type and derivation on the node (`_typing`).  Each cached datum is a
+function of the value alone, so what ran earlier in the process cannot show.
+The cache fields take no part in construction, equality, `repr` or `match`
+patterns, and the cached hash is the one the dataclass would compute.
 """
 
 from __future__ import annotations
@@ -27,19 +42,24 @@ from __future__ import annotations
 import cmath
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import count
+from weakref import ref
 
 from .config import get_tolerance
 from .types import Type, type_key
 
 
-def _fv_cache():
-    """The free-variable cache field: None until `free_vars` fills it."""
+def _cache():
+    """A field for data derived from the node, None until it is computed
+    (`_fv` by `free_vars`) or set when an interned node is made.  It takes no
+    part in construction, equality, `repr` or `match` patterns."""
     return field(init=False, default=None, compare=False, repr=False)
 
 
 class PureTerm:
     __slots__ = ()
+    # an interned ground value's hash of its term key (see `_interned`); no
+    # other term has one
+    _key_hash = None
 
     def __str__(self) -> str:
         return show_term(self)
@@ -55,57 +75,192 @@ class Lam(PureTerm):
     name: str
     ann: Type
     body: "Distribution"
-    _fv: frozenset[str] | None = _fv_cache()
+    _fv: frozenset[str] | None = _cache()
 
 
-@dataclass(frozen=True, slots=True)
-class Void(PureTerm):
+class _ValueNode(PureTerm):
+    """The unit value, pairs and injections: nodes the intern table refers
+    to weakly.
+
+    They are made by `__new__`, not by a dataclass `__init__`: one that
+    `__new__` returns from the table would be initialized again, which
+    would reset its cache fields.  `__hash__` caches the dataclass hash of
+    the fields, so the probe of the intern table hashes a child in O(1), and
+    `__reduce__` makes copies and pickles go through `__new__`.  Each class
+    sets `__hash__` itself, because the dataclass decorator replaces an
+    inherited one."""
+    __slots__ = ("__weakref__",)
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+
+def _node_hash(self) -> int:
+    h = self._hash
+    if h is None:
+        h = hash(tuple(getattr(self, f) for f in self.__match_args__))
+        object.__setattr__(self, "_hash", h)
+    return h
+
+
+@dataclass(frozen=True, slots=True, init=False)
+class Void(_ValueNode):
     """The unit value, written ⋆ (surface syntax: `*`)."""
+    _term_key: tuple | None = _cache()
+    _key_hash: int | None = _cache()
+    _hash: int | None = _cache()
+    _typing: tuple | None = _cache()
+
+    def __new__(cls) -> "Void":
+        return _VOID
+
+    __hash__ = _node_hash
 
 
-@dataclass(frozen=True, slots=True)
-class PairV(PureTerm):
+@dataclass(frozen=True, slots=True, init=False)
+class PairV(_ValueNode):
     first: PureTerm
     second: PureTerm
-    _fv: frozenset[str] | None = _fv_cache()
+    _fv: frozenset[str] | None = _cache()
+    _term_key: tuple | None = _cache()
+    _key_hash: int | None = _cache()
+    _hash: int | None = _cache()
+    _typing: tuple | None = _cache()
 
-    def __post_init__(self) -> None:
-        if not (is_value(self.first) and is_value(self.second)):
+    def __new__(cls, first: PureTerm, second: PureTerm) -> "PairV":
+        if (getattr(first, "_key_hash", None) is not None
+                and getattr(second, "_key_hash", None) is not None):
+            return _interned(cls, "pair", first, second)
+        if not (is_value(first) and is_value(second)):
             raise ValueError("pair components must be pure values")
+        return _new_node(cls, (first, second), None, None)
+
+    __hash__ = _node_hash
 
 
-@dataclass(frozen=True, slots=True)
-class InlV(PureTerm):
+@dataclass(frozen=True, slots=True, init=False)
+class InlV(_ValueNode):
     value: PureTerm
-    _fv: frozenset[str] | None = _fv_cache()
+    _fv: frozenset[str] | None = _cache()
+    _term_key: tuple | None = _cache()
+    _key_hash: int | None = _cache()
+    _hash: int | None = _cache()
+    _typing: tuple | None = _cache()
 
-    def __post_init__(self) -> None:
-        if not is_value(self.value):
+    def __new__(cls, value: PureTerm) -> "InlV":
+        if getattr(value, "_key_hash", None) is not None:
+            return _interned(cls, "inl", value)
+        if not is_value(value):
             raise ValueError("injection argument must be a pure value")
+        return _new_node(cls, (value,), None, None)
+
+    __hash__ = _node_hash
 
 
-@dataclass(frozen=True, slots=True)
-class InrV(PureTerm):
+@dataclass(frozen=True, slots=True, init=False)
+class InrV(_ValueNode):
     value: PureTerm
-    _fv: frozenset[str] | None = _fv_cache()
+    _fv: frozenset[str] | None = _cache()
+    _term_key: tuple | None = _cache()
+    _key_hash: int | None = _cache()
+    _hash: int | None = _cache()
+    _typing: tuple | None = _cache()
 
-    def __post_init__(self) -> None:
-        if not is_value(self.value):
+    def __new__(cls, value: PureTerm) -> "InrV":
+        if getattr(value, "_key_hash", None) is not None:
+            return _interned(cls, "inr", value)
+        if not is_value(value):
             raise ValueError("injection argument must be a pure value")
+        return _new_node(cls, (value,), None, None)
+
+    __hash__ = _node_hash
+
+
+class _Entry(ref):
+    """A weak reference to an interned node that knows its probe."""
+    __slots__ = ("probe",)
+
+
+# The one live node per distinct ground value, by weak reference: an entry
+# goes when the last other reference to its node does.  The probe leads with
+# a hash of the value's term key, because the dataclass hash ignores the class
+# and is the same for inl v and inr v, and for every basis value of a
+# register.  The children are held by weak references too, which hash and
+# compare as the interned children do: a strong one would keep a child alive
+# past the collection that frees its dead parent, one collection per level.
+_GROUND: dict[tuple, _Entry] = {}
+
+
+def _forget(entry: _Entry, table: dict = _GROUND) -> None:
+    # a dead node's entry, unless a new node for the same value replaced it;
+    # the table is bound here because module globals may be gone at exit
+    if table.get(entry.probe) is entry:
+        del table[entry.probe]
+
+
+def _interned(
+    cls: type, tag: str, first: PureTerm, second: PureTerm | None = None
+) -> PureTerm:
+    """The one node cls(first) or cls(first, second) of a ground value, whose
+    children are ground values.  Its `term_key` is (tag, *the children's
+    keys), as `_key` would build it, and its `_key_hash` hashes the tag with
+    the children's key hashes, in O(1)."""
+    if second is None:
+        key_hash = hash((tag, first._key_hash))
+        probe = (key_hash, cls, ref(first))
+    else:
+        key_hash = hash((tag, first._key_hash, second._key_hash))
+        probe = (key_hash, cls, ref(first), ref(second))
+    entry = _GROUND.get(probe)
+    node = None if entry is None else entry()
+    if node is None:
+        if second is None:
+            children, key = (first,), (tag, first._term_key)
+        else:
+            children, key = (first, second), (tag, first._term_key, second._term_key)
+        node = _new_node(cls, children, key, key_hash)
+        entry = _GROUND[probe] = _Entry(node, _forget)
+        entry.probe = probe
+    return node
+
+
+def _new_node(
+    cls: type, children: tuple[PureTerm, ...], key: tuple | None, key_hash: int | None
+) -> PureTerm:
+    node = object.__new__(cls)
+    set_ = object.__setattr__
+    for name, c in zip(cls.__match_args__, children):
+        set_(node, name, c)
+    if cls is not Void:
+        set_(node, "_fv", None if key is None else _CLOSED)
+    set_(node, "_term_key", key)
+    set_(node, "_key_hash", key_hash)
+    set_(node, "_hash", None)
+    set_(node, "_typing", None)
+    return node
+
+
+# the unit value, which every ground value ends in
+_VOID = _new_node(Void, (), ("void",), hash(("void",)))
+
+
+def is_ground(t: PureTerm) -> bool:
+    """Whether t is a ground value: no variable, no abstraction."""
+    return t._key_hash is not None
 
 
 @dataclass(frozen=True, slots=True)
 class App(PureTerm):
     fun: PureTerm
     arg: PureTerm
-    _fv: frozenset[str] | None = _fv_cache()
+    _fv: frozenset[str] | None = _cache()
 
 
 @dataclass(frozen=True, slots=True)
 class Seq(PureTerm):
     head: PureTerm
     tail: "Distribution"
-    _fv: frozenset[str] | None = _fv_cache()
+    _fv: frozenset[str] | None = _cache()
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,7 +269,7 @@ class LetPair(PureTerm):
     right: str
     scrutinee: PureTerm
     body: "Distribution"
-    _fv: frozenset[str] | None = _fv_cache()
+    _fv: frozenset[str] | None = _cache()
 
     def __post_init__(self) -> None:
         if self.left == self.right:
@@ -128,13 +283,13 @@ class Match(PureTerm):
     left_body: "Distribution"
     right_name: str
     right_body: "Distribution"
-    _fv: frozenset[str] | None = _fv_cache()
+    _fv: frozenset[str] | None = _cache()
 
 
 @dataclass(frozen=True, slots=True)
 class Distribution:
     summands: tuple[tuple[complex, PureTerm], ...]
-    _fv: frozenset[str] | None = _fv_cache()
+    _fv: frozenset[str] | None = _cache()
 
     def __post_init__(self) -> None:
         if not self.summands:
@@ -234,15 +389,12 @@ def free_vars_dist(d: Distribution) -> frozenset[str]:
     return out
 
 
-_fresh_ticker = count(1)
-
-
 def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
-    for n in _fresh_ticker:
-        candidate = f"{base}_{n}"
-        if candidate not in avoid:
-            return candidate
-    raise AssertionError("unreachable")
+    """`base_n` for the smallest n >= 1 that is not in avoid."""
+    n = 1
+    while f"{base}_{n}" in avoid:
+        n += 1
+    return f"{base}_{n}"
 
 
 def substitute(t: PureTerm, name: str, value: PureTerm) -> PureTerm:
@@ -368,12 +520,13 @@ def _key(t: PureTerm, bound: dict[str, int], depth: int) -> tuple:
             return ("lam", type_key(ann), _dkey(body, {**bound, x: depth}, depth + 1))
         case Void():
             return ("void",)
+        # a ground value carries its key, which no binder can change
         case PairV(a, b):
-            return ("pair", _key(a, bound, depth), _key(b, bound, depth))
+            return t._term_key or ("pair", _key(a, bound, depth), _key(b, bound, depth))
         case InlV(v):
-            return ("inl", _key(v, bound, depth))
+            return t._term_key or ("inl", _key(v, bound, depth))
         case InrV(v):
-            return ("inr", _key(v, bound, depth))
+            return t._term_key or ("inr", _key(v, bound, depth))
         case App(f, a):
             return ("app", _key(f, bound, depth), _key(a, bound, depth))
         case Seq(h, tail):

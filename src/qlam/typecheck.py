@@ -31,7 +31,7 @@ assignment.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
@@ -58,6 +58,7 @@ from .syntax import (
     canonicalize,
     dist_alpha_eq,
     free_vars_dist,
+    is_ground,
     is_value,
     is_value_distribution,
     show_dist,
@@ -236,27 +237,16 @@ class _Checker:
             case Var(x):
                 ty = self._use(x, t)
                 return ty, Derivation("var", t, ty)
-            case Void():
-                return UNIT, Derivation("unit", t, UNIT)
             case Lam(x, ann, body):
                 entry = self._bind(x, ann)
                 bt, bd = self.infer_dist(body)
                 self._unbind(x, t)
                 ty = Arrow(entry.ty, bt)
                 return ty, Derivation("lambda", t, ty, (bd,))
-            case PairV(a, b):
-                ta, da = self.infer_term(a)
-                tb, db = self.infer_term(b)
-                ty = Prod(ta, tb)
-                return ty, Derivation("pair", t, ty, (da, db))
-            case InlV(v):
-                tv, dv = self.infer_term(v)
-                ty = Sum(tv, Unknown())
-                return ty, Derivation("inl", t, ty, (dv,))
-            case InrV(v):
-                tv, dv = self.infer_term(v)
-                ty = Sum(Unknown(), tv)
-                return ty, Derivation("inr", t, ty, (dv,))
+            case Void() | PairV() | InlV() | InrV():
+                if is_ground(t):
+                    return t._typing or _type_ground(t)
+                return _value_rule(t, self.infer_term)
             case App() | Seq() | LetPair() | Match():
                 return self._infer_elim(((1, t),), t)
             case _:
@@ -456,8 +446,8 @@ class _Checker:
         children = []
         joined: Type | None = expected_core
         for _, t in cd.summands:
-            sub = _Checker()
-            ty, der = sub.infer_term(t)
+            # t is closed, so no binding of this checker can reach it
+            ty, der = self.infer_term(t)
             children.append(der)
             if expected_core is not None:
                 if not subtype(ty, expected_core):
@@ -514,6 +504,39 @@ class _Checker:
             assert stack, f"branch variable {x} escaped typing"
             shared[x] = stack[-1].ty
         _decide_orthogonality(shared, (x1, t1), b1, (x2, t2), b2, here)
+
+
+def _value_rule(
+    t: PureTerm, infer: Callable[[PureTerm], tuple[Type, Derivation]]
+) -> tuple[Type, Derivation]:
+    """The rules for the unit value, pairs and injections, with `infer`
+    typing the components."""
+    match t:
+        case Void():
+            return UNIT, Derivation("unit", t, UNIT)
+        case PairV(a, b):
+            ta, da = infer(a)
+            tb, db = infer(b)
+            ty = Prod(ta, tb)
+            return ty, Derivation("pair", t, ty, (da, db))
+        case InlV(v):
+            tv, dv = infer(v)
+            ty = Sum(tv, Unknown())
+            return ty, Derivation("inl", t, ty, (dv,))
+        case InrV(v):
+            tv, dv = infer(v)
+            ty = Sum(Unknown(), tv)
+            return ty, Derivation("inr", t, ty, (dv,))
+    raise TypeError(f"not a value node: {t!r}")
+
+
+def _type_ground(t: PureTerm) -> tuple[Type, Derivation]:
+    """Type a ground value and keep its type and derivation on the node.  A
+    ground value has no variables, so neither depends on the context it is
+    typed in, and each distinct value is typed once."""
+    typed = _value_rule(t, lambda c: c._typing or _type_ground(c))
+    object.__setattr__(t, "_typing", typed)
+    return typed
 
 
 def _same_context(t0: PureTerm, t: PureTerm) -> bool:
@@ -642,47 +665,75 @@ def _enumerated_orthogonality(
     counts.  So does every pair of values of a superposable shared name: it
     may hold σ = Σ αᵢ eᵢ, and ⟨L(σ)|R(σ)⟩ = Σᵢⱼ ᾱᵢ αⱼ ⟨L(eᵢ)|R(eⱼ)⟩ is zero for
     every σ only when each ⟨L(eᵢ)|R(eⱼ)⟩ is.  A flat name holds one basis
-    value, the same in both branches.  Each instance is keyed once.  The pairs
-    under one assignment are compared as soon as they are grounded, so a
-    failure among them is reported before any pair across assignments.
+    value, the same in both branches.  Each instance is keyed once, and an
+    instance is compared only with the instances that share a key with it
+    (`_holders`).  The pairs under one assignment are compared as soon as
+    they are grounded, so a failure among them is reported before any pair
+    across assignments.
     """
     names = sorted(inventories)
     groups: dict[tuple, list] = {}
     for combo in itertools.product(*(inventories[x] for x in names)):
         base = dict(zip(names, combo))
         lefts = [(w1, keyed(_ground_branch(b1, {**base, x1: w1}, here))) for w1 in inv1]
+        holders = _holders((j1, left) for j1, (_, left) in enumerate(lefts))
         rights = []
         for w2 in inv2:
-            rights.append((w2, keyed(_ground_branch(b2, {**base, x2: w2}, here))))
-            _require_pairs_orthogonal(base, lefts, base, rights[-1:], here)
+            right = (w2, keyed(_ground_branch(b2, {**base, x2: w2}, here)))
+            rights.append(right)
+            for j1 in sorted({j1 for k in right[1] for j1 in holders.get(k, ())}):
+                _require_pair_orthogonal(base, lefts[j1], base, right, here)
         flat = tuple(v for x, v in base.items() if x not in superposable)
         groups.setdefault(flat, []).append((base, lefts, rights))
     for group in groups.values():
-        for base1, lefts, _ in group:
-            for base2, _, rights in group:
-                if base2 is not base1:
-                    _require_pairs_orthogonal(base1, lefts, base2, rights, here)
+        holders = _holders(
+            ((i2, j2), right)
+            for i2, (_, _, rights) in enumerate(group)
+            for j2, (_, right) in enumerate(rights)
+        )
+        for i1, (base1, lefts, _) in enumerate(group):
+            pairs = {
+                (i2, j2, j1)
+                for j1, (_, left) in enumerate(lefts)
+                for k in left
+                for i2, j2 in holders.get(k, ())
+                if i2 != i1
+            }
+            for i2, j2, j1 in sorted(pairs):
+                base2, _, rights = group[i2]
+                _require_pair_orthogonal(base1, lefts[j1], base2, rights[j2], here)
 
 
-def _require_pairs_orthogonal(
+def _holders(instances: Iterable[tuple[object, Keyed]]) -> dict[tuple, list]:
+    """For each key, the tags of the keyed instances that hold it, in order.
+    Two instances that share no key have an inner product of exactly 0, so
+    only the instances a key leads to need comparing; they are compared in
+    the order of the tags, which keeps the first failure the same as when
+    every pair is compared."""
+    out: dict[tuple, list] = {}
+    for tag, inst in instances:
+        for k in inst:
+            out.setdefault(k, []).append(tag)
+    return out
+
+
+def _require_pair_orthogonal(
     base1: dict[str, PureTerm],
-    lefts: list[tuple[PureTerm, Keyed]],
+    left: tuple[PureTerm, Keyed],
     base2: dict[str, PureTerm],
-    rights: list[tuple[PureTerm, Keyed]],
+    right: tuple[PureTerm, Keyed],
     here: Location,
 ) -> None:
-    for w2, right in rights:
-        for w1, left in lefts:
-            if not orthogonal(left, right):
-                witness = _assignment(base1)
-                if base2 is not base1:
-                    witness += f" / {_assignment(base2)}"
-                raise TypeCheckError(
-                    ErrorKind.ORTHOGONALITY_FAILURE,
-                    f"branches are not orthogonal under {witness} "
-                    f"(binders {show_term(w1)} / {show_term(w2)})",
-                    here,
-                )
+    if not orthogonal(left[1], right[1]):
+        witness = _assignment(base1)
+        if base2 is not base1:
+            witness += f" / {_assignment(base2)}"
+        raise TypeCheckError(
+            ErrorKind.ORTHOGONALITY_FAILURE,
+            f"branches are not orthogonal under {witness} "
+            f"(binders {show_term(left[0])} / {show_term(right[0])})",
+            here,
+        )
 
 
 def _assignment(base: dict[str, PureTerm]) -> str:

@@ -3,54 +3,132 @@
 The modality Sharp marks types whose inhabitants may be proper superpositions.
 Flat types (no Sharp outside arrow codomains) admit free duplication and
 discarding; everything else is treated linearly by the checker.
+
+Types are hash-consed: every construction goes through `_type_node`, which
+hands back the one live object per distinct type from a table that holds its
+values weakly.  Equal types are therefore the same object.  Each node caches
+a hash of its constructor's name and its parts' hashes, so hashing one is
+O(1) and, unlike the dataclass hash of the parts alone, tells U+U from U*U
+and inl-typed from inr-typed register values.  That is what lets `subtype`
+and `join_types` keep a memo (`_MEMO` entries each).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
+from weakref import WeakValueDictionary
 
 
 class Type:
-    __slots__ = ()
+    """A type node.  Nodes are made by `__new__`, not by a dataclass
+    `__init__`, which would run again on a node `__new__` returns from the
+    intern table; `__reduce__` makes copies and pickles go through `__new__`
+    too.  Each class sets `__hash__` itself, because the dataclass decorator
+    replaces an inherited one."""
+    # the intern table refers to types weakly
+    __slots__ = ("__weakref__",)
 
     def __str__(self) -> str:
         return show_type(self)
 
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
-@dataclass(frozen=True, slots=True)
+
+def _type_hash(self) -> int:
+    return self._hash
+
+
+def _hash_field():
+    return field(init=False, compare=False, repr=False)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Unit(Type):
-    pass
+    _hash: int = _hash_field()
+
+    def __new__(cls) -> "Unit":
+        return _type_node(cls, ())
+
+    __hash__ = _type_hash
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Sharp(Type):
     inner: Type
+    _hash: int = _hash_field()
+
+    def __new__(cls, inner: Type) -> "Sharp":
+        return _type_node(cls, (inner,))
+
+    __hash__ = _type_hash
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Sum(Type):
     left: Type
     right: Type
+    _hash: int = _hash_field()
+
+    def __new__(cls, left: Type, right: Type) -> "Sum":
+        return _type_node(cls, (left, right))
+
+    __hash__ = _type_hash
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Prod(Type):
     left: Type
     right: Type
+    _hash: int = _hash_field()
+
+    def __new__(cls, left: Type, right: Type) -> "Prod":
+        return _type_node(cls, (left, right))
+
+    __hash__ = _type_hash
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Arrow(Type):
     dom: Type
     cod: Type
+    _hash: int = _hash_field()
+
+    def __new__(cls, dom: Type, cod: Type) -> "Arrow":
+        return _type_node(cls, (dom, cod))
+
+    __hash__ = _type_hash
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Unknown(Type):
     """Inference placeholder for a component no rule determines (the unused side
     of an injection).  Matches anything in subtype tests, merges away in joins,
     and is grounded to Unit at binding sites and at the end of inference.  Never
     appears in a type the surface syntax can write."""
+    _hash: int = _hash_field()
+
+    def __new__(cls) -> "Unknown":
+        return _type_node(cls, ())
+
+    __hash__ = _type_hash
+
+
+# The one live node per distinct type, keyed by its class and its parts.
+_TYPES: WeakValueDictionary[tuple, Type] = WeakValueDictionary()
+
+
+def _type_node(cls: type, parts: tuple[Type, ...]) -> Type:
+    probe = (cls, *parts)
+    node = _TYPES.get(probe)
+    if node is None:
+        node = object.__new__(cls)
+        for name, p in zip(cls.__match_args__, parts):
+            object.__setattr__(node, name, p)
+        object.__setattr__(node, "_hash", hash((cls.__name__, *parts)))
+        _TYPES[probe] = node
+    return node
 
 
 UNIT = Unit()
@@ -93,6 +171,12 @@ def peel_sharps(a: Type) -> tuple[int, Type]:
     return m, a
 
 
+# entries in each of the `subtype` and `join_types` memos; the least recently
+# used entry goes first, so a memo keeps at most this many calls' types alive
+_MEMO = 1024
+
+
+@lru_cache(maxsize=_MEMO)
 def subtype(a: Type, b: Type) -> bool:
     """Decide a <= b.
 
@@ -185,6 +269,7 @@ def type_key(a: Type) -> tuple:
             raise TypeError(f"not a type: {a!r}")
 
 
+@lru_cache(maxsize=_MEMO)
 def join_types(a: Type, b: Type) -> Type | None:
     """A common supertype of a and b, or None.
 

@@ -163,6 +163,17 @@ def test_substitute_avoids_capture():
     assert alpha_eq(r, Lam("w", UNIT, dist((1, Var("y")), (1, Var("w")))))
 
 
+def test_capture_avoiding_renames_do_not_depend_on_earlier_calls():
+    # the renamed binder takes the smallest free suffix, not a process count
+    t = Lam("y", UNIT, singleton(Var("x")))
+    first = substitute(t, "x", Var("y"))
+    second = substitute(t, "x", Var("y"))
+    assert first == second == Lam("y_1", UNIT, singleton(Var("y")))
+    assert str(first) == str(second) == "\\y_1:U. y"
+    busy = Lam("y", UNIT, dist((1, Var("x")), (1, Var("y_1"))))
+    assert substitute(busy, "x", Var("y")).name == "y_2"
+
+
 def test_substitute_under_match_and_let():
     body = dist((1, Var("x")), (1, Var("a")))
     t = Match(Var("s"), "x", body, "y", singleton(Var("a")))

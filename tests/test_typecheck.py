@@ -24,6 +24,8 @@ from qlam.syntax import (
     Var,
     Void,
     mk_app,
+    mk_inl,
+    mk_inr,
     mk_match,
     mk_seq,
     scale,
@@ -218,6 +220,31 @@ def test_norm_tolerance_is_configurable():
         )
 
 
+def test_tolerance_is_local_to_its_context():
+    import contextvars
+
+    from qlam.config import DEFAULT_TOLERANCE, get_tolerance, set_tolerance
+
+    skewed = Distribution(((_R2 + 1e-8, INL), (_R2, INR)))
+
+    def strict() -> float:
+        set_tolerance(1e-12)
+        _rejects(ErrorKind.NORM_VIOLATION, lambda: check_distribution({}, skewed, SBOOL))
+        return get_tolerance()
+
+    assert contextvars.copy_context().run(strict) == 1e-12
+    assert get_tolerance() == DEFAULT_TOLERANCE
+    assert check_distribution({}, skewed, SBOOL) is True
+    with tolerance(0.5):
+        with tolerance(1e-12):
+            assert get_tolerance() == 1e-12
+        assert get_tolerance() == 0.5
+    assert get_tolerance() == DEFAULT_TOLERANCE
+    with pytest.raises(ValueError):
+        with tolerance(0):
+            pass
+
+
 def test_superposition_of_functions_rejected():
     d = Distribution((
         (_R2, Lam("x", UNIT, singleton(Var("x")))),
@@ -371,6 +398,29 @@ def test_superposed_shared_variable_is_compared_across_its_values():
         )
     assert e.value.kind is ErrorKind.ORTHOGONALITY_FAILURE
     assert "under c := inl * / c := inr * (binders * / *)" in str(e.value)
+
+
+def test_orthogonality_compares_only_instances_that_share_a_key(monkeypatch):
+    # 256 values of the superposable c make 65k cross-assignment pairs, but
+    # no left instance inl v shares a basis value with a right instance inr w
+    import qlam.typecheck as typecheck
+
+    calls = []
+    real = typecheck.orthogonal
+    monkeypatch.setattr(typecheck, "orthogonal",
+                        lambda v, w: calls.append(1) or real(v, w))
+    c = singleton(Var("c"))
+    assert check_orthogonal_judgment(
+        {"c": qubits(8)}, ("x1", UNIT), mk_inl(c), ("x2", UNIT), mk_inr(c),
+        Sharp(Sum(qubits(8), qubits(8))),
+    ) is True
+    assert calls == []
+    # left inl v meets right inl v under the same c only: 256 inner products
+    _rejects(ErrorKind.ORTHOGONALITY_FAILURE, lambda: check_orthogonal_judgment(
+        {"c": qubits(8)}, ("x1", UNIT), mk_inl(c), ("x2", UNIT), mk_inl(c),
+        Sharp(Sum(qubits(8), qubits(8))),
+    ))
+    assert len(calls) == 1
 
 
 def test_case_tree_with_a_distant_duplicate_column_is_rejected():
