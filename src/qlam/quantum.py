@@ -68,7 +68,8 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
         _qubit_count(amps.shape[0], "a state vector")
         nrm = float(np.linalg.norm(amps))
-        if abs(nrm - 1.0) > get_tolerance():
+        # written so that a NaN norm fails it too
+        if not abs(nrm - 1.0) <= get_tolerance():
             raise ValueError(f"state vector has norm {nrm:.12g}, expected 1")
 
     @property
@@ -247,6 +248,9 @@ def _compile(gate: GateMatrix, targets: Sequence[int], qubit_count: int) -> Pure
     """The case tree of U (x) I for a gate on the given targets, which must
     already be checked."""
     m = gate.matrix
+    bad = m[~np.isfinite(m)]
+    if bad.size:
+        raise NotAnIsometry(f"non-finite entry {complex(bad[0])!r}")
     # (U (x) I)^dagger (U (x) I) - I = (U^dagger U - I) (x) I, so checking U suffices
     dev = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
     if dev > get_tolerance():

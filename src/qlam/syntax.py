@@ -25,16 +25,19 @@ or injection built only from ground values: it has no variable and no
 abstraction, so it is closed and means the same thing wherever it occurs.
 `Void()` is the one unit value, and a `PairV`, `InlV` or `InrV` made of
 ground values comes from `_interned`, which hands back the one live object
-per distinct ground value from a table that holds its values weakly, so
-every path that builds one (the parser, the `mk_*` constructors,
-substitution, `encode`) shares it.  An interned node carries
-its empty free-variable set and its `term_key`, built in O(1) from its
+per distinct ground value from the intern table in `types`, the same table
+that holds the types.  Every path that builds one (the parser, the `mk_*`
+constructors, substitution, `encode`) therefore shares it, and a ground value
+is compared and hashed by identity: it is the only object equal to itself.
+A value node with a variable or an abstraction inside is not interned and
+keeps the structural dataclass `==` and hash.  An interned node carries its
+empty free-variable set and its `term_key`, built in O(1) from its
 children's keys, so keying, canonicalizing and comparing a distribution of
 ground values costs O(1) per summand, and the checker keeps a ground value's
 type and derivation on the node (`_typing`).  Each cached datum is a
 function of the value alone, so what ran earlier in the process cannot show.
 The cache fields take no part in construction, equality, `repr` or `match`
-patterns, and the cached hash is the one the dataclass would compute.
+patterns.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from dataclasses import dataclass, field
 from weakref import ref
 
 from .config import get_tolerance
-from .types import Type, type_key
+from .types import _INTERNED, Type, _enter, type_key
 
 
 def _cache():
@@ -57,9 +60,9 @@ def _cache():
 
 class PureTerm:
     __slots__ = ()
-    # an interned ground value's hash of its term key (see `_interned`); no
+    # a ground value's alpha-key, kept on the node (see `_interned`); no
     # other term has one
-    _key_hash = None
+    _term_key = None
 
     def __str__(self) -> str:
         return show_term(self)
@@ -84,11 +87,10 @@ class _ValueNode(PureTerm):
 
     They are made by `__new__`, not by a dataclass `__init__`: one that
     `__new__` returns from the table would be initialized again, which
-    would reset its cache fields.  `__hash__` caches the dataclass hash of
-    the fields, so the probe of the intern table hashes a child in O(1), and
-    `__reduce__` makes copies and pickles go through `__new__`.  Each class
-    sets `__hash__` itself, because the dataclass decorator replaces an
-    inherited one."""
+    would reset its cache fields.  `__reduce__` makes copies and pickles go
+    through `__new__`.  Pairs and injections set `__hash__` themselves,
+    because the dataclass decorator replaces an inherited one; the unit
+    value, always interned, keeps the object's own `==` and hash."""
     __slots__ = ("__weakref__",)
 
     def __reduce__(self) -> tuple:
@@ -96,25 +98,20 @@ class _ValueNode(PureTerm):
 
 
 def _node_hash(self) -> int:
-    h = self._hash
-    if h is None:
-        h = hash(tuple(getattr(self, f) for f in self.__match_args__))
-        object.__setattr__(self, "_hash", h)
-    return h
+    # an interned node is the only object equal to itself
+    if self._term_key is not None:
+        return object.__hash__(self)
+    return hash(tuple(getattr(self, f) for f in self.__match_args__))
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Void(_ValueNode):
     """The unit value, written ⋆ (surface syntax: `*`)."""
     _term_key: tuple | None = _cache()
-    _key_hash: int | None = _cache()
-    _hash: int | None = _cache()
     _typing: tuple | None = _cache()
 
     def __new__(cls) -> "Void":
         return _VOID
-
-    __hash__ = _node_hash
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -123,17 +120,15 @@ class PairV(_ValueNode):
     second: PureTerm
     _fv: frozenset[str] | None = _cache()
     _term_key: tuple | None = _cache()
-    _key_hash: int | None = _cache()
-    _hash: int | None = _cache()
     _typing: tuple | None = _cache()
 
     def __new__(cls, first: PureTerm, second: PureTerm) -> "PairV":
-        if (getattr(first, "_key_hash", None) is not None
-                and getattr(second, "_key_hash", None) is not None):
+        if (getattr(first, "_term_key", None) is not None
+                and getattr(second, "_term_key", None) is not None):
             return _interned(cls, "pair", first, second)
         if not (is_value(first) and is_value(second)):
             raise ValueError("pair components must be pure values")
-        return _new_node(cls, (first, second), None, None)
+        return _new_node(cls, (first, second), None)
 
     __hash__ = _node_hash
 
@@ -143,16 +138,14 @@ class InlV(_ValueNode):
     value: PureTerm
     _fv: frozenset[str] | None = _cache()
     _term_key: tuple | None = _cache()
-    _key_hash: int | None = _cache()
-    _hash: int | None = _cache()
     _typing: tuple | None = _cache()
 
     def __new__(cls, value: PureTerm) -> "InlV":
-        if getattr(value, "_key_hash", None) is not None:
+        if getattr(value, "_term_key", None) is not None:
             return _interned(cls, "inl", value)
         if not is_value(value):
             raise ValueError("injection argument must be a pure value")
-        return _new_node(cls, (value,), None, None)
+        return _new_node(cls, (value,), None)
 
     __hash__ = _node_hash
 
@@ -162,40 +155,16 @@ class InrV(_ValueNode):
     value: PureTerm
     _fv: frozenset[str] | None = _cache()
     _term_key: tuple | None = _cache()
-    _key_hash: int | None = _cache()
-    _hash: int | None = _cache()
     _typing: tuple | None = _cache()
 
     def __new__(cls, value: PureTerm) -> "InrV":
-        if getattr(value, "_key_hash", None) is not None:
+        if getattr(value, "_term_key", None) is not None:
             return _interned(cls, "inr", value)
         if not is_value(value):
             raise ValueError("injection argument must be a pure value")
-        return _new_node(cls, (value,), None, None)
+        return _new_node(cls, (value,), None)
 
     __hash__ = _node_hash
-
-
-class _Entry(ref):
-    """A weak reference to an interned node that knows its probe."""
-    __slots__ = ("probe",)
-
-
-# The one live node per distinct ground value, by weak reference: an entry
-# goes when the last other reference to its node does.  The probe leads with
-# a hash of the value's term key, because the dataclass hash ignores the class
-# and is the same for inl v and inr v, and for every basis value of a
-# register.  The children are held by weak references too, which hash and
-# compare as the interned children do: a strong one would keep a child alive
-# past the collection that frees its dead parent, one collection per level.
-_GROUND: dict[tuple, _Entry] = {}
-
-
-def _forget(entry: _Entry, table: dict = _GROUND) -> None:
-    # a dead node's entry, unless a new node for the same value replaced it;
-    # the table is bound here because module globals may be gone at exit
-    if table.get(entry.probe) is entry:
-        del table[entry.probe]
 
 
 def _interned(
@@ -203,30 +172,23 @@ def _interned(
 ) -> PureTerm:
     """The one node cls(first) or cls(first, second) of a ground value, whose
     children are ground values.  Its `term_key` is (tag, *the children's
-    keys), as `_key` would build it, and its `_key_hash` hashes the tag with
-    the children's key hashes, in O(1)."""
+    keys), as `_key` would build it, in O(1)."""
     if second is None:
-        key_hash = hash((tag, first._key_hash))
-        probe = (key_hash, cls, ref(first))
+        probe = (cls, ref(first))
     else:
-        key_hash = hash((tag, first._key_hash, second._key_hash))
-        probe = (key_hash, cls, ref(first), ref(second))
-    entry = _GROUND.get(probe)
+        probe = (cls, ref(first), ref(second))
+    entry = _INTERNED.get(probe)
     node = None if entry is None else entry()
     if node is None:
         if second is None:
             children, key = (first,), (tag, first._term_key)
         else:
             children, key = (first, second), (tag, first._term_key, second._term_key)
-        node = _new_node(cls, children, key, key_hash)
-        entry = _GROUND[probe] = _Entry(node, _forget)
-        entry.probe = probe
+        node = _enter(probe, _new_node(cls, children, key))
     return node
 
 
-def _new_node(
-    cls: type, children: tuple[PureTerm, ...], key: tuple | None, key_hash: int | None
-) -> PureTerm:
+def _new_node(cls: type, children: tuple[PureTerm, ...], key: tuple | None) -> PureTerm:
     node = object.__new__(cls)
     set_ = object.__setattr__
     for name, c in zip(cls.__match_args__, children):
@@ -234,19 +196,17 @@ def _new_node(
     if cls is not Void:
         set_(node, "_fv", None if key is None else _CLOSED)
     set_(node, "_term_key", key)
-    set_(node, "_key_hash", key_hash)
-    set_(node, "_hash", None)
     set_(node, "_typing", None)
     return node
 
 
 # the unit value, which every ground value ends in
-_VOID = _new_node(Void, (), ("void",), hash(("void",)))
+_VOID = _new_node(Void, (), ("void",))
 
 
 def is_ground(t: PureTerm) -> bool:
     """Whether t is a ground value: no variable, no abstraction."""
-    return t._key_hash is not None
+    return t._term_key is not None
 
 
 @dataclass(frozen=True, slots=True)

@@ -154,7 +154,7 @@ def _clip(s: str, width: int = 72) -> str:
     return s if len(s) <= width else s[: width - 3] + "..."
 
 
-class _Entry:
+class _Binding:
     __slots__ = ("ty", "flat", "uses")
 
     def __init__(self, ty: Type):
@@ -165,12 +165,12 @@ class _Entry:
 
 class _Checker:
     def __init__(self) -> None:
-        self.scopes: dict[str, list[_Entry]] = {}
+        self.scopes: dict[str, list[_Binding]] = {}
 
     # -- context plumbing ---------------------------------------------------
 
-    def _bind(self, name: str, ty: Type) -> _Entry:
-        e = _Entry(ground_unknowns(ty))
+    def _bind(self, name: str, ty: Type) -> _Binding:
+        e = _Binding(ground_unknowns(ty))
         self.scopes.setdefault(name, []).append(e)
         return e
 
@@ -202,20 +202,20 @@ class _Checker:
             )
         return e.ty
 
-    def _snapshot(self) -> list[tuple[_Entry, int]]:
+    def _snapshot(self) -> list[tuple[_Binding, int]]:
         return [(e, e.uses) for stack in self.scopes.values() for e in stack]
 
-    def _restore(self, snap: list[tuple[_Entry, int]]) -> None:
+    def _restore(self, snap: list[tuple[_Binding, int]]) -> None:
         for e, u in snap:
             e.uses = u
 
     @staticmethod
-    def _delta(snap: list[tuple[_Entry, int]]) -> list[int]:
+    def _delta(snap: list[tuple[_Binding, int]]) -> list[int]:
         return [e.uses - u for e, u in snap]
 
     def _merge_branch_usage(
         self,
-        snap: list[tuple[_Entry, int]],
+        snap: list[tuple[_Binding, int]],
         d1: list[int],
         d2: list[int],
         names_hint: Location,

@@ -4,28 +4,54 @@ The modality Sharp marks types whose inhabitants may be proper superpositions.
 Flat types (no Sharp outside arrow codomains) admit free duplication and
 discarding; everything else is treated linearly by the checker.
 
-Types are hash-consed: every construction goes through `_type_node`, which
-hands back the one live object per distinct type from a table that holds its
-values weakly.  Equal types are therefore the same object.  Each node caches
-a hash of its constructor's name and its parts' hashes, so hashing one is
-O(1) and, unlike the dataclass hash of the parts alone, tells U+U from U*U
-and inl-typed from inr-typed register values.  That is what lets `subtype`
-and `join_types` keep a memo (`_MEMO` entries each).
+This module also holds the intern table, the one table of hash-consed nodes:
+every type, and every ground value (`syntax._interned`), is the one live
+object per distinct value, and the table holds its nodes weakly.  Interned
+nodes are compared and hashed by identity: two of them are equal only when
+they are the same object.  Every construction of a type goes through
+`_type_node`, so types are `eq=False` dataclasses, and `subtype` and
+`join_types` keep a memo (`_MEMO` entries each) that hashes a type in O(1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from weakref import WeakValueDictionary
+from weakref import ref
+
+
+class _Entry(ref):
+    """A weak reference to an interned node that knows its probe."""
+    __slots__ = ("probe",)
+
+
+# The one live node per distinct type or ground value, by weak reference: an
+# entry goes when the last other reference to its node does.  A probe is the
+# node's class and weak references to its parts, which hash and compare as the
+# interned parts do: a strong one would keep a part alive past the collection
+# that frees its dead parent, one collection per level.
+_INTERNED: dict[tuple, _Entry] = {}
+
+
+def _forget(entry: _Entry, table: dict = _INTERNED) -> None:
+    # a dead node's entry, unless a new node for the same value replaced it;
+    # the table is bound here because module globals may be gone at exit
+    if table.get(entry.probe) is entry:
+        del table[entry.probe]
+
+
+def _enter(probe: tuple, node: object) -> object:
+    """Make node the live node of probe, which has none, and return it."""
+    entry = _INTERNED[probe] = _Entry(node, _forget)
+    entry.probe = probe
+    return node
 
 
 class Type:
     """A type node.  Nodes are made by `__new__`, not by a dataclass
     `__init__`, which would run again on a node `__new__` returns from the
     intern table; `__reduce__` makes copies and pickles go through `__new__`
-    too.  Each class sets `__hash__` itself, because the dataclass decorator
-    replaces an inherited one."""
+    too."""
     # the intern table refers to types weakly
     __slots__ = ("__weakref__",)
 
@@ -36,98 +62,67 @@ class Type:
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
 
-def _type_hash(self) -> int:
-    return self._hash
-
-
-def _hash_field():
-    return field(init=False, compare=False, repr=False)
-
-
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Unit(Type):
-    _hash: int = _hash_field()
-
     def __new__(cls) -> "Unit":
         return _type_node(cls, ())
 
-    __hash__ = _type_hash
 
-
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Sharp(Type):
     inner: Type
-    _hash: int = _hash_field()
 
     def __new__(cls, inner: Type) -> "Sharp":
         return _type_node(cls, (inner,))
 
-    __hash__ = _type_hash
 
-
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Sum(Type):
     left: Type
     right: Type
-    _hash: int = _hash_field()
 
     def __new__(cls, left: Type, right: Type) -> "Sum":
         return _type_node(cls, (left, right))
 
-    __hash__ = _type_hash
 
-
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Prod(Type):
     left: Type
     right: Type
-    _hash: int = _hash_field()
 
     def __new__(cls, left: Type, right: Type) -> "Prod":
         return _type_node(cls, (left, right))
 
-    __hash__ = _type_hash
 
-
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Arrow(Type):
     dom: Type
     cod: Type
-    _hash: int = _hash_field()
 
     def __new__(cls, dom: Type, cod: Type) -> "Arrow":
         return _type_node(cls, (dom, cod))
 
-    __hash__ = _type_hash
 
-
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class Unknown(Type):
     """Inference placeholder for a component no rule determines (the unused side
     of an injection).  Matches anything in subtype tests, merges away in joins,
     and is grounded to Unit at binding sites and at the end of inference.  Never
     appears in a type the surface syntax can write."""
-    _hash: int = _hash_field()
 
     def __new__(cls) -> "Unknown":
         return _type_node(cls, ())
 
-    __hash__ = _type_hash
-
-
-# The one live node per distinct type, keyed by its class and its parts.
-_TYPES: WeakValueDictionary[tuple, Type] = WeakValueDictionary()
-
 
 def _type_node(cls: type, parts: tuple[Type, ...]) -> Type:
-    probe = (cls, *parts)
-    node = _TYPES.get(probe)
+    probe = (cls, *map(ref, parts))
+    entry = _INTERNED.get(probe)
+    node = None if entry is None else entry()
     if node is None:
         node = object.__new__(cls)
         for name, p in zip(cls.__match_args__, parts):
             object.__setattr__(node, name, p)
-        object.__setattr__(node, "_hash", hash((cls.__name__, *parts)))
-        _TYPES[probe] = node
+        _enter(probe, node)
     return node
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -196,6 +197,15 @@ def test_compile_gate_to_stdout(write, capsys):
 def test_compile_gate_rejects_non_isometry(write):
     bad = "dim 2\n1 1\n1 1\n"
     assert main(["compile-gate", write("bad.mat", bad)]) == 1
+
+
+def test_compile_gate_rejects_a_non_finite_entry(write, capsys):
+    # 1e999 reads as inf; the isometry check must not pass it on to encoding
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["compile-gate", write("inf.mat", "dim 2\n1e999 0\n0 1\n")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: non-finite entry (inf+0j)\n"
 
 
 def test_compile_gate_rejects_malformed_file(write):

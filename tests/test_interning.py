@@ -1,6 +1,6 @@
 """Hash-consed ground values and types: one object per distinct value, built
-by any path, with caches that cannot be observed and a table that lets dead
-values go."""
+by any path, compared and hashed by identity, with caches that cannot be
+observed and one intern table that lets dead values and types go."""
 
 from __future__ import annotations
 
@@ -8,14 +8,15 @@ import copy
 import dataclasses
 import gc
 import pickle
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qlam.syntax as syntax
 import qlam.typecheck as typecheck
+import qlam.types as types
 from generator import trace_programs
 from qlam.quantum import GateMatrix, StateVector, basis_value, compile_isometry, encode
 from qlam.rewrite import normalize
@@ -105,7 +106,9 @@ def test_encoded_states_reach_the_same_value_objects(n, seed):
 def test_caches_are_invisible():
     g = PairV(InlV(Void()), InrV(Void()))
     assert dataclasses.replace(g) is g
-    assert hash(g) == hash((g.first, g.second))
+    # interned means identical: a rebuilt value is the same object, so it
+    # hashes the same however the hash is computed
+    assert rebuilt(g) is g and hash(rebuilt(g)) == hash(g)
     assert repr(g) == "PairV(first=InlV(value=Void()), second=InrV(value=Void()))"
     assert str(g) == "(inl *, inr *)"
     open_ = PairV(Var("x"), g)
@@ -131,25 +134,52 @@ def test_types_are_interned():
     assert Sharp(Prod(BOOL, BOOL)) is qubits(2)
     assert dataclasses.replace(qubits(3)) is qubits(3)
     assert hash(dataclasses.replace(BOOL)) == hash(Sum(UNIT, UNIT))
-    # the cached hash tells the constructors apart, so the types of the 2^n
-    # basis values of a register do not all land in one bucket of a memo
-    assert len({hash(Sum(UNIT, UNIT)), hash(Prod(UNIT, UNIT)), hash(Sum(UNIT, Unknown())),
-                hash(Sum(Unknown(), UNIT))}) == 4
+    # a type hashes by identity, which tells the constructors apart, so the
+    # types of the 2^n basis values of a register do not all land in one
+    # bucket of a memo; the types are held, because freed ones may share an id
+    kept = [Sum(UNIT, UNIT), Prod(UNIT, UNIT), Sum(UNIT, Unknown()), Sum(Unknown(), UNIT)]
+    assert len({hash(t) for t in kept}) == 4
     assert repr(BOOL) == "Sum(left=Unit(), right=Unit())"
     assert copy.deepcopy(qubits(3)) is qubits(3)
 
 
+def test_basis_values_hash_apart():
+    # held alive, the 256 basis values of an 8-qubit register are 256 objects
+    # with 256 identity hashes, and inl v and inr v hash apart
+    values = [basis_value(k, 8) for k in range(1 << 8)]
+    assert len({hash(v) for v in values}) == 1 << 8
+    left, right = InlV(values[0]), InrV(values[0])
+    assert hash(left) != hash(right)
+
+
+def _value_entries() -> int:
+    # the table holds types too, and typing keeps some alive in the
+    # `subtype`/`join_types` memos
+    return sum(issubclass(probe[0], PureTerm) for probe in types._INTERNED)
+
+
 def test_intern_table_lets_dead_values_go():
     gc.collect()
-    before = len(syntax._GROUND)
+    before = _value_entries()
     rng = np.random.default_rng(7)
     v = rng.normal(size=1 << 10) + 1j * rng.normal(size=1 << 10)
     d = encode(StateVector(v / np.linalg.norm(v)))
     check_program(d)    # typing leaves a derivation on every value node
-    assert len(syntax._GROUND) >= before + (1 << 10)
+    assert _value_entries() >= before + (1 << 10)
     del d
     gc.collect()
-    assert len(syntax._GROUND) <= before
+    assert _value_entries() <= before
+    # a type nobody holds leaves the table too, with every part of it that
+    # nothing else holds; no surface program writes the placeholder Unknown
+    chain, links = Sharp(Sharp(Unknown())), []
+    for _ in range(30):
+        chain = Prod(chain, BOOL)
+        links.append(weakref.ref(chain))
+    types_before = len(types._INTERNED)
+    del chain
+    gc.collect()
+    assert all(link() is None for link in links)
+    assert len(types._INTERNED) <= types_before - 30
 
 
 def test_each_ground_value_is_typed_once(monkeypatch):

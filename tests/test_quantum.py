@@ -69,6 +69,9 @@ def test_state_vector_validation():
         _sv(1, 1)                          # norm sqrt(2)
     with pytest.raises(ValueError):
         StateVector(np.array([1.0]))       # zero qubits
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="state vector has norm"):
+            _sv(bad, 0)
     v = _sv(_R2, _R2)
     assert v.qubit_count == 1
     assert v[1] == _R2
@@ -231,6 +234,15 @@ def test_non_isometry_rejected():
     almost = np.array([[1, 0], [0, 1 + 1e-3]])
     with pytest.raises(NotAnIsometry):
         compile_isometry(GateMatrix(almost))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf)])
+def test_non_finite_matrix_rejected(bad):
+    m = np.array([[bad, 0], [0, 1]])
+    with pytest.raises(NotAnIsometry, match="non-finite entry"):
+        compile_isometry(GateMatrix(m))
+    with pytest.raises(NotAnIsometry, match="non-finite entry"):
+        compile_gate(GateMatrix(m), [1], 2)
 
 
 def test_seeded_random_unitaries_round_trip():
