@@ -13,6 +13,7 @@ import json
 import sys
 import traceback
 from contextlib import nullcontext
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -192,7 +193,10 @@ def _cmd_equiv(args) -> int:
     return 0 if same else _EXIT_NOT_EQUIV
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use.  Parsing leaves no state in
+    it, so every call of `main` in a process reuses it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tolerance", type=float, metavar="E",
                         help="numeric tolerance for norms and comparisons (default 1e-6)")
@@ -242,7 +246,7 @@ def _report(args, code: int, kind: str, message: str, **extra) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         # --tolerance holds for this call only, also when main runs in-process
         with nullcontext() if args.tolerance is None else tolerance(args.tolerance):

@@ -10,13 +10,28 @@ unit value, a pair destructured, a case taken) gives the substituted body as
 it stands.  A redex inside an evaluation context gives a reduct rebuilt
 through the `mk_*` constructors, which canonicalize that one reduct.
 
-`step`, `normalize` and `trace_normalize` all read one generator,
-`_reductions`.  It keeps the summands in a single list, splices each reduct
-in place of its summand with the coefficient multiplied through, and is the
-only place that counts steps against the limit.  The splice merges nothing
-across summands; `normalize` canonicalizes once, at the end, so traces show
-the raw arithmetic between summands, including interference terms that later
-merge away.
+The small-step generator `_reductions` is the definition.  It keeps the
+summands in a single list, splices each reduct in place of its summand with
+the coefficient multiplied through, and counts steps against the limit.  The
+splice merges nothing across summands; its readers canonicalize once, at the
+end, so traces show the raw arithmetic between summands, including
+interference terms that later merge away.  `step`, `trace_normalize` and
+`normalize` under an `rng` read it.
+
+`normalize` under the leftmost strategy evaluates in environments instead
+(`_evaluate`, an environment machine in the style of Landin's SECD and the
+CEK machine).  Every contraction binds a value, so the substitution can wait:
+a name is bound to a value in an environment, a lambda becomes a closure of
+the lambda and its environment, and a closure is read back into a term, with
+one substitution, only where a term must be seen: in the normal form, and in
+a reduct of several summands inside an evaluation context, which is
+canonicalized there as the `mk_*` constructors do.  The machine takes the
+same contractions in the same order, multiplies the same coefficients in the
+same order and counts the same steps, so the normal form is the same, down
+to the coefficient bits.  Where the small-step loop would raise, or where a
+read-back would substitute an open value (the small-step loop may rename a
+binder there), the machine gives up and `normalize` runs `_reductions` from
+the start, which raises or answers as it always has.
 """
 
 from __future__ import annotations
@@ -27,6 +42,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .syntax import (
+    _VOID,
     App,
     Distribution,
     InlV,
@@ -37,8 +53,13 @@ from .syntax import (
     PairV,
     PureTerm,
     Seq,
+    Var,
     Void,
+    _subst,
+    _subst_dist,
     canonicalize,
+    free_vars,
+    free_vars_dist,
     is_value,
     mk_app,
     mk_let,
@@ -152,6 +173,13 @@ def normalize(
 ) -> Distribution:
     """Iterate step to a normal form, canonicalized.  Raises StuckError on a
     stuck summand and StepLimitExceeded past max_steps."""
+    if rng is None:
+        try:
+            summands = _evaluate(d, max_steps)
+        except _GiveUp:
+            pass
+        else:
+            return canonicalize(Distribution(tuple(summands)))
     summands = d.summands
     for summands in _reductions(d, max_steps, rng):
         pass
@@ -209,3 +237,156 @@ def _reductions(
                 raise ValueError(f"non-finite coefficient {c!r}")
         summands[i:i + 1] = spliced
         yield summands
+
+
+# ---------------------------------------------------------------------------
+# the environment machine behind `normalize`
+#
+# A machine value is a pair (value term, environment).  The environment maps
+# names to machine values; it is empty for a ground value and for a term that
+# was read back.  A continuation is `_TOP` (the top of the summand) or a frame
+# (tag, node, data, parent, in_operator): data is the environment of node, or
+# the argument's value in an operator frame, and in_operator says whether an
+# operator frame is on the chain, where a reduct must be one unscaled term.
+
+class _GiveUp(Exception):
+    """The machine met a case it leaves to `_reductions`."""
+
+
+_NO_ENV: dict = {}
+_ONE = complex(1)
+_ARG, _OP, _SEQ, _LET, _MATCH = range(5)
+_TOP = (None, None, None, None, False)
+
+
+def _value(t: PureTerm, env: dict) -> tuple:
+    """The machine value of a value term t whose free names env binds."""
+    if type(t) is Var:
+        return env.get(t.name) or (t, _NO_ENV)
+    if t._term_key is not None:
+        return (t, _NO_ENV)
+    return (t, env)
+
+
+def _evaluate(d: Distribution, max_steps: int) -> list[tuple[complex, PureTerm]]:
+    """The summands `_reductions` ends with, under the leftmost strategy.
+    Each summand is evaluated left to right with an explicit continuation, so
+    summands come out in the order the splices leave them.  Raises _GiveUp
+    where `_reductions` would raise, and where a read-back would substitute
+    an open value."""
+    out = []
+    steps = 0
+    work = [(a, t, _NO_ENV, _TOP) for a, t in reversed(d.summands)]
+    while work:
+        c, t, env, k = work.pop()
+        while True:
+            cls = type(t)
+            if cls is App:
+                k = (_ARG, t, env, k, k[4])
+                t = t.arg
+                continue
+            if cls is Seq:
+                k = (_SEQ, t, env, k, k[4])
+                t = t.head
+                continue
+            if cls is LetPair:
+                k = (_LET, t, env, k, k[4])
+                t = t.scrutinee
+                continue
+            if cls is Match:
+                k = (_MATCH, t, env, k, k[4])
+                t = t.scrutinee
+                continue
+            v = _value(t, env)
+            if k is _TOP:
+                out.append((c, v))
+                break
+            tag, node, env, k, _ = k
+            if tag == _ARG:
+                # the argument is a value: evaluate the operator
+                k = (_OP, node, v, k, True)
+                t = node.fun
+                continue
+            w, wenv = v
+            if tag == _OP:
+                if type(w) is not Lam:
+                    raise _GiveUp
+                body = w.body
+                env = {**wenv, w.name: env}
+            elif tag == _SEQ:
+                if w is not _VOID:
+                    raise _GiveUp
+                body = node.tail
+            elif tag == _LET:
+                if type(w) is not PairV:
+                    raise _GiveUp
+                body = node.body
+                env = {**env, node.left: _value(w.first, wenv),
+                       node.right: _value(w.second, wenv)}
+            elif type(w) is InlV:
+                body = node.left_body
+                env = {**env, node.left_name: _value(w.value, wenv)}
+            elif type(w) is InrV:
+                body = node.right_body
+                env = {**env, node.right_name: _value(w.value, wenv)}
+            else:
+                raise _GiveUp
+            # a contraction: splice its reduct as `_reductions` does
+            steps += 1
+            if steps > max_steps:
+                raise _GiveUp
+            summands = body.summands
+            if k is not _TOP:
+                if len(summands) > 1 and k[0] != _OP:
+                    # the context canonicalizes the reduct, as `mk_*` does;
+                    # an operator position takes it as it stands
+                    try:
+                        summands = canonicalize(_read_back(body, env)).summands
+                    except ValueError:
+                        raise _GiveUp from None
+                    env = _NO_ENV
+                if k[4]:
+                    if len(summands) > 1 or summands[0][0] != 1:
+                        raise _GiveUp
+                    summands = ((_ONE, summands[0][1]),)
+            if len(summands) == 1:
+                b, t = summands[0]
+                c = c * b
+                if not cmath.isfinite(c):
+                    raise _GiveUp
+                continue
+            spliced = [(c * b, u, env, k) for b, u in summands]
+            if not all(cmath.isfinite(s[0]) for s in spliced):
+                raise _GiveUp
+            work.extend(reversed(spliced))
+            break
+    return [(c, _read_back(t, env) if env else t) for c, (t, env) in out]
+
+
+def _read_back(x: PureTerm | Distribution, env: dict) -> PureTerm | Distribution:
+    """x, a term or a body, with the values env binds to its free names
+    substituted in: one `_subst` per closure, children first, without
+    recursion.  Raises _GiveUp if one of those values is open, because the
+    small-step loop may rename a binder where it substitutes an open value."""
+    root = (x, env)
+    done: dict[int, PureTerm | Distribution] = {}
+    todo = [root]
+    while todo:
+        v = todo[-1]
+        if id(v) in done:
+            todo.pop()
+            continue
+        y, yenv = v
+        fv, subst = ((free_vars_dist, _subst_dist) if type(y) is Distribution
+                     else (free_vars, _subst))
+        names = fv(y).intersection(yenv) if yenv else ()
+        waiting = [yenv[n] for n in names if id(yenv[n]) not in done]
+        if waiting:
+            todo.extend(waiting)
+            continue
+        todo.pop()
+        mapping = {n: done[id(yenv[n])] for n in names}
+        if any(free_vars(u) for u in mapping.values()):
+            raise _GiveUp
+        done[id(v)] = subst(y, mapping)
+    return done[id(root)]

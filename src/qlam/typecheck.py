@@ -35,7 +35,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .config import get_tolerance
 from .inner import Keyed, keyed, orthogonal
@@ -74,6 +74,7 @@ from .types import (
     UNIT,
     Unit,
     Unknown,
+    _MEMO,
     ground_unknowns,
     is_flat,
     join_types,
@@ -572,29 +573,32 @@ def _unlifted(ty: Type) -> Type:
     return ty
 
 
-def _enumerate_values(ty: Type, cap: int = _INVENTORY_CAP) -> list[PureTerm] | None:
+@lru_cache(maxsize=_MEMO)
+def _enumerate_values(ty: Type) -> tuple[PureTerm, ...] | None:
     """All ground values of an arrow-free type, None when not enumerable.
 
     The superposition modality does not change the inventory of basis values,
-    so Sharp is transparent here.
+    so Sharp is transparent here.  Types are interned, so the inventory is
+    kept per type (a bounded memo, as `subtype` keeps), and it is a tuple, so
+    that no caller can change a shared one.
     """
     match ty:
         case Unit() | Unknown():
-            return [Void()]
+            return (Void(),)
         case Sharp(inner):
-            return _enumerate_values(inner, cap)
+            return _enumerate_values(inner)
         case Sum(l, r):
-            lv = _enumerate_values(l, cap)
-            rv = _enumerate_values(r, cap)
-            if lv is None or rv is None or len(lv) + len(rv) > cap:
+            lv = _enumerate_values(l)
+            rv = _enumerate_values(r)
+            if lv is None or rv is None or len(lv) + len(rv) > _INVENTORY_CAP:
                 return None
-            return [InlV(v) for v in lv] + [InrV(v) for v in rv]
+            return tuple(InlV(v) for v in lv) + tuple(InrV(v) for v in rv)
         case Prod(l, r):
-            lv = _enumerate_values(l, cap)
-            rv = _enumerate_values(r, cap)
-            if lv is None or rv is None or len(lv) * len(rv) > cap:
+            lv = _enumerate_values(l)
+            rv = _enumerate_values(r)
+            if lv is None or rv is None or len(lv) * len(rv) > _INVENTORY_CAP:
                 return None
-            return [PairV(a, b) for a in lv for b in rv]
+            return tuple(PairV(a, b) for a in lv for b in rv)
         case _:
             return None
 
@@ -609,7 +613,7 @@ def _decide_orthogonality(
 ) -> None:
     x1, t1 = binder1
     x2, t2 = binder2
-    inventories: dict[str, list[PureTerm]] = {}
+    inventories: dict[str, tuple[PureTerm, ...]] = {}
     enumerable = True
     for x, ty in shared.items():
         inv = _enumerate_values(ty)
@@ -647,13 +651,13 @@ def _decide_orthogonality(
 
 
 def _enumerated_orthogonality(
-    inventories: dict[str, list[PureTerm]],
+    inventories: dict[str, tuple[PureTerm, ...]],
     superposable: set[str],
     x1: str,
-    inv1: list[PureTerm],
+    inv1: tuple[PureTerm, ...],
     b1: Distribution,
     x2: str,
-    inv2: list[PureTerm],
+    inv2: tuple[PureTerm, ...],
     b2: Distribution,
     here: Location,
 ) -> None:

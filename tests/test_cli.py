@@ -5,7 +5,11 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +114,43 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as e:
         main(["frobnicate"])
     assert e.value.code == 2
+
+
+def _in_process(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def _fresh_process(argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    r = subprocess.run([sys.executable, "-m", "qlam.cli", *argv],
+                       capture_output=True, text=True, env=env, check=False)
+    return r.returncode, r.stdout, r.stderr
+
+
+def test_repeated_calls_answer_as_fresh_processes(write, capsys):
+    # the parser is built once per process; nothing a call parses, and no
+    # --tolerance it sets, may show in a later call
+    near = write("near.qlam", "0.999999 * inl *\n")
+    app = write("app.qlam", r"(\x:(U+U). x) (inl *)")
+    circ = write("bell.qc", "H 0\nCNOT 0 1\n")
+    calls = [
+        ["check", "--tolerance", "1e-2", near],
+        ["check", near],
+        ["frobnicate"],
+        ["eval", "--format", "json-lines", app],
+        ["run", "--format", "json-lines", circ, "|00>"],
+        ["eval", "--max-steps", "0", app],
+    ]
+    fresh = [_fresh_process(argv) for argv in calls]
+    assert [code for code, _, _ in fresh] == [0, 1, 2, 0, 0, 2]
+    for _ in range(2):
+        assert [_in_process(argv, capsys) for argv in calls] == fresh
 
 
 # --------------------------------------------------------------------- eval

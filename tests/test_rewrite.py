@@ -1,9 +1,11 @@
 """Small-step reduction: redex rules, context order, strategies, traces.
 
-The stepping loop is one worklist generator read by `step`, `normalize` and
-`trace_normalize`.  The equivalence tests hold it to the loop it replaced,
-kept below as `reference_*`: every step rebuilt the whole distribution as a
-tuple splice, and each driver kept its own step count.
+The stepping loop is one worklist generator read by `step`, `trace_normalize`
+and `normalize` under an rng.  The equivalence tests hold it to the loop it
+replaced, kept below as `reference_*`: every step rebuilt the whole
+distribution as a tuple splice, and each caller kept its own step count.
+`normalize` under the leftmost strategy runs an environment machine; the
+tests at the end hold it to the stepping loop down to the coefficient bits.
 """
 
 from __future__ import annotations
@@ -11,13 +13,22 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qlam.rewrite as rewrite
 from generator import ProgramGen
-from qlam.quantum import StateVector, compile_isometry, encode, gate_library
+from qlam.quantum import (
+    GateMatrix,
+    StateVector,
+    compile_gate,
+    compile_isometry,
+    encode,
+    gate_library,
+    run_circuit,
+)
 from qlam.rewrite import (
     DEFAULT_MAX_STEPS,
     NormalForm,
@@ -52,7 +63,7 @@ from qlam.syntax import (
     scale,
     singleton,
 )
-from qlam.types import BOOL, UNIT, Sharp
+from qlam.types import BOOL, UNIT, Arrow, Sharp
 
 STAR = Void()
 INL = InlV(STAR)
@@ -339,11 +350,20 @@ def reference_trace_normalize(d, max_steps=DEFAULT_MAX_STEPS):
                 trace.append(nd)
 
 
+def _bits(x):
+    """A distribution, or a list of them, with every coefficient as the bits
+    of its two parts: `==` alone takes 0.0 and -0.0 for the same number."""
+    if isinstance(x, list):
+        return [_bits(d) for d in x]
+    return tuple((a.real.hex(), a.imag.hex(), t) for a, t in x.summands)
+
+
 def _outcome(run, *args, **kwargs):
-    """The result of a call, or the type and text of what it raised."""
+    """The result of a call down to the coefficient bits, or the type and
+    text of what it raised."""
     try:
-        return run(*args, **kwargs)
-    except (StuckError, StepLimitExceeded) as e:
+        return _bits(run(*args, **kwargs))
+    except (StuckError, StepLimitExceeded, ValueError) as e:
         return type(e), str(e)
 
 
@@ -425,3 +445,139 @@ OVERFLOW_SRC = r"1e200 * ((\x:U. 1e200 * x) *)"
 def test_a_non_finite_coefficient_is_rejected(run):
     with pytest.raises(ValueError, match="non-finite coefficient"):
         run(parse_program(OVERFLOW_SRC))
+
+
+# ------------------------------------------------- the environment machine
+
+
+def _machine(d, max_steps=DEFAULT_MAX_STEPS):
+    """The machine's own normal form, or None where it leaves d to the
+    stepping loop."""
+    try:
+        summands = rewrite._evaluate(d, max_steps)
+    except rewrite._GiveUp:
+        return None
+    return canonicalize(Distribution(tuple(summands)))
+
+
+def _last(d, max_steps=DEFAULT_MAX_STEPS):
+    return trace_normalize(d, max_steps)[-1]
+
+
+def _same_as_the_stepping_loop(d, max_steps=DEFAULT_MAX_STEPS):
+    want = _outcome(_last, d, max_steps)
+    assert _outcome(normalize, d, max_steps) == want
+    return want
+
+
+def test_the_machine_answers_every_generator_program():
+    for seed in range(300):
+        g = ProgramGen(seed)
+        for d in (g.trace_program()[0], g.flow_program()[0]):
+            assert _bits(_machine(d)) == _same_as_the_stepping_loop(d)
+
+
+def test_a_reduct_in_an_argument_merges_and_sorts_there():
+    # the three inr summands merge inside the argument, before the scaling
+    # by 3 reaches them: 3 * ((0.1 + 0.2) + 0.3), not 3*0.1 + 3*0.2 + 3*0.3
+    maker = Lam("y", UNIT, Distribution(((0.1, INR), (0.5, INL), (0.2, INR), (0.3, INR))))
+    d = singleton(App(IDENT, App(maker, STAR)), 3)
+    want = _same_as_the_stepping_loop(d)
+    assert _bits(_machine(d)) == want
+    assert want == _bits(Distribution(((1.5, INL), (3 * (0.1 + 0.2 + 0.3), INR))))
+    assert 3 * (0.1 + 0.2 + 0.3) != 3 * 0.1 + 3 * 0.2 + 3 * 0.3
+
+
+@pytest.mark.parametrize("body", [
+    Distribution(((_R2, IDENT), (_R2, Lam("z", BOOL, singleton(INL))))),
+    singleton(IDENT, 0.5),
+], ids=["a proper distribution", "one scaled term"])
+def test_an_operator_that_reduces_to_more_than_one_unscaled_term_is_stuck(body):
+    d = singleton(App(App(Lam("x", UNIT, body), STAR), INR))
+    assert _machine(d) is None
+    kind, text = _same_as_the_stepping_loop(d)
+    assert kind is StuckError and "proper distribution" in text
+
+
+def test_an_operator_whose_reduct_merges_to_one_term_applies():
+    # merged where an argument's context canonicalizes the reduct; at the
+    # top of the operator the two summands stand as they are, and are stuck
+    halves = Lam("x", UNIT, Distribution(((0.5, IDENT), (0.5, IDENT))))
+    pass_on = Lam("f", Arrow(BOOL, BOOL), singleton(Var("f")))
+    d = singleton(App(App(pass_on, App(halves, STAR)), INR), -1j)
+    want = _same_as_the_stepping_loop(d)
+    assert _bits(_machine(d)) == want
+    # -1j is (-0.0)-1j; each step multiplies by the reduct's coefficient
+    # 1+0j, and -0.0*1 - (-1)*0 is +0.0
+    assert want == _bits(singleton(INR, complex(0.0, -1.0)))
+    d = singleton(App(App(halves, STAR), INR))
+    assert _machine(d) is None
+    assert _same_as_the_stepping_loop(d)[0] is StuckError
+
+
+@pytest.mark.parametrize("src", [
+    OVERFLOW_SRC,
+    # the reduct overflows where the argument's context merges it
+    r"(\x:U+U. x) ((\y:U. 1e308 * inl * + 1e308 * inl *) *)",
+])
+def test_a_coefficient_that_overflows_leaves_the_machine(src):
+    d = parse_program(src)
+    assert _machine(d) is None
+    kind, text = _same_as_the_stepping_loop(d)
+    assert kind is ValueError and "non-finite coefficient" in text
+
+
+def test_the_step_limit_inside_a_summand():
+    # three beta steps in one summand, after a summand of one step
+    d = add(singleton(App(IDENT, INL), 0.5),
+            singleton(App(IDENT, App(IDENT, App(IDENT, INR))), 0.5))
+    assert _machine(d, 3) is None
+    assert _same_as_the_stepping_loop(d, 3) == (
+        StepLimitExceeded, "no normal form within 3 steps")
+    assert _bits(_machine(d, 4)) == _same_as_the_stepping_loop(d, 4)
+
+
+def test_a_closure_read_back_into_an_open_program_renames_as_substitution_does():
+    # y is free: substituting it under \y renames that binder, which the
+    # machine leaves to the stepping loop
+    d = parse_program(r"(\x:U. \y:U. x) y")
+    assert _machine(d) is None
+    want = _same_as_the_stepping_loop(d)
+    assert want == _bits(singleton(Lam("y_1", UNIT, singleton(Var("y")))))
+
+
+def test_a_closure_in_the_normal_form_is_read_back():
+    d = parse_program(r"(\x:U+U. \f:U -> U. \y:U. f y ; x) (inl *) (\z:U. z)")
+    want = _same_as_the_stepping_loop(d)
+    assert _bits(_machine(d)) == want
+    assert want == _bits(parse_program(r"\y:U. (\z:U. z) y ; inl *"))
+
+
+def test_every_gate_of_a_six_qubit_circuit_normalizes_as_the_stepping_loop():
+    rng = np.random.default_rng(6)
+    n = 6
+    gates = [(gate_library["H"], [q]) for q in range(n)]
+    for _ in range(3):
+        for q in range(n - 1):
+            gates.append((gate_library[("CNOT", "CZ", "SWAP")[q % 3]], [q, q + 1]))
+        for q in range(n):
+            u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            gates.append((GateMatrix(u), [q]))
+    v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    state = StateVector(v / np.linalg.norm(v))
+    d = encode(state)
+    for gate, targets in gates:
+        lam = compile_gate(gate, targets, n)
+        app = Distribution(tuple((a, App(lam, t)) for a, t in d.summands))
+        d = normalize(app)
+        assert _bits(d) == _bits(_last(app))
+        assert _bits(_machine(app)) == _bits(d)
+    assert _bits(run_circuit(gates, state)[0]) == _bits(d)
+
+
+def test_a_deep_evaluation_context_normalizes_without_recursion():
+    # 20000 nested arguments: the machine keeps its continuation on the heap
+    t = STAR
+    for _ in range(20000):
+        t = App(IDENT, t)
+    assert normalize(singleton(t)) == singleton(STAR)
