@@ -84,20 +84,16 @@ def _cmd_eval(args) -> int:
     if args.trace:
         trace = trace_normalize(d, max_steps=args.max_steps)
         for i, snapshot in enumerate(trace[:-1]):
-            _emit(
-                args.format,
-                f"step {i}: {pretty_print(snapshot)}",
-                event="trace",
-                step=i,
-                program=pretty_print(snapshot),
-            )
+            program = pretty_print(snapshot)
+            _emit(args.format, f"step {i}: {program}", event="trace", step=i, program=program)
         nf = trace[-1]
     else:
         nf = normalize(d, max_steps=args.max_steps)
-    fields = {"event": "normal-form", "program": pretty_print(nf)}
+    program = pretty_print(nf)
+    fields = {"event": "normal-form", "program": program}
     if ty is not None:
         fields["type"] = show_type(ty)
-    _emit(args.format, pretty_print(nf), **fields)
+    _emit(args.format, program, **fields)
     return 0
 
 
@@ -236,12 +232,15 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _report(args, code: int, kind: str, message: str, **extra) -> int:
-    fmt = getattr(args, "format", "text")
-    if fmt == "json-lines":
-        print(json.dumps({"event": "error", "kind": kind, "message": message, **extra},
-                         sort_keys=True))
-    print(f"error: {message}", file=sys.stderr)
+def _report(args, code: int, kind: str, e: Exception) -> int:
+    """Print the error e, with its source position when it carries one."""
+    fields = {"event": "error", "kind": kind, "message": str(e)}
+    span = getattr(e, "span", None)
+    if span is not None:
+        fields.update(line=span.line, column=span.column)
+    if getattr(args, "format", "text") == "json-lines":
+        print(json.dumps(fields, sort_keys=True))
+    print(f"error: {e}", file=sys.stderr)
     return code
 
 
@@ -254,27 +253,21 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError("--max-steps must be positive")
             return args.fn(args)
     except TypeCheckError as e:
-        extra = {}
-        if e.span is not None:
-            extra = {"line": e.span.line, "column": e.span.column}
-        return _report(args, _EXIT_TYPE, e.kind.value, str(e), **extra)
+        return _report(args, _EXIT_TYPE, e.kind.value, e)
     except NotAnIsometry as e:
-        return _report(args, _EXIT_TYPE, "NotAnIsometry", str(e))
+        return _report(args, _EXIT_TYPE, "NotAnIsometry", e)
     except ParseError as e:
-        extra = {}
-        if e.span is not None:
-            extra = {"line": e.span.line, "column": e.span.column}
-        return _report(args, _EXIT_SYNTAX, "SyntaxError", str(e), **extra)
+        return _report(args, _EXIT_SYNTAX, "SyntaxError", e)
     except FileFormatError as e:
-        return _report(args, _EXIT_SYNTAX, "FormatError", str(e))
+        return _report(args, _EXIT_SYNTAX, "FormatError", e)
     except StepLimitExceeded as e:
-        return _report(args, _EXIT_STEPS, "StepLimit", str(e))
+        return _report(args, _EXIT_STEPS, "StepLimit", e)
     except StuckError as e:
-        return _report(args, _EXIT_STUCK, "Stuck", str(e))
+        return _report(args, _EXIT_STUCK, "Stuck", e)
     except OSError as e:
-        return _report(args, _EXIT_IO, "IOError", str(e))
+        return _report(args, _EXIT_IO, "IOError", e)
     except ValueError as e:
-        return _report(args, _EXIT_SYNTAX, "ValueError", str(e))
+        return _report(args, _EXIT_SYNTAX, "ValueError", e)
     except Exception:
         traceback.print_exc()
         return _EXIT_INTERNAL

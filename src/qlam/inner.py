@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from .config import get_tolerance
-from .syntax import Distribution, is_value, show_term, term_key
+from .syntax import Distribution, _merged, is_value, show_term
 
 
 # a value distribution's canonical coefficients by alpha-key
@@ -27,11 +27,7 @@ def keyed(v: Distribution) -> Keyed:
     order.  A caller that pairs one value distribution with many others keys
     it once and passes this instead."""
     _require_values(v)
-    out: Keyed = {}
-    for a, t in v.summands:
-        k = term_key(t)
-        out[k] = out[k] + a if k in out else a
-    return dict(sorted(out.items()))
+    return {k: a for k, (a, _) in _merged(v.summands)}
 
 
 def inner_product(v: Distribution | Keyed, w: Distribution | Keyed) -> complex:

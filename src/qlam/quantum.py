@@ -36,7 +36,7 @@ from .syntax import (
     Seq,
     Var,
     Void,
-    singleton,
+    _trusted,
 )
 from .types import qubits
 
@@ -178,26 +178,37 @@ def _primed(base: str, depth: int) -> str:
     return base + "'" * depth
 
 
-def _case_tree(images: Sequence[Distribution], qubit_count: int, depth: int) -> PureTerm:
+def _case_tree(images: list[Distribution], qubit_count: int) -> PureTerm:
+    """Build the tree bottom-up, one level per qubit from the last one out.
+    A node of the last qubit matches it and sequences it away in front of one
+    of two adjacent images; a node of qubit k splits off qubit k and passes
+    the rest of the register to one of two adjacent nodes of qubit k+1."""
+    z = _primed("z", qubit_count - 1)
+    w = _primed("x", qubit_count)
+    nodes = [
+        Lam(z, qubits(1), _one(Match(Var(z), w, _one(Seq(Var(w), left)),
+                                     w, _one(Seq(Var(w), right)))))
+        for left, right in zip(images[::2], images[1::2])
+    ]
+    for depth in range(qubit_count - 2, -1, -1):
+        z, x, y = _primed("z", depth), _primed("x", depth), _primed("y", depth)
+        w = _primed("x", depth + 1)
+        ty = qubits(qubit_count - depth)
+        nodes = [
+            Lam(z, ty, _one(LetPair(x, y, Var(z), _one(Match(
+                Var(x),
+                w, _one(Seq(Var(w), _one(App(left, Var(y))))),
+                w, _one(Seq(Var(w), _one(App(right, Var(y))))),
+            )))))
+            for left, right in zip(nodes[::2], nodes[1::2])
+        ]
+    return nodes[0]
+
+
+def _one(t: PureTerm) -> Distribution:
     # each node distribution has one summand and is canonical as it stands;
     # canonicalizing it would only walk the whole subtree again
-    z = _primed("z", depth)
-    w = _primed("x", depth + 1)
-    if qubit_count == 1:
-        left = Distribution(((1, Seq(Var(w), images[0])),))
-        right = Distribution(((1, Seq(Var(w), images[1])),))
-        body = singleton(Match(Var(z), w, left, w, right))
-        return Lam(z, qubits(1), body)
-    x = _primed("x", depth)
-    y = _primed("y", depth)
-    half = len(images) // 2
-    sub_left = _case_tree(images[:half], qubit_count - 1, depth + 1)
-    sub_right = _case_tree(images[half:], qubit_count - 1, depth + 1)
-    left = Distribution(((1, Seq(Var(w), singleton(App(sub_left, Var(y))))),))
-    right = Distribution(((1, Seq(Var(w), singleton(App(sub_right, Var(y))))),))
-    arm = singleton(Match(Var(x), w, left, w, right))
-    body = Distribution(((1, LetPair(x, y, Var(z), arm)),))
-    return Lam(z, qubits(qubit_count), body)
+    return _trusted(((complex(1), t),))
 
 
 def case_construct(qubit_count: int, images: Sequence[Distribution]) -> PureTerm:
@@ -210,7 +221,7 @@ def case_construct(qubit_count: int, images: Sequence[Distribution]) -> PureTerm
         raise ValueError(
             f"expected {1 << qubit_count} images for {qubit_count} qubits, got {len(images)}"
         )
-    return _case_tree(list(images), qubit_count, 0)
+    return _case_tree(list(images), qubit_count)
 
 
 _MAX_REGISTER = 12

@@ -45,6 +45,7 @@ from __future__ import annotations
 import cmath
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from operator import itemgetter
 from weakref import ref
 
 from .config import get_tolerance
@@ -523,16 +524,21 @@ def canonicalize(d: Distribution) -> Distribution:
     key, so building a term from single summands costs time linear in it."""
     if len(d.summands) == 1:
         return d
+    return Distribution(tuple((a, t) for _, (a, t) in _merged(d.summands)))
+
+
+def _merged(summands: tuple[tuple[complex, PureTerm], ...]) -> list[tuple[tuple, list]]:
+    """(key, [coefficient, term]) in key order, alpha-equivalent summands
+    merged into the first; `canonicalize` and `inner.keyed` both read it."""
     acc: dict[tuple, list] = {}
-    for a, t in d.summands:
+    for a, t in summands:
         k = term_key(t)
         slot = acc.get(k)
         if slot is None:
             acc[k] = [a, t]
         else:
             slot[0] += a
-    items = sorted(acc.items(), key=lambda kv: kv[0])
-    return Distribution(tuple((a, t) for _, (a, t) in items))
+    return sorted(acc.items(), key=itemgetter(0))
 
 
 def congruent(d1: Distribution, d2: Distribution, tol: float | None = None) -> bool:

@@ -36,6 +36,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
+from operator import attrgetter
 
 from .config import get_tolerance
 from .inner import Keyed, keyed, orthogonal
@@ -285,18 +286,12 @@ class _Checker:
                 return tf.cod, Derivation("apply", here, tf.cod, (df, da))
             case Seq(_, tail):
                 th, dh = self.infer_dist(_holes(summands, "head"))
-                m, core = peel_sharps(th)
-                if not isinstance(core, Unit):
-                    what = ("sequencing head has" if isinstance(here, PureTerm)
-                            else "sequencing heads have")
-                    raise TypeCheckError(
-                        ErrorKind.MISMATCH,
-                        f"{what} type {th}, the unit type is required",
-                        here,
-                    )
+                what = ("sequencing head has" if isinstance(here, PureTerm)
+                        else "sequencing heads have")
+                form, _, lift = _form(th, Unit, what, "the unit", here)
                 tt, dt = self.infer_dist(tail)
-                ty = sharp_lift(tt) if m else tt
-                return ty, Derivation("seq-super" if m else "seq-pure", here, ty, (dh, dt))
+                ty = lift(tt)
+                return ty, Derivation(f"seq-{form}", here, ty, (dh, dt))
             case LetPair(x, y, _, body):
                 ts, ds = self.infer_dist(_holes(summands, "scrutinee"))
                 return self._infer_let(ts, ds, x, y, body, here)
@@ -314,21 +309,14 @@ class _Checker:
         self, scrut_ty: Type, ds: Derivation, x: str, y: str, body: Distribution,
         here: PureTerm | Distribution,
     ) -> tuple[Type, Derivation]:
-        m, core = peel_sharps(scrut_ty)
-        if not isinstance(core, Prod):
-            raise TypeCheckError(
-                ErrorKind.MISMATCH,
-                f"destructured term has type {scrut_ty}, a product type is required",
-                here,
-            )
-        lift = sharp_lift if m else _unlifted
+        form, core, lift = _form(scrut_ty, Prod, "destructured term has", "a product", here)
         self._bind(x, lift(core.left))
         self._bind(y, lift(core.right))
         bt, bd = self.infer_dist(body)
         self._unbind(y, here)
         self._unbind(x, here)
         ty = lift(bt)
-        return ty, Derivation("let-super" if m else "let-pure", here, ty, (ds, bd))
+        return ty, Derivation(f"let-{form}", here, ty, (ds, bd))
 
     def _infer_match(
         self,
@@ -340,14 +328,7 @@ class _Checker:
         b2: Distribution,
         here: PureTerm | Distribution,
     ) -> tuple[Type, Derivation]:
-        m, core = peel_sharps(scrut_ty)
-        if not isinstance(core, Sum):
-            raise TypeCheckError(
-                ErrorKind.MISMATCH,
-                f"matched term has type {scrut_ty}, a sum type is required",
-                here,
-            )
-        lift = sharp_lift if m else _unlifted
+        form, core, lift = _form(scrut_ty, Sum, "matched term has", "a sum", here)
         lt = lift(core.left)
         rt = lift(core.right)
         snap = self._snapshot()
@@ -370,7 +351,7 @@ class _Checker:
             )
         self._require_orthogonal(x1, lt, b1, x2, rt, b2, here)
         ty = lift(joined)
-        return ty, Derivation("match-super" if m else "match-pure", here, ty, (ds, d1, d2))
+        return ty, Derivation(f"match-{form}", here, ty, (ds, d1, d2))
 
     # -- distributions ------------------------------------------------------
 
@@ -534,10 +515,24 @@ def _value_rule(
 def _type_ground(t: PureTerm) -> tuple[Type, Derivation]:
     """Type a ground value and keep its type and derivation on the node.  A
     ground value has no variables, so neither depends on the context it is
-    typed in, and each distinct value is typed once."""
-    typed = _value_rule(t, lambda c: c._typing or _type_ground(c))
-    object.__setattr__(t, "_typing", typed)
-    return typed
+    typed in, and each distinct value is typed once.  Its parts are interned
+    values too, so they are typed first, from an explicit stack: the depth of
+    a value is not bounded by the interpreter's recursion limit."""
+    stack = [t]
+    while stack:
+        node = stack[-1]
+        untyped = [c for c in map(node.__getattribute__, node.__match_args__)
+                   if c._typing is None]
+        if untyped:
+            stack += untyped
+            continue
+        stack.pop()
+        if node._typing is None:  # a pair of equal values holds one node twice
+            object.__setattr__(node, "_typing", _value_rule(node, _typing_of))
+    return t._typing
+
+
+_typing_of = attrgetter("_typing")
 
 
 def _same_context(t0: PureTerm, t: PureTerm) -> bool:
@@ -567,6 +562,19 @@ def _holes(summands: tuple[tuple[complex, PureTerm], ...], part: str) -> Distrib
         a, t = summands[0]
         return _trusted(((a, getattr(t, part)),))
     return _trusted(tuple((a, getattr(t, part)) for a, t in summands))
+
+
+def _form(ty: Type, core_class: type, what: str, required: str, here: Location) -> tuple:
+    """The form of an elimination whose holes have type ty, their core, and
+    the lift of the binder and result types: "pure" and none for a bare core
+    of class core_class, "super" and Sharp for a Sharp-headed one.  Any other
+    core is a Mismatch, worded from `what` and `required` only then."""
+    m, core = peel_sharps(ty)
+    if not isinstance(core, core_class):
+        raise TypeCheckError(
+            ErrorKind.MISMATCH, f"{what} type {ty}, {required} type is required", here
+        )
+    return ("super", core, sharp_lift) if m else ("pure", core, _unlifted)
 
 
 def _unlifted(ty: Type) -> Type:

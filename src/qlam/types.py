@@ -178,8 +178,8 @@ def subtype(a: Type, b: Type) -> bool:
     After peeling a = Sharp^m c and b = Sharp^n d (c, d not Sharp-headed):
     with m = 0 the question reduces to the structural order on c and d, since
     any c <= d embeds under n Sharps through c <= Sharp c.  With m >= 1 there
-    is no congruence under Sharp, so b must also be Sharp-headed over the
-    syntactically identical core.
+    is no congruence under Sharp, so b must also be Sharp-headed over a core
+    that unifies with c: the same core, up to placeholders.
     """
     if isinstance(a, Unknown) or isinstance(b, Unknown):
         return True
@@ -187,24 +187,7 @@ def subtype(a: Type, b: Type) -> bool:
     n, d = peel_sharps(b)
     if m == 0:
         return _structural(c, d)
-    return n >= 1 and _same_core(c, d)
-
-
-def _same_core(c: Type, d: Type) -> bool:
-    # syntactic equality except that a placeholder matches anything
-    if isinstance(c, Unknown) or isinstance(d, Unknown):
-        return True
-    match c, d:
-        case Unit(), Unit():
-            return True
-        case Sharp(x), Sharp(y):
-            return _same_core(x, y)
-        case (Sum(l1, r1), Sum(l2, r2)) | (Prod(l1, r1), Prod(l2, r2)) | (
-            Arrow(l1, r1), Arrow(l2, r2)
-        ):
-            return _same_core(l1, l2) and _same_core(r1, r2)
-        case _:
-            return False
+    return n >= 1 and _unify(c, d) is not None
 
 
 def _structural(c: Type, d: Type) -> bool:

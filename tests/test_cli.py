@@ -177,6 +177,22 @@ def test_eval_trace(write, capsys):
     assert out[-1] == "inl *"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json-lines"])
+def test_eval_trace_prints_each_program_once(write, capsys, monkeypatch, fmt):
+    calls = []
+
+    def counting(d):
+        calls.append(d)
+        return pretty_print(d)
+
+    monkeypatch.setattr("qlam.cli.pretty_print", counting)
+    path = write("app.qlam", r"(\x:U. x) ((\y:U. y) *)")
+    assert main(["eval", "--trace", "--format", fmt, path]) == 0
+    events = _lines(capsys)
+    assert len(events) == 3  # two steps and the normal form
+    assert len(calls) == len(events)
+
+
 def test_eval_ill_typed_rejected_before_running(write):
     assert main(["eval", write("half.qlam", "0.5 * *\n")]) == 1
 

@@ -88,6 +88,47 @@ def test_unknown_is_wildcard():
     assert subtype(Sharp(BOOL), Sharp(Sum(Unknown(), U)))
 
 
+def _types_with_placeholders(max_size: int) -> list:
+    """All types over {U, placeholder, #, +, *, ->} with at most max_size nodes."""
+    by_size = {1: [U, Unknown()]}
+    for size in range(2, max_size + 1):
+        layer = [Sharp(t) for t in by_size[size - 1]]
+        for left_size in range(1, size - 1):
+            for a in by_size[left_size]:
+                for b in by_size[size - 1 - left_size]:
+                    layer += [Sum(a, b), Prod(a, b), Arrow(a, b)]
+        by_size[size] = layer
+    return [t for size in sorted(by_size) for t in by_size[size]]
+
+
+def _wildcard_equal(a, b) -> bool:
+    """Syntactic equality, except that a placeholder equals any type."""
+    if isinstance(a, Unknown) or isinstance(b, Unknown):
+        return True
+    return type(a) is type(b) and all(
+        _wildcard_equal(getattr(a, f), getattr(b, f)) for f in a.__match_args__
+    )
+
+
+def test_sharp_pairs_with_placeholders_need_wildcard_equal_cores():
+    # #a <= #b has no congruence under #: it holds exactly when the cores
+    # under the leading Sharps are the same type up to placeholders
+    def core(t):
+        while isinstance(t, Sharp):
+            t = t.inner
+        return t
+
+    ts = _types_with_placeholders(5)
+    assert len(ts) == 274  # 2 + 2 + 14 + 38 + 218 types of sizes 1..5
+    mismatches = [
+        (a, b)
+        for a in ts
+        for b in ts
+        if subtype(Sharp(a), Sharp(b)) != _wildcard_equal(core(a), core(b))
+    ]
+    assert mismatches == []
+
+
 # ---------------------------------------------------------------- flatness
 
 
