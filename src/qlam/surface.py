@@ -1,5 +1,5 @@
-"""Concrete syntax: a lexer and recursive descent parser for distributions
-and types.
+"""Concrete syntax: a lexer, a parser for distributions and types, and the
+printer's entry point.
 
 Distributions are sums of optionally scaled summands: `1/sqrt2 * inl * +
 1/sqrt2 * inr *`.  Scalars must be written without internal spaces (`0.5`,
@@ -15,6 +15,14 @@ comment.
 The lexer is one pass of a single regex; each token is a plain tuple
 `(kind, value, start, end)` of offsets.  Line and column are computed only
 when a `ParseError` or `HeadNotPure` error is raised.
+
+Terms are parsed by one loop over the tokens and an explicit stack, with no
+recursion, so nesting depth costs heap, not Python frames.  A frame is pushed
+only where a construct opens: a scaled or negated summand, a `+` sum, a `;`
+head, an application, `inl`/`inr`, a parenthesis or pair, and the binders
+`\\`, `let` and `match`.  Each construct is built when its last operand
+closes, by the same constructors and checks, in the same order, as a
+recursive descent would.  Types are short and are read by recursive descent.
 """
 
 from __future__ import annotations
@@ -24,13 +32,19 @@ import re
 from dataclasses import dataclass
 
 from .syntax import (
+    App,
     Distribution,
+    InlV,
+    InrV,
     Lam,
+    PairV,
+    PureTerm,
     Var,
     Void,
     _trusted,
     add,
     canonicalize,
+    is_value_distribution,
     mk_app,
     mk_inl,
     mk_inr,
@@ -40,7 +54,6 @@ from .syntax import (
     mk_seq,
     scale,
     show_dist,
-    singleton,
 )
 from .typecheck import ErrorKind, TypeCheckError
 from .types import Arrow, BOOL, Prod, Sharp, Sum, Type, UNIT
@@ -135,12 +148,38 @@ def _scalar(text: str, m: re.Match) -> complex | float:
     return num
 
 
-_ATOM_STARTS = frozenset({"*", "ident", "(", "inl", "inr"})
 _ONE = complex(1)
+_VOID = Void()
+
+# The tokens that may start what the parse loop reads next: an atom (after
+# `inl`/`inr`, and as an argument), a head term (after a scalar or `;`) or a
+# summand.
+_ATOM = frozenset({"*", "ident", "(", "inl", "inr"})
+_HEAD = _ATOM | {"\\", "let", "match"}
+_SUMMAND = _HEAD | {"-", "scalar"}
+# The frames on its stack, tuples whose first item is the kind:
+#   (_END,)                          the program, to be followed by the end
+#   (_SCALED, coefficient, tok)      a summand's `-` and scalar (tok)
+#   (_SUM, summands)                 a `+` sum, the summands read so far
+#   (_SEQ, head)                     a `;` head
+#   (_APP, operator, tok)            an application whose argument starts at tok
+#   (_INJ, tok)                      `inl` or `inr`
+#   (_PAREN, tok), (_PAIR, first, tok)                   `(` and `(first,`
+#   (_LAM, name, type)
+#   (_LET, tok, x, y), (_LET_BODY, tok, x, y, scrutinee)
+#   (_MATCH,), (_LEFT, scrutinee, x1), (_RIGHT, scrutinee, x1, branch1, x2)
+(_END, _SCALED, _SUM, _SEQ, _APP, _INJ, _PAREN, _PAIR, _LAM, _LET, _LET_BODY,
+ _MATCH, _LEFT, _RIGHT) = range(14)
 
 
 def _found(tok: _Token) -> str:
     return "end of input" if tok[0] == "eof" else repr(tok[1])
+
+
+def _dist(v: PureTerm | Distribution) -> Distribution:
+    """v as a distribution: the parse loop carries a single unscaled term as
+    the bare term."""
+    return v if v.__class__ is Distribution else _trusted(((_ONE, v),))
 
 
 class _Parser:
@@ -155,135 +194,17 @@ class _Parser:
     def at(self, kind: str) -> bool:
         return self.tokens[self.pos][0] == kind
 
+    def check(self, tok: _Token, kind: str, what: str) -> None:
+        """Raise unless tok is of this kind."""
+        if tok[0] != kind:
+            raise self.error(f"expected {what}, found {_found(tok)}", tok)
+
     def expect(self, kind: str, what: str) -> object:
         """The value of the next token, which must be of this kind."""
         tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            raise self.error(f"expected {what}, found {_found(tok)}", tok)
+        self.check(tok, kind, what)
         self.pos += 1
         return tok[1]
-
-    # -- distributions ------------------------------------------------------
-
-    def dist(self) -> Distribution:
-        parts = [self.summand()]
-        while self.at("+"):
-            self.pos += 1
-            parts.append(self.summand())
-        return parts[0] if len(parts) == 1 else add(*parts)
-
-    def summand(self) -> Distribution:
-        neg = self.at("-")
-        if neg:
-            self.pos += 1
-        coeff: complex | float = 1
-        scaled = self.at("scalar")
-        if scaled:
-            coeff = self.tokens[self.pos][1]  # type: ignore[assignment]
-            self.pos += 1
-            self.expect("*", "'*' after a scalar coefficient")
-        body = self.seq_term()
-        if neg:
-            coeff = -coeff
-        if scaled or neg:
-            return scale(coeff, body)
-        return body
-
-    def seq_term(self) -> Distribution:
-        first = self.head_term()
-        if self.at(";"):
-            self.pos += 1
-            return mk_seq(first, self.seq_term())
-        return first
-
-    def head_term(self) -> Distribution:
-        tok = self.tokens[self.pos]
-        kind = tok[0]
-        if kind == "\\":
-            self.pos += 1
-            name = self.expect("ident", "a parameter name")
-            self.expect(":", "':' and a parameter type")
-            ann = self.type_expr()
-            self.expect(".", "'.' after the parameter type")
-            return singleton(Lam(name, ann, self.dist()))
-        if kind == "let":
-            self.pos += 1
-            self.expect("(", "'(' after let")
-            x = self.expect("ident", "a name")
-            self.expect(",", "',' between the pair names")
-            y = self.expect("ident", "a name")
-            self.expect(")", "')' after the pair names")
-            self.expect("=", "'='")
-            scrut = self.dist()
-            self.expect("in", "'in'")
-            body = self.dist()
-            try:
-                return mk_let(x, y, scrut, body)
-            except ValueError as e:
-                raise self.error(str(e), tok) from None
-        if kind == "match":
-            self.pos += 1
-            scrut = self.dist()
-            self.expect("{", "'{' after the matched term")
-            self.expect("inl", "'inl'")
-            x1 = self.expect("ident", "a name")
-            self.expect("->", "'->'")
-            b1 = self.dist()
-            self.expect("|", "'|' between the branches")
-            self.expect("inr", "'inr'")
-            x2 = self.expect("ident", "a name")
-            self.expect("->", "'->'")
-            b2 = self.dist()
-            self.expect("}", "'}' after the branches")
-            return mk_match(scrut, x1, b1, x2, b2)
-        return self.app_term()
-
-    def app_term(self) -> Distribution:
-        cur = self.atom()
-        tokens = self.tokens
-        while tokens[self.pos][0] in _ATOM_STARTS:
-            tok = tokens[self.pos]
-            arg = self.atom()
-            summands = cur.summands
-            if len(summands) != 1 or summands[0][0] != 1:
-                raise TypeCheckError(
-                    ErrorKind.HEAD_NOT_PURE,
-                    "the operator of an application must be a single unscaled term",
-                    span=_span(self.text, tok[2], tok[3]),
-                )
-            cur = mk_app(summands[0][1], arg)
-        return cur
-
-    def atom(self) -> Distribution:
-        tok = self.tokens[self.pos]
-        kind = tok[0]
-        if kind == "*":
-            self.pos += 1
-            return _trusted(((_ONE, Void()),))
-        if kind == "ident":
-            self.pos += 1
-            return _trusted(((_ONE, Var(tok[1])),))
-        if kind == "inl" or kind == "inr":
-            self.pos += 1
-            arg = self.atom()
-            try:
-                return mk_inl(arg) if kind == "inl" else mk_inr(arg)
-            except ValueError:
-                raise self.error(f"{kind} applies to values only", tok) from None
-        if kind == "(":
-            self.pos += 1
-            first = self.dist()
-            if self.at(","):
-                self.pos += 1
-                second = self.dist()
-                self.expect(")", "')' after the pair")
-                try:
-                    return mk_pair(first, second)
-                except ValueError:
-                    raise self.error("pair components must be values", tok) from None
-            self.expect(")", "')'")
-            return first
-        raise self.error(f"expected a term, found {_found(tok)}", tok)
 
     # -- types --------------------------------------------------------------
 
@@ -334,10 +255,210 @@ class _Parser:
 
 
 def parse_program(text: str) -> Distribution:
+    """The distribution that text writes down.
+
+    One loop reads the tokens.  It descends to an atom, pushing a frame for
+    each construct that opens on the way, then pops the frames that the atom
+    completes, building each construct as it closes, until another operand
+    is to be read or the program ends.  A single unscaled term is carried as
+    the bare term and becomes a distribution only where one is stored."""
     p = _Parser(text)
-    d = p.dist()
-    p.expect("eof", "end of input")
-    return d
+    tokens = p.tokens
+    stack: list[tuple] = [(_END,)]
+    push, pop = stack.append, stack.pop
+    pos = 0
+    reading = _SUMMAND
+    while True:
+        # descend to an atom
+        while True:
+            tok = tokens[pos]
+            kind = tok[0]
+            pos += 1
+            if kind == "*":
+                v = _VOID
+                break
+            if kind == "ident":
+                v = Var(tok[1])
+                break
+            if kind not in reading:
+                raise p.error(f"expected a term, found {_found(tok)}", tok)
+            if kind == "(":
+                push((_PAREN, tok))
+                reading = _SUMMAND
+            elif kind == "inl" or kind == "inr":
+                push((_INJ, tok))
+                reading = _ATOM
+            elif kind == "-" or kind == "scalar":
+                if kind == "-" and tokens[pos][0] == "scalar":
+                    tok = tokens[pos]
+                    pos += 1
+                coeff = tok[1] if tok[0] == "scalar" else 1
+                if tok[0] == "scalar":
+                    p.check(tokens[pos], "*", "'*' after a scalar coefficient")
+                    pos += 1
+                push((_SCALED, -coeff if kind == "-" else coeff, tok))
+                reading = _HEAD
+            else:
+                p.pos = pos
+                if kind == "\\":
+                    name = p.expect("ident", "a parameter name")
+                    p.expect(":", "':' and a parameter type")
+                    ann = p.type_expr()
+                    p.expect(".", "'.' after the parameter type")
+                    push((_LAM, name, ann))
+                elif kind == "let":
+                    p.expect("(", "'(' after let")
+                    x = p.expect("ident", "a name")
+                    p.expect(",", "',' between the pair names")
+                    y = p.expect("ident", "a name")
+                    p.expect(")", "')' after the pair names")
+                    p.expect("=", "'='")
+                    push((_LET, tok, x, y))
+                else:
+                    push((_MATCH,))
+                pos = p.pos
+                reading = _SUMMAND
+
+        # v is an atom: pop what it completes until an operand is to be read
+        atom = True
+        while True:
+            tok = tokens[pos]
+            kind = tok[0]
+            if atom:
+                top = stack[-1]
+                while top[0] == _INJ:
+                    pop()
+                    v = _inject(p, top[1], v)
+                    top = stack[-1]
+                if top[0] == _APP:
+                    v = _apply(p, top[1], v, top[2])
+                    pop()
+                if kind in _ATOM:
+                    push((_APP, v, tok))
+                    reading = _ATOM
+                    break
+            # v is a head term
+            if kind == ";":
+                push((_SEQ, v))
+                pos += 1
+                reading = _HEAD
+                break
+            top = stack[-1]
+            while top[0] == _SEQ:
+                pop()
+                v = mk_seq(_dist(top[1]), _dist(v))
+                top = stack[-1]
+            if top[0] == _SCALED:
+                pop()
+                try:
+                    v = scale(top[1], _dist(v))
+                except ValueError as e:
+                    raise p.error(str(e), top[2]) from None
+                top = stack[-1]
+            if kind == "+":
+                if top[0] == _SUM:
+                    top[1].append(v)
+                else:
+                    push((_SUM, [v]))
+                pos += 1
+                reading = _SUMMAND
+                break
+            if top[0] == _SUM:
+                pop()
+                top[1].append(v)
+                v = add(*map(_dist, top[1]))
+                top = stack[-1]
+            # v is a distribution: close the construct it ends
+            frame = top[0]
+            if frame == _END:
+                p.check(tok, "eof", "end of input")
+                return _dist(v)
+            if frame == _PAREN and kind == ",":
+                stack[-1] = (_PAIR, v, top[1])
+                pos += 1
+                reading = _SUMMAND
+                break
+            if frame == _PAREN or frame == _PAIR:
+                p.check(tok, ")", "')'" if frame == _PAREN else "')' after the pair")
+                pos += 1
+                pop()
+                if frame == _PAIR:
+                    v = _pair(p, top[1], v, top[2])
+                atom = True
+                continue
+            atom = False
+            if frame == _LAM:
+                pop()
+                v = Lam(top[1], top[2], _dist(v))
+            elif frame == _LET_BODY:
+                pop()
+                try:
+                    v = mk_let(top[2], top[3], _dist(top[4]), _dist(v))
+                except ValueError as e:
+                    raise p.error(str(e), top[1]) from None
+            elif frame == _RIGHT:
+                p.check(tok, "}", "'}' after the branches")
+                pos += 1
+                pop()
+                v = mk_match(_dist(top[1]), top[2], top[3], top[4], _dist(v))
+            else:
+                # the scrutinee of a let or match, or a match's left branch
+                p.pos = pos
+                if frame == _LET:
+                    p.expect("in", "'in'")
+                    stack[-1] = (_LET_BODY, *top[1:], v)
+                elif frame == _MATCH:
+                    p.expect("{", "'{' after the matched term")
+                    p.expect("inl", "'inl'")
+                    stack[-1] = (_LEFT, v, p.expect("ident", "a name"))
+                    p.expect("->", "'->'")
+                else:
+                    p.expect("|", "'|' between the branches")
+                    p.expect("inr", "'inr'")
+                    stack[-1] = (_RIGHT, top[1], top[2], _dist(v), p.expect("ident", "a name"))
+                    p.expect("->", "'->'")
+                pos = p.pos
+                reading = _SUMMAND
+                break
+
+
+def _inject(p: _Parser, tok: _Token, v: PureTerm | Distribution) -> PureTerm | Distribution:
+    """inl or inr (tok) of v, which must be a value distribution."""
+    try:
+        if v.__class__ is Distribution:
+            return mk_inl(v) if tok[0] == "inl" else mk_inr(v)
+        return InlV(v) if tok[0] == "inl" else InrV(v)
+    except ValueError:
+        raise p.error(f"{tok[0]} applies to values only", tok) from None
+
+
+def _pair(p: _Parser, first: PureTerm | Distribution, second: PureTerm | Distribution,
+          tok: _Token) -> PureTerm | Distribution:
+    """The pair opened at tok; its components must be value distributions."""
+    try:
+        if first.__class__ is Distribution or second.__class__ is Distribution:
+            return mk_pair(_dist(first), _dist(second))
+        return PairV(first, second)
+    except ValueError as e:
+        if is_value_distribution(_dist(first)) and is_value_distribution(_dist(second)):
+            raise p.error(str(e), tok) from None  # the coefficients' product overflowed
+        raise p.error("pair components must be values", tok) from None
+
+
+def _apply(p: _Parser, op: PureTerm | Distribution, arg: PureTerm | Distribution,
+           tok: _Token) -> PureTerm | Distribution:
+    """op applied to arg, whose first token is tok; op must be a single
+    unscaled term."""
+    if op.__class__ is Distribution:
+        summands = op.summands
+        if len(summands) != 1 or summands[0][0] != 1:
+            raise TypeCheckError(
+                ErrorKind.HEAD_NOT_PURE,
+                "the operator of an application must be a single unscaled term",
+                span=_span(p.text, tok[2], tok[3]),
+            )
+        op = summands[0][1]
+    return App(op, arg) if arg.__class__ is not Distribution else mk_app(op, arg)
 
 
 def parse_type(text: str) -> Type:

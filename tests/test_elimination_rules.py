@@ -194,12 +194,17 @@ def _inl_chain(depth: int) -> str:
     return "inl " * depth + "*"
 
 
+def _pair_chain(depth: int) -> str:
+    return "(*, " * depth + "*" + ")" * depth
+
+
 @pytest.mark.parametrize("build, depth", [
     (_seq_chain, 400),
     (_let_chain, 110),
     (_match_chain, 150),
-    (_app_chain, 130),
+    (_app_chain, 400),
     (_inl_chain, 900),
+    (_pair_chain, 900),
 ])
 def test_deep_text_programs_check(build, depth):
     ty, _ = check_program(parse_program(build(depth)))

@@ -1,0 +1,287 @@
+"""The parse loop against the recursive descent it replaced, and inputs too
+deep for recursion.
+
+`reference_parse` is the recursive-descent parser for terms that the one
+loop in `surface.parse_program` replaced, with non-finite coefficients
+reported as parse errors at their place.  It reads the same `_lex` tokens
+and types through the same `type_expr`.  The equivalence tests hold the loop
+to it: the same `repr`, or the same error type, text and span, on generator
+programs with blanks and comments, on damaged text and on compiled gates.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+import qlam.surface as surface
+from qlam.quantum import GateMatrix, compile_gate, compile_isometry, gate_library
+from qlam.surface import ParseError, parse_program, pretty_print
+from qlam.syntax import (
+    App,
+    Distribution,
+    InlV,
+    Lam,
+    LetPair,
+    Match,
+    PairV,
+    Seq,
+    Var,
+    Void,
+    _trusted,
+    add,
+    is_value_distribution,
+    mk_app,
+    mk_inl,
+    mk_inr,
+    mk_let,
+    mk_match,
+    mk_pair,
+    mk_seq,
+    scale,
+    singleton,
+)
+from qlam.typecheck import ErrorKind, TypeCheckError
+from test_lexer import _damaged_texts, _spaced_texts, _unitary
+
+# ---------------------------------------------------------------- reference
+
+_ONE = complex(1)
+_ATOM_STARTS = frozenset({"*", "ident", "(", "inl", "inr"})
+
+
+class _ReferenceParser(surface._Parser):
+    """Terms by recursive descent, about six Python frames per parenthesis."""
+
+    def dist(self) -> Distribution:
+        parts = [self.summand()]
+        while self.at("+"):
+            self.pos += 1
+            parts.append(self.summand())
+        return parts[0] if len(parts) == 1 else add(*parts)
+
+    def summand(self) -> Distribution:
+        neg = self.at("-")
+        if neg:
+            self.pos += 1
+        coeff: complex | float = 1
+        tok = self.tokens[self.pos]
+        scaled = self.at("scalar")
+        if scaled:
+            coeff = tok[1]  # type: ignore[assignment]
+            self.pos += 1
+            self.expect("*", "'*' after a scalar coefficient")
+        body = self.seq_term()
+        if neg:
+            coeff = -coeff
+        if scaled or neg:
+            try:
+                return scale(coeff, body)
+            except ValueError as e:
+                raise self.error(str(e), tok) from None
+        return body
+
+    def seq_term(self) -> Distribution:
+        first = self.head_term()
+        if self.at(";"):
+            self.pos += 1
+            return mk_seq(first, self.seq_term())
+        return first
+
+    def head_term(self) -> Distribution:
+        tok = self.tokens[self.pos]
+        kind = tok[0]
+        if kind == "\\":
+            self.pos += 1
+            name = self.expect("ident", "a parameter name")
+            self.expect(":", "':' and a parameter type")
+            ann = self.type_expr()
+            self.expect(".", "'.' after the parameter type")
+            return singleton(Lam(name, ann, self.dist()))
+        if kind == "let":
+            self.pos += 1
+            self.expect("(", "'(' after let")
+            x = self.expect("ident", "a name")
+            self.expect(",", "',' between the pair names")
+            y = self.expect("ident", "a name")
+            self.expect(")", "')' after the pair names")
+            self.expect("=", "'='")
+            scrut = self.dist()
+            self.expect("in", "'in'")
+            body = self.dist()
+            try:
+                return mk_let(x, y, scrut, body)
+            except ValueError as e:
+                raise self.error(str(e), tok) from None
+        if kind == "match":
+            self.pos += 1
+            scrut = self.dist()
+            self.expect("{", "'{' after the matched term")
+            self.expect("inl", "'inl'")
+            x1 = self.expect("ident", "a name")
+            self.expect("->", "'->'")
+            b1 = self.dist()
+            self.expect("|", "'|' between the branches")
+            self.expect("inr", "'inr'")
+            x2 = self.expect("ident", "a name")
+            self.expect("->", "'->'")
+            b2 = self.dist()
+            self.expect("}", "'}' after the branches")
+            return mk_match(scrut, x1, b1, x2, b2)
+        return self.app_term()
+
+    def app_term(self) -> Distribution:
+        cur = self.atom()
+        tokens = self.tokens
+        while tokens[self.pos][0] in _ATOM_STARTS:
+            tok = tokens[self.pos]
+            arg = self.atom()
+            summands = cur.summands
+            if len(summands) != 1 or summands[0][0] != 1:
+                raise TypeCheckError(
+                    ErrorKind.HEAD_NOT_PURE,
+                    "the operator of an application must be a single unscaled term",
+                    span=surface._span(self.text, tok[2], tok[3]),
+                )
+            cur = mk_app(summands[0][1], arg)
+        return cur
+
+    def atom(self) -> Distribution:
+        tok = self.tokens[self.pos]
+        kind = tok[0]
+        if kind == "*":
+            self.pos += 1
+            return _trusted(((_ONE, Void()),))
+        if kind == "ident":
+            self.pos += 1
+            return _trusted(((_ONE, Var(tok[1])),))
+        if kind == "inl" or kind == "inr":
+            self.pos += 1
+            arg = self.atom()
+            try:
+                return mk_inl(arg) if kind == "inl" else mk_inr(arg)
+            except ValueError:
+                raise self.error(f"{kind} applies to values only", tok) from None
+        if kind == "(":
+            self.pos += 1
+            first = self.dist()
+            if self.at(","):
+                self.pos += 1
+                second = self.dist()
+                self.expect(")", "')' after the pair")
+                try:
+                    return mk_pair(first, second)
+                except ValueError as e:
+                    if is_value_distribution(first) and is_value_distribution(second):
+                        raise self.error(str(e), tok) from None
+                    raise self.error("pair components must be values", tok) from None
+            self.expect(")", "')'")
+            return first
+        raise self.error(f"expected a term, found {surface._found(tok)}", tok)
+
+
+def reference_parse(text: str) -> Distribution:
+    p = _ReferenceParser(text)
+    d = p.dist()
+    p.expect("eof", "end of input")
+    return d
+
+
+def _parsed(parse, text: str):
+    """The result's repr, or the error's type, text and span."""
+    try:
+        d = parse(text)
+    except (ValueError, TypeCheckError) as e:  # a ParseError is a ValueError
+        s = getattr(e, "span", None)
+        return type(e).__name__, str(e), s and (s.start, s.end, s.line, s.column)
+    return repr(d)
+
+
+# ------------------------------------------------------------- equivalence
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spaced_texts())
+def test_parse_matches_the_reference_with_blanks_and_comments(texts):
+    _, spaced = texts
+    assert _parsed(parse_program, spaced) == _parsed(reference_parse, spaced)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_damaged_texts())
+def test_parse_or_error_matches_the_reference_on_damaged_text(text):
+    assert _parsed(parse_program, text) == _parsed(reference_parse, text)
+
+
+def test_parse_matches_the_reference_on_compiled_gates():
+    rng = np.random.default_rng(13)
+    lams = [compile_isometry(GateMatrix(_unitary(rng, n))) for n in (1, 2, 3)]
+    lams.append(compile_gate(gate_library["CNOT"], [0, 2], 3))
+    for lam in lams:
+        text = pretty_print(singleton(lam))
+        assert _parsed(parse_program, text) == _parsed(reference_parse, text)
+
+
+@pytest.mark.parametrize("text", [
+    "(0.5 * f + 0.5 * g) x",
+    "(2 * f) x",
+    "f (0.5 * x + 0.5 * y) (inl *)",
+    "1e200 * (1e200 * *)",
+    "(1e200 * *, 1e200 * *)",
+    "inl (1e308 * * + 1e308 * *)",
+    "f (1e308 * * + 1e308 * *)",
+    "let (a, a) = (*, *) in x",
+    "let (a, a) = (0.5 * * + 0.5 * *, *) in (y z",
+    "match 0.5 * inl * + 0.5 * inr * { inl a -> a | inr b -> b } ; *",
+    "match x { inl a -> a | inr b -> b } y",
+    "- - x",
+    "0.5 * 0.5 * x",
+    "x ; 0.5 * y",
+    "\\x:U. x ; y + z",
+    "- \\x:U. x",
+    "inl \\x:U. x",
+    "(x, y, z)",
+    "(f x, *)",
+    "(0.5 * *, 2 * *) ; (inl *)",
+])
+def test_parse_matches_the_reference_on_chosen_text(text):
+    assert _parsed(parse_program, text) == _parsed(reference_parse, text)
+
+
+# ------------------------------------------------------------------- depth
+
+_DEEP = 10_000
+
+
+@pytest.mark.parametrize("prefix, middle, suffix, outer", [
+    ("inl ", "*", "", InlV),
+    ("(*, ", "*", ")", PairV),
+    ("(", "*", ")", Void),
+    ("* ; ", "*", "", Seq),
+    ("\\x:U. ", "x", "", Lam),
+    ("let (a, b) = (*, *) in ", "*", "", LetPair),
+    ("match inl * { inl a -> ", "a", " | inr b -> b }", Match),
+    ("(\\x:U. x) (", "*", ")", App),
+    ("* ; (* + ", "*", ")", Seq),
+    ("0.5 * (", "*", ")", Void),
+], ids=["inl", "pair", "paren", "seq", "lambda", "let", "match", "app", "sum", "scaled"])
+def test_deep_nests_parse_without_recursion(prefix, middle, suffix, outer):
+    d = parse_program(prefix * _DEEP + middle + suffix * _DEEP)
+    assert isinstance(d, Distribution)
+    assert isinstance(d.summands[0][1], outer)
+
+
+def test_a_deep_argument_keeps_head_not_pure_at_its_place():
+    text = "(0.5 * f + 0.5 * g) " + "inl " * _DEEP + "*"
+    with pytest.raises(TypeCheckError) as e:
+        parse_program(text)
+    assert e.value.kind is ErrorKind.HEAD_NOT_PURE
+    assert e.value.span.start == text.index("inl")
+
+
+def test_a_deep_error_has_its_span():
+    text = "(" * _DEEP + "* }"
+    with pytest.raises(ParseError) as e:
+        parse_program(text)
+    assert e.value.span.start == text.index("}")

@@ -189,6 +189,26 @@ def test_sum_operator_rejected_as_operator():
         parse_program("(2 * f) x")
 
 
+def _non_finite_at(text: str) -> tuple[str, int, int]:
+    """The message and span of the parse error on text."""
+    with pytest.raises(ParseError) as e:
+        parse_program(text)
+    return e.value.message, e.value.span.start, e.value.span.end
+
+
+def test_overflowing_product_of_pair_coefficients_is_a_parse_error_at_the_pair():
+    # the components are values: it is their coefficients' product that overflows
+    assert _non_finite_at("(1e200 * *, 1e200 * *)") == ("non-finite coefficient (inf+0j)", 0, 1)
+
+
+def test_overflowing_scaled_summand_is_a_parse_error_at_its_scalar():
+    assert _non_finite_at("1e200 * (1e200 * *)") == ("non-finite coefficient (inf+0j)", 0, 5)
+
+
+def test_infinite_scalar_is_a_parse_error_at_its_place():
+    assert _non_finite_at("1e400 * *") == ("non-finite coefficient (inf+nanj)", 0, 5)
+
+
 # -------------------------------------------------------------------- types
 
 
