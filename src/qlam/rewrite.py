@@ -8,30 +8,49 @@ position first, and redexes fire only on values.  A summand's reduct is a
 distribution.  A contraction at the top of the term (beta, sequencing on the
 unit value, a pair destructured, a case taken) gives the substituted body as
 it stands.  A redex inside an evaluation context gives a reduct rebuilt
-through the `mk_*` constructors, which canonicalize that one reduct.
+through the `mk_*` constructors, which canonicalize that one reduct; an
+operator position takes only a single unscaled term.  The reduct is spliced
+in place of its summand with the coefficient multiplied through.  The splice
+merges nothing across summands; its readers canonicalize once, at the end,
+so traces show the raw arithmetic between summands, including interference
+terms that later merge away.
 
-The small-step generator `_reductions` is the definition.  It keeps the
-summands in a single list, splices each reduct in place of its summand with
-the coefficient multiplied through, and counts steps against the limit.  The
-splice merges nothing across summands; its readers canonicalize once, at the
-end, so traces show the raw arithmetic between summands, including
-interference terms that later merge away.  `step`, `trace_normalize` and
-`normalize` under an `rng` read it.
+One machine, `_run`, evaluates for every reader (an environment machine in
+the style of Landin's SECD and the CEK machine).  It holds each unfinished
+summand as a term and an explicit continuation of frames, and finds the next
+redex by pushing frames, so no evaluation recurses.  It runs in one of two
+modes.
 
-`normalize` under the leftmost strategy evaluates in environments instead
-(`_evaluate`, an environment machine in the style of Landin's SECD and the
-CEK machine).  Every contraction binds a value, so the substitution can wait:
-a name is bound to a value in an environment, a lambda becomes a closure of
-the lambda and its environment, and a closure is read back into a term, with
-one substitution, only where a term must be seen: in the normal form, and in
-a reduct of several summands inside an evaluation context, which is
-canonicalized there as the `mk_*` constructors do.  The machine takes the
-same contractions in the same order, multiplies the same coefficients in the
-same order and counts the same steps, so the normal form is the same, down
-to the coefficient bits.  Where the small-step loop would raise, or where a
-read-back would substitute an open value (the small-step loop may rename a
-binder there), the machine gives up and `normalize` runs `_reductions` from
-the start, which raises or answers as it always has.
+- Stepping mode serves `step`, `trace_normalize` and `normalize` under an
+  rng.  It contracts a redex by substitution (`substitute_dist`,
+  `substitute_many_dist`), plugs the reduct back out through the frames with
+  the `mk_*` constructors and splices the result into the summand list: the
+  small-step relation, decomposed by the machine instead of by recursion
+  (refocusing: Danvy and Nielsen, *Refocusing in reduction semantics*, BRICS
+  RS-04-26, 2004).
+- Environment mode serves `normalize` under the leftmost strategy.  Every
+  contraction binds a value, so the substitution can wait: a name is bound
+  to a value in an environment, a lambda becomes a closure of the lambda and
+  its environment, and the reduct stays under the continuation.  A closure
+  is read back into a term, with one substitution, only where a term must be
+  seen: in the normal form, in a reduct of several summands inside an
+  evaluation context (canonicalized there as the `mk_*` constructors do),
+  and in the stuck term of an error.  While every value bound is closed, a
+  read-back never renames a binder, and the machine takes the same
+  contractions in the same order, multiplies the same coefficients in the
+  same order and counts the same steps as stepping mode, so the normal form
+  is the same, down to the coefficient bits.  In a closed input every value
+  bound is closed.  A value with a name free in the input could be read back
+  under a binder of that name, which one substitution renames otherwise than
+  several do; so before binding one, the machine reads back the terms its
+  summands stand for and goes on in stepping mode.
+
+Both modes fail at the step that the small-step relation fails at, and
+within a step in its order: StuckError where the redex position holds no
+redex or an operator reduces to more than one unscaled term, the ValueError
+of a merge that overflows where a context canonicalizes the reduct,
+StepLimitExceeded for the step past the limit, then the ValueError of a
+spliced coefficient that overflows.
 """
 
 from __future__ import annotations
@@ -39,7 +58,7 @@ from __future__ import annotations
 import cmath
 import random
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .syntax import (
     _VOID,
@@ -54,9 +73,9 @@ from .syntax import (
     PureTerm,
     Seq,
     Var,
-    Void,
     _subst,
     _subst_dist,
+    _trusted,
     canonicalize,
     free_vars,
     free_vars_dist,
@@ -106,64 +125,15 @@ class Stuck:
 StepResult = Stepped | NormalForm | Stuck
 
 
-def reduce_term(t: PureTerm) -> Distribution | None:
-    """One reduction of a single pure term, None when t is a value.
-
-    Raises StuckError when the fixed strategy reaches a non-redex.
-    """
-    match t:
-        case App(f, a):
-            ra = reduce_term(a)
-            if ra is not None:
-                return mk_app(f, ra)
-            rf = reduce_term(f)
-            if rf is not None:
-                return mk_app(_as_operator(t, rf), singleton(a))
-            if isinstance(f, Lam):
-                return substitute_dist(f.body, f.name, a)
-            raise StuckError(t, f"{show_term(f, 3)} applied to {show_term(a, 3)}")
-        case Seq(h, tail):
-            if isinstance(h, Void):
-                return tail
-            rh = reduce_term(h)
-            if rh is not None:
-                return mk_seq(rh, tail)
-            raise StuckError(t, "sequencing head is not the unit value")
-        case LetPair(x, y, s, body):
-            if isinstance(s, PairV):
-                return substitute_many_dist(body, {x: s.first, y: s.second})
-            rs = reduce_term(s)
-            if rs is not None:
-                return mk_let(x, y, rs, body)
-            raise StuckError(t, "destructured term is not a pair value")
-        case Match(s, x1, b1, x2, b2):
-            if isinstance(s, InlV):
-                return substitute_dist(b1, x1, s.value)
-            if isinstance(s, InrV):
-                return substitute_dist(b2, x2, s.value)
-            rs = reduce_term(s)
-            if rs is not None:
-                return mk_match(rs, x1, b1, x2, b2)
-            raise StuckError(t, "matched term is not an injection value")
-        case _:
-            return None
-
-
-def _as_operator(at: PureTerm, d: Distribution) -> PureTerm:
-    # an operator that reduces must stay a single unscaled term
-    if len(d.summands) == 1 and d.summands[0][0] == 1:
-        return d.summands[0][1]
-    raise StuckError(at, "operator reduced to a proper distribution")
-
-
 def step(d: Distribution, rng: random.Random | None = None) -> StepResult:
     """The one-step relation: reduce one summand, the leftmost reducible one
     by default, any reducible one under rng."""
+    cells = _cells(d)
     try:
-        summands = next(_reductions(d, 1, rng), None)
+        stepped = next(_run(cells, 1, rng, True), False)
     except StuckError as e:
         return Stuck(e.term, e.reason)
-    return NormalForm() if summands is None else Stepped(Distribution(tuple(summands)))
+    return Stepped(Distribution(tuple(_summands(cells)))) if stepped else NormalForm()
 
 
 def normalize(
@@ -173,17 +143,10 @@ def normalize(
 ) -> Distribution:
     """Iterate step to a normal form, canonicalized.  Raises StuckError on a
     stuck summand and StepLimitExceeded past max_steps."""
-    if rng is None:
-        try:
-            summands = _evaluate(d, max_steps)
-        except _GiveUp:
-            pass
-        else:
-            return canonicalize(Distribution(tuple(summands)))
-    summands = d.summands
-    for summands in _reductions(d, max_steps, rng):
+    cells = _cells(d)
+    for _ in _run(cells, max_steps, rng, rng is not None):
         pass
-    return canonicalize(Distribution(tuple(summands)))
+    return canonicalize(Distribution(tuple(_summands(cells))))
 
 
 def trace_normalize(
@@ -196,67 +159,55 @@ def trace_normalize(
     step, and the final element is canonicalized in place (it equals what
     normalize returns).  Length is at most max_steps + 1.
     """
+    cells = _cells(d)
     trace = [d]
-    for summands in _reductions(d, max_steps, None):
-        trace.append(Distribution(tuple(summands)))
+    for _ in _run(cells, max_steps, None, True):
+        # every coefficient is a finite complex product, checked at its splice
+        trace.append(_trusted(tuple(_summands(cells))))
     trace[-1] = canonicalize(trace[-1])
     return trace
 
 
-def _reductions(
-    d: Distribution, max_steps: int, rng: random.Random | None
-) -> Iterator[list[tuple[complex, PureTerm]]]:
-    """Step until no summand is reducible, yielding the one summand list
-    after every step.  Summands left of the cursor are values.  The step past
-    max_steps is taken before the limit raises, so if it is stuck, StuckError
-    wins.  A spliced coefficient that overflows raises the ValueError a
-    `Distribution` would, at the step that makes it, whether or not the
-    caller builds a distribution from every step."""
-    summands = list(d.summands)
-    i = 0
-    steps = 0
-    while True:
-        if rng is None:
-            while i < len(summands) and is_value(summands[i][1]):
-                i += 1
-            if i == len(summands):
-                return
-        else:
-            candidates = [j for j, (_, t) in enumerate(summands) if not is_value(t)]
-            if not candidates:
-                return
-            i = rng.choice(candidates)
-        a, t = summands[i]
-        r = reduce_term(t)
-        steps += 1
-        if steps > max_steps:
-            raise StepLimitExceeded(max_steps)
-        spliced = [(a * b, u) for b, u in r.summands]
-        for c, _ in spliced:
-            if not cmath.isfinite(c):
-                raise ValueError(f"non-finite coefficient {c!r}")
-        summands[i:i + 1] = spliced
-        yield summands
-
-
 # ---------------------------------------------------------------------------
-# the environment machine behind `normalize`
+# the machine
 #
 # A machine value is a pair (value term, environment).  The environment maps
-# names to machine values; it is empty for a ground value and for a term that
-# was read back.  A continuation is `_TOP` (the top of the summand) or a frame
-# (tag, node, data, parent, in_operator): data is the environment of node, or
-# the argument's value in an operator frame, and in_operator says whether an
+# names to machine values; it is empty for a ground value, for a term that
+# was read back, and throughout stepping mode.  A continuation is `_TOP` (the
+# top of the summand) or a frame (tag, node, data, parent, in_operator): data
+# is the environment of node, or in an operator frame the pair (the
+# argument's value, the environment of node); in_operator says whether an
 # operator frame is on the chain, where a reduct must be one unscaled term.
-
-class _GiveUp(Exception):
-    """The machine met a case it leaves to `_reductions`."""
-
+#
+# A summand is a cell [coefficient, term, environment, continuation].  A
+# finished cell holds a machine value; a cell that a step splits into
+# several summands becomes [None, its parts' cells, None, None].
 
 _NO_ENV: dict = {}
 _ONE = complex(1)
 _ARG, _OP, _SEQ, _LET, _MATCH = range(5)
 _TOP = (None, None, None, None, False)
+# why a value in each redex position is stuck; an operator's reason names it
+_STUCK = (None, None, "sequencing head is not the unit value",
+          "destructured term is not a pair value", "matched term is not an injection value")
+
+
+def _cells(d: Distribution) -> list[list]:
+    return [[c, t, _NO_ENV, _TOP] for c, t in d.summands]
+
+
+def _summands(cells: list[list]) -> list[tuple[complex, PureTerm]]:
+    """The summands of cells in list order, values bound in an environment
+    read back."""
+    out = []
+    todo = cells[::-1]
+    while todo:
+        c, t, env, _ = todo.pop()
+        if c is None:
+            todo.extend(reversed(t))
+        else:
+            out.append((c, _read_back(t, env) if env and t._term_key is None else t))
+    return out
 
 
 def _value(t: PureTerm, env: dict) -> tuple:
@@ -268,17 +219,20 @@ def _value(t: PureTerm, env: dict) -> tuple:
     return (t, env)
 
 
-def _evaluate(d: Distribution, max_steps: int) -> list[tuple[complex, PureTerm]]:
-    """The summands `_reductions` ends with, under the leftmost strategy.
-    Each summand is evaluated left to right with an explicit continuation, so
-    summands come out in the order the splices leave them.  Raises _GiveUp
-    where `_reductions` would raise, and where a read-back would substitute
-    an open value."""
-    out = []
+def _run(cells: list[list], max_steps: int, rng: random.Random | None,
+         stepping: bool) -> Iterator[bool]:
+    """Evaluate the summands of cells in place, in stepping mode when
+    stepping (or from the first open value on), yielding after every step in
+    stepping mode.  `work` holds the unfinished cells from the rightmost to
+    the leftmost, so the leftmost is popped from the end; under rng the one
+    popped is drawn as `rng.choice` draws from the list of reducible
+    summands."""
+    work = [cell for cell in reversed(cells) if not is_value(cell[1])]
     steps = 0
-    work = [(a, t, _NO_ENV, _TOP) for a, t in reversed(d.summands)]
     while work:
-        c, t, env, k = work.pop()
+        j = len(work) - 1 - (0 if rng is None else rng.choice(range(len(work))))
+        cell = work.pop(j)
+        c, t, env, k = cell
         while True:
             cls = type(t)
             if cls is App:
@@ -299,75 +253,131 @@ def _evaluate(d: Distribution, max_steps: int) -> list[tuple[complex, PureTerm]]
                 continue
             v = _value(t, env)
             if k is _TOP:
-                out.append((c, v))
+                cell[:3] = c, *v
                 break
-            tag, node, env, k, _ = k
+            frame = k
+            tag, node, env, k, _ = frame
             if tag == _ARG:
                 # the argument is a value: evaluate the operator
-                k = (_OP, node, v, k, True)
+                k = (_OP, node, (v, env), k, True)
                 t = node.fun
                 continue
+            # a value in a redex position: contract, binding names to v or to
+            # the parts of v
             w, wenv = v
-            if tag == _OP:
-                if type(w) is not Lam:
-                    raise _GiveUp
+            if tag == _OP and type(w) is Lam:
+                v = env[0]
                 body = w.body
-                env = {**wenv, w.name: env}
-            elif tag == _SEQ:
-                if w is not _VOID:
-                    raise _GiveUp
+                env = {**wenv, w.name: v}
+            elif tag == _SEQ and w is _VOID:
                 body = node.tail
-            elif tag == _LET:
-                if type(w) is not PairV:
-                    raise _GiveUp
+            elif tag == _LET and type(w) is PairV:
                 body = node.body
                 env = {**env, node.left: _value(w.first, wenv),
                        node.right: _value(w.second, wenv)}
-            elif type(w) is InlV:
+            elif tag == _MATCH and type(w) is InlV:
                 body = node.left_body
                 env = {**env, node.left_name: _value(w.value, wenv)}
-            elif type(w) is InrV:
+            elif tag == _MATCH and type(w) is InrV:
                 body = node.right_body
                 env = {**env, node.right_name: _value(w.value, wenv)}
             else:
-                raise _GiveUp
-            # a contraction: splice its reduct as `_reductions` does
-            steps += 1
-            if steps > max_steps:
-                raise _GiveUp
+                stuck = _term(w, wenv, frame, k)
+                raise StuckError(stuck, _STUCK[tag] or f"{show_term(stuck.fun, 3)} applied "
+                                                       f"to {show_term(stuck.arg, 3)}")
+            if not stepping and v[0]._term_key is None and not free_vars(v[0]) <= v[1].keys():
+                # v has a name free in the input, and a read-back of it may
+                # rename a binder otherwise than substituting step by step
+                # does: from this redex on, step by substitution
+                stepping = True
+                for p in work:
+                    p[1:] = _term(*p[1:]), _NO_ENV, _TOP
+                t, env, k = _term(w, wenv, frame), _NO_ENV, _TOP
+                continue
+            if stepping:
+                # substitute the values bound, then plug the reduct back out
+                if len(env) == 2:
+                    body = substitute_many_dist(body, {x: u for x, (u, _) in env.items()})
+                elif env:
+                    (x, (u, _)), = env.items()
+                    body = substitute_dist(body, x, u)
+                env = _NO_ENV
+                while k is not _TOP:
+                    tag, node, _, parent, _ = k
+                    if tag == _ARG:
+                        body = mk_app(node.fun, body)
+                    elif tag == _OP:
+                        if len(body.summands) > 1 or body.summands[0][0] != 1:
+                            break  # stuck: raised below, as in environment mode
+                        body = mk_app(body.summands[0][1], singleton(node.arg))
+                    elif tag == _SEQ:
+                        body = mk_seq(body, node.tail)
+                    elif tag == _LET:
+                        body = mk_let(node.left, node.right, body, node.body)
+                    else:
+                        body = mk_match(body, node.left_name, node.left_body,
+                                        node.right_name, node.right_body)
+                    k = parent
             summands = body.summands
             if k is not _TOP:
                 if len(summands) > 1 and k[0] != _OP:
                     # the context canonicalizes the reduct, as `mk_*` does;
                     # an operator position takes it as it stands
-                    try:
-                        summands = canonicalize(_read_back(body, env)).summands
-                    except ValueError:
-                        raise _GiveUp from None
+                    summands = canonicalize(_read_back(body, env)).summands
                     env = _NO_ENV
                 if k[4]:
                     if len(summands) > 1 or summands[0][0] != 1:
-                        raise _GiveUp
+                        op = k
+                        while op[0] != _OP:
+                            op = op[3]
+                        raise StuckError(_term(w, wenv, frame, op[3]),
+                                         "operator reduced to a proper distribution")
                     summands = ((_ONE, summands[0][1]),)
-            if len(summands) == 1:
-                b, t = summands[0]
-                c = c * b
+            steps += 1
+            if steps > max_steps:
+                raise StepLimitExceeded(max_steps)
+            if len(summands) == 1 and not stepping:
+                c *= summands[0][0]
                 if not cmath.isfinite(c):
-                    raise _GiveUp
+                    raise ValueError(f"non-finite coefficient {c!r}")
+                t = summands[0][1]
                 continue
-            spliced = [(c * b, u, env, k) for b, u in summands]
-            if not all(cmath.isfinite(s[0]) for s in spliced):
-                raise _GiveUp
-            work.extend(reversed(spliced))
+            parts = [[c * b, u, env, k] for b, u in summands]
+            for part in parts:
+                if not cmath.isfinite(part[0]):
+                    raise ValueError(f"non-finite coefficient {part[0]!r}")
+            if len(parts) == 1:
+                cell[:] = parts[0]
+                parts = [cell]
+            else:
+                cell[:] = None, parts, None, None
+            work[j:j] = [p for p in reversed(parts) if p[3] is not _TOP or not is_value(p[1])]
             break
-    return [(c, _read_back(t, env) if env else t) for c, (t, env) in out]
+        if stepping:
+            yield True
+
+
+def _term(t: PureTerm, env: dict, k: tuple, stop: tuple = _TOP) -> PureTerm:
+    """The term that the machine state (t with env, under k) stands for, as
+    far out as the frame whose parent is stop: t read back, then each frame's
+    node read back in its environment around it."""
+    t = _read_back(t, env)
+    while k is not stop:
+        tag, node, env, k, _ = k
+        if tag == _OP:
+            (a, aenv), env = env
+            t = App(t, _read_back(a, aenv))
+        elif tag == _ARG:
+            t = App(_read_back(node.fun, env), t)
+        else:
+            t = replace(_read_back(node, env), **{"head" if tag == _SEQ else "scrutinee": t})
+    return t
 
 
 def _read_back(x: PureTerm | Distribution, env: dict) -> PureTerm | Distribution:
     """x, a term or a body, with the values env binds to its free names
     substituted in: one `_subst` per closure, children first, without
-    recursion.  Raises _GiveUp if one of those values is open, because the
-    small-step loop may rename a binder where it substitutes an open value."""
+    recursion.  Every value env binds is closed, so no binder is renamed."""
     root = (x, env)
     done: dict[int, PureTerm | Distribution] = {}
     todo = [root]
@@ -385,8 +395,5 @@ def _read_back(x: PureTerm | Distribution, env: dict) -> PureTerm | Distribution
             todo.extend(waiting)
             continue
         todo.pop()
-        mapping = {n: done[id(yenv[n])] for n in names}
-        if any(free_vars(u) for u in mapping.values()):
-            raise _GiveUp
-        done[id(v)] = subst(y, mapping)
+        done[id(v)] = subst(y, {n: done[id(yenv[n])] for n in names})
     return done[id(root)]

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .syntax import (
@@ -161,13 +162,14 @@ _SUMMAND = _HEAD | {"-", "scalar"}
 #   (_END,)                          the program, to be followed by the end
 #   (_SCALED, coefficient, tok)      a summand's `-` and scalar (tok)
 #   (_SUM, summands)                 a `+` sum, the summands read so far
-#   (_SEQ, head)                     a `;` head
+#   (_SEQ, head, tok)                a head and its `;` (tok)
 #   (_APP, operator, tok)            an application whose argument starts at tok
 #   (_INJ, tok)                      `inl` or `inr`
 #   (_PAREN, tok), (_PAIR, first, tok)                   `(` and `(first,`
 #   (_LAM, name, type)
 #   (_LET, tok, x, y), (_LET_BODY, tok, x, y, scrutinee)
-#   (_MATCH,), (_LEFT, scrutinee, x1), (_RIGHT, scrutinee, x1, branch1, x2)
+#   (_MATCH, tok), (_LEFT, tok, scrutinee, x1),
+#   (_RIGHT, tok, scrutinee, x1, branch1, x2)
 (_END, _SCALED, _SUM, _SEQ, _APP, _INJ, _PAREN, _PAIR, _LAM, _LET, _LET_BODY,
  _MATCH, _LEFT, _RIGHT) = range(14)
 
@@ -315,7 +317,7 @@ def parse_program(text: str) -> Distribution:
                     p.expect("=", "'='")
                     push((_LET, tok, x, y))
                 else:
-                    push((_MATCH,))
+                    push((_MATCH, tok))
                 pos = p.pos
                 reading = _SUMMAND
 
@@ -339,21 +341,18 @@ def parse_program(text: str) -> Distribution:
                     break
             # v is a head term
             if kind == ";":
-                push((_SEQ, v))
+                push((_SEQ, v, tok))
                 pos += 1
                 reading = _HEAD
                 break
             top = stack[-1]
             while top[0] == _SEQ:
                 pop()
-                v = mk_seq(_dist(top[1]), _dist(v))
+                v = _built(p, top[2], mk_seq, _dist(top[1]), _dist(v))
                 top = stack[-1]
             if top[0] == _SCALED:
                 pop()
-                try:
-                    v = scale(top[1], _dist(v))
-                except ValueError as e:
-                    raise p.error(str(e), top[2]) from None
+                v = _built(p, top[2], scale, top[1], _dist(v))
                 top = stack[-1]
             if kind == "+":
                 if top[0] == _SUM:
@@ -392,15 +391,12 @@ def parse_program(text: str) -> Distribution:
                 v = Lam(top[1], top[2], _dist(v))
             elif frame == _LET_BODY:
                 pop()
-                try:
-                    v = mk_let(top[2], top[3], _dist(top[4]), _dist(v))
-                except ValueError as e:
-                    raise p.error(str(e), top[1]) from None
+                v = _built(p, top[1], mk_let, top[2], top[3], _dist(top[4]), _dist(v))
             elif frame == _RIGHT:
                 p.check(tok, "}", "'}' after the branches")
                 pos += 1
                 pop()
-                v = mk_match(_dist(top[1]), top[2], top[3], top[4], _dist(v))
+                v = _built(p, top[1], mk_match, _dist(top[2]), top[3], top[4], top[5], _dist(v))
             else:
                 # the scrutinee of a let or match, or a match's left branch
                 p.pos = pos
@@ -410,12 +406,12 @@ def parse_program(text: str) -> Distribution:
                 elif frame == _MATCH:
                     p.expect("{", "'{' after the matched term")
                     p.expect("inl", "'inl'")
-                    stack[-1] = (_LEFT, v, p.expect("ident", "a name"))
+                    stack[-1] = (_LEFT, top[1], v, p.expect("ident", "a name"))
                     p.expect("->", "'->'")
                 else:
                     p.expect("|", "'|' between the branches")
                     p.expect("inr", "'inr'")
-                    stack[-1] = (_RIGHT, top[1], top[2], _dist(v), p.expect("ident", "a name"))
+                    stack[-1] = (_RIGHT, *top[1:], _dist(v), p.expect("ident", "a name"))
                     p.expect("->", "'->'")
                 pos = p.pos
                 reading = _SUMMAND
@@ -428,7 +424,9 @@ def _inject(p: _Parser, tok: _Token, v: PureTerm | Distribution) -> PureTerm | D
         if v.__class__ is Distribution:
             return mk_inl(v) if tok[0] == "inl" else mk_inr(v)
         return InlV(v) if tok[0] == "inl" else InrV(v)
-    except ValueError:
+    except ValueError as e:
+        if is_value_distribution(_dist(v)):
+            raise p.error(str(e), tok) from None  # merged summands overflowed
         raise p.error(f"{tok[0]} applies to values only", tok) from None
 
 
@@ -458,7 +456,17 @@ def _apply(p: _Parser, op: PureTerm | Distribution, arg: PureTerm | Distribution
                 span=_span(p.text, tok[2], tok[3]),
             )
         op = summands[0][1]
-    return App(op, arg) if arg.__class__ is not Distribution else mk_app(op, arg)
+    return App(op, arg) if arg.__class__ is not Distribution else _built(p, tok, mk_app, op, arg)
+
+
+def _built(p: _Parser, tok: _Token, make: Callable[..., Distribution], *args) -> Distribution:
+    """make(*args), a construct that multiplies or merges coefficients, with
+    its ValueError (a coefficient that overflows, or a `let` whose two names
+    are equal) raised as a parse error at tok."""
+    try:
+        return make(*args)
+    except ValueError as e:
+        raise p.error(str(e), tok) from None
 
 
 def parse_type(text: str) -> Type:

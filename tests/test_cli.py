@@ -91,6 +91,15 @@ def test_check_syntax_error_with_position(write, capsys):
     assert (event["line"], event["column"]) == (2, 1)
 
 
+def test_check_merge_overflow_is_a_syntax_error_with_position(write, capsys):
+    path = write("overflow.qlam", "f (1e308 * * + 1e308 * *)\n")
+    assert main(["check", "--format", "json-lines", path]) == 2
+    event = json.loads(_lines(capsys)[0])
+    assert event["kind"] == "SyntaxError"
+    assert (event["line"], event["column"]) == (1, 3)
+    assert "non-finite coefficient" in event["message"]
+
+
 def test_check_missing_file(tmp_path):
     assert main(["check", str(tmp_path / "nope.qlam")]) == 3
 

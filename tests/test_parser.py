@@ -3,9 +3,10 @@ deep for recursion.
 
 `reference_parse` is the recursive-descent parser for terms that the one
 loop in `surface.parse_program` replaced, with non-finite coefficients
-reported as parse errors at their place.  It reads the same `_lex` tokens
-and types through the same `type_expr`.  The equivalence tests hold the loop
-to it: the same `repr`, or the same error type, text and span, on generator
+reported as parse errors at their place: a scalar, a pair, or the construct
+where equal summands merge.  It reads the same `_lex` tokens and types
+through the same `type_expr`.  The equivalence tests hold the loop to it:
+the same `repr`, or the same error type, text and span, on generator
 programs with blanks and comments, on damaged text and on compiled gates.
 """
 
@@ -85,8 +86,13 @@ class _ReferenceParser(surface._Parser):
     def seq_term(self) -> Distribution:
         first = self.head_term()
         if self.at(";"):
+            tok = self.tokens[self.pos]
             self.pos += 1
-            return mk_seq(first, self.seq_term())
+            rest = self.seq_term()
+            try:
+                return mk_seq(first, rest)
+            except ValueError as e:
+                raise self.error(str(e), tok) from None
         return first
 
     def head_term(self) -> Distribution:
@@ -128,7 +134,10 @@ class _ReferenceParser(surface._Parser):
             self.expect("->", "'->'")
             b2 = self.dist()
             self.expect("}", "'}' after the branches")
-            return mk_match(scrut, x1, b1, x2, b2)
+            try:
+                return mk_match(scrut, x1, b1, x2, b2)
+            except ValueError as e:
+                raise self.error(str(e), tok) from None
         return self.app_term()
 
     def app_term(self) -> Distribution:
@@ -144,7 +153,10 @@ class _ReferenceParser(surface._Parser):
                     "the operator of an application must be a single unscaled term",
                     span=surface._span(self.text, tok[2], tok[3]),
                 )
-            cur = mk_app(summands[0][1], arg)
+            try:
+                cur = mk_app(summands[0][1], arg)
+            except ValueError as e:
+                raise self.error(str(e), tok) from None
         return cur
 
     def atom(self) -> Distribution:
@@ -161,7 +173,9 @@ class _ReferenceParser(surface._Parser):
             arg = self.atom()
             try:
                 return mk_inl(arg) if kind == "inl" else mk_inr(arg)
-            except ValueError:
+            except ValueError as e:
+                if is_value_distribution(arg):
+                    raise self.error(str(e), tok) from None
                 raise self.error(f"{kind} applies to values only", tok) from None
         if kind == "(":
             self.pos += 1
@@ -231,6 +245,8 @@ def test_parse_matches_the_reference_on_compiled_gates():
     "(1e200 * *, 1e200 * *)",
     "inl (1e308 * * + 1e308 * *)",
     "f (1e308 * * + 1e308 * *)",
+    "(1e308 * * + 1e308 * *) ; *",
+    "match (1e308 * inl * + 1e308 * inl *) { inl a -> a | inr b -> b }",
     "let (a, a) = (*, *) in x",
     "let (a, a) = (0.5 * * + 0.5 * *, *) in (y z",
     "match 0.5 * inl * + 0.5 * inr * { inl a -> a | inr b -> b } ; *",

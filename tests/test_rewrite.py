@@ -1,17 +1,26 @@
 """Small-step reduction: redex rules, context order, strategies, traces.
 
-The stepping loop is one worklist generator read by `step`, `trace_normalize`
-and `normalize` under an rng.  The equivalence tests hold it to the loop it
-replaced, kept below as `reference_*`: every step rebuilt the whole
-distribution as a tuple splice, and each caller kept its own step count.
-`normalize` under the leftmost strategy runs an environment machine; the
-tests at the end hold it to the stepping loop down to the coefficient bits.
+One machine evaluates for `step`, `trace_normalize` and `normalize`: in
+stepping mode, or for `normalize` under the leftmost strategy in environment
+mode, until it would bind a value with a free name.  The equivalence tests hold it to two loops it replaced, kept below as
+references.  `reduce_term`, `_as_operator` and `_reductions` are the
+recursive small-step loop that `step`, `trace_normalize` and `normalize`
+under an rng ran before the machine served them, read by the `loop_*`
+functions.  The `reference_*` functions are the loop before that: every step
+rebuilt the whole distribution as a tuple splice, and each caller kept its
+own step count.  Results are compared down to the coefficient bits, and
+errors by type and text.
 """
 
 from __future__ import annotations
 
+import cmath
+import importlib.util
 import math
 import random
+import time
+from collections.abc import Iterator
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,7 +46,6 @@ from qlam.rewrite import (
     Stuck,
     StuckError,
     normalize,
-    reduce_term,
     step,
     trace_normalize,
 )
@@ -51,6 +59,7 @@ from qlam.syntax import (
     LetPair,
     Match,
     PairV,
+    PureTerm,
     Seq,
     Var,
     Void,
@@ -59,9 +68,14 @@ from qlam.syntax import (
     congruent,
     is_value,
     mk_app,
+    mk_let,
+    mk_match,
     mk_seq,
     scale,
+    show_term,
     singleton,
+    substitute_dist,
+    substitute_many_dist,
 )
 from qlam.types import BOOL, UNIT, Arrow, Sharp
 
@@ -111,7 +125,7 @@ def test_let_pair_substitutes_both_components():
 
 def test_value_distribution_is_normal():
     assert isinstance(step(PLUS), NormalForm)
-    assert reduce_term(INL) is None
+    assert isinstance(step(singleton(INL)), NormalForm)
 
 
 # ------------------------------------------------------------ context order
@@ -161,8 +175,8 @@ def test_splice_multiplies_coefficients():
 
 def test_no_reduction_under_lambda():
     frozen = Lam("x", UNIT, singleton(App(IDENT, INL)))
-    assert reduce_term(frozen) is None
     assert isinstance(step(singleton(frozen)), NormalForm)
+    assert trace_normalize(singleton(frozen)) == [singleton(frozen)]
 
 
 # ------------------------------------------------------------------ stuck
@@ -280,6 +294,122 @@ def test_randomized_strategy_on_wide_distribution():
         assert congruent(normalize(d, rng=random.Random(seed)), reference)
 
 
+# ------------------------------------------------------ the reference loops
+#
+# `reduce_term`, `_as_operator` and `_reductions` are kept as `rewrite` had
+# them; `loop_step`, `loop_normalize` and `loop_trace_normalize` are the
+# public functions that read them.
+
+
+def reduce_term(t: PureTerm) -> Distribution | None:
+    """One reduction of a single pure term, None when t is a value.
+
+    Raises StuckError when the fixed strategy reaches a non-redex.
+    """
+    match t:
+        case App(f, a):
+            ra = reduce_term(a)
+            if ra is not None:
+                return mk_app(f, ra)
+            rf = reduce_term(f)
+            if rf is not None:
+                return mk_app(_as_operator(t, rf), singleton(a))
+            if isinstance(f, Lam):
+                return substitute_dist(f.body, f.name, a)
+            raise StuckError(t, f"{show_term(f, 3)} applied to {show_term(a, 3)}")
+        case Seq(h, tail):
+            if isinstance(h, Void):
+                return tail
+            rh = reduce_term(h)
+            if rh is not None:
+                return mk_seq(rh, tail)
+            raise StuckError(t, "sequencing head is not the unit value")
+        case LetPair(x, y, s, body):
+            if isinstance(s, PairV):
+                return substitute_many_dist(body, {x: s.first, y: s.second})
+            rs = reduce_term(s)
+            if rs is not None:
+                return mk_let(x, y, rs, body)
+            raise StuckError(t, "destructured term is not a pair value")
+        case Match(s, x1, b1, x2, b2):
+            if isinstance(s, InlV):
+                return substitute_dist(b1, x1, s.value)
+            if isinstance(s, InrV):
+                return substitute_dist(b2, x2, s.value)
+            rs = reduce_term(s)
+            if rs is not None:
+                return mk_match(rs, x1, b1, x2, b2)
+            raise StuckError(t, "matched term is not an injection value")
+        case _:
+            return None
+
+
+def _as_operator(at: PureTerm, d: Distribution) -> PureTerm:
+    # an operator that reduces must stay a single unscaled term
+    if len(d.summands) == 1 and d.summands[0][0] == 1:
+        return d.summands[0][1]
+    raise StuckError(at, "operator reduced to a proper distribution")
+
+
+def _reductions(
+    d: Distribution, max_steps: int, rng: random.Random | None
+) -> Iterator[list[tuple[complex, PureTerm]]]:
+    """Step until no summand is reducible, yielding the one summand list
+    after every step.  Summands left of the cursor are values.  The step past
+    max_steps is taken before the limit raises, so if it is stuck, StuckError
+    wins.  A spliced coefficient that overflows raises the ValueError a
+    `Distribution` would, at the step that makes it, whether or not the
+    caller builds a distribution from every step."""
+    summands = list(d.summands)
+    i = 0
+    steps = 0
+    while True:
+        if rng is None:
+            while i < len(summands) and is_value(summands[i][1]):
+                i += 1
+            if i == len(summands):
+                return
+        else:
+            candidates = [j for j, (_, t) in enumerate(summands) if not is_value(t)]
+            if not candidates:
+                return
+            i = rng.choice(candidates)
+        a, t = summands[i]
+        r = reduce_term(t)
+        steps += 1
+        if steps > max_steps:
+            raise StepLimitExceeded(max_steps)
+        spliced = [(a * b, u) for b, u in r.summands]
+        for c, _ in spliced:
+            if not cmath.isfinite(c):
+                raise ValueError(f"non-finite coefficient {c!r}")
+        summands[i:i + 1] = spliced
+        yield summands
+
+
+def loop_step(d, rng=None):
+    try:
+        summands = next(_reductions(d, 1, rng), None)
+    except StuckError as e:
+        return Stuck(e.term, e.reason)
+    return NormalForm() if summands is None else Stepped(Distribution(tuple(summands)))
+
+
+def loop_normalize(d, max_steps=DEFAULT_MAX_STEPS, rng=None):
+    summands = d.summands
+    for summands in _reductions(d, max_steps, rng):
+        pass
+    return canonicalize(Distribution(tuple(summands)))
+
+
+def loop_trace_normalize(d, max_steps=DEFAULT_MAX_STEPS):
+    trace = [d]
+    for summands in _reductions(d, max_steps, None):
+        trace.append(Distribution(tuple(summands)))
+    trace[-1] = canonicalize(trace[-1])
+    return trace
+
+
 # ------------------------------------------------- worklist vs tuple splice
 
 
@@ -351,10 +481,15 @@ def reference_trace_normalize(d, max_steps=DEFAULT_MAX_STEPS):
 
 
 def _bits(x):
-    """A distribution, or a list of them, with every coefficient as the bits
-    of its two parts: `==` alone takes 0.0 and -0.0 for the same number."""
+    """A distribution, a list of them or a step result, with every
+    coefficient as the bits of its two parts: `==` alone takes 0.0 and -0.0
+    for the same number."""
     if isinstance(x, list):
         return [_bits(d) for d in x]
+    if isinstance(x, Stepped):
+        return Stepped(_bits(x.dist))
+    if isinstance(x, (NormalForm, Stuck)):
+        return x
     return tuple((a.real.hex(), a.imag.hex(), t) for a, t in x.summands)
 
 
@@ -398,8 +533,9 @@ def test_worklist_matches_the_tuple_splice_loop(run):
     cur = d
     for _ in range(100):
         res = step(cur)
-        assert res == reference_step(cur)
-        assert step(cur, random.Random(7)) == reference_step(cur, random.Random(7))
+        assert _bits(res) == _bits(reference_step(cur))
+        assert _outcome(step, cur, random.Random(7)) == _outcome(
+            reference_step, cur, random.Random(7))
         if not isinstance(res, Stepped):
             break
         cur = res.dist
@@ -451,13 +587,12 @@ def test_a_non_finite_coefficient_is_rejected(run):
 
 
 def _machine(d, max_steps=DEFAULT_MAX_STEPS):
-    """The machine's own normal form, or None where it leaves d to the
-    stepping loop."""
-    try:
-        summands = rewrite._evaluate(d, max_steps)
-    except rewrite._GiveUp:
-        return None
-    return canonicalize(Distribution(tuple(summands)))
+    """The normal form of the machine in environment mode, whether or not d
+    is closed."""
+    cells = rewrite._cells(d)
+    for _ in rewrite._run(cells, max_steps, None, False):
+        pass
+    return canonicalize(Distribution(tuple(rewrite._summands(cells))))
 
 
 def _last(d, max_steps=DEFAULT_MAX_STEPS):
@@ -465,7 +600,10 @@ def _last(d, max_steps=DEFAULT_MAX_STEPS):
 
 
 def _same_as_the_stepping_loop(d, max_steps=DEFAULT_MAX_STEPS):
-    want = _outcome(_last, d, max_steps)
+    """What the recursive loop's normalize gives or raises, which normalize
+    and the last element of trace_normalize must match."""
+    want = _outcome(loop_normalize, d, max_steps)
+    assert _outcome(_last, d, max_steps) == want
     assert _outcome(normalize, d, max_steps) == want
     return want
 
@@ -494,9 +632,20 @@ def test_a_reduct_in_an_argument_merges_and_sorts_there():
 ], ids=["a proper distribution", "one scaled term"])
 def test_an_operator_that_reduces_to_more_than_one_unscaled_term_is_stuck(body):
     d = singleton(App(App(Lam("x", UNIT, body), STAR), INR))
-    assert _machine(d) is None
     kind, text = _same_as_the_stepping_loop(d)
     assert kind is StuckError and "proper distribution" in text
+    assert _outcome(_machine, d) == (kind, text)
+
+
+def test_an_operator_that_took_steps_is_stuck_as_it_stands():
+    # the operator takes one step, to \y, then reduces to two summands: the
+    # stuck application shows it after that first step, not as written
+    maker = Lam("x", UNIT, singleton(Lam("y", UNIT, Distribution(
+        ((_R2, IDENT), (_R2, Lam("z", BOOL, singleton(INL))))))))
+    d = singleton(App(App(App(maker, STAR), STAR), INR))
+    kind, text = _same_as_the_stepping_loop(d)
+    assert kind is StuckError and text.startswith("stuck term (\\y:U. ")
+    assert _outcome(_machine, d) == (kind, text)
 
 
 def test_an_operator_whose_reduct_merges_to_one_term_applies():
@@ -511,8 +660,9 @@ def test_an_operator_whose_reduct_merges_to_one_term_applies():
     # 1+0j, and -0.0*1 - (-1)*0 is +0.0
     assert want == _bits(singleton(INR, complex(0.0, -1.0)))
     d = singleton(App(App(halves, STAR), INR))
-    assert _machine(d) is None
-    assert _same_as_the_stepping_loop(d)[0] is StuckError
+    want = _same_as_the_stepping_loop(d)
+    assert want[0] is StuckError
+    assert _outcome(_machine, d) == want
 
 
 @pytest.mark.parametrize("src", [
@@ -521,28 +671,29 @@ def test_an_operator_whose_reduct_merges_to_one_term_applies():
     r"(\x:U+U. x) ((\y:U. 1e308 * inl * + 1e308 * inl *) *)",
 ])
 def test_a_coefficient_that_overflows_leaves_the_machine(src):
+    # the machine raises the overflow itself, at the step the loop does
     d = parse_program(src)
-    assert _machine(d) is None
     kind, text = _same_as_the_stepping_loop(d)
     assert kind is ValueError and "non-finite coefficient" in text
+    assert _outcome(_machine, d) == (kind, text)
 
 
 def test_the_step_limit_inside_a_summand():
     # three beta steps in one summand, after a summand of one step
     d = add(singleton(App(IDENT, INL), 0.5),
             singleton(App(IDENT, App(IDENT, App(IDENT, INR))), 0.5))
-    assert _machine(d, 3) is None
     assert _same_as_the_stepping_loop(d, 3) == (
         StepLimitExceeded, "no normal form within 3 steps")
+    assert _outcome(_machine, d, 3) == (StepLimitExceeded, "no normal form within 3 steps")
     assert _bits(_machine(d, 4)) == _same_as_the_stepping_loop(d, 4)
 
 
 def test_a_closure_read_back_into_an_open_program_renames_as_substitution_does():
-    # y is free: substituting it under \y renames that binder, which the
-    # machine leaves to the stepping loop
+    # y is free: substituting it under \y renames that binder.  An open
+    # program runs in stepping mode, which substitutes as the loop does.
     d = parse_program(r"(\x:U. \y:U. x) y")
-    assert _machine(d) is None
     want = _same_as_the_stepping_loop(d)
+    assert _outcome(step, d) == _outcome(loop_step, d)
     assert want == _bits(singleton(Lam("y_1", UNIT, singleton(Var("y")))))
 
 
@@ -581,3 +732,172 @@ def test_a_deep_evaluation_context_normalizes_without_recursion():
     for _ in range(20000):
         t = App(IDENT, t)
     assert normalize(singleton(t)) == singleton(STAR)
+
+
+def _chain(depth):
+    """An identity applied to an identity applied ... to *, depth deep."""
+    t = STAR
+    for _ in range(depth):
+        t = App(IDENT, t)
+    return singleton(t)
+
+
+def test_a_step_in_a_deep_evaluation_context_needs_no_recursion():
+    ((c, t),) = _stepped(_chain(20000)).summands
+    assert c == 1
+    depth = 0
+    while t is not STAR:
+        assert isinstance(t, App) and t.fun is IDENT
+        t = t.arg
+        depth += 1
+    assert depth == 19999
+
+
+def test_a_trace_through_a_deep_evaluation_context_ends_in_the_normal_form():
+    d = _chain(1500)
+    trace = trace_normalize(d)
+    assert len(trace) == 1501
+    assert trace[0] is d
+    assert _bits(trace[-1]) == _bits(normalize(d)) == _bits(singleton(STAR))
+
+
+# ------------------------------------------- the machine against the loop
+
+
+def _agrees_with_the_loop(d, max_steps=DEFAULT_MAX_STEPS, walk=30):
+    """step, trace_normalize and normalize, with and without a seeded rng,
+    give or raise what the recursive loop does, down to the coefficient
+    bits."""
+    assert _outcome(trace_normalize, d, max_steps) == _outcome(loop_trace_normalize, d, max_steps)
+    assert _outcome(normalize, d, max_steps) == _outcome(loop_normalize, d, max_steps)
+    for seed in range(2):
+        assert _outcome(normalize, d, max_steps, random.Random(seed)) == _outcome(
+            loop_normalize, d, max_steps, random.Random(seed))
+    cur = d
+    for i in range(walk):
+        assert _outcome(step, cur, random.Random(i)) == _outcome(loop_step, cur, random.Random(i))
+        res = _outcome(step, cur)
+        assert res == _outcome(loop_step, cur)
+        if not isinstance(res, Stepped):
+            break
+        cur = step(cur).dist
+
+
+def _benchmark_programs():
+    """The benchmark's corpus generator (perfbench/programs.py)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "programs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_programs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_machine_matches_the_loop_on_benchmark_corpus_programs():
+    stream = _benchmark_programs().programs("machine-vs-loop")
+    for i in range(240):
+        d, _ = next(stream)
+        _agrees_with_the_loop(d, (DEFAULT_MAX_STEPS, 2)[i % 2])
+
+
+def test_the_machine_matches_the_loop_on_compiled_gate_steps():
+    rng = np.random.default_rng(16)
+    for n, targets in [(1, [0]), (2, [1]), (2, [1, 0]), (3, [2, 0]), (3, [0, 1, 2])]:
+        g = len(targets)
+        u, _ = np.linalg.qr(rng.normal(size=(1 << g, 1 << g))
+                            + 1j * rng.normal(size=(1 << g, 1 << g)))
+        lam = compile_gate(GateMatrix(u), targets, n)
+        v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        d = encode(StateVector(v / np.linalg.norm(v)))
+        _agrees_with_the_loop(Distribution(tuple((a, App(lam, t)) for a, t in d.summands)))
+
+
+def _rebuild(x, leaf):
+    """x with every unit value and variable u in it replaced by leaf(u),
+    visited left to right."""
+    if isinstance(x, Distribution):
+        return Distribution(tuple((a, _rebuild(t, leaf)) for a, t in x.summands))
+    if isinstance(x, (Void, Var)):
+        return leaf(x)
+    return type(x)(**{
+        f: _rebuild(v, leaf) if isinstance(v, (PureTerm, Distribution)) else v
+        for f, v in ((f, getattr(x, f)) for f in x.__match_args__)})
+
+
+def _opened(d, rng):
+    """d with one unit value replaced by a free name: mostly the name of a
+    variable d binds, so that substituting it under that binder renames."""
+    names, units = [], []
+
+    def look(u):
+        (units if u is STAR else names).append(u)
+        return u
+
+    _rebuild(d, look)
+    k = rng.randrange(len(units))
+    free = Var(rng.choice(names).name if names and rng.random() < 0.8 else "q")
+    seen = iter(range(len(units)))
+    return _rebuild(d, lambda u: free if u is STAR and next(seen) == k else u)
+
+
+@pytest.mark.parametrize("src", [
+    r"(\x:U. \y:U. x) y",
+    r"(\x:U. \y:U. \y_1:U. x y) y",
+    r"(\f:U -> U. \y:U. f y) (\z:U. y)",
+    r"let (a, b) = (y, *) in \y:U. (a, b)",
+    r"match inl y { inl a -> \y:U. a | inr b -> b }",
+    r"(\x:U. x) y ; *",
+    # environment mode binds closed values, splits a summand inside a
+    # context, then meets an open value and goes on in stepping mode
+    r"(\x:U+U. (\y:U. x) q) ((\u:U. 0.6 * inl * + 0.8 * inr *) *)",
+    r"match (\u:U. 0.6 * inl * + 0.8 * inr *) * "
+    r"{ inl a -> (\y:U. a) q | inr b -> let (c, d) = (b, q) in (\d:U. c) d }",
+    r"((\y:U. \q:U. y) q ; *) ; inl *",
+])
+def test_the_machine_matches_the_loop_on_open_programs_that_rename(src):
+    _agrees_with_the_loop(parse_program(src))
+
+
+def test_a_closed_program_normalizes_in_environments(monkeypatch):
+    # environment mode substitutes nothing: neither the benchmark's closed
+    # programs nor a compiled gate applied to a state leave it
+    programs = _benchmark_programs().programs("environments")
+    closed = [next(programs)[0] for _ in range(100)]
+    lam = compile_gate(gate_library["CNOT"], [1, 0], 3)
+    closed.append(Distribution(tuple(
+        (a, App(lam, t)) for a, t in encode(StateVector([0.6, 0, 0, 0, 0, 0, 0.8, 0])).summands)))
+    want = [loop_normalize(d) for d in closed]
+
+    def refuse(*args):
+        raise AssertionError("substituted in environment mode")
+
+    monkeypatch.setattr(rewrite, "substitute_dist", refuse)
+    monkeypatch.setattr(rewrite, "substitute_many_dist", refuse)
+    assert [_bits(normalize(d)) for d in closed] == [_bits(d) for d in want]
+    with pytest.raises(AssertionError, match="substituted"):
+        normalize(parse_program(r"(\x:U. \y:U. x) y"))
+
+
+def test_the_machine_matches_the_loop_on_opened_generator_programs():
+    rng = random.Random(16)
+    for seed in range(150):
+        g = ProgramGen(seed)
+        for d in (g.trace_program()[0], g.flow_program()[0]):
+            _agrees_with_the_loop(_opened(d, rng))
+
+
+def test_a_random_strategy_draws_without_rescanning_the_summands():
+    # 4000 summands of one step each: drawing from a rebuilt list of the
+    # reducible summands made the rng run hundreds of times slower
+    d = Distribution(tuple((1 / 64, App(IDENT, (INL, INR)[k % 2])) for k in range(4000)))
+
+    def best(run):
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            run()
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    leftmost = best(lambda: normalize(d))
+    drawn = best(lambda: normalize(d, rng=random.Random(1)))
+    assert drawn < 20 * leftmost

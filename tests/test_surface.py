@@ -209,6 +209,31 @@ def test_infinite_scalar_is_a_parse_error_at_its_place():
     assert _non_finite_at("1e400 * *") == ("non-finite coefficient (inf+nanj)", 0, 5)
 
 
+@pytest.mark.parametrize("text, start, end", [
+    # at the argument's first token
+    ("f (1e308 * * + 1e308 * *)", 2, 3),
+    # at the injection, which applies to values only when they are not values
+    ("inl (1e308 * * + 1e308 * *)", 0, 3),
+    ("inr (1e308 * * + 1e308 * *)", 0, 3),
+    # at the `;`
+    ("(1e308 * * + 1e308 * *) ; *", 24, 25),
+    # at the `match` and the `let`
+    ("match (1e308 * inl * + 1e308 * inl *) { inl x -> x | inr y -> y }", 0, 5),
+    ("let (a, b) = (1e308 * (*, *) + 1e308 * (*, *)) in a", 0, 3),
+])
+def test_summands_that_merge_to_an_overflow_are_a_parse_error_at_the_construct(
+    text, start, end
+):
+    # equal summands merge where a construct takes a distribution, and their
+    # coefficients' sum overflows there
+    assert _non_finite_at(text) == ("non-finite coefficient (inf+0j)", start, end)
+
+
+def test_an_injection_of_a_non_value_is_still_reported_as_such():
+    with pytest.raises(ParseError, match="inl applies to values only"):
+        parse_program("inl (0.6 * f x + 0.8 * *)")
+
+
 # -------------------------------------------------------------------- types
 
 
