@@ -701,8 +701,8 @@ def _show_term(t: PureTerm, level: int) -> str:
         case App(f, a):
             s = f"{_show_applied(f, _APP)} {_show_applied(a, _ATOMIC)}"
             return f"({s})" if level > _APP else s
-        case Seq(h, tail):
-            s = f"{_show_term(h, _APP)} ; {_show_seq_tail(tail)}"
+        case Seq():
+            s = _show_seq_chain(t)
             return f"({s})" if level > _SEQ else s
         case Lam(x, ann, body):
             s = f"\\{x}:{ann}. {show_dist(body)}"
@@ -721,7 +721,18 @@ def _show_applied(t: PureTerm, level: int) -> str:
     return f"({s})" if isinstance(t, Match) else s
 
 
-def _show_seq_tail(tail: Distribution) -> str:
-    if len(tail.summands) == 1 and tail.summands[0][0] == 1:
-        return _show_term(tail.summands[0][1], _SEQ)
-    return f"({show_dist(tail)})"
+def _show_seq_chain(t: Seq) -> str:
+    # a tail that is one unscaled term prints at the sequencing level, so a
+    # right-nested chain `h1 ; h2 ; ...` is printed here in one loop
+    parts = []
+    while True:
+        parts.append(_show_term(t.head, _APP))
+        tail = t.tail
+        if len(tail.summands) != 1 or tail.summands[0][0] != 1:
+            parts.append(f"({show_dist(tail)})")
+            break
+        t = tail.summands[0][1]
+        if not isinstance(t, Seq):
+            parts.append(_show_term(t, _SEQ))
+            break
+    return " ; ".join(parts)

@@ -28,6 +28,7 @@ from qlam.quantum import (
     parse_matrix,
     run_circuit,
 )
+from qlam.config import tolerance
 from qlam.inner import norm
 from qlam.rewrite import normalize
 from qlam.syntax import (
@@ -522,6 +523,79 @@ def test_compile_gate_errors_match_dense_route():
         assert _raised(compile_gate, gate, targets, n) == want
         assert _raised(run_circuit, [(gate, targets)], _zero_state(n)) == want
     assert _raised(compile_gate, GateMatrix(np.ones((2, 2))), [1], 3)[0] is NotAnIsometry
+
+
+# ------------------------------------------------------ compiled-gate cache
+
+
+def _cached_leaves():
+    return sum(1 << key[2] for key in quantum._compiled)
+
+
+def test_a_cache_hit_is_the_compiled_term(monkeypatch):
+    gate = _random_unitary(np.random.default_rng(31), 2)
+    first = compile_gate(gate, [3, 1], 4)
+    calls = []
+    monkeypatch.setattr(quantum, "_compile", lambda *a: calls.append(a))
+    assert compile_gate(gate, [3, 1], 4) is first
+    assert calls == []
+    monkeypatch.undo()
+    assert first == quantum._compile(gate, [3, 1], 4)
+
+
+def test_each_tolerance_has_its_own_entry():
+    # a rotation by a small angle: its off-diagonal entries survive a fine
+    # cut and fall to a coarse one
+    e = 1e-4
+    gate = GateMatrix(np.array([[math.cos(e), -math.sin(e)], [math.sin(e), math.cos(e)]]))
+    got = {}
+    for tol in (1e-6, 1e-3, 1e-6, 1e-3):
+        with tolerance(tol):
+            term = compile_gate(gate, [1], 2)
+            assert term == quantum._compile(gate, [1], 2)
+            got.setdefault(tol, term)
+            assert got[tol] is term
+    assert got[1e-6] != got[1e-3]
+    keys = [k for k in quantum._compiled if k[0] == gate.matrix.tobytes() and k[1:3] == ((1,), 2)]
+    assert sorted(k[3] for k in keys) == [1e-6, 1e-3]
+
+
+def test_a_failed_compile_is_never_cached():
+    bad = GateMatrix(np.diag([1, 1 + 1e-3]))
+    before = dict(quantum._compiled)
+    for _ in range(3):
+        with pytest.raises(NotAnIsometry):
+            compile_gate(bad, [0], 2)
+    assert all(k[0] != bad.matrix.tobytes() for k in quantum._compiled)
+    assert quantum._compiled.keys() <= before.keys()
+
+
+def test_the_cache_holds_at_most_its_leaf_budget():
+    h = gate_library["H"]
+    for n in (9, 10):
+        for q in range(n):
+            compile_gate(h, [q], n)
+    assert _cached_leaves() == quantum._compiled_leaves <= quantum._CACHE_LEAVES
+    # a tree larger than the whole budget is compiled but neither kept nor
+    # allowed to evict what is
+    kept = list(quantum._compiled)
+    wide = quantum._CACHE_LEAVES.bit_length()
+    assert compile_gate(h, [0], wide) == quantum._compile(h, [0], wide)
+    assert list(quantum._compiled) == kept
+
+
+def test_a_compiled_gate_does_not_depend_on_what_ran_before():
+    rng = np.random.default_rng(17)
+    gates = [gate_library[name] for name in ("H", "T", "CNOT", "SWAP")]
+    gates += [_random_unitary(rng, 1), _random_unitary(rng, 2)]
+    jobs = [
+        (gate, [int(q) for q in rng.permutation(n)[:gate.qubit_count]], n)
+        for gate in gates for n in range(gate.qubit_count, 7) for _ in range(2)
+    ]
+    order = rng.permutation(len(jobs))
+    for i in np.concatenate([order, order[::-1]]):
+        gate, targets, n = jobs[i]
+        assert compile_gate(gate, targets, n) == quantum._compile(gate, targets, n)
 
 
 # -------------------------------------------------------------- file formats

@@ -1,4 +1,4 @@
-"""Distribution algebra: canonical forms, congruence, substitution."""
+"""Distribution algebra: canonical forms, congruence, substitution, printing."""
 
 from __future__ import annotations
 
@@ -35,6 +35,8 @@ from qlam.syntax import (
     mk_pair,
     mk_seq,
     scale,
+    show_dist,
+    show_term,
     singleton,
     substitute,
     substitute_dist,
@@ -465,3 +467,19 @@ def test_combinators_still_check_their_coefficients():
     # add makes no new coefficient, so it shows its check on one that slipped in
     with pytest.raises(ValueError, match="non-finite coefficient"):
         add(big, _trusted(((complex("inf"), STAR),)))
+
+
+# ------------------------------------------------------------- printing
+
+
+def test_a_long_sequence_chain_prints_without_recursion():
+    # `* ; * ; ... ; *` nests to the right, one Seq per `;`
+    length = 10_000
+    chain = STAR
+    for _ in range(length):
+        chain = Seq(STAR, singleton(chain))
+    text = " ; ".join(["*"] * (length + 1))
+    assert show_term(chain) == text
+    assert show_dist(singleton(App(Var("f"), chain))) == f"f ({text})"
+    scaled = Seq(STAR, singleton(Seq(STAR, dist((0.5, STAR), (0.5, INL)))))
+    assert show_term(scaled) == "* ; * ; (0.5 * * + 0.5 * inl *)"
