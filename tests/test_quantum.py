@@ -528,10 +528,6 @@ def test_compile_gate_errors_match_dense_route():
 # ------------------------------------------------------ compiled-gate cache
 
 
-def _cached_leaves():
-    return sum(1 << key[2] for key in quantum._compiled)
-
-
 def test_a_cache_hit_is_the_compiled_term(monkeypatch):
     gate = _random_unitary(np.random.default_rng(31), 2)
     first = compile_gate(gate, [3, 1], 4)
@@ -562,12 +558,12 @@ def test_each_tolerance_has_its_own_entry():
 
 def test_a_failed_compile_is_never_cached():
     bad = GateMatrix(np.diag([1, 1 + 1e-3]))
-    before = dict(quantum._compiled)
+    before = set(quantum._compiled)
     for _ in range(3):
         with pytest.raises(NotAnIsometry):
             compile_gate(bad, [0], 2)
     assert all(k[0] != bad.matrix.tobytes() for k in quantum._compiled)
-    assert quantum._compiled.keys() <= before.keys()
+    assert quantum._compiled.keys() <= before
 
 
 def test_the_cache_holds_at_most_its_leaf_budget():
@@ -575,7 +571,8 @@ def test_the_cache_holds_at_most_its_leaf_budget():
     for n in (9, 10):
         for q in range(n):
             compile_gate(h, [q], n)
-    assert _cached_leaves() == quantum._compiled_leaves <= quantum._CACHE_LEAVES
+    held = sum(1 << key[2] for key in quantum._compiled)
+    assert held == quantum._compiled_leaves <= quantum._CACHE_LEAVES
     # a tree larger than the whole budget is compiled but neither kept nor
     # allowed to evict what is
     kept = list(quantum._compiled)
