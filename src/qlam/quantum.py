@@ -14,12 +14,9 @@ tensor contraction of the state with each gate, so the two can be compared.
 from __future__ import annotations
 
 import math
-import operator
 import re
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from threading import Lock
 from typing import Sequence
 
 import numpy as np
@@ -41,7 +38,7 @@ from .syntax import (
     Void,
     _trusted,
 )
-from .types import qubits
+from .types import Type, qubits
 
 
 class NotAnIsometry(ValueError):
@@ -192,7 +189,7 @@ def _case_tree(images: list[Distribution], qubit_count: int) -> PureTerm:
     vz, vw = Var(z), Var(w)
     ty = qubits(1)
     nodes = [
-        Lam(z, ty, _one(Match(vz, w, _one(Seq(vw, left)), w, _one(Seq(vw, right)))))
+        _lam(z, ty, _match(vz, w, _seq(vw, left), w, _seq(vw, right)))
         for left, right in zip(images[::2], images[1::2])
     ]
     for depth in range(qubit_count - 2, -1, -1):
@@ -201,23 +198,86 @@ def _case_tree(images: list[Distribution], qubit_count: int) -> PureTerm:
         vz, vx, vy, vw = Var(z), Var(x), Var(y), Var(w)
         ty = qubits(qubit_count - depth)
         nodes = [
-            Lam(z, ty, _one(LetPair(x, y, vz, _one(Match(
+            _lam(z, ty, _let(x, y, vz, _match(
                 vx,
-                w, _one(Seq(vw, _one(App(left, vy)))),
-                w, _one(Seq(vw, _one(App(right, vy)))),
-            )))))
+                w, _seq(vw, _one(_app(left, vy))),
+                w, _seq(vw, _one(_app(right, vy))),
+            )))
             for left, right in zip(nodes[::2], nodes[1::2])
         ]
     return nodes[0]
 
 
+# The tree's nodes are made by setting their slots directly: the frozen
+# dataclass __init__ sets each field through object.__setattr__, which costs
+# about twice as much, and every field here is valid as it stands.  Each
+# node distribution has one summand and is canonical, so canonicalizing it
+# would only walk the whole subtree again.  The helpers other than _seq wrap
+# their last argument in such a distribution.
+
+def _slot_setters(cls: type) -> tuple:
+    return tuple(getattr(cls, f).__set__ for f in (*cls.__match_args__, "_fv"))
+
+
+_new_object = object.__new__
+_LAM, _LET, _MATCH, _SEQ, _APP = map(_slot_setters, (Lam, LetPair, Match, Seq, App))
 _ONE = complex(1)
 
 
 def _one(t: PureTerm) -> Distribution:
-    # each node distribution has one summand and is canonical as it stands;
-    # canonicalizing it would only walk the whole subtree again
     return _trusted(((_ONE, t),))
+
+
+def _lam(name: str, ann: Type, body: PureTerm) -> Lam:
+    node = _new_object(Lam)
+    set_name, set_ann, set_body, set_fv = _LAM
+    set_name(node, name)
+    set_ann(node, ann)
+    set_body(node, _one(body))
+    set_fv(node, None)
+    return node
+
+
+def _let(left: str, right: str, scrutinee: PureTerm, body: PureTerm) -> LetPair:
+    node = _new_object(LetPair)
+    set_left, set_right, set_scrutinee, set_body, set_fv = _LET
+    set_left(node, left)
+    set_right(node, right)
+    set_scrutinee(node, scrutinee)
+    set_body(node, _one(body))
+    set_fv(node, None)
+    return node
+
+
+def _match(scrutinee: PureTerm, left_name: str, left: PureTerm,
+           right_name: str, right: PureTerm) -> Match:
+    node = _new_object(Match)
+    set_scrutinee, set_left_name, set_left, set_right_name, set_right, set_fv = _MATCH
+    set_scrutinee(node, scrutinee)
+    set_left_name(node, left_name)
+    set_left(node, _one(left))
+    set_right_name(node, right_name)
+    set_right(node, _one(right))
+    set_fv(node, None)
+    return node
+
+
+def _seq(head: PureTerm, tail: Distribution) -> Seq:
+    node = _new_object(Seq)
+    set_head, set_tail, set_fv = _SEQ
+    set_head(node, head)
+    set_tail(node, tail)
+    set_fv(node, None)
+    return node
+
+
+def _app(fun: PureTerm, arg: PureTerm) -> App:
+    node = _new_object(App)
+    set_fun, set_arg, set_fv = _APP
+    set_fun(node, fun)
+    set_arg(node, arg)
+    set_fv(node, None)
+    return node
 
 
 def case_construct(qubit_count: int, images: Sequence[Distribution]) -> PureTerm:
@@ -273,9 +333,11 @@ def _basis_values(qubit_count: int) -> list[PureTerm]:
     return values
 
 
-def _compile(gate: GateMatrix, targets: Sequence[int], qubit_count: int) -> PureTerm:
+def _compile(
+    gate: GateMatrix, targets: Sequence[int], qubit_count: int, values: list[PureTerm]
+) -> PureTerm:
     """The case tree of U (x) I for a gate on the given targets, which must
-    already be checked."""
+    already be checked, with the register's basis values by index."""
     m = gate.matrix
     bad = m[~np.isfinite(m)]
     if bad.size:
@@ -299,31 +361,14 @@ def _compile(gate: GateMatrix, targets: Sequence[int], qubit_count: int) -> Pure
         for col in m.T.tolist()
     ]
     entries_of = {bits: entries[c] for c, bits in enumerate(spread)}
-    values = _basis_values(n)
     images = []
     for k in range(1 << n):
         base = k & ~mask
-        summands = tuple((a, values[base | bits]) for a, bits in entries_of[k & mask])
-        if not summands:
-            # a column cut away entirely by a coarse tolerance
-            raise ValueError("a distribution has at least one summand")
-        images.append(_trusted(summands))
+        summands = tuple([(a, values[base | bits]) for a, bits in entries_of[k & mask]])
+        # a column cut away entirely by a coarse tolerance has no summand
+        # left, which Distribution rejects
+        images.append(_trusted(summands) if summands else Distribution(summands))
     return case_construct(n, images)
-
-
-# Compiled gates, least recently used first, keyed by matrix bytes, targets,
-# register width and tolerance (which `_compile` reads).  A case tree's size
-# is its 2^n leaves whatever the gate, and a 12-qubit tree alone is about
-# 5 MB, so the cache is bounded by the leaves it holds in all, not by its
-# entries; a tree larger than the whole budget is never kept.  2048 leaves
-# hold about 2.5 MB of 6-qubit trees (4 MB as one 11-qubit tree).  On the
-# circuits benchmark (n = 3..6, 2-core x86_64) this budget raised peak RSS by
-# 2.5 MB and items/s by about 65%; 1024 leaves gained about 40%, and 4096
-# cost 5 MB for a few percent more.
-_CACHE_LEAVES = 2048
-_compiled: OrderedDict[tuple, PureTerm] = OrderedDict()
-_compiled_leaves = 0
-_compiled_lock = Lock()
 
 
 def compile_gate(gate: GateMatrix, targets: Sequence[int], qubit_count: int) -> PureTerm:
@@ -334,31 +379,10 @@ def compile_gate(gate: GateMatrix, targets: Sequence[int], qubit_count: int) -> 
     qubit_count), built from the gate's own matrix: the leaf for basis state
     k superposes the at most 2^g nonzero entries of column k of U (x) I.
     Rejects bad targets first, then matrices whose columns are not
-    orthonormal.  Each placement is compiled once per process while it stays
-    in a small cache of recently compiled gates.
+    orthonormal.
     """
-    global _compiled_leaves
     _check_targets(gate, targets, qubit_count)
-    leaves = 1 << qubit_count
-    if leaves > _CACHE_LEAVES:
-        return _compile(gate, targets, qubit_count)
-    key = (gate.matrix.tobytes(), tuple(map(operator.index, targets)),
-           operator.index(qubit_count), get_tolerance())
-    with _compiled_lock:
-        lam = _compiled.get(key)
-        if lam is not None:
-            _compiled.move_to_end(key)
-            return lam
-    # a failure raises here, so it is never kept
-    lam = _compile(gate, targets, qubit_count)
-    with _compiled_lock:
-        if key not in _compiled:
-            _compiled[key] = lam
-            _compiled_leaves += leaves
-            while _compiled_leaves > _CACHE_LEAVES:
-                old, _ = _compiled.popitem(last=False)
-                _compiled_leaves -= 1 << old[2]
-    return lam
+    return _compile(gate, targets, qubit_count, _basis_values(qubit_count))
 
 
 def compile_isometry(gate: GateMatrix) -> PureTerm:
@@ -366,11 +390,10 @@ def compile_isometry(gate: GateMatrix) -> PureTerm:
 
     The argument is destructured qubit by qubit; the leaf for basis state k
     sequences the consumed bits away and returns the encoded k-th column.
-    Rejects matrices whose columns are not orthonormal.  It is not cached:
-    a dense matrix is rarely compiled twice.
+    Rejects matrices whose columns are not orthonormal.
     """
     n = gate.qubit_count
-    return _compile(gate, range(n), n)
+    return _compile(gate, range(n), n, _basis_values(n))
 
 
 def expand_gate(gate: GateMatrix, targets: Sequence[int], qubit_count: int) -> GateMatrix:
@@ -413,8 +436,12 @@ def run_circuit(
     n = state.qubit_count
     d = encode(state)
     v = state
+    # every gate's case tree ends in the same basis values (a register too
+    # wide to compile fails at the first gate's target check)
+    values = _basis_values(n) if n <= _MAX_REGISTER else []
     for gate, targets in gates:
-        lam = compile_gate(gate, targets, n)
+        _check_targets(gate, targets, n)
+        lam = _compile(gate, targets, n, values)
         # d is canonical (encode emits index order, normalize canonicalizes),
         # and so is the application of one lambda to each of its summands;
         # both validated their coefficients already

@@ -278,10 +278,17 @@ def _trusted(summands: tuple[tuple[complex, PureTerm], ...]) -> Distribution:
     of finite complex coefficients and pure terms.  It skips the checks of
     `Distribution.__post_init__`, which public construction runs, so callers
     pass only coefficients taken from a validated distribution or literals."""
-    d = object.__new__(Distribution)
-    object.__setattr__(d, "summands", summands)
-    object.__setattr__(d, "_fv", None)
+    d = _new_object(Distribution)
+    _set_summands(d, summands)
+    _set_dist_fv(d, None)
     return d
+
+
+# the slot setters themselves, which skip the frozen class's __setattr__
+# and the attribute lookup of object.__setattr__
+_new_object = object.__new__
+_set_summands = Distribution.summands.__set__
+_set_dist_fv = Distribution._fv.__set__
 
 
 def singleton(t: PureTerm, coeff: complex = 1) -> Distribution:

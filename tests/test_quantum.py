@@ -32,14 +32,18 @@ from qlam.config import tolerance
 from qlam.inner import norm
 from qlam.rewrite import normalize
 from qlam.syntax import (
+    App,
     InlV,
     InrV,
     Lam,
     LetPair,
     Match,
     PairV,
+    Seq,
+    Var,
     Void,
     congruent,
+    free_vars,
     mk_app,
     singleton,
 )
@@ -525,74 +529,60 @@ def test_compile_gate_errors_match_dense_route():
     assert _raised(compile_gate, GateMatrix(np.ones((2, 2))), [1], 3)[0] is NotAnIsometry
 
 
-# ------------------------------------------------------ compiled-gate cache
+# ------------------------------------------------------------- case trees
 
 
-def test_a_cache_hit_is_the_compiled_term(monkeypatch):
-    gate = _random_unitary(np.random.default_rng(31), 2)
-    first = compile_gate(gate, [3, 1], 4)
-    calls = []
-    monkeypatch.setattr(quantum, "_compile", lambda *a: calls.append(a))
-    assert compile_gate(gate, [3, 1], 4) is first
-    assert calls == []
-    monkeypatch.undo()
-    assert first == quantum._compile(gate, [3, 1], 4)
+def _public_case_tree(images, n):
+    # the case tree built with the public constructors, each of which runs
+    # the dataclass __init__ and its checks
+    z, w = "z" + "'" * (n - 1), "x" + "'" * n
+    nodes = [
+        Lam(z, qubits(1), singleton(Match(
+            Var(z), w, singleton(Seq(Var(w), left)), w, singleton(Seq(Var(w), right)),
+        )))
+        for left, right in zip(images[::2], images[1::2])
+    ]
+    for depth in range(n - 2, -1, -1):
+        z, x, y = (base + "'" * depth for base in "zxy")
+        w = "x" + "'" * (depth + 1)
+        nodes = [
+            Lam(z, qubits(n - depth), singleton(LetPair(x, y, Var(z), singleton(Match(
+                Var(x),
+                w, singleton(Seq(Var(w), singleton(App(left, Var(y))))),
+                w, singleton(Seq(Var(w), singleton(App(right, Var(y))))),
+            )))))
+            for left, right in zip(nodes[::2], nodes[1::2])
+        ]
+    return nodes[0]
 
 
-def test_each_tolerance_has_its_own_entry():
+def test_case_tree_matches_one_built_by_the_public_constructors():
+    rng = np.random.default_rng(23)
+    for n in range(1, 6):
+        images = []
+        for _ in range(1 << n):
+            amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            amps[rng.random(1 << n) < 0.5] = 0
+            amps[rng.integers(1 << n)] = 1
+            images.append(encode(StateVector(amps / np.linalg.norm(amps))))
+        want = _public_case_tree(images, n)
+        got = case_construct(n, images)
+        assert got == want and repr(got) == repr(want), n
+        # every cache field is set: free_vars reads it on each node
+        assert free_vars(got) == frozenset()
+
+
+def test_compile_gate_cuts_at_the_tolerance_in_force():
     # a rotation by a small angle: its off-diagonal entries survive a fine
     # cut and fall to a coarse one
     e = 1e-4
     gate = GateMatrix(np.array([[math.cos(e), -math.sin(e)], [math.sin(e), math.cos(e)]]))
     got = {}
-    for tol in (1e-6, 1e-3, 1e-6, 1e-3):
+    for tol in (1e-6, 1e-3):
         with tolerance(tol):
-            term = compile_gate(gate, [1], 2)
-            assert term == quantum._compile(gate, [1], 2)
-            got.setdefault(tol, term)
-            assert got[tol] is term
+            got[tol] = compile_gate(gate, [1], 2)
+            assert got[tol] == _dense_route(gate, [1], 2)[1]
     assert got[1e-6] != got[1e-3]
-    keys = [k for k in quantum._compiled if k[0] == gate.matrix.tobytes() and k[1:3] == ((1,), 2)]
-    assert sorted(k[3] for k in keys) == [1e-6, 1e-3]
-
-
-def test_a_failed_compile_is_never_cached():
-    bad = GateMatrix(np.diag([1, 1 + 1e-3]))
-    before = set(quantum._compiled)
-    for _ in range(3):
-        with pytest.raises(NotAnIsometry):
-            compile_gate(bad, [0], 2)
-    assert all(k[0] != bad.matrix.tobytes() for k in quantum._compiled)
-    assert quantum._compiled.keys() <= before
-
-
-def test_the_cache_holds_at_most_its_leaf_budget():
-    h = gate_library["H"]
-    for n in (9, 10):
-        for q in range(n):
-            compile_gate(h, [q], n)
-    held = sum(1 << key[2] for key in quantum._compiled)
-    assert held == quantum._compiled_leaves <= quantum._CACHE_LEAVES
-    # a tree larger than the whole budget is compiled but neither kept nor
-    # allowed to evict what is
-    kept = list(quantum._compiled)
-    wide = quantum._CACHE_LEAVES.bit_length()
-    assert compile_gate(h, [0], wide) == quantum._compile(h, [0], wide)
-    assert list(quantum._compiled) == kept
-
-
-def test_a_compiled_gate_does_not_depend_on_what_ran_before():
-    rng = np.random.default_rng(17)
-    gates = [gate_library[name] for name in ("H", "T", "CNOT", "SWAP")]
-    gates += [_random_unitary(rng, 1), _random_unitary(rng, 2)]
-    jobs = [
-        (gate, [int(q) for q in rng.permutation(n)[:gate.qubit_count]], n)
-        for gate in gates for n in range(gate.qubit_count, 7) for _ in range(2)
-    ]
-    order = rng.permutation(len(jobs))
-    for i in np.concatenate([order, order[::-1]]):
-        gate, targets, n = jobs[i]
-        assert compile_gate(gate, targets, n) == quantum._compile(gate, targets, n)
 
 
 # -------------------------------------------------------------- file formats
