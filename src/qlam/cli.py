@@ -34,7 +34,7 @@ from .rewrite import DEFAULT_MAX_STEPS, StepLimitExceeded, StuckError, normalize
 from .surface import ParseError, parse_program, pretty_print
 from .syntax import congruent, singleton
 from .typecheck import ErrorKind, TypeCheckError, type_of_program
-from .types import Arrow, qubits, show_type, subtype
+from .types import show_type, subtype
 
 _EXIT_TYPE = 1
 _EXIT_SYNTAX = 2
@@ -99,10 +99,11 @@ def _cmd_eval(args) -> int:
 
 def _cmd_compile_gate(args) -> int:
     gate = parse_matrix(_read(args.matrix), args.matrix)
-    lam = compile_isometry(gate)
-    text = pretty_print(singleton(lam)) + "\n"
+    program = singleton(compile_isometry(gate))
+    # the type is the checker's, and a term it rejects is not written
+    ty = show_type(type_of_program(program))
+    text = pretty_print(program) + "\n"
     n = gate.qubit_count
-    ty = show_type(Arrow(qubits(n), qubits(n)))
     if args.output == "-":
         sys.stdout.write(text)
         print(ty, file=sys.stderr)

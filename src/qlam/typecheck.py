@@ -26,6 +26,21 @@ type has a Sharp may hold a superposition of its basis values, so every left
 instance must be orthogonal to every right instance that agrees with it on
 the other, flat, shared variables, not only to the one under the same
 assignment.
+
+Where an instance comes from.  A closed value of type ♯A → ♯B is fixed by
+the images of A's basis values, so the checker keeps a column table for
+each closed lambda of the two shapes `case_construct` emits,
+`\\z. match z {…}` and `\\z. let (x, y) = z in match x {…}`, whose match the
+enumerated tier decided: each basis value of the domain with the keyed
+instance the tier ground for it, which is the normal form of the lambda
+applied to that value.  Past its unit heads (`u ;` with u bound to ⋆), a
+branch instance that applies a tabled lambda to a name is that name's
+column, and one that is a distribution of ground values is keyed as it
+stands; every other instance is substituted and normalized.  The inventory
+and pair caps bound only the instances that are ground this way: when both
+branches read columns for the one shared name from tables over its type,
+its values are the tables' domain, whose size each table's own check
+bounded.  The tables live for one check.
 """
 
 from __future__ import annotations
@@ -54,6 +69,7 @@ from .syntax import (
     Seq,
     Var,
     Void,
+    _VOID,
     _trusted,
     alpha_eq,
     canonicalize,
@@ -165,9 +181,31 @@ class _Binding:
         self.uses = 0
 
 
+class _Table:
+    """The column table of a checked closed lambda: each basis value of its
+    domain type `dom`, in the order of `_enumerate_values(dom)`, with the
+    keyed normal form of the lambda applied to it.  The table is found by
+    the lambda's identity; it keeps `lam`, which holds that identity and
+    lets a lookup confirm it."""
+    __slots__ = ("lam", "dom", "columns")
+
+    def __init__(self, lam: Lam, dom: Type, columns: dict[PureTerm, Keyed]):
+        self.lam = lam
+        self.dom = dom
+        self.columns = columns
+
+    def column(self, value: PureTerm | None) -> Keyed | None:
+        return self.columns.get(value)
+
+
 class _Checker:
     def __init__(self) -> None:
         self.scopes: dict[str, list[_Binding]] = {}
+        # the column tables of the lambdas checked so far, by identity
+        self.tables: dict[int, _Table] = {}
+        # the match of each table-shaped lambda being checked, by identity,
+        # with the cells its enumeration ground once it is decided
+        self._cells: dict[int, list | None] = {}
 
     # -- context plumbing ---------------------------------------------------
 
@@ -241,8 +279,13 @@ class _Checker:
                 return ty, Derivation("var", t, ty)
             case Lam(x, ann, body):
                 entry = self._bind(x, ann)
+                shape = _table_shape(t)
+                if shape is not None:
+                    self._cells[id(shape[0])] = None
                 bt, bd = self.infer_dist(body)
                 self._unbind(x, t)
+                if shape is not None:
+                    self._tabulate(t, entry.ty, shape[1], self._cells.pop(id(shape[0])))
                 ty = Arrow(entry.ty, bt)
                 return ty, Derivation("lambda", t, ty, (bd,))
             case Void() | PairV() | InlV() | InrV():
@@ -349,7 +392,9 @@ class _Checker:
                 f"match branches have incompatible types {t1} and {t2}",
                 here,
             )
-        self._require_orthogonal(x1, lt, b1, x2, rt, b2, here)
+        cells = self._require_orthogonal(x1, lt, b1, x2, rt, b2, here)
+        if id(here) in self._cells:
+            self._cells[id(here)] = cells
         ty = lift(joined)
         return ty, Derivation(f"match-{form}", here, ty, (ds, d1, d2))
 
@@ -476,7 +521,7 @@ class _Checker:
         t2: Type,
         b2: Distribution,
         here: Location,
-    ) -> None:
+    ) -> list | None:
         shared_names = sorted(
             (free_vars_dist(b1) - {x1}) | (free_vars_dist(b2) - {x2})
         )
@@ -485,7 +530,26 @@ class _Checker:
             stack = self.scopes.get(x)
             assert stack, f"branch variable {x} escaped typing"
             shared[x] = stack[-1].ty
-        _decide_orthogonality(shared, (x1, t1), b1, (x2, t2), b2, here)
+        return _decide_orthogonality(
+            shared, (x1, t1), b1, (x2, t2), b2, here, self.tables
+        )
+
+    def _tabulate(self, lam: Lam, dom: Type, y: str | None, cells: list | None) -> None:
+        """Keep the column table of a table-shaped lambda whose match the
+        enumerated tier decided with no shared name but the let's right
+        name y, if any: the lambda is then closed, and the instance ground
+        for binder w (and y := v) is its column for inl w or inr w (paired
+        with v).  The columns go in the order of `_enumerate_values(dom)`."""
+        if cells is None or cells[0][0].keys() != (set() if y is None else {y}):
+            return
+        columns: dict[PureTerm, Keyed] = {}
+        for tag, side in ((InlV, 1), (InrV, 2)):
+            for j, (w, _) in enumerate(cells[0][side]):
+                head = tag(w)
+                for cell in cells:
+                    key = head if y is None else PairV(head, cell[0][y])
+                    columns[key] = cell[side][j][1]
+        self.tables[id(lam)] = _Table(lam, dom, columns)
 
 
 def _value_rule(
@@ -581,6 +645,26 @@ def _unlifted(ty: Type) -> Type:
     return ty
 
 
+def _only(d: Distribution) -> PureTerm | None:
+    """The term of a one-summand, unscaled distribution, else None."""
+    s = d.summands
+    return s[0][1] if len(s) == 1 and s[0][0] == 1 else None
+
+
+def _table_shape(lam: Lam) -> tuple[Match, str | None] | None:
+    """The match of a lambda of one of the two shapes `case_construct`
+    emits, `\\z. match z {…}` and `\\z. let (x, y) = z in match x {…}`, with
+    the let's right name y (None for the first shape); None for any other
+    lambda."""
+    t = _only(lam.body)
+    scrutinee, y = lam.name, None
+    if isinstance(t, LetPair) and t.scrutinee == Var(lam.name):
+        scrutinee, y, t = t.left, t.right, _only(t.body)
+    if isinstance(t, Match) and t.scrutinee == Var(scrutinee):
+        return t, y
+    return None
+
+
 @lru_cache(maxsize=_MEMO)
 def _enumerate_values(ty: Type) -> tuple[PureTerm, ...] | None:
     """All ground values of an arrow-free type, None when not enumerable.
@@ -611,6 +695,9 @@ def _enumerate_values(ty: Type) -> tuple[PureTerm, ...] | None:
             return None
 
 
+_UNIT_VALUES = (_VOID,)
+
+
 def _decide_orthogonality(
     shared: dict[str, Type],
     binder1: tuple[str, Type],
@@ -618,9 +705,21 @@ def _decide_orthogonality(
     binder2: tuple[str, Type],
     b2: Distribution,
     here: Location,
-) -> None:
+    tables: Mapping[int, _Table],
+) -> list | None:
+    """Decide the branches orthogonal or raise.  Returns the cells the
+    enumerated tier ground, None when the structural criterion decided."""
     x1, t1 = binder1
     x2, t2 = binder2
+    domain = _tabled_domain(shared, x1, b1, x2, b2, tables)
+    if domain is not None and _enumerate_values(t1) == _UNIT_VALUES == _enumerate_values(t2):
+        # every instance is a column of a table, whose size the lambda's own
+        # check bounded, so neither cap applies
+        (y, ty), = shared.items()
+        return _enumerated_orthogonality(
+            {y: domain}, set() if is_flat(ty) else {y},
+            x1, _UNIT_VALUES, b1, x2, _UNIT_VALUES, b2, tables, here,
+        )
     inventories: dict[str, tuple[PureTerm, ...]] = {}
     enumerable = True
     for x, ty in shared.items():
@@ -637,10 +736,9 @@ def _decide_orthogonality(
             total *= len(inv)
         if total <= _PAIR_CAP:
             superposable = {x for x, ty in shared.items() if not is_flat(ty)}
-            _enumerated_orthogonality(
-                inventories, superposable, x1, inv1, b1, x2, inv2, b2, here
+            return _enumerated_orthogonality(
+                inventories, superposable, x1, inv1, b1, x2, inv2, b2, tables, here
             )
-            return
     if (
         is_value_distribution(b1)
         and is_value_distribution(b2)
@@ -648,7 +746,7 @@ def _decide_orthogonality(
             [t for _, t in b1.summands], [t for _, t in b2.summands]
         )
     ):
-        return
+        return None
     raise TypeCheckError(
         ErrorKind.ORTHOGONALITY_UNDECIDED,
         "cannot decide that the branches are orthogonal: they are not value "
@@ -667,8 +765,9 @@ def _enumerated_orthogonality(
     x2: str,
     inv2: tuple[PureTerm, ...],
     b2: Distribution,
+    tables: Mapping[int, _Table],
     here: Location,
-) -> None:
+) -> list:
     """Every ground instance of the left branch must be orthogonal to every
     ground instance of the right one that gives the flat shared names the
     same values.
@@ -681,22 +780,26 @@ def _enumerated_orthogonality(
     instance is compared only with the instances that share a key with it
     (`_holders`).  The pairs under one assignment are compared as soon as
     they are grounded, so a failure among them is reported before any pair
-    across assignments.
+    across assignments.  Returns the cells (assignment, [(w1, left)],
+    [(w2, right)]) in enumeration order.
     """
     names = sorted(inventories)
+    cells = []
     groups: dict[tuple, list] = {}
     for combo in itertools.product(*(inventories[x] for x in names)):
         base = dict(zip(names, combo))
-        lefts = [(w1, keyed(_ground_branch(b1, {**base, x1: w1}, here))) for w1 in inv1]
+        lefts = [(w1, _instance(b1, {**base, x1: w1}, tables, here)) for w1 in inv1]
         holders = _holders((j1, left) for j1, (_, left) in enumerate(lefts))
         rights = []
         for w2 in inv2:
-            right = (w2, keyed(_ground_branch(b2, {**base, x2: w2}, here)))
+            right = (w2, _instance(b2, {**base, x2: w2}, tables, here))
             rights.append(right)
             for j1 in sorted({j1 for k in right[1] for j1 in holders.get(k, ())}):
                 _require_pair_orthogonal(base, lefts[j1], base, right, here)
+        cell = (base, lefts, rights)
+        cells.append(cell)
         flat = tuple(v for x, v in base.items() if x not in superposable)
-        groups.setdefault(flat, []).append((base, lefts, rights))
+        groups.setdefault(flat, []).append(cell)
     for group in groups.values():
         holders = _holders(
             ((i2, j2), right)
@@ -714,6 +817,77 @@ def _enumerated_orthogonality(
             for i2, j2, j1 in sorted(pairs):
                 base2, _, rights = group[i2]
                 _require_pair_orthogonal(base1, lefts[j1], base2, rights[j2], here)
+    return cells
+
+
+def _tabled_domain(
+    shared: dict[str, Type],
+    x1: str,
+    b1: Distribution,
+    x2: str,
+    b2: Distribution,
+    tables: Mapping[int, _Table],
+) -> tuple[PureTerm, ...] | None:
+    """The values of the one shared name y when each branch reads a column
+    for it: after heads that are only its binder, it applies a tabled
+    lambda whose domain is y's type to y.  None otherwise."""
+    if len(shared) != 1:
+        return None
+    (y, ty), = shared.items()
+    if y in (x1, x2):
+        return None
+    for x, b in ((x1, b1), (x2, b2)):
+        source = _column_source(_tail(b, {x: _VOID}), tables)
+        if source is None or source[1] != y or source[0].dom is not ty:
+            return None
+    return tuple(source[0].columns)
+
+
+def _tail(d: Distribution, assignment: Mapping[str, PureTerm]) -> Distribution:
+    """d without its unit heads: while d is one unscaled `h ; tail` whose
+    head is ⋆ or a name the assignment binds to ⋆, its tail."""
+    while isinstance(t := _only(d), Seq) and (
+        t.head is _VOID
+        or isinstance(t.head, Var) and assignment.get(t.head.name) is _VOID
+    ):
+        d = t.tail
+    return d
+
+
+def _column_source(
+    d: Distribution, tables: Mapping[int, _Table]
+) -> tuple[_Table, str] | None:
+    """The table and the argument's name when d is one unscaled application
+    of a tabled lambda to a name."""
+    t = _only(d)
+    if isinstance(t, App) and isinstance(t.arg, Var):
+        table = tables.get(id(t.fun))
+        if table is not None and table.lam is t.fun:
+            return table, t.arg.name
+    return None
+
+
+def _instance(
+    b: Distribution,
+    assignment: dict[str, PureTerm],
+    tables: Mapping[int, _Table],
+    here: Location,
+) -> Keyed:
+    """The keyed ground instance of branch b under the assignment, which
+    binds every free name of b.  Past its unit heads, an application of a
+    tabled lambda to a name is that name's column, and a distribution of
+    ground values is keyed as it stands; any other branch, or a value with
+    no column, is substituted and normalized."""
+    d = _tail(b, assignment)
+    source = _column_source(d, tables)
+    if source is not None:
+        table, name = source
+        column = table.column(assignment.get(name))
+        if column is not None:
+            return column
+    elif all(is_ground(t) for _, t in d.summands):
+        return keyed(d)
+    return keyed(_ground_branch(b, assignment, here))
 
 
 def _holders(instances: Iterable[tuple[object, Keyed]]) -> dict[tuple, list]:
@@ -849,6 +1023,7 @@ def check_orthogonal_judgment(
         (x2, ground_unknowns(t2)),
         v2,
         "the orthogonality judgment",
+        {},
     )
     return True
 

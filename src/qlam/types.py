@@ -9,8 +9,9 @@ every type, and every ground value (`syntax._interned`), is the one live
 object per distinct value, and the table holds its nodes weakly.  Interned
 nodes are compared and hashed by identity: two of them are equal only when
 they are the same object.  Every construction of a type goes through
-`_type_node`, so types are `eq=False` dataclasses, and `subtype` and
-`join_types` keep a memo (`_MEMO` entries each) that hashes a type in O(1).
+`_type_node`, so types are `eq=False` dataclasses, and `subtype`,
+`join_types` and `ground_unknowns` keep a memo (`_MEMO` entries each) that
+hashes a type in O(1).
 """
 
 from __future__ import annotations
@@ -206,21 +207,32 @@ def _structural(c: Type, d: Type) -> bool:
             return False
 
 
+@lru_cache(maxsize=_MEMO)
 def ground_unknowns(a: Type) -> Type:
-    """Replace every inference placeholder with Unit."""
-    match a:
-        case Unknown():
-            return UNIT
-        case Sharp(inner):
-            return Sharp(ground_unknowns(inner))
-        case Sum(l, r):
-            return Sum(ground_unknowns(l), ground_unknowns(r))
-        case Prod(l, r):
-            return Prod(ground_unknowns(l), ground_unknowns(r))
-        case Arrow(d, c):
-            return Arrow(ground_unknowns(d), ground_unknowns(c))
-        case _:
-            return a
+    """Replace every inference placeholder with Unit.
+
+    The result is kept per interned type, in a memo of `_MEMO` entries.  The
+    type is rebuilt from the leaves up over an explicit stack, so its depth
+    is not bounded by the interpreter's recursion limit, and a part with no
+    placeholder is its own result."""
+    done: dict[Type, Type] = {}
+    stack = [a]
+    while stack:
+        t = stack[-1]
+        parts = [getattr(t, f) for f in t.__match_args__]
+        todo = [p for p in parts if p not in done]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        grounded = [done[p] for p in parts]
+        if isinstance(t, Unknown):
+            done[t] = UNIT
+        elif all(g is p for g, p in zip(grounded, parts)):
+            done[t] = t
+        else:
+            done[t] = type(t)(*grounded)
+    return done[a]
 
 
 def sharp_lift(a: Type) -> Type:
@@ -324,7 +336,10 @@ def _meet(a: Type, b: Type) -> Type | None:
 
 
 def _unify(a: Type, b: Type) -> Type | None:
-    """Syntactic unification where Unknown is the only variable."""
+    """Syntactic unification where Unknown is the only variable.  Types are
+    interned, so a type unifies with itself as itself."""
+    if a is b:
+        return a
     if isinstance(a, Unknown):
         return b
     if isinstance(b, Unknown):

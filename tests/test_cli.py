@@ -16,9 +16,17 @@ import pytest
 
 from qlam.cli import main
 from qlam.config import DEFAULT_TOLERANCE, get_tolerance, set_tolerance
-from qlam.quantum import StateVector, case_construct, encode, format_matrix, gate_library
+from qlam.quantum import (
+    GateMatrix,
+    StateVector,
+    case_construct,
+    encode,
+    format_matrix,
+    gate_library,
+)
 from qlam.surface import pretty_print
 from qlam.syntax import singleton
+from qlam.typecheck import ErrorKind, TypeCheckError
 
 _R2 = 1 / math.sqrt(2)
 
@@ -258,6 +266,32 @@ def test_compile_gate_to_stdout(write, capsys):
     captured = capsys.readouterr()
     assert captured.out.startswith("(\\")
     assert captured.err.strip() == "#((U+U)*(U+U)) -> #((U+U)*(U+U))"
+
+
+@pytest.mark.parametrize("name, matrix", [
+    ("H", gate_library["H"].matrix),
+    ("toffoli", np.eye(8)[[0, 1, 2, 3, 4, 5, 7, 6]]),
+])
+def test_compile_gate_reports_the_checkers_type(name, matrix, write, tmp_path, capsys):
+    mat = write(f"{name}.mat", format_matrix(GateMatrix(matrix)))
+    out = str(tmp_path / f"{name}.qlam")
+    assert main(["compile-gate", "--format", "json-lines", mat, out]) == 0
+    compiled = json.loads(_lines(capsys)[0])
+    assert main(["check", "--format", "json-lines", out]) == 0
+    checked = json.loads(_lines(capsys)[0])
+    assert compiled["type"] == checked["type"]
+    assert compiled["qubits"] == matrix.shape[0].bit_length() - 1
+
+
+def test_compile_gate_exits_as_check_does_when_the_checker_rejects(write, monkeypatch, capsys):
+    def reject(program):
+        raise TypeCheckError(ErrorKind.ORTHOGONALITY_UNDECIDED, "undecided")
+
+    monkeypatch.setattr("qlam.cli.type_of_program", reject)
+    out = write("had.qlam", "")
+    assert main(["compile-gate", write("had.mat", format_matrix(gate_library["H"])), out]) == 1
+    assert capsys.readouterr().err == "error: OrthogonalityUndecided: undecided\n"
+    assert Path(out).read_text() == ""
 
 
 def test_compile_gate_rejects_non_isometry(write):
