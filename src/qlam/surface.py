@@ -22,7 +22,10 @@ only where a construct opens: a scaled or negated summand, a `+` sum, a `;`
 head, an application, `inl`/`inr`, a parenthesis or pair, and the binders
 `\\`, `let` and `match`.  Each construct is built when its last operand
 closes, by the same constructors and checks, in the same order, as a
-recursive descent would.  Types are short and are read by recursive descent.
+recursive descent would.  Types are read by a second, smaller loop,
+`_read_type`, which both `parse_type` and the annotation after `\\x:` use.
+It is kept apart from the term loop, where `*`, `+` and `(` mean other
+things.
 """
 
 from __future__ import annotations
@@ -193,9 +196,6 @@ class _Parser:
     def error(self, message: str, tok: _Token) -> ParseError:
         return ParseError(message, _span(self.text, tok[2], tok[3]))
 
-    def at(self, kind: str) -> bool:
-        return self.tokens[self.pos][0] == kind
-
     def check(self, tok: _Token, kind: str, what: str) -> None:
         """Raise unless tok is of this kind."""
         if tok[0] != kind:
@@ -208,52 +208,65 @@ class _Parser:
         self.pos += 1
         return tok[1]
 
-    # -- types --------------------------------------------------------------
 
-    def type_expr(self) -> Type:
-        left = self.sum_type()
-        if self.at("->"):
-            self.pos += 1
-            return Arrow(left, self.type_expr())
-        return left
+# the names a type operand may have, and the infixes, tightest first: the
+# index of each in a group's lists of operands, and the node that groups
+# those operands to the right
+_TYPE_NAMES = {"U": UNIT, "B": BOOL}
+_INFIX_LEVEL = {"*": 0, "+": 1, "->": 2}
+_INFIX_NODES = (Prod, Sum, Arrow)
 
-    def sum_type(self) -> Type:
-        return self.right_nested("+", self.prod_type, Sum)
 
-    def prod_type(self) -> Type:
-        return self.right_nested("*", self.sharp_type, Prod)
+def _read_type(p: _Parser) -> Type:
+    """The type that starts at p.pos, which ends past it.
 
-    def right_nested(self, sep: str, operand, node) -> Type:
-        """operand (sep operand)*, grouped to the right."""
-        parts = [operand()]
-        while self.at(sep):
-            self.pos += 1
-            parts.append(operand())
-        out = parts.pop()
-        while parts:
-            out = node(parts.pop(), out)
-        return out
-
-    def sharp_type(self) -> Type:
-        if self.at("#"):
-            self.pos += 1
-            return Sharp(self.sharp_type())
-        return self.atom_type()
-
-    def atom_type(self) -> Type:
-        tok = self.tokens[self.pos]
-        self.pos += 1
+    One loop reads the operands: a run of `#`s, then a name or `(`.  A
+    group keeps the operands read before each of its infixes.  An operand
+    ends before an infix, which groups the operands of the tighter infixes
+    into it and keeps the result, or before anything else, which groups
+    them all.  Each open parenthesis keeps the enclosing group and its
+    `#`s on a stack, and its own group becomes an operand at `)`."""
+    tokens = p.tokens
+    pos = p.pos
+    opened: list[tuple[list[list[Type]], int]] = []
+    group: list[list[Type]] = [[], [], []]
+    while True:
+        # an operand
+        sharps = 0
+        tok = tokens[pos]
+        while tok[0] == "#":
+            sharps += 1
+            pos += 1
+            tok = tokens[pos]
+        pos += 1
         if tok[0] == "(":
-            t = self.type_expr()
-            self.expect(")", "')'")
-            return t
-        if tok[0] == "ident":
-            if tok[1] == "U":
-                return UNIT
-            if tok[1] == "B":
-                return BOOL
-            raise self.error(f"unknown type name {tok[1]!r}", tok)
-        raise self.error(f"expected a type, found {_found(tok)}", tok)
+            opened.append((group, sharps))
+            group = [[], [], []]
+            continue
+        if tok[0] != "ident":
+            raise p.error(f"expected a type, found {_found(tok)}", tok)
+        t = _TYPE_NAMES.get(tok[1])
+        if t is None:
+            raise p.error(f"unknown type name {tok[1]!r}", tok)
+        # t ends here: group what it closes
+        while True:
+            for _ in range(sharps):
+                t = Sharp(t)
+            tok = tokens[pos]
+            level = _INFIX_LEVEL.get(tok[0], 3)
+            for operands, node in zip(group[:level], _INFIX_NODES):
+                while operands:
+                    t = node(operands.pop(), t)
+            if level < 3:
+                group[level].append(t)
+                pos += 1
+                break
+            if not opened:
+                p.pos = pos
+                return t
+            p.check(tok, ")", "')'")
+            pos += 1
+            group, sharps = opened.pop()
 
 
 def parse_program(text: str) -> Distribution:
@@ -305,7 +318,7 @@ def parse_program(text: str) -> Distribution:
                 if kind == "\\":
                     name = p.expect("ident", "a parameter name")
                     p.expect(":", "':' and a parameter type")
-                    ann = p.type_expr()
+                    ann = _read_type(p)
                     p.expect(".", "'.' after the parameter type")
                     push((_LAM, name, ann))
                 elif kind == "let":
@@ -471,7 +484,7 @@ def _built(p: _Parser, tok: _Token, make: Callable[..., Distribution], *args) ->
 
 def parse_type(text: str) -> Type:
     p = _Parser(text)
-    t = p.type_expr()
+    t = _read_type(p)
     p.expect("eof", "end of input")
     return t
 

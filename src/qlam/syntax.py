@@ -43,13 +43,13 @@ patterns.
 from __future__ import annotations
 
 import cmath
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
 from weakref import ref
 
 from .config import get_tolerance
-from .types import _INTERNED, Type, _enter, type_key
+from .types import _INTERNED, Type, _enter, _type_parts, emit, type_key
 
 
 def _cache():
@@ -655,6 +655,8 @@ def _require_values(d: Distribution, what: str) -> None:
 # 1 sequencing, 2 application, 3 atoms.  Match is brace-delimited and counts
 # as an atom, except as the operator or argument of an application, where it
 # is parenthesized.  The output re-parses to an alpha-equivalent distribution.
+# Terms, distributions and a lambda's annotation print in the one loop of
+# `types.emit`, so a term's depth costs no Python frames.
 
 _LOW, _SEQ, _APP, _ATOMIC = 0, 1, 2, 3
 
@@ -677,69 +679,68 @@ def _show_float(x: float) -> str:
 
 
 def show_dist(d: Distribution) -> str:
-    return " + ".join(_show_summand(a, t) for a, t in d.summands)
-
-
-def _show_summand(a: complex, t: PureTerm) -> str:
-    if a == 1:
-        return _show_term(t, _SEQ)
-    return f"{show_scalar(a)} * {_show_term(t, _SEQ)}"
+    return emit((d, _LOW), _parts)
 
 
 def show_term(t: PureTerm, level: int = _LOW) -> str:
-    return _show_term(t, level)
+    return emit((t, level), _parts)
 
 
-def _show_term(t: PureTerm, level: int) -> str:
-    match t:
-        case Var(x):
-            return x
-        case Void():
-            return "*"
-        case PairV(a, b):
-            return f"({_show_term(a, _LOW)}, {_show_term(b, _LOW)})"
-        case InlV(v):
-            return f"inl {_show_term(v, _ATOMIC)}"
-        case InrV(v):
-            return f"inr {_show_term(v, _ATOMIC)}"
-        case Match(s, x1, b1, x2, b2):
-            return (f"match {_show_term(s, _LOW)} {{ inl {x1} -> {show_dist(b1)}"
-                    f" | inr {x2} -> {show_dist(b2)} }}")
-        case App(f, a):
-            s = f"{_show_applied(f, _APP)} {_show_applied(a, _ATOMIC)}"
-            return f"({s})" if level > _APP else s
-        case Seq():
-            s = _show_seq_chain(t)
-            return f"({s})" if level > _SEQ else s
-        case Lam(x, ann, body):
-            s = f"\\{x}:{ann}. {show_dist(body)}"
-            return f"({s})" if level > _LOW else s
-        case LetPair(x, y, scrut, body):
-            s = f"let ({x}, {y}) = {_show_term(scrut, _LOW)} in {show_dist(body)}"
-            return f"({s})" if level > _LOW else s
-        case _:
-            raise TypeError(f"not a pure term: {t!r}")
+def _parts(t: PureTerm | Distribution | Type, level: int) -> str | Sequence:
+    """The text of a term, a distribution or a type at level, for `emit`.
+    It tests the exact class, commonest first, which is cheaper than the
+    isinstance tests of a `match`."""
+    cls = t.__class__
+    if cls is Void:
+        return "*"
+    if cls is InlV:
+        return "inl ", (t.value, _ATOMIC)
+    if cls is InrV:
+        return "inr ", (t.value, _ATOMIC)
+    if cls is PairV:
+        return "(", (t.first, _LOW), ", ", (t.second, _LOW), ")"
+    if cls is Var:
+        return t.name
+    if cls is Distribution:
+        summands = t.summands
+        if len(summands) == 1 and summands[0][0] == 1:
+            return ((summands[0][1], _SEQ),)
+        out: list = []
+        for a, u in summands:
+            if out:
+                out.append(" + ")
+            if a != 1:
+                out += show_scalar(a), " * "
+            out.append((u, _SEQ))
+        return out
+    if isinstance(t, Type):
+        return _type_parts(t, level)
+    if cls is Seq:
+        # a tail that is one unscaled term prints at the sequencing level, so
+        # a right-nested chain reads `h1 ; h2 ; ...`
+        (a, u), *more = t.tail.summands
+        if more or a != 1:
+            s = (t.head, _APP), " ; (", (t.tail, _LOW), ")"
+        else:
+            s = (t.head, _APP), " ; ", (u, _SEQ)
+        return ("(", *s, ")") if level > _SEQ else s
+    if cls is App:
+        s = (*_applied(t.fun, _APP), " ", *_applied(t.arg, _ATOMIC))
+        return ("(", *s, ")") if level > _APP else s
+    if cls is Lam:
+        # the annotation at the loosest type level, which is 0 too
+        s = f"\\{t.name}:", (t.ann, _LOW), ". ", (t.body, _LOW)
+        return ("(", *s, ")") if level > _LOW else s
+    if cls is Match:
+        return ("match ", (t.scrutinee, _LOW), f" {{ inl {t.left_name} -> ",
+                (t.left_body, _LOW), f" | inr {t.right_name} -> ", (t.right_body, _LOW), " }")
+    if cls is LetPair:
+        s = f"let ({t.left}, {t.right}) = ", (t.scrutinee, _LOW), " in ", (t.body, _LOW)
+        return ("(", *s, ")") if level > _LOW else s
+    raise TypeError(f"not a pure term: {t!r}")
 
 
-def _show_applied(t: PureTerm, level: int) -> str:
+def _applied(t: PureTerm, level: int) -> tuple:
     # the parser reads a match only where a term may start, not as an
     # operator or argument, so there it needs parentheses
-    s = _show_term(t, level)
-    return f"({s})" if isinstance(t, Match) else s
-
-
-def _show_seq_chain(t: Seq) -> str:
-    # a tail that is one unscaled term prints at the sequencing level, so a
-    # right-nested chain `h1 ; h2 ; ...` is printed here in one loop
-    parts = []
-    while True:
-        parts.append(_show_term(t.head, _APP))
-        tail = t.tail
-        if len(tail.summands) != 1 or tail.summands[0][0] != 1:
-            parts.append(f"({show_dist(tail)})")
-            break
-        t = tail.summands[0][1]
-        if not isinstance(t, Seq):
-            parts.append(_show_term(t, _SEQ))
-            break
-    return " ; ".join(parts)
+    return ("(", (t, level), ")") if t.__class__ is Match else ((t, level),)

@@ -9,13 +9,21 @@ every type, and every ground value (`syntax._interned`), is the one live
 object per distinct value, and the table holds its nodes weakly.  Interned
 nodes are compared and hashed by identity: two of them are equal only when
 they are the same object.  Every construction of a type goes through
-`_type_node`, so types are `eq=False` dataclasses, and `subtype`,
-`join_types` and `ground_unknowns` keep a memo (`_MEMO` entries each) that
-hashes a type in O(1).
+`_type_node`, so types are `eq=False` dataclasses, and `subtype` and
+`join_types` keep a memo (`_MEMO` entries each) that hashes a type in O(1).
+
+`_type_node` also sets three data on each new node, each from its parts' in
+O(1): its structural key (`type_key`), whether it is flat (`is_flat`) and
+its form with every placeholder grounded to Unit (`ground_unknowns`).
+Reading them walks nothing, so a type's depth costs no Python frames there.
+
+Both printers, the types' here and the terms' in `syntax`, run on one loop,
+`emit`, over an explicit stack.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from weakref import ref
@@ -52,9 +60,14 @@ class Type:
     """A type node.  Nodes are made by `__new__`, not by a dataclass
     `__init__`, which would run again on a node `__new__` returns from the
     intern table; `__reduce__` makes copies and pickles go through `__new__`
-    too."""
+    too.
+
+    `_key`, `_flat` and `_grounded` are set with the node; `_grounded` is
+    None when the type has no placeholder, as it would refer to the node
+    itself.  They take no part in construction, `repr` or `match`
+    patterns."""
     # the intern table refers to types weakly
-    __slots__ = ("__weakref__",)
+    __slots__ = ("__weakref__", "_key", "_flat", "_grounded")
 
     def __str__(self) -> str:
         return show_type(self)
@@ -121,10 +134,30 @@ def _type_node(cls: type, parts: tuple[Type, ...]) -> Type:
     node = None if entry is None else entry()
     if node is None:
         node = object.__new__(cls)
+        set_ = object.__setattr__
         for name, p in zip(cls.__match_args__, parts):
-            object.__setattr__(node, name, p)
+            set_(node, name, p)
+        set_(node, "_key", (_TAGS[cls], *(p._key for p in parts)))
+        if cls is Sharp:
+            flat = False
+        elif cls is Arrow:
+            flat = parts[0]._flat
+        else:
+            flat = all(p._flat for p in parts)
+        set_(node, "_flat", flat)
+        if cls is Unknown:
+            grounded = UNIT
+        elif any(p._grounded for p in parts):
+            grounded = cls(*(p._grounded or p for p in parts))
+        else:
+            grounded = None
+        set_(node, "_grounded", grounded)
         _enter(probe, node)
     return node
+
+
+# the head of each type's structural key
+_TAGS = {Unit: "U", Unknown: "?", Sharp: "#", Sum: "+", Prod: "x", Arrow: ">"}
 
 
 UNIT = Unit()
@@ -147,15 +180,7 @@ def is_flat(a: Type) -> bool:
     A type is flat when it contains no Sharp, except that anything goes to the
     right of an arrow.
     """
-    match a:
-        case Sharp(_):
-            return False
-        case Sum(l, r) | Prod(l, r):
-            return is_flat(l) and is_flat(r)
-        case Arrow(dom, _):
-            return is_flat(dom)
-        case _:
-            return True
+    return a._flat
 
 
 def peel_sharps(a: Type) -> tuple[int, Type]:
@@ -207,32 +232,9 @@ def _structural(c: Type, d: Type) -> bool:
             return False
 
 
-@lru_cache(maxsize=_MEMO)
 def ground_unknowns(a: Type) -> Type:
-    """Replace every inference placeholder with Unit.
-
-    The result is kept per interned type, in a memo of `_MEMO` entries.  The
-    type is rebuilt from the leaves up over an explicit stack, so its depth
-    is not bounded by the interpreter's recursion limit, and a part with no
-    placeholder is its own result."""
-    done: dict[Type, Type] = {}
-    stack = [a]
-    while stack:
-        t = stack[-1]
-        parts = [getattr(t, f) for f in t.__match_args__]
-        todo = [p for p in parts if p not in done]
-        if todo:
-            stack += todo
-            continue
-        stack.pop()
-        grounded = [done[p] for p in parts]
-        if isinstance(t, Unknown):
-            done[t] = UNIT
-        elif all(g is p for g, p in zip(grounded, parts)):
-            done[t] = t
-        else:
-            done[t] = type(t)(*grounded)
-    return done[a]
+    """Replace every inference placeholder with Unit."""
+    return a._grounded or a
 
 
 def sharp_lift(a: Type) -> Type:
@@ -242,21 +244,7 @@ def sharp_lift(a: Type) -> Type:
 
 def type_key(a: Type) -> tuple:
     """Orderable structural key, used to sort terms that carry annotations."""
-    match a:
-        case Unit():
-            return ("U",)
-        case Unknown():
-            return ("?",)
-        case Sharp(inner):
-            return ("#", type_key(inner))
-        case Sum(l, r):
-            return ("+", type_key(l), type_key(r))
-        case Prod(l, r):
-            return ("x", type_key(l), type_key(r))
-        case Arrow(d, c):
-            return (">", type_key(d), type_key(c))
-        case _:
-            raise TypeError(f"not a type: {a!r}")
+    return a._key
 
 
 @lru_cache(maxsize=_MEMO)
@@ -370,26 +358,49 @@ def _unify(a: Type, b: Type) -> Type | None:
 _ARROW, _SUM, _PROD, _ATOM = 0, 1, 2, 3
 
 
+def emit(root: tuple, parts: Callable[[object, int], str | Sequence]) -> str:
+    """The text of root, a (node, level) item.  parts(node, level) gives a
+    node's text: a string, or its pieces in reading order, strings and
+    (node, level) items.  One loop writes the strings and expands the items,
+    keeping the pieces of each unfinished node on an explicit stack, so a
+    node's depth costs heap, not Python frames."""
+    out: list[str] = []
+    write = out.append
+    unfinished = []
+    pieces = iter((root,))
+    while True:
+        for piece in pieces:
+            if piece.__class__ is not str:
+                piece = parts(*piece)
+                if piece.__class__ is not str:
+                    unfinished.append(pieces)
+                    pieces = iter(piece)
+                    break
+            write(piece)
+        else:
+            if not unfinished:
+                return "".join(out)
+            pieces = unfinished.pop()
+
+
 def show_type(a: Type) -> str:
-    return _show(a, _ARROW)
+    return emit((a, _ARROW), _type_parts)
 
 
-def _show(a: Type, level: int) -> str:
-    match a:
-        case Unit():
-            return "U"
-        case Unknown():
-            return "U"  # grounded rendering; placeholders never survive inference
-        case Sharp(inner):
-            return "#" + _show(inner, _ATOM)
-        case Sum(l, r):
-            s = f"{_show(l, _SUM + 1)}+{_show(r, _SUM)}"
-            return f"({s})" if level > _SUM else s
-        case Prod(l, r):
-            s = f"{_show(l, _PROD + 1)}*{_show(r, _PROD)}"
-            return f"({s})" if level > _PROD else s
-        case Arrow(d, c):
-            s = f"{_show(d, _ARROW + 1)} -> {_show(c, _ARROW)}"
-            return f"({s})" if level > _ARROW else s
-        case _:
-            raise TypeError(f"not a type: {a!r}")
+def _type_parts(a: Type, level: int) -> str | tuple:
+    """The text of a at level, for `emit`, by its exact class."""
+    cls = a.__class__
+    if cls is Unit or cls is Unknown:
+        return "U"  # grounded rendering; placeholders never survive inference
+    if cls is Sharp:
+        return "#", (a.inner, _ATOM)
+    if cls is Sum:
+        s = (a.left, _SUM + 1), "+", (a.right, _SUM)
+        return ("(", *s, ")") if level > _SUM else s
+    if cls is Prod:
+        s = (a.left, _PROD + 1), "*", (a.right, _PROD)
+        return ("(", *s, ")") if level > _PROD else s
+    if cls is Arrow:
+        s = (a.dom, _ARROW + 1), " -> ", (a.cod, _ARROW)
+        return ("(", *s, ")") if level > _ARROW else s
+    raise TypeError(f"not a type: {a!r}")

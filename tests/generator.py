@@ -36,7 +36,9 @@ from qlam.syntax import (
     scale,
     singleton,
 )
-from qlam.types import BOOL, UNIT, Prod, Sharp, Sum, Type
+from hypothesis import strategies as st
+
+from qlam.types import BOOL, UNIT, Arrow, Prod, Sharp, Sum, Type, Unknown
 
 STAR = Void()
 INL = InlV(STAR)
@@ -289,3 +291,57 @@ def flow_programs(seed: int, count: int) -> list[tuple[Distribution, Type]]:
 def value_distributions(seed: int, count: int) -> list[Distribution]:
     g = ProgramGen(seed)
     return [g.value_distribution() for _ in range(count)]
+
+
+# -- Hypothesis strategies -------------------------------------------------
+
+
+def types(unknown: bool = True) -> st.SearchStrategy[Type]:
+    """Random types, with the inference placeholder among the leaves when
+    unknown is set."""
+    leaves = st.sampled_from([UNIT, Unknown()] if unknown else [UNIT])
+    return st.recursive(leaves, lambda inner: st.one_of(
+        inner.map(Sharp),
+        *(st.builds(node, inner, inner) for node in (Sum, Prod, Arrow)),
+    ), max_leaves=12)
+
+
+# One shape nested n deep, as text: values, and types to write after `\x:`.
+DEEP_VALUES = {
+    "inl": lambda n: "inl " * n + "*",
+    "inr": lambda n: "inr " * n + "*",
+    "pair": lambda n: "(*, " * n + "*" + ")" * n,
+}
+DEEP_TYPES = {
+    "paren": lambda n: "(" * n + "U" + ")" * n,
+    "sharp": lambda n: "#" * n + "U",
+    "sum": lambda n: "+".join(["U"] * (n + 1)),
+    "prod": lambda n: "*".join(["U"] * (n + 1)),
+}
+
+# the layers the mixed shapes are made of, outermost first: each is text
+# before the rest and text after it
+_VALUE_LAYERS = (("inl ", ""), ("inr ", ""), ("(*, ", ")"), ("(", ", *)"))
+_TYPE_LAYERS = (("(", ")"), ("#", ""), ("#(", ")"), ("U+", ""), ("U*", ""), ("U -> ", ""))
+
+
+def _layered(layers, seed: int, depth: int, core: str) -> str:
+    rng = random.Random(seed)
+    before, after = [], []
+    for _ in range(depth):
+        b, a = rng.choice(layers)
+        before.append(b)
+        after.append(a)
+    return "".join(before) + core + "".join(reversed(after))
+
+
+def deep_values(depth: int) -> st.SearchStrategy[str]:
+    """A closed value written depth layers deep, each an `inl`, an `inr`,
+    or a pair with `*` on one side."""
+    return st.integers(0, 2**32).map(lambda seed: _layered(_VALUE_LAYERS, seed, depth, "*"))
+
+
+def deep_types(depth: int) -> st.SearchStrategy[str]:
+    """A type written depth layers deep: parentheses, `#`s, and `+`, `*`
+    and `->` chains."""
+    return st.integers(0, 2**32).map(lambda seed: _layered(_TYPE_LAYERS, seed, depth, "U"))

@@ -6,7 +6,8 @@ over a superposition `Σ αᵢ f aᵢ`.  `derivations.json` holds the derivation
 (every node's rule, type and subject, in preorder) or the error text of each
 case below, recorded from the checker that typed the two shapes by separate
 code.  The depth floors pin how deep a text program may nest before the
-checker runs out of stack.
+checker runs out of stack; values 10,000 deep and a 10,000-term sum
+annotation check, and print, with no stack at all.
 """
 
 from __future__ import annotations
@@ -18,9 +19,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from generator import ProgramGen, flow_programs, trace_programs
+from hypothesis import given, settings
+
+from generator import DEEP_VALUES, ProgramGen, deep_values, flow_programs, trace_programs
 from qlam.quantum import GateMatrix, StateVector, case_construct, compile_gate, encode, gate_library
-from qlam.surface import parse_program, pretty_print
+from qlam.surface import parse_program, parse_type, pretty_print
 from qlam.syntax import (
     Distribution,
     InlV,
@@ -39,7 +42,7 @@ from qlam.syntax import (
     singleton,
 )
 from qlam.typecheck import Derivation, TypeCheckError, check_program
-from qlam.types import BOOL, Prod, Sharp
+from qlam.types import BOOL, Arrow, Prod, Sharp, show_type
 
 _R2 = 1 / math.sqrt(2)
 _RECORDED = Path(__file__).parent / "derivations.json"
@@ -209,3 +212,31 @@ def _pair_chain(depth: int) -> str:
 def test_deep_text_programs_check(build, depth):
     ty, _ = check_program(parse_program(build(depth)))
     assert ty is not None
+
+
+# the checker, the types it builds and their printing need no recursion on
+# these
+_DEEP = 10_000
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_VALUES))
+def test_a_deep_value_checks_and_prints(shape):
+    text = DEEP_VALUES[shape](_DEEP)
+    d = parse_program(text)
+    ty, _ = check_program(d)
+    assert parse_type(show_type(ty)) is ty
+    assert pretty_print(d) == text
+
+
+def test_a_wide_sum_annotation_checks():
+    text = "+".join(["U"] * _DEEP)
+    ty, _ = check_program(parse_program(f"\\x:{text}. x"))
+    assert ty is Arrow(parse_type(text), parse_type(text))
+    assert show_type(ty) == f"{text} -> {text}"
+
+
+@settings(max_examples=5, deadline=None)
+@given(deep_values(3_000))
+def test_deep_mixed_values_check(text):
+    ty, _ = check_program(parse_program(text))
+    assert parse_type(show_type(ty)) is ty

@@ -1,24 +1,30 @@
-"""The parse loop against the recursive descent it replaced, and inputs too
-deep for recursion.
+"""The parse loops against the recursive descent they replaced, and inputs
+too deep for recursion.
 
 `reference_parse` is the recursive-descent parser for terms that the one
 loop in `surface.parse_program` replaced, with non-finite coefficients
 reported as parse errors at their place: a scalar, a pair, or the construct
-where equal summands merge.  It reads the same `_lex` tokens and types
-through the same `type_expr`.  The equivalence tests hold the loop to it:
-the same `repr`, or the same error type, text and span, on generator
-programs with blanks and comments, on damaged text and on compiled gates.
+where equal summands merge.  `reference_parse_type` is the recursive descent
+for types that `surface._read_type` replaced, and `reference_parse` reads a
+lambda's annotation through it.  Both read the same `_lex` tokens.  The
+equivalence tests hold the loops to them: the same `repr`, or the same error
+type, text and span, on generator programs and types with blanks, comments
+and extra parentheses, on damaged text and on compiled gates.
 """
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qlam.surface as surface
+from generator import DEEP_TYPES, deep_types, types
 from qlam.quantum import GateMatrix, compile_gate, compile_isometry, gate_library
-from qlam.surface import ParseError, parse_program, pretty_print
+from qlam.surface import ParseError, parse_program, parse_type, pretty_print
 from qlam.syntax import (
     App,
     Distribution,
@@ -44,6 +50,7 @@ from qlam.syntax import (
     singleton,
 )
 from qlam.typecheck import ErrorKind, TypeCheckError
+from qlam.types import BOOL, UNIT, Arrow, Prod, Sharp, Sum, Type, show_type
 from test_lexer import _damaged_texts, _spaced_texts, _unitary
 
 # ---------------------------------------------------------------- reference
@@ -53,7 +60,60 @@ _ATOM_STARTS = frozenset({"*", "ident", "(", "inl", "inr"})
 
 
 class _ReferenceParser(surface._Parser):
-    """Terms by recursive descent, about six Python frames per parenthesis."""
+    """Terms and types by recursive descent, about six Python frames per
+    parenthesis."""
+
+    def at(self, kind: str) -> bool:
+        return self.tokens[self.pos][0] == kind
+
+    # -- types --------------------------------------------------------------
+
+    def type_expr(self) -> Type:
+        left = self.sum_type()
+        if self.at("->"):
+            self.pos += 1
+            return Arrow(left, self.type_expr())
+        return left
+
+    def sum_type(self) -> Type:
+        return self.right_nested("+", self.prod_type, Sum)
+
+    def prod_type(self) -> Type:
+        return self.right_nested("*", self.sharp_type, Prod)
+
+    def right_nested(self, sep: str, operand, node) -> Type:
+        """operand (sep operand)*, grouped to the right."""
+        parts = [operand()]
+        while self.at(sep):
+            self.pos += 1
+            parts.append(operand())
+        out = parts.pop()
+        while parts:
+            out = node(parts.pop(), out)
+        return out
+
+    def sharp_type(self) -> Type:
+        if self.at("#"):
+            self.pos += 1
+            return Sharp(self.sharp_type())
+        return self.atom_type()
+
+    def atom_type(self) -> Type:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        if tok[0] == "(":
+            t = self.type_expr()
+            self.expect(")", "')'")
+            return t
+        if tok[0] == "ident":
+            if tok[1] == "U":
+                return UNIT
+            if tok[1] == "B":
+                return BOOL
+            raise self.error(f"unknown type name {tok[1]!r}", tok)
+        raise self.error(f"expected a type, found {surface._found(tok)}", tok)
+
+    # -- terms --------------------------------------------------------------
 
     def dist(self) -> Distribution:
         parts = [self.summand()]
@@ -202,6 +262,13 @@ def reference_parse(text: str) -> Distribution:
     return d
 
 
+def reference_parse_type(text: str) -> Type:
+    p = _ReferenceParser(text)
+    t = p.type_expr()
+    p.expect("eof", "end of input")
+    return t
+
+
 def _parsed(parse, text: str):
     """The result's repr, or the error's type, text and span."""
     try:
@@ -235,6 +302,74 @@ def test_parse_matches_the_reference_on_compiled_gates():
     for lam in lams:
         text = pretty_print(singleton(lam))
         assert _parsed(parse_program, text) == _parsed(reference_parse, text)
+
+
+_BLANKS = ["", "", " ", "\t", "\n", " -- note\n"]
+
+
+def _written(t: Type, rng: random.Random) -> str:
+    """t's text with extra parentheses and blanks, and with `B` for some of
+    its `U+U`s."""
+
+    def write(t: Type, level: int) -> str:
+        # level: 0 an arrow's codomain, 1 a sum's right, 2 a product's right,
+        # 3 an operand of `#`; an infix's left operand is one level up
+        match t:
+            case Sum(l, r) if l is r is UNIT and rng.random() < 0.5:
+                s = "B"
+            case Sharp(inner):
+                s = f"#{rng.choice(_BLANKS)}{write(inner, 3)}"
+            case Sum(l, r) | Prod(l, r) | Arrow(l, r):
+                sep, at = {Sum: ("+", 1), Prod: ("*", 2), Arrow: ("->", 0)}[type(t)]
+                blanks = rng.choice(_BLANKS), rng.choice(_BLANKS)
+                s = f"{write(l, at + 1)}{blanks[0]}{sep}{blanks[1]}{write(r, at)}"
+                if level > at:
+                    s = f"({s})"
+            case _:
+                s = "U"
+        if rng.random() < 0.2:
+            s = f"({rng.choice(_BLANKS)}{s}{rng.choice(_BLANKS)})"
+        return s
+
+    return f"{rng.choice(_BLANKS)}{write(t, 0)}{rng.choice(_BLANKS)}"
+
+
+_written_types = st.tuples(types(unknown=False), st.randoms(use_true_random=False)).map(
+    lambda drawn: (drawn[0], _written(*drawn)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_written_types)
+def test_parse_type_matches_the_reference_with_parentheses_and_blanks(written):
+    t, text = written
+    assert parse_type(text) is t
+    assert _parsed(parse_type, text) == _parsed(reference_parse_type, text)
+
+
+def _damaged(text: str, rng: random.Random) -> str:
+    """text with tokens and characters put in or taken out at arbitrary
+    places."""
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randint(0, len(text))
+        if text and rng.random() < 0.5:
+            text = text[:at] + text[at + 1:]
+        else:
+            bit = rng.choice(["(", ")", "#", "+", "*", "->", "-", ">", "U", "B", "X", " ",
+                              ".", ",", "@", "x:"])
+            text = text[:at] + bit + text[at:]
+    return text
+
+
+_damaged_types = st.tuples(_written_types, st.randoms(use_true_random=False)).map(
+    lambda drawn: _damaged(drawn[0][1], drawn[1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_damaged_types)
+def test_parse_type_or_error_matches_the_reference_on_damaged_text(text):
+    assert _parsed(parse_type, text) == _parsed(reference_parse_type, text)
+    program = f"\\x:{text}. x"
+    assert _parsed(parse_program, program) == _parsed(reference_parse, program)
 
 
 @pytest.mark.parametrize("text", [
@@ -301,3 +436,18 @@ def test_a_deep_error_has_its_span():
     with pytest.raises(ParseError) as e:
         parse_program(text)
     assert e.value.span.start == text.index("}")
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_TYPES))
+def test_deep_annotations_parse_without_recursion(shape):
+    text = DEEP_TYPES[shape](_DEEP)
+    (_, lam), = parse_program(f"\\x:{text}. x").summands
+    assert lam.ann is parse_type(text)
+    assert parse_type(show_type(lam.ann)) is lam.ann
+
+
+@settings(max_examples=5, deadline=None)
+@given(deep_types(3_000))
+def test_deep_mixed_types_read_back_from_their_text(text):
+    t = parse_type(text)
+    assert parse_type(show_type(t)) is t

@@ -1,10 +1,14 @@
-"""Types: flatness, subtyping (against the derivation-search oracle), joins."""
+"""Types: flatness, subtyping (against the derivation-search oracle), joins,
+and the data each type node carries against the recursive walks it
+replaced."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from generator import types
 from qlam.types import (
     BOOL,
     UNIT,
@@ -21,6 +25,7 @@ from qlam.types import (
     sharp_lift,
     show_type,
     subtype,
+    type_key,
 )
 
 from subtype_oracle import DerivationSearch, enumerate_types
@@ -176,6 +181,72 @@ def test_ground_unknowns():
     assert ground_unknowns(Sum(U, Unknown())) == BOOL
     assert ground_unknowns(Sharp(Prod(Unknown(), Unknown()))) == Sharp(Prod(U, U))
     assert ground_unknowns(qubits(2)) == qubits(2)
+
+
+# ------------------------------------------------------- per-node data
+#
+# The recursive walks that each type node's `_flat`, `_key` and `_grounded`
+# replaced, as references.
+
+
+def reference_is_flat(a):
+    match a:
+        case Sharp(_):
+            return False
+        case Sum(l, r) | Prod(l, r):
+            return reference_is_flat(l) and reference_is_flat(r)
+        case Arrow(dom, _):
+            return reference_is_flat(dom)
+        case _:
+            return True
+
+
+def reference_type_key(a):
+    match a:
+        case Unknown():
+            return ("?",)
+        case Sharp(inner):
+            return ("#", reference_type_key(inner))
+        case Sum(l, r):
+            return ("+", reference_type_key(l), reference_type_key(r))
+        case Prod(l, r):
+            return ("x", reference_type_key(l), reference_type_key(r))
+        case Arrow(d, c):
+            return (">", reference_type_key(d), reference_type_key(c))
+        case _:
+            return ("U",)
+
+
+def reference_ground_unknowns(a):
+    match a:
+        case Unknown():
+            return U
+        case Sharp(inner):
+            return Sharp(reference_ground_unknowns(inner))
+        case Sum(l, r) | Prod(l, r) | Arrow(l, r):
+            return type(a)(reference_ground_unknowns(l), reference_ground_unknowns(r))
+        case _:
+            return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(types(), types())
+def test_node_data_matches_the_recursive_walks(a, b):
+    assert is_flat(a) is reference_is_flat(a)
+    assert type_key(a) == reference_type_key(a)
+    assert ground_unknowns(a) is reference_ground_unknowns(a)
+    assert (type_key(a) == type_key(b)) is (a is b)
+    assert (type_key(a) < type_key(b)) is (reference_type_key(a) < reference_type_key(b))
+
+
+def test_a_deep_type_carries_its_data():
+    t = Unknown()
+    for _ in range(2_500):  # 10,000 constructors deep
+        t = Arrow(Sharp(Prod(Sum(U, t), U)), U)
+    assert not is_flat(t)
+    assert ground_unknowns(t) is not t
+    assert ground_unknowns(ground_unknowns(t)) is ground_unknowns(t)
+    assert type_key(t)[0] == ">"
 
 
 # ---------------------------------------------------------------- joins
