@@ -7,50 +7,47 @@ operator, sequencing, destructuring and case analysis reduce their head
 position first, and redexes fire only on values.  A summand's reduct is a
 distribution.  A contraction at the top of the term (beta, sequencing on the
 unit value, a pair destructured, a case taken) gives the substituted body as
-it stands.  A redex inside an evaluation context gives a reduct rebuilt
-through the `mk_*` constructors, which canonicalize that one reduct; an
-operator position takes only a single unscaled term.  The reduct is spliced
-in place of its summand with the coefficient multiplied through.  The splice
-merges nothing across summands; its readers canonicalize once, at the end,
-so traces show the raw arithmetic between summands, including interference
-terms that later merge away.
+it stands.  A redex inside an evaluation context gives a reduct merged and
+sorted once there (canonicalized, as the `mk_*` constructors would) and put
+back into the context summand by summand; an operator position takes only a
+single unscaled term.  The reduct is spliced in place of its summand with
+the coefficient multiplied through.  The splice merges nothing across
+summands; its readers canonicalize once, at the end, so traces show the raw
+arithmetic between summands, including interference terms that later merge
+away.
 
 One machine, `_run`, evaluates for every reader (an environment machine in
 the style of Landin's SECD and the CEK machine).  It holds each unfinished
-summand as a term and an explicit continuation of frames, and finds the next
-redex by pushing frames, so no evaluation recurses.  It runs in one of two
-modes.
+summand as a term, an environment and an explicit continuation of frames,
+and finds the next redex by pushing frames, so no evaluation recurses.  It
+has one binding rule.  A contraction binds its values in the environment: a
+name is bound to a value, a lambda becomes a closure of the lambda and its
+environment, and the reduct stays under the continuation.  A closure is read
+back into a term, with one substitution, only where a term must be seen: in
+the normal form, in a reduct of several summands inside an evaluation
+context, and in the stuck term of an error.  A contraction substitutes
+instead when its step is seen (`step`, `trace_normalize`, `normalize` under
+an rng) or when a value it binds has a name free in the input.  It then
+reads its body back in the rest of the environment, and only after that
+substitutes its own values (`substitute_many_dist`), as the small-step
+relation does at that step: one simultaneous substitution of both would give
+`fresh_name` another set of names to avoid, and so another renamed binder.
+After a seen step each summand of the reduct is plugged back through its
+frames (`_term`), and the next step descends from the top: the small-step
+relation, decomposed by the machine instead of by recursion (refocusing:
+Danvy and Nielsen, *Refocusing in reduction semantics*, BRICS RS-04-26,
+2004).
 
-- Stepping mode serves `step`, `trace_normalize` and `normalize` under an
-  rng.  It contracts a redex by substitution (`substitute_dist`,
-  `substitute_many_dist`), plugs the reduct back out through the frames with
-  the `mk_*` constructors and splices the result into the summand list: the
-  small-step relation, decomposed by the machine instead of by recursion
-  (refocusing: Danvy and Nielsen, *Refocusing in reduction semantics*, BRICS
-  RS-04-26, 2004).
-- Environment mode serves `normalize` under the leftmost strategy.  Every
-  contraction binds a value, so the substitution can wait: a name is bound
-  to a value in an environment, a lambda becomes a closure of the lambda and
-  its environment, and the reduct stays under the continuation.  A closure
-  is read back into a term, with one substitution, only where a term must be
-  seen: in the normal form, in a reduct of several summands inside an
-  evaluation context (canonicalized there as the `mk_*` constructors do),
-  and in the stuck term of an error.  While every value bound is closed, a
-  read-back never renames a binder, and the machine takes the same
-  contractions in the same order, multiplies the same coefficients in the
-  same order and counts the same steps as stepping mode, so the normal form
-  is the same, down to the coefficient bits.  In a closed input every value
-  bound is closed.  A value with a name free in the input could be read back
-  under a binder of that name, which one substitution renames otherwise than
-  several do; so before binding one, the machine reads back the terms its
-  summands stand for and goes on in stepping mode.
-
-Both modes fail at the step that the small-step relation fails at, and
-within a step in its order: StuckError where the redex position holds no
-redex or an operator reduces to more than one unscaled term, the ValueError
-of a merge that overflows where a context canonicalizes the reduct,
-StepLimitExceeded for the step past the limit, then the ValueError of a
-spliced coefficient that overflows.
+So an environment only ever holds closed values and a read-back never
+renames a binder.  Whatever it substitutes, the machine takes the same
+contractions in the same order, multiplies the same coefficients in the
+same order and counts the same steps as the small-step relation, so the
+normal form is the same, down to the coefficient bits.  It fails at the step
+that the small-step relation fails at, and within a step in its order:
+StuckError where the redex position holds no redex or an operator reduces to
+more than one unscaled term, the ValueError of a merge that overflows where
+a context canonicalizes the reduct, StepLimitExceeded for the step past the
+limit, then the ValueError of a spliced coefficient that overflows.
 """
 
 from __future__ import annotations
@@ -58,7 +55,7 @@ from __future__ import annotations
 import cmath
 import random
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .syntax import (
     _VOID,
@@ -80,15 +77,14 @@ from .syntax import (
     free_vars,
     free_vars_dist,
     is_value,
-    mk_app,
-    mk_let,
-    mk_match,
-    mk_seq,
     show_term,
-    singleton,
-    substitute_dist,
     substitute_many_dist,
 )
+
+# bound here, though no longer called, for callers that patch this module's
+# namespace: a reduct is plugged back by `_term`, and every contraction that
+# substitutes calls `substitute_many_dist`
+from .syntax import mk_app, mk_let, mk_match, mk_seq, substitute_dist  # noqa: F401
 
 DEFAULT_MAX_STEPS = 100_000
 
@@ -172,12 +168,13 @@ def trace_normalize(
 # the machine
 #
 # A machine value is a pair (value term, environment).  The environment maps
-# names to machine values; it is empty for a ground value, for a term that
-# was read back, and throughout stepping mode.  A continuation is `_TOP` (the
-# top of the summand) or a frame (tag, node, data, parent, in_operator): data
-# is the environment of node, or in an operator frame the pair (the
-# argument's value, the environment of node); in_operator says whether an
-# operator frame is on the chain, where a reduct must be one unscaled term.
+# names to closed machine values; it is empty for a ground value, for a term
+# that was read back or substituted into, and whenever the steps are seen.
+# A continuation is `_TOP` (the top of the summand) or a frame (tag, node,
+# data, parent, in_operator): data is the environment of node, or in an
+# operator frame the pair (the argument's value, the environment of node);
+# in_operator says whether an operator frame is on the chain, where a reduct
+# must be one unscaled term.
 #
 # A summand is a cell [coefficient, term, environment, continuation].  A
 # finished cell holds a machine value; a cell that a step splits into
@@ -206,7 +203,7 @@ def _summands(cells: list[list]) -> list[tuple[complex, PureTerm]]:
         if c is None:
             todo.extend(reversed(t))
         else:
-            out.append((c, _read_back(t, env) if env and t._term_key is None else t))
+            out.append((c, _read_back(t, env) if t._term_key is None else t))
     return out
 
 
@@ -221,12 +218,14 @@ def _value(t: PureTerm, env: dict) -> tuple:
 
 def _run(cells: list[list], max_steps: int, rng: random.Random | None,
          stepping: bool) -> Iterator[bool]:
-    """Evaluate the summands of cells in place, in stepping mode when
-    stepping (or from the first open value on), yielding after every step in
-    stepping mode.  `work` holds the unfinished cells from the rightmost to
-    the leftmost, so the leftmost is popped from the end; under rng the one
-    popped is drawn as `rng.choice` draws from the list of reducible
-    summands."""
+    """Evaluate the summands of cells in place, yielding after every step
+    when stepping.  A contraction binds its values in the environment, unless
+    the step is seen (stepping) or a value it binds has a name free in the
+    input: then it substitutes them, and a seen step plugs its reduct back
+    through the frames.  `work` holds the unfinished cells from the
+    rightmost to the leftmost, so the leftmost is popped from the end; under
+    rng the one popped is drawn as `rng.choice` draws from the list of
+    reducible summands."""
     work = [cell for cell in reversed(cells) if not is_value(cell[1])]
     steps = 0
     while work:
@@ -267,57 +266,29 @@ def _run(cells: list[list], max_steps: int, rng: random.Random | None,
             w, wenv = v
             if tag == _OP and type(w) is Lam:
                 v = env[0]
-                body = w.body
-                env = {**wenv, w.name: v}
+                body, env, own = w.body, wenv, {w.name: v}
             elif tag == _SEQ and w is _VOID:
-                body = node.tail
+                body, own = node.tail, _NO_ENV
             elif tag == _LET and type(w) is PairV:
                 body = node.body
-                env = {**env, node.left: _value(w.first, wenv),
-                       node.right: _value(w.second, wenv)}
+                own = {node.left: _value(w.first, wenv), node.right: _value(w.second, wenv)}
             elif tag == _MATCH and type(w) is InlV:
-                body = node.left_body
-                env = {**env, node.left_name: _value(w.value, wenv)}
+                body, own = node.left_body, {node.left_name: _value(w.value, wenv)}
             elif tag == _MATCH and type(w) is InrV:
-                body = node.right_body
-                env = {**env, node.right_name: _value(w.value, wenv)}
+                body, own = node.right_body, {node.right_name: _value(w.value, wenv)}
             else:
                 stuck = _term(w, wenv, frame, k)
                 raise StuckError(stuck, _STUCK[tag] or f"{show_term(stuck.fun, 3)} applied "
                                                        f"to {show_term(stuck.arg, 3)}")
-            if not stepping and v[0]._term_key is None and not free_vars(v[0]) <= v[1].keys():
-                # v has a name free in the input, and a read-back of it may
-                # rename a binder otherwise than substituting step by step
-                # does: from this redex on, step by substitution
-                stepping = True
-                for p in work:
-                    p[1:] = _term(*p[1:]), _NO_ENV, _TOP
-                t, env, k = _term(w, wenv, frame), _NO_ENV, _TOP
-                continue
-            if stepping:
-                # substitute the values bound, then plug the reduct back out
-                if len(env) == 2:
-                    body = substitute_many_dist(body, {x: u for x, (u, _) in env.items()})
-                elif env:
-                    (x, (u, _)), = env.items()
-                    body = substitute_dist(body, x, u)
+            if stepping or v[0]._term_key is None and not free_vars(v[0]) <= v[1].keys():
+                # substitute as a step does: the closed values bound earlier,
+                # which rename nothing, then this redex's own in one go
+                body = _read_back(body, env)
+                if own:
+                    body = substitute_many_dist(body, {x: _read_back(*u) for x, u in own.items()})
                 env = _NO_ENV
-                while k is not _TOP:
-                    tag, node, _, parent, _ = k
-                    if tag == _ARG:
-                        body = mk_app(node.fun, body)
-                    elif tag == _OP:
-                        if len(body.summands) > 1 or body.summands[0][0] != 1:
-                            break  # stuck: raised below, as in environment mode
-                        body = mk_app(body.summands[0][1], singleton(node.arg))
-                    elif tag == _SEQ:
-                        body = mk_seq(body, node.tail)
-                    elif tag == _LET:
-                        body = mk_let(node.left, node.right, body, node.body)
-                    else:
-                        body = mk_match(body, node.left_name, node.left_body,
-                                        node.right_name, node.right_body)
-                    k = parent
+            else:
+                env = {**env, **own}
             summands = body.summands
             if k is not _TOP:
                 if len(summands) > 1 and k[0] != _OP:
@@ -336,7 +307,11 @@ def _run(cells: list[list], max_steps: int, rng: random.Random | None,
             steps += 1
             if steps > max_steps:
                 raise StepLimitExceeded(max_steps)
-            if len(summands) == 1 and not stepping:
+            if stepping:
+                # plug the reduct back: the next step descends from the top
+                summands = [(b, _term(u, env, k)) for b, u in summands]
+                env, k = _NO_ENV, _TOP
+            elif len(summands) == 1:
                 c *= summands[0][0]
                 if not cmath.isfinite(c):
                     raise ValueError(f"non-finite coefficient {c!r}")
@@ -370,7 +345,13 @@ def _term(t: PureTerm, env: dict, k: tuple, stop: tuple = _TOP) -> PureTerm:
         elif tag == _ARG:
             t = App(_read_back(node.fun, env), t)
         else:
-            t = replace(_read_back(node, env), **{"head" if tag == _SEQ else "scrutinee": t})
+            node = _read_back(node, env)
+            if tag == _SEQ:
+                t = Seq(t, node.tail)
+            elif tag == _LET:
+                t = LetPair(node.left, node.right, t, node.body)
+            else:
+                t = Match(t, node.left_name, node.left_body, node.right_name, node.right_body)
     return t
 
 
@@ -378,6 +359,8 @@ def _read_back(x: PureTerm | Distribution, env: dict) -> PureTerm | Distribution
     """x, a term or a body, with the values env binds to its free names
     substituted in: one `_subst` per closure, children first, without
     recursion.  Every value env binds is closed, so no binder is renamed."""
+    if not env:
+        return x
     root = (x, env)
     done: dict[int, PureTerm | Distribution] = {}
     todo = [root]

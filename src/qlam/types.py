@@ -205,9 +205,11 @@ def subtype(a: Type, b: Type) -> bool:
     with m = 0 the question reduces to the structural order on c and d, since
     any c <= d embeds under n Sharps through c <= Sharp c.  With m >= 1 there
     is no congruence under Sharp, so b must also be Sharp-headed over a core
-    that unifies with c: the same core, up to placeholders.
+    that unifies with c: the same core, up to placeholders.  A type is below
+    itself with its placeholders grounded, since a placeholder is below
+    anything; types are interned, so that case costs no walk.
     """
-    if isinstance(a, Unknown) or isinstance(b, Unknown):
+    if isinstance(a, Unknown) or isinstance(b, Unknown) or ground_unknowns(a) is b:
         return True
     m, c = peel_sharps(a)
     n, d = peel_sharps(b)

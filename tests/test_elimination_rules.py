@@ -23,6 +23,7 @@ from hypothesis import given, settings
 
 from generator import DEEP_VALUES, ProgramGen, deep_values, flow_programs, trace_programs
 from qlam.quantum import GateMatrix, StateVector, case_construct, compile_gate, encode, gate_library
+from qlam.rewrite import normalize
 from qlam.surface import parse_program, parse_type, pretty_print
 from qlam.syntax import (
     Distribution,
@@ -233,6 +234,18 @@ def test_a_wide_sum_annotation_checks():
     ty, _ = check_program(parse_program(f"\\x:{text}. x"))
     assert ty is Arrow(parse_type(text), parse_type(text))
     assert show_type(ty) == f"{text} -> {text}"
+
+
+@pytest.mark.parametrize("annotation", ["{}", "#({})"], ids=["sum", "sharp sum"])
+def test_a_deep_value_passed_at_a_wide_sum_annotation_checks_and_evaluates(annotation):
+    # the value's type, ?+(?+...(?+U)), is the annotation with its
+    # placeholders grounded: subtyping decides that without a walk
+    ann = annotation.format("+".join(["U"] * (_DEEP + 1)))
+    value = "inr " * _DEEP + "*"
+    d = parse_program(f"(\\x:{ann}. x) ({value})")
+    ty, _ = check_program(d)
+    assert ty is parse_type(ann)
+    assert normalize(d) == parse_program(value)
 
 
 @settings(max_examples=5, deadline=None)

@@ -1,15 +1,15 @@
 """Small-step reduction: redex rules, context order, strategies, traces.
 
-One machine evaluates for `step`, `trace_normalize` and `normalize`: in
-stepping mode, or for `normalize` under the leftmost strategy in environment
-mode, until it would bind a value with a free name.  The equivalence tests hold it to two loops it replaced, kept below as
-references.  `reduce_term`, `_as_operator` and `_reductions` are the
-recursive small-step loop that `step`, `trace_normalize` and `normalize`
-under an rng ran before the machine served them, read by the `loop_*`
-functions.  The `reference_*` functions are the loop before that: every step
-rebuilt the whole distribution as a tuple splice, and each caller kept its
-own step count.  Results are compared down to the coefficient bits, and
-errors by type and text.
+One machine evaluates for `step`, `trace_normalize` and `normalize`.  It
+binds values in environments, and substitutes where a step is seen or a
+value it binds has a free name.  The equivalence tests hold it to two loops
+it replaced, kept below as references.  `reduce_term`, `_as_operator` and
+`_reductions` are the recursive small-step loop that `step`,
+`trace_normalize` and `normalize` under an rng ran before the machine served
+them, read by the `loop_*` functions.  The `reference_*` functions are the
+loop before that: every step rebuilt the whole distribution as a tuple
+splice, and each caller kept its own step count.  Results are compared down
+to the coefficient bits, and errors by type and text.
 """
 
 from __future__ import annotations
@@ -587,8 +587,9 @@ def test_a_non_finite_coefficient_is_rejected(run):
 
 
 def _machine(d, max_steps=DEFAULT_MAX_STEPS):
-    """The normal form of the machine in environment mode, whether or not d
-    is closed."""
+    """The normal form of the machine with no step seen, whether or not d
+    is closed: values bound in environments, an open one substituted at its
+    own contraction."""
     cells = rewrite._cells(d)
     for _ in rewrite._run(cells, max_steps, None, False):
         pass
@@ -690,7 +691,7 @@ def test_the_step_limit_inside_a_summand():
 
 def test_a_closure_read_back_into_an_open_program_renames_as_substitution_does():
     # y is free: substituting it under \y renames that binder.  An open
-    # program runs in stepping mode, which substitutes as the loop does.
+    # value is substituted at its own contraction, as the loop does.
     d = parse_program(r"(\x:U. \y:U. x) y")
     want = _same_as_the_stepping_loop(d)
     assert _outcome(step, d) == _outcome(loop_step, d)
@@ -846,8 +847,8 @@ def _opened(d, rng):
     r"let (a, b) = (y, *) in \y:U. (a, b)",
     r"match inl y { inl a -> \y:U. a | inr b -> b }",
     r"(\x:U. x) y ; *",
-    # environment mode binds closed values, splits a summand inside a
-    # context, then meets an open value and goes on in stepping mode
+    # the machine binds closed values, splits a summand inside a context,
+    # then meets an open value and substitutes it
     r"(\x:U+U. (\y:U. x) q) ((\u:U. 0.6 * inl * + 0.8 * inr *) *)",
     r"match (\u:U. 0.6 * inl * + 0.8 * inr *) * "
     r"{ inl a -> (\y:U. a) q | inr b -> let (c, d) = (b, q) in (\d:U. c) d }",
@@ -858,8 +859,8 @@ def test_the_machine_matches_the_loop_on_open_programs_that_rename(src):
 
 
 def test_a_closed_program_normalizes_in_environments(monkeypatch):
-    # environment mode substitutes nothing: neither the benchmark's closed
-    # programs nor a compiled gate applied to a state leave it
+    # closed values are bound, not substituted: neither the benchmark's
+    # closed programs nor a compiled gate applied to a state substitute
     programs = _benchmark_programs().programs("environments")
     closed = [next(programs)[0] for _ in range(100)]
     lam = compile_gate(gate_library["CNOT"], [1, 0], 3)
@@ -868,13 +869,47 @@ def test_a_closed_program_normalizes_in_environments(monkeypatch):
     want = [loop_normalize(d) for d in closed]
 
     def refuse(*args):
-        raise AssertionError("substituted in environment mode")
+        raise AssertionError("substituted a closed value")
 
     monkeypatch.setattr(rewrite, "substitute_dist", refuse)
     monkeypatch.setattr(rewrite, "substitute_many_dist", refuse)
     assert [_bits(normalize(d)) for d in closed] == [_bits(d) for d in want]
     with pytest.raises(AssertionError, match="substituted"):
         normalize(parse_program(r"(\x:U. \y:U. x) y"))
+
+
+def test_an_open_value_is_substituted_once_at_its_own_contraction(monkeypatch):
+    # only y := q binds a name free in the input; the contractions after it
+    # bind closed values in the environment
+    calls = 0
+
+    def counting(real):
+        def count(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+        return count
+
+    monkeypatch.setattr(rewrite, "substitute_dist", counting(rewrite.substitute_dist))
+    monkeypatch.setattr(rewrite, "substitute_many_dist", counting(rewrite.substitute_many_dist))
+    assert normalize(parse_program(r"(\y:U. (\a:U. a) ((\b:U. b) *)) q")) == singleton(STAR)
+    assert calls == 1
+
+
+def test_a_seen_step_plugs_its_reduct_back_without_the_constructors(monkeypatch):
+    # each summand of a reduct goes back through its frames as the machine
+    # reads them; the loop, which builds with the constructors, is not patched
+    def refuse(*args):
+        raise AssertionError("plugged back through a constructor")
+
+    for name in ("mk_app", "mk_seq", "mk_let", "mk_match"):
+        monkeypatch.setattr(rewrite, name, refuse)
+    stream = _benchmark_programs().programs("plug-back")
+    for _ in range(60):
+        _agrees_with_the_loop(next(stream)[0])
+    lam = compile_gate(gate_library["CNOT"], [0, 2], 3)
+    state = encode(StateVector([0, 0.6, 0, 0, 0.8j, 0, 0, 0]))
+    _agrees_with_the_loop(Distribution(tuple((a, App(lam, t)) for a, t in state.summands)))
 
 
 def test_the_machine_matches_the_loop_on_opened_generator_programs():
