@@ -16,6 +16,12 @@ it.  Distributions nested inside terms (bodies, tails, branches) are plain
 syntax and are compared only up to alpha-equivalence in the given summand
 order.
 
+The term structure is described once, in `_FORMS`: for each compound form,
+the tag of its key, its subterm fields in order, the binder names in scope
+over each, and an elimination's hole.  Free variables, substitution and
+alpha-keys here, and the checker's shared-context test, are loops over that
+table rather than one case per form.
+
 Every compound node and every distribution caches its free-variable set in a
 `_fv` field, computed on first use.  Substitution uses it to hand back
 untouched every subterm in which no substituted name is free.
@@ -46,6 +52,7 @@ import cmath
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
+from typing import NamedTuple
 from weakref import ref
 
 from .config import get_tolerance
@@ -126,7 +133,7 @@ class PairV(_ValueNode):
     def __new__(cls, first: PureTerm, second: PureTerm) -> "PairV":
         if (getattr(first, "_term_key", None) is not None
                 and getattr(second, "_term_key", None) is not None):
-            return _interned(cls, "pair", first, second)
+            return _interned(cls, first, second)
         if not (is_value(first) and is_value(second)):
             raise ValueError("pair components must be pure values")
         return _new_node(cls, (first, second), None)
@@ -143,7 +150,7 @@ class InlV(_ValueNode):
 
     def __new__(cls, value: PureTerm) -> "InlV":
         if getattr(value, "_term_key", None) is not None:
-            return _interned(cls, "inl", value)
+            return _interned(cls, value)
         if not is_value(value):
             raise ValueError("injection argument must be a pure value")
         return _new_node(cls, (value,), None)
@@ -160,7 +167,7 @@ class InrV(_ValueNode):
 
     def __new__(cls, value: PureTerm) -> "InrV":
         if getattr(value, "_term_key", None) is not None:
-            return _interned(cls, "inr", value)
+            return _interned(cls, value)
         if not is_value(value):
             raise ValueError("injection argument must be a pure value")
         return _new_node(cls, (value,), None)
@@ -168,11 +175,9 @@ class InrV(_ValueNode):
     __hash__ = _node_hash
 
 
-def _interned(
-    cls: type, tag: str, first: PureTerm, second: PureTerm | None = None
-) -> PureTerm:
+def _interned(cls: type, first: PureTerm, second: PureTerm | None = None) -> PureTerm:
     """The one node cls(first) or cls(first, second) of a ground value, whose
-    children are ground values.  Its `term_key` is (tag, *the children's
+    children are ground values.  Its `term_key` is (its tag, *the children's
     keys), as `_key` would build it, in O(1)."""
     if second is None:
         probe = (cls, ref(first))
@@ -181,6 +186,7 @@ def _interned(
     entry = _INTERNED.get(probe)
     node = None if entry is None else entry()
     if node is None:
+        tag = _FORMS[cls].tag
         if second is None:
             children, key = (first,), (tag, first._term_key)
         else:
@@ -245,6 +251,30 @@ class Match(PureTerm):
     right_name: str
     right_body: "Distribution"
     _fv: frozenset[str] | None = _cache()
+
+
+class _Form(NamedTuple):
+    """How a compound term form is built: the tag that heads its `term_key`,
+    its subterm fields in order, each with the binder-name fields in scope
+    over it, and for an elimination the field of its hole."""
+    tag: str
+    parts: tuple[tuple[str, tuple[str, ...]], ...]
+    hole: str | None = None
+
+
+# the term structure, stated once; the walkers over it treat only variables,
+# the unit value and a lambda's annotation apart
+_FORMS: dict[type, _Form] = {
+    Lam: _Form("lam", (("body", ("name",)),)),
+    PairV: _Form("pair", (("first", ()), ("second", ()))),
+    InlV: _Form("inl", (("value", ()),)),
+    InrV: _Form("inr", (("value", ()),)),
+    App: _Form("app", (("fun", ()), ("arg", ())), "arg"),
+    Seq: _Form("seq", (("head", ()), ("tail", ())), "head"),
+    LetPair: _Form("letp", (("scrutinee", ()), ("body", ("left", "right"))), "scrutinee"),
+    Match: _Form("match", (("scrutinee", ()), ("left_body", ("left_name",)),
+                           ("right_body", ("right_name",))), "scrutinee"),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -326,25 +356,12 @@ def free_vars(t: PureTerm) -> frozenset[str]:
 
 
 def _free_vars_of(t: PureTerm) -> frozenset[str]:
-    match t:
-        case Lam(x, _, body):
-            return free_vars_dist(body) - {x}
-        case PairV(a, b):
-            return free_vars(a) | free_vars(b)
-        case InlV(v) | InrV(v):
-            return free_vars(v)
-        case App(f, a):
-            return free_vars(f) | free_vars(a)
-        case Seq(h, tail):
-            return free_vars(h) | free_vars_dist(tail)
-        case LetPair(x, y, s, body):
-            return free_vars(s) | (free_vars_dist(body) - {x, y})
-        case Match(s, x1, b1, x2, b2):
-            return (free_vars(s)
-                    | (free_vars_dist(b1) - {x1})
-                    | (free_vars_dist(b2) - {x2}))
-        case _:
-            raise TypeError(f"not a pure term: {t!r}")
+    out = _CLOSED
+    for part, binders in _FORMS[t.__class__].parts:
+        sub = getattr(t, part)
+        fv = free_vars_dist(sub) if sub.__class__ is Distribution else free_vars(sub)
+        out |= fv.difference(getattr(t, b) for b in binders) if binders else fv
+    return out
 
 
 def free_vars_dist(d: Distribution) -> frozenset[str]:
@@ -397,31 +414,18 @@ def _subst(t: PureTerm, mapping: dict[str, PureTerm]) -> PureTerm:
             return t
     if not mapping or mapping.keys().isdisjoint(free_vars(t)):
         return t
-    match t:
-        case Lam(x, ann, body):
-            (x2,), body2, inner = _under_binders((x,), body, mapping)
-            return Lam(x2, ann, _subst_dist(body2, inner))
-        case PairV(a, b):
-            return PairV(_subst(a, mapping), _subst(b, mapping))
-        case InlV(v):
-            return InlV(_subst(v, mapping))
-        case InrV(v):
-            return InrV(_subst(v, mapping))
-        case App(f, a):
-            return App(_subst(f, mapping), _subst(a, mapping))
-        case Seq(h, tail):
-            return Seq(_subst(h, mapping), _subst_dist(tail, mapping))
-        case LetPair(x, y, s, body):
-            s2 = _subst(s, mapping)
-            (x2, y2), body2, inner = _under_binders((x, y), body, mapping)
-            return LetPair(x2, y2, s2, _subst_dist(body2, inner))
-        case Match(s, x1, b1, x2, b2):
-            s2 = _subst(s, mapping)
-            (y1,), b1r, in1 = _under_binders((x1,), b1, mapping)
-            (y2,), b2r, in2 = _under_binders((x2,), b2, mapping)
-            return Match(s2, y1, _subst_dist(b1r, in1), y2, _subst_dist(b2r, in2))
-        case _:
-            raise TypeError(f"not a pure term: {t!r}")
+    # the subterms in field order, each binder group adjusted just before
+    # the subterm it scopes over
+    cls = t.__class__
+    fields = {f: getattr(t, f) for f in cls.__match_args__}
+    for part, binders in _FORMS[cls].parts:
+        sub, inner = fields[part], mapping
+        if binders:
+            names, sub, inner = _under_binders(tuple(fields[b] for b in binders), sub, mapping)
+            fields.update(zip(binders, names))
+        walk = _subst_dist if sub.__class__ is Distribution else _subst
+        fields[part] = walk(sub, inner)
+    return cls(**fields)
 
 
 def _subst_dist(d: Distribution, mapping: dict[str, PureTerm]) -> Distribution:
@@ -474,46 +478,35 @@ def term_key(t: PureTerm) -> tuple:
 
 
 def dist_key(d: Distribution) -> tuple:
-    return _dkey(d, {}, 0)
+    return _key(d, {}, 0)
 
 
-def _key(t: PureTerm, bound: dict[str, int], depth: int) -> tuple:
-    match t:
-        case Var(x):
-            at = bound.get(x)
-            if at is None:
-                return ("fv", x)
-            return ("bv", depth - at)
-        case Lam(x, ann, body):
-            return ("lam", type_key(ann), _dkey(body, {**bound, x: depth}, depth + 1))
-        case Void():
-            return ("void",)
-        # a ground value carries its key, which no binder can change
-        case PairV(a, b):
-            return t._term_key or ("pair", _key(a, bound, depth), _key(b, bound, depth))
-        case InlV(v):
-            return t._term_key or ("inl", _key(v, bound, depth))
-        case InrV(v):
-            return t._term_key or ("inr", _key(v, bound, depth))
-        case App(f, a):
-            return ("app", _key(f, bound, depth), _key(a, bound, depth))
-        case Seq(h, tail):
-            return ("seq", _key(h, bound, depth), _dkey(tail, bound, depth))
-        case LetPair(x, y, s, body):
-            return ("letp", _key(s, bound, depth),
-                    _dkey(body, {**bound, x: depth, y: depth + 1}, depth + 2))
-        case Match(s, x1, b1, x2, b2):
-            return ("match", _key(s, bound, depth),
-                    _dkey(b1, {**bound, x1: depth}, depth + 1),
-                    _dkey(b2, {**bound, x2: depth}, depth + 1))
-        case _:
-            raise TypeError(f"not a pure term: {t!r}")
-
-
-def _dkey(d: Distribution, bound: dict[str, int], depth: int) -> tuple:
-    return ("dist",) + tuple(
-        (("c", a.real, a.imag), _key(t, bound, depth)) for a, t in d.summands
-    )
+def _key(x: PureTerm | Distribution, bound: dict[str, int], depth: int) -> tuple:
+    """The `term_key` of a term or the `dist_key` of a distribution x under
+    binders: bound maps each name bound around x to its binder's depth, and
+    depth counts the binders around x."""
+    cls = x.__class__
+    if cls is Distribution:
+        return ("dist",) + tuple(
+            (("c", a.real, a.imag), _key(t, bound, depth)) for a, t in x.summands
+        )
+    if cls is Var:
+        at = bound.get(x.name)
+        return ("fv", x.name) if at is None else ("bv", depth - at)
+    # a ground value carries its key, which no binder can change
+    if x._term_key is not None:
+        return x._term_key
+    form = _FORMS[cls]
+    key = [form.tag, type_key(x.ann)] if cls is Lam else [form.tag]
+    for part, binders in form.parts:
+        inner, d = bound, depth
+        if binders:
+            inner = bound.copy()
+            for b in binders:
+                inner[getattr(x, b)] = d
+                d += 1
+        key.append(_key(getattr(x, part), inner, d))
+    return tuple(key)
 
 
 def alpha_eq(t1: PureTerm, t2: PureTerm) -> bool:

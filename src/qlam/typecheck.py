@@ -69,6 +69,7 @@ from .syntax import (
     Seq,
     Var,
     Void,
+    _FORMS,
     _VOID,
     _trusted,
     alpha_eq,
@@ -318,7 +319,7 @@ class _Checker:
                         f"operator has type {tf}, a function type is required",
                         here,
                     )
-                ta, da = self.infer_dist(_holes(summands, "arg"))
+                ta, da = self.infer_dist(_holes(summands))
                 if not subtype(ta, tf.dom):
                     what = "argument" if isinstance(here, PureTerm) else "argument distribution"
                     raise TypeCheckError(
@@ -328,7 +329,7 @@ class _Checker:
                     )
                 return tf.cod, Derivation("apply", here, tf.cod, (df, da))
             case Seq(_, tail):
-                th, dh = self.infer_dist(_holes(summands, "head"))
+                th, dh = self.infer_dist(_holes(summands))
                 what = ("sequencing head has" if isinstance(here, PureTerm)
                         else "sequencing heads have")
                 form, _, lift = _form(th, Unit, what, "the unit", here)
@@ -336,10 +337,10 @@ class _Checker:
                 ty = lift(tt)
                 return ty, Derivation(f"seq-{form}", here, ty, (dh, dt))
             case LetPair(x, y, _, body):
-                ts, ds = self.infer_dist(_holes(summands, "scrutinee"))
+                ts, ds = self.infer_dist(_holes(summands))
                 return self._infer_let(ts, ds, x, y, body, here)
             case Match(_, x1, b1, x2, b2):
-                ts, ds = self.infer_dist(_holes(summands, "scrutinee"))
+                ts, ds = self.infer_dist(_holes(summands))
                 return self._infer_match(ts, ds, x1, b1, x2, b2, here)
         raise TypeCheckError(
             ErrorKind.MISMATCH,
@@ -600,28 +601,29 @@ _typing_of = attrgetter("_typing")
 
 
 def _same_context(t0: PureTerm, t: PureTerm) -> bool:
-    """Whether t is the elimination t0 with another term in its hole.  The
-    context is usually the very same object, so identity is tried before
-    alpha-equivalence."""
-    match t0:
-        case App(f, _):
-            return isinstance(t, App) and (t.fun is f or alpha_eq(f, t.fun))
-        case Seq(_, tail):
-            return isinstance(t, Seq) and (t.tail is tail or dist_alpha_eq(tail, t.tail))
-        case LetPair(x, y, _, body):
-            return (isinstance(t, LetPair) and t.left == x and t.right == y
-                    and (t.body is body or dist_alpha_eq(body, t.body)))
-        case Match(_, x1, b1, x2, b2):
-            return (isinstance(t, Match) and t.left_name == x1 and t.right_name == x2
-                    and (t.left_body is b1 or dist_alpha_eq(b1, t.left_body))
-                    and (t.right_body is b2 or dist_alpha_eq(b2, t.right_body)))
-    return False
+    """Whether t is the elimination t0 with another term in its hole: the
+    same class, and every other field equal, names by `==` and terms and
+    distributions up to alpha-equivalence.  The context is usually the very
+    same object, so identity is tried first."""
+    cls = t0.__class__
+    form = _FORMS.get(cls)
+    if form is None or form.hole is None or t.__class__ is not cls:
+        return False
+    for f in cls.__match_args__:
+        a, b = getattr(t0, f), getattr(t, f)
+        if f == form.hole or a is b:
+            continue
+        if not (a == b if a.__class__ is str
+                else alpha_eq(a, b) if isinstance(a, PureTerm) else dist_alpha_eq(a, b)):
+            return False
+    return True
 
 
-def _holes(summands: tuple[tuple[complex, PureTerm], ...], part: str) -> Distribution:
-    """The distribution of the terms in the holes, field `part` of each
-    summand.  The coefficients come from a checked distribution or are the
-    literal 1 of a single term, so it skips re-validation."""
+def _holes(summands: tuple[tuple[complex, PureTerm], ...]) -> Distribution:
+    """The distribution of the terms in the holes of summands that share one
+    elimination form.  The coefficients come from a checked distribution or
+    are the literal 1 of a single term, so it skips re-validation."""
+    part = _FORMS[summands[0][1].__class__].hole
     if len(summands) == 1:
         a, t = summands[0]
         return _trusted(((a, getattr(t, part)),))

@@ -208,30 +208,34 @@ def subtype(a: Type, b: Type) -> bool:
     that unifies with c: the same core, up to placeholders.  A type is below
     itself with its placeholders grounded, since a placeholder is below
     anything; types are interned, so that case costs no walk.
+
+    The structural order is covariant in both components of sums and
+    products and in arrow codomains, and contravariant in arrow domains.  It
+    recurses only on left components and domains; the right spine is walked
+    in the loop, so a deep right-nested sum costs no Python frames.
     """
-    if isinstance(a, Unknown) or isinstance(b, Unknown) or ground_unknowns(a) is b:
-        return True
-    m, c = peel_sharps(a)
-    n, d = peel_sharps(b)
-    if m == 0:
-        return _structural(c, d)
-    return n >= 1 and _unify(c, d) is not None
-
-
-def _structural(c: Type, d: Type) -> bool:
-    match c, d:
-        case Unit(), Unit():
+    while True:
+        if isinstance(a, Unknown) or isinstance(b, Unknown) or ground_unknowns(a) is b:
             return True
-        case Sum(l1, r1), Sum(l2, r2):
-            return subtype(l1, l2) and subtype(r1, r2)
-        case Prod(l1, r1), Prod(l2, r2):
-            return subtype(l1, l2) and subtype(r1, r2)
-        case Arrow(d1, c1), Arrow(d2, c2):
-            return subtype(d2, d1) and subtype(c1, c2)
-        case (Unknown(), _) | (_, Unknown()):
+        m, c = peel_sharps(a)
+        n, d = peel_sharps(b)
+        if m:
+            return n >= 1 and _unify(c, d) is not None
+        if isinstance(d, Unknown):
             return True
-        case _:
+        cls = c.__class__
+        if cls is not d.__class__:
             return False
+        if cls is Unit:
+            return True
+        if cls is Arrow:
+            if not subtype(d.dom, c.dom):
+                return False
+            a, b = c.cod, d.cod
+        elif not subtype(c.left, d.left):
+            return False
+        else:
+            a, b = c.right, d.right
 
 
 def ground_unknowns(a: Type) -> Type:

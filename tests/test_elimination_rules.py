@@ -248,8 +248,52 @@ def test_a_deep_value_passed_at_a_wide_sum_annotation_checks_and_evaluates(annot
     assert normalize(d) == parse_program(value)
 
 
+@pytest.mark.parametrize("annotation", ["{}", "#({})"], ids=["sum", "sharp sum"])
+def test_a_deep_value_passed_at_a_proper_supertype_checks_and_evaluates(annotation):
+    # the value's type, ?+(?+...(?+U)), is below the annotation only through
+    # U <= #U at the bottom, so subtyping walks the whole right spine
+    ann = annotation.format("U+" * _DEEP + "#U")
+    value = "inr " * _DEEP + "*"
+    d = parse_program(f"(\\x:{ann}. x) ({value})")
+    ty, _ = check_program(d)
+    assert ty is parse_type(ann)
+    assert normalize(d) == parse_program(value)
+
+
 @settings(max_examples=5, deadline=None)
 @given(deep_values(3_000))
 def test_deep_mixed_values_check(text):
     ty, _ = check_program(parse_program(text))
     assert parse_type(show_type(ty)) is ty
+
+
+# ----------------------------------------------------------- shared contexts
+
+_BRANCHES = "{ inl left -> inr left | inr right -> inl right }"
+
+
+@pytest.mark.parametrize("text, want", [
+    (f"0.6 * match inl * {_BRANCHES} + 0.8 * match inr * {_BRANCHES}", "#(#U+#U)"),
+    ("0.6 * (let (left, right) = (*, inl *) in (right, left))"
+     " + 0.8 * (let (left, right) = (*, inr *) in (right, left))", "#(#(U+U)*#U)"),
+], ids=["match", "let"])
+def test_a_shared_context_compares_binder_names_by_value(text, want):
+    # each summand's names are read from its own text: equal names longer
+    # than one character are distinct string objects
+    d = parse_program(text)
+    names = [[v for v in map(t.__getattribute__, t.__match_args__) if isinstance(v, str)]
+             for _, t in d.summands]
+    assert names[0] == names[1] and all(a is not b for a, b in zip(*names))
+    ty, _ = check_program(d)
+    assert ty is parse_type(want)
+
+
+@pytest.mark.parametrize("text", [
+    r"\x:U. \y:U. \z:U. 0.6 * x + 0.6 * y + 0.5 * (z ; *)",
+    r"\g:U->U. 0.6 * (\a:U. a) + 0.6 * (\a:U+U. *) + 0.5 * (g * ; \c:U. c)",
+], ids=["variables", "lambdas"])
+def test_values_of_one_form_beside_an_elimination_share_no_context(text):
+    # in key order the first two summands are values of one class, which
+    # has no hole: no elimination rule applies
+    with pytest.raises(TypeCheckError, match="a single elimination distributed"):
+        check_program(parse_program(text))

@@ -1,11 +1,24 @@
-"""Distribution algebra: canonical forms, congruence, substitution, printing."""
+"""Distribution algebra: canonical forms, congruence, substitution, printing.
+
+`reference_free_vars`, `reference_subst` and `reference_key` are the
+recursive walkers, one case per term form, that the loops over
+`syntax._FORMS` replaced.  The equivalence tests at the end hold free
+variables, substitution and alpha-keys to them on generator programs, on
+opened programs whose substitution renames binders, and on compiled gates at
+n = 1..4.
+"""
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from generator import ProgramGen, flow_programs, trace_programs
+from qlam.quantum import GateMatrix, compile_gate, compile_isometry, gate_library
 from qlam.syntax import (
     App,
     Distribution,
@@ -15,15 +28,20 @@ from qlam.syntax import (
     LetPair,
     Match,
     PairV,
+    PureTerm,
     Seq,
     Var,
     Void,
+    _free_vars_of,
+    _key,
     _trusted,
     add,
     alpha_eq,
     canonicalize,
     congruent,
     dist_alpha_eq,
+    dist_key,
+    fresh_name,
     free_vars,
     free_vars_dist,
     is_value,
@@ -40,8 +58,12 @@ from qlam.syntax import (
     singleton,
     substitute,
     substitute_dist,
+    substitute_many_dist,
+    term_key,
 )
-from qlam.types import BOOL, UNIT, Sharp
+from qlam.types import BOOL, UNIT, Sharp, type_key
+from test_lexer import _unitary
+from test_rewrite import _opened
 
 STAR = Void()
 INL = InlV(STAR)
@@ -483,3 +505,243 @@ def test_a_long_sequence_chain_prints_without_recursion():
     assert show_dist(singleton(App(Var("f"), chain))) == f"f ({text})"
     scaled = Seq(STAR, singleton(Seq(STAR, dist((0.5, STAR), (0.5, INL)))))
     assert show_term(scaled) == "* ; * ; (0.5 * * + 0.5 * inl *)"
+
+
+# ---------------------------------------------------------------- reference
+
+
+def reference_free_vars(x: PureTerm | Distribution) -> frozenset[str]:
+    if isinstance(x, Distribution):
+        out = frozenset()
+        for _, t in x.summands:
+            out |= reference_free_vars(t)
+        return out
+    match x:
+        case Var(name):
+            return frozenset((name,))
+        case Void():
+            return frozenset()
+        case Lam(x, _, body):
+            return reference_free_vars(body) - {x}
+        case PairV(a, b):
+            return reference_free_vars(a) | reference_free_vars(b)
+        case InlV(v) | InrV(v):
+            return reference_free_vars(v)
+        case App(f, a):
+            return reference_free_vars(f) | reference_free_vars(a)
+        case Seq(h, tail):
+            return reference_free_vars(h) | reference_free_vars(tail)
+        case LetPair(x, y, s, body):
+            return reference_free_vars(s) | (reference_free_vars(body) - {x, y})
+        case Match(s, x1, b1, x2, b2):
+            return (reference_free_vars(s)
+                    | (reference_free_vars(b1) - {x1})
+                    | (reference_free_vars(b2) - {x2}))
+    raise TypeError(f"not a pure term: {x!r}")
+
+
+def reference_subst(t: PureTerm, mapping: dict[str, PureTerm]) -> PureTerm:
+    match t:
+        case Var(x):
+            return mapping.get(x, t)
+        case Void():
+            return t
+    if not mapping or mapping.keys().isdisjoint(reference_free_vars(t)):
+        return t
+    match t:
+        case Lam(x, ann, body):
+            (x2,), body2, inner = _reference_under_binders((x,), body, mapping)
+            return Lam(x2, ann, reference_subst_dist(body2, inner))
+        case PairV(a, b):
+            return PairV(reference_subst(a, mapping), reference_subst(b, mapping))
+        case InlV(v):
+            return InlV(reference_subst(v, mapping))
+        case InrV(v):
+            return InrV(reference_subst(v, mapping))
+        case App(f, a):
+            return App(reference_subst(f, mapping), reference_subst(a, mapping))
+        case Seq(h, tail):
+            return Seq(reference_subst(h, mapping), reference_subst_dist(tail, mapping))
+        case LetPair(x, y, s, body):
+            s2 = reference_subst(s, mapping)
+            (x2, y2), body2, inner = _reference_under_binders((x, y), body, mapping)
+            return LetPair(x2, y2, s2, reference_subst_dist(body2, inner))
+        case Match(s, x1, b1, x2, b2):
+            s2 = reference_subst(s, mapping)
+            (y1,), b1r, in1 = _reference_under_binders((x1,), b1, mapping)
+            (y2,), b2r, in2 = _reference_under_binders((x2,), b2, mapping)
+            return Match(s2, y1, reference_subst_dist(b1r, in1),
+                         y2, reference_subst_dist(b2r, in2))
+    raise TypeError(f"not a pure term: {t!r}")
+
+
+def reference_subst_dist(d: Distribution, mapping: dict[str, PureTerm]) -> Distribution:
+    if not mapping or mapping.keys().isdisjoint(reference_free_vars(d)):
+        return d
+    return Distribution(tuple((a, reference_subst(t, mapping)) for a, t in d.summands))
+
+
+def _reference_under_binders(names, body, mapping):
+    body_fv = reference_free_vars(body)
+    inner = {k: v for k, v in mapping.items() if k not in names and k in body_fv}
+    if not inner:
+        return names, body, inner
+    clash = frozenset()
+    for v in inner.values():
+        clash |= reference_free_vars(v)
+    out_names = list(names)
+    renames = {}
+    for i, x in enumerate(out_names):
+        if x in clash:
+            x2 = fresh_name(x, clash | body_fv | set(inner) | set(out_names))
+            renames[x] = Var(x2)
+            out_names[i] = x2
+    if renames:
+        body = reference_subst_dist(body, renames)
+    return tuple(out_names), body, inner
+
+
+def reference_key(t: PureTerm, bound: dict[str, int], depth: int) -> tuple:
+    match t:
+        case Var(x):
+            at = bound.get(x)
+            if at is None:
+                return ("fv", x)
+            return ("bv", depth - at)
+        case Lam(x, ann, body):
+            return ("lam", type_key(ann), reference_dkey(body, {**bound, x: depth}, depth + 1))
+        case Void():
+            return ("void",)
+        case PairV(a, b):
+            return ("pair", reference_key(a, bound, depth), reference_key(b, bound, depth))
+        case InlV(v):
+            return ("inl", reference_key(v, bound, depth))
+        case InrV(v):
+            return ("inr", reference_key(v, bound, depth))
+        case App(f, a):
+            return ("app", reference_key(f, bound, depth), reference_key(a, bound, depth))
+        case Seq(h, tail):
+            return ("seq", reference_key(h, bound, depth), reference_dkey(tail, bound, depth))
+        case LetPair(x, y, s, body):
+            return ("letp", reference_key(s, bound, depth),
+                    reference_dkey(body, {**bound, x: depth, y: depth + 1}, depth + 2))
+        case Match(s, x1, b1, x2, b2):
+            return ("match", reference_key(s, bound, depth),
+                    reference_dkey(b1, {**bound, x1: depth}, depth + 1),
+                    reference_dkey(b2, {**bound, x2: depth}, depth + 1))
+    raise TypeError(f"not a pure term: {t!r}")
+
+
+def reference_dkey(d: Distribution, bound: dict[str, int], depth: int) -> tuple:
+    return ("dist",) + tuple(
+        (("c", a.real, a.imag), reference_key(t, bound, depth)) for a, t in d.summands
+    )
+
+
+# ------------------------------------------------------------- equivalence
+
+
+def _nodes(d: Distribution):
+    """Every distribution and term in d, with the names bound around it."""
+    stack = [(d, ())]
+    while stack:
+        x, bound = stack.pop()
+        yield x, bound
+        if isinstance(x, Distribution):
+            stack.extend((t, bound) for _, t in x.summands)
+        elif isinstance(x, Lam):
+            stack.append((x.body, bound + (x.name,)))
+        elif isinstance(x, LetPair):
+            stack += (x.scrutinee, bound), (x.body, bound + (x.left, x.right))
+        elif isinstance(x, Match):
+            stack += ((x.scrutinee, bound), (x.left_body, bound + (x.left_name,)),
+                      (x.right_body, bound + (x.right_name,)))
+        elif not isinstance(x, (Var, Void)):
+            stack.extend((getattr(x, f), bound) for f in x.__match_args__)
+
+
+def _walks_as_the_reference_walks(d: Distribution) -> None:
+    """Free variables and keys of every node of d, alone and under the
+    binders around it, equal the reference's."""
+    for x, around in _nodes(d):
+        bound = {name: depth for depth, name in enumerate(around)}
+        if isinstance(x, Distribution):
+            assert free_vars_dist(x) == reference_free_vars(x)
+            assert dist_key(x) == reference_dkey(x, {}, 0)
+            assert _key(x, bound, len(around)) == reference_dkey(x, bound, len(around))
+        else:
+            assert free_vars(x) == reference_free_vars(x)
+            if not isinstance(x, (Var, Void)):
+                assert _free_vars_of(x) == reference_free_vars(x)
+            assert term_key(x) == reference_key(x, {}, 0)
+            assert _key(x, bound, len(around)) == reference_key(x, bound, len(around))
+
+
+def _substitutes_as_the_reference_substitutes(d: Distribution, mappings) -> int:
+    """d substituted by each mapping equals the reference's result; returns
+    how many of the substitutions renamed a binder."""
+    renamed = 0
+    for mapping in mappings:
+        got = substitute_many_dist(d, mapping)
+        assert got == reference_subst_dist(d, mapping)
+        renamed += _binders(got) != _binders(d)
+    return renamed
+
+
+def _binders(d: Distribution) -> list[str]:
+    return sorted(b for _, bound in _nodes(d) for b in bound)
+
+
+def test_generator_programs_walk_as_the_reference_walks():
+    rng = random.Random(21)
+    renamed = 0
+    for d, _ in trace_programs(31, 120) + flow_programs(32, 120):
+        # the body of each lambda, with its binder free, substituted by values
+        # that mention the names bound inside it
+        for x, _ in _nodes(d):
+            if isinstance(x, Lam):
+                inner = _binders(x.body) or ["q"]
+                values = [STAR, Var(rng.choice(inner)),
+                          PairV(Var(rng.choice(inner)), InlV(Var("q")))]
+                renamed += _substitutes_as_the_reference_substitutes(
+                    x.body, [{x.name: v} for v in values])
+        _walks_as_the_reference_walks(d)
+    assert renamed > 0
+
+
+def _opened_with_mappings(d: Distribution, rng: random.Random):
+    """d opened as `test_rewrite` opens programs, and substitutions of its
+    free names by names it binds, which rename the binders they reach."""
+    opened = _opened(d, rng)
+    names = _binders(opened) or ["q"]
+    return opened, [{x: Var(b)} for x in sorted(free_vars_dist(opened))
+                    for b in rng.sample(names, min(3, len(names)))]
+
+
+def test_opened_programs_substitute_as_the_reference_substitutes():
+    rng = random.Random(21)
+    renamed = 0
+    for seed in range(120):
+        g = ProgramGen(seed)
+        for d in (g.trace_program()[0], g.flow_program()[0]):
+            opened, mappings = _opened_with_mappings(d, rng)
+            _walks_as_the_reference_walks(opened)
+            renamed += _substitutes_as_the_reference_substitutes(opened, mappings)
+    assert renamed >= 50
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_compiled_gates_walk_as_the_reference_walks(n):
+    rng = np.random.default_rng(41 + n)
+    lams = [compile_isometry(GateMatrix(_unitary(rng, n)))]
+    lams += [compile_gate(gate_library[g], [n - 1], n) for g in ("H", "T")]
+    if n >= 2:
+        lams.append(compile_gate(gate_library["CNOT"], [n - 1, 0], n))
+    draw = random.Random(n)
+    renamed = 0
+    for lam in lams:
+        _walks_as_the_reference_walks(singleton(lam))
+        for _ in range(4):
+            renamed += _substitutes_as_the_reference_substitutes(
+                *_opened_with_mappings(singleton(lam), draw))
+    assert renamed > 0
