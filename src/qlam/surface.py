@@ -12,9 +12,12 @@ Types: `#` binds tightest, then `*`, then `+`, then `->`; `U` is the unit
 type and `B` abbreviates `U+U` on input (printed expanded).  `--` starts a
 comment.
 
-The lexer is one pass of a single regex; each token is a plain tuple
-`(kind, value, start, end)` of offsets.  Line and column are computed only
-when a `ParseError` or `HeadNotPure` error is raised.
+The lexer is one `findall` of a single regex.  Each token is a plain tuple
+`(kind, value)`, with no offsets: punctuation, keywords and the end are
+shared tuples, and each distinct identifier or scalar of a text is read
+once.  The parser names a token by its index.  Only when a `ParseError` or
+`HeadNotPure` error is raised is the span of that token, its offsets, line
+and column, found, by scanning the text again with the same regex.
 
 Terms are parsed by one loop over the tokens and an explicit stack, with no
 recursion, so nesting depth costs heap, not Python frames.  A frame is pushed
@@ -22,18 +25,21 @@ only where a construct opens: a scaled or negated summand, a `+` sum, a `;`
 head, an application, `inl`/`inr`, a parenthesis or pair, and the binders
 `\\`, `let` and `match`.  Each construct is built when its last operand
 closes, by the same constructors and checks, in the same order, as a
-recursive descent would.  Types are read by a second, smaller loop,
-`_read_type`, which both `parse_type` and the annotation after `\\x:` use.
-It is kept apart from the term loop, where `*`, `+` and `(` mean other
-things.
+recursive descent would.  A scaled term and a `+` sum are built from
+summands that are already valid, so only a new coefficient is checked.
+Types are read by a second, smaller loop, `_read_type`, which both
+`parse_type` and the annotation after `\\x:` use.  It is kept apart from the
+term loop, where `*`, `+` and `(` mean other things.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import islice
 
 from .syntax import (
     App,
@@ -46,7 +52,6 @@ from .syntax import (
     Var,
     Void,
     _trusted,
-    add,
     canonicalize,
     is_value_distribution,
     mk_app,
@@ -86,70 +91,100 @@ def _span(text: str, start: int, end: int) -> SourceSpan:
 
 
 _NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-# Skip blanks and comments, then read an identifier or keyword (group 1), a
-# scalar (2, parts 3-7), punctuation (8), any other character (9) or the end
-# (no group).  A `.` before a non-ASCII word character is in group 9, where it
-# is told apart from a malformed number such as `.²`.
+# Skip blanks and comments, then read one token into the one group: an
+# identifier or keyword, a scalar, punctuation, any other character, or the
+# empty string at the end.  A `.` before a non-ASCII word character is read as
+# any other character, and `_lex_error` tells it apart from a malformed number
+# such as `.²`.
 _TOKEN_RE = re.compile(
     r"(?:[ \t\r\n]+|--[^\n]*)*"
-    r"(?:([A-Za-z_][A-Za-z0-9_']*)"
-    rf"|(({_NUM})(?:(/sqrt2)|/({_NUM})|([+-]{_NUM})i|(i))?)"
-    r"|(->|\.(?![^\W\d_A-Za-z])|[-\\(),;+*={}|:#])"
-    r"|(.)"
+    r"([A-Za-z_][A-Za-z0-9_']*"
+    rf"|{_NUM}(?:/sqrt2|/{_NUM}|[+-]{_NUM}i|i)?"
+    r"|->|\.(?![^\W\d_A-Za-z])|[-\\(),;+*={}|:#]"
+    r"|."
     r"|\Z)",
     re.S,
 )
-_KEYWORDS = frozenset({"let", "in", "match", "inl", "inr"})
+# a scalar's parts: the number, then `/sqrt2`, a denominator, an imaginary
+# part after the real one, or `i`
+_SCALAR_RE = re.compile(rf"({_NUM})(?:(/sqrt2)|/({_NUM})|([+-]{_NUM})i|(i))?")
 _SQRT2 = math.sqrt(2)
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
-_Token = tuple[str, object, int, int]
+_Token = tuple[str, object]
+
+# the tokens every text shares: punctuation, keywords and the end
+_SHARED: dict[str, _Token] = {
+    s: (s, s) for s in ("->", ".", "-", "\\", "(", ")", ",", ";", "+", "*", "=", "{", "}", "|",
+                        ":", "#", "let", "in", "match", "inl", "inr")
+}
+_SHARED[""] = ("eof", None)
 
 
 def _lex(text: str) -> list[_Token]:
-    toks: list[_Token] = []
-    append = toks.append
+    """The tokens of text, the last one the end.  Each distinct identifier
+    and scalar is read once, and its tuple shared by all its occurrences."""
+    found = _TOKEN_RE.findall(text)
+    if found[-2:] == ["", ""]:
+        found.pop()  # blanks or a comment at the end, then the end again
+    tokens = dict(_SHARED)
+    for s in set(found).difference(tokens):
+        tok = _token(s)
+        if tok is None:
+            raise _lex_error(text)
+        tokens[s] = tok
+    return list(map(tokens.__getitem__, found))
+
+
+def _token(s: str) -> _Token | None:
+    """The token of s, a match of `_TOKEN_RE` that is neither punctuation
+    nor a keyword, or None where lexing stops at it."""
+    if s[0] in _IDENT_START:
+        return ("ident", s)
+    if len(s) > 1 or s.isdecimal():
+        value = _scalar(s)
+        if value is not None:
+            return ("scalar", value)
+    return None
+
+
+def _scalar(s: str) -> complex | float | None:
+    """The value of a scalar token, or None for a zero denominator."""
+    num, sqrt2, denom, imag, i = _SCALAR_RE.match(s).groups()
+    x = float(num)
+    if sqrt2:
+        return x / _SQRT2
+    if denom:
+        d = float(denom)
+        return None if d == 0 else x / d
+    if imag:
+        return complex(x, float(imag))
+    if i:
+        return complex(0.0, x)
+    return x
+
+
+def _lex_error(text: str) -> ParseError:
+    """The error that stops lexing text, at the first token where it stops:
+    a zero denominator, or a character that starts no token.  A digit that
+    is not a decimal digit, alone or after a `.`, is a malformed number."""
     for m in _TOKEN_RE.finditer(text):
-        group = m.lastindex
-        if group == 1:
-            name = m[1]
-            start, end = m.span(1)
-            append((name if name in _KEYWORDS else "ident", name, start, end))
-        elif group == 8:
-            op = m[8]
-            start, end = m.span(8)
-            append((op, op, start, end))
-        elif group == 2:
-            start, end = m.span(2)
-            append(("scalar", _scalar(text, m), start, end))
-        elif group is None:
-            break
-        else:
-            start = m.start(9)
-            ch = m[9]
-            if ch.isdigit() or (ch == "." and text[start + 1:start + 2].isdigit()):
-                raise ParseError(f"bad number at {text[start:start + 8]!r}",
-                                 _span(text, start, start + 1))
-            if ch != ".":
-                raise ParseError(f"unexpected character {ch!r}", _span(text, start, start + 1))
-            append((".", ".", start, start + 1))
-    append(("eof", None, len(text), len(text)))
-    return toks
+        s = m[1]
+        start, end = m.span(1)
+        if s == "." and text[end:end + 1].isdigit() or s.isdigit() and not s.isdecimal():
+            return ParseError(f"bad number at {text[start:start + 8]!r}",
+                              _span(text, start, start + 1))
+        if s not in _SHARED and _token(s) is None:
+            if len(s) > 1:
+                return ParseError("zero denominator in scalar", _span(text, start, end))
+            return ParseError(f"unexpected character {s!r}", _span(text, start, end))
+    raise AssertionError("no token of the text stops lexing")
 
 
-def _scalar(text: str, m: re.Match) -> complex | float:
-    num = float(m[3])
-    if m[4]:
-        return num / _SQRT2
-    if m[5]:
-        denom = float(m[5])
-        if denom == 0:
-            raise ParseError("zero denominator in scalar", _span(text, *m.span(2)))
-        return num / denom
-    if m[6]:
-        return complex(num, float(m[6]))
-    if m[7]:
-        return complex(0.0, num)
-    return num
+def _token_span(text: str, at: int) -> SourceSpan:
+    """The span of the token of index at in `_lex(text)`."""
+    m = next(islice(_TOKEN_RE.finditer(text), at, None))
+    return _span(text, *m.span(1))
 
 
 _ONE = complex(1)
@@ -161,18 +196,19 @@ _VOID = Void()
 _ATOM = frozenset({"*", "ident", "(", "inl", "inr"})
 _HEAD = _ATOM | {"\\", "let", "match"}
 _SUMMAND = _HEAD | {"-", "scalar"}
-# The frames on its stack, tuples whose first item is the kind:
+# The frames on its stack, tuples whose first item is the kind; `at` is the
+# index of a token, where an error in the construct is reported:
 #   (_END,)                          the program, to be followed by the end
-#   (_SCALED, coefficient, tok)      a summand's `-` and scalar (tok)
+#   (_SCALED, coefficient, at)       a summand's `-` and scalar (at)
 #   (_SUM, summands)                 a `+` sum, the summands read so far
-#   (_SEQ, head, tok)                a head and its `;` (tok)
-#   (_APP, operator, tok)            an application whose argument starts at tok
-#   (_INJ, tok)                      `inl` or `inr`
-#   (_PAREN, tok), (_PAIR, first, tok)                   `(` and `(first,`
+#   (_SEQ, head, at)                 a head and its `;` (at)
+#   (_APP, operator, at)             an application whose argument starts at at
+#   (_INJ, at)                       `inl` or `inr`
+#   (_PAREN, at), (_PAIR, first, at)                     `(` and `(first,`
 #   (_LAM, name, type)
-#   (_LET, tok, x, y), (_LET_BODY, tok, x, y, scrutinee)
-#   (_MATCH, tok), (_LEFT, tok, scrutinee, x1),
-#   (_RIGHT, tok, scrutinee, x1, branch1, x2)
+#   (_LET, at, x, y), (_LET_BODY, at, x, y, scrutinee)
+#   (_MATCH, at), (_LEFT, at, scrutinee, x1),
+#   (_RIGHT, at, scrutinee, x1, branch1, x2)
 (_END, _SCALED, _SUM, _SEQ, _APP, _INJ, _PAREN, _PAIR, _LAM, _LET, _LET_BODY,
  _MATCH, _LEFT, _RIGHT) = range(14)
 
@@ -193,20 +229,22 @@ class _Parser:
         self.tokens = _lex(text)
         self.pos = 0
 
-    def error(self, message: str, tok: _Token) -> ParseError:
-        return ParseError(message, _span(self.text, tok[2], tok[3]))
+    def error(self, message: str, at: int) -> ParseError:
+        """The error at the token of index at."""
+        return ParseError(message, _token_span(self.text, at))
 
-    def check(self, tok: _Token, kind: str, what: str) -> None:
-        """Raise unless tok is of this kind."""
+    def check(self, at: int, kind: str, what: str) -> None:
+        """Raise unless the token of index at is of this kind."""
+        tok = self.tokens[at]
         if tok[0] != kind:
-            raise self.error(f"expected {what}, found {_found(tok)}", tok)
+            raise self.error(f"expected {what}, found {_found(tok)}", at)
 
     def expect(self, kind: str, what: str) -> object:
         """The value of the next token, which must be of this kind."""
-        tok = self.tokens[self.pos]
-        self.check(tok, kind, what)
-        self.pos += 1
-        return tok[1]
+        at = self.pos
+        self.check(at, kind, what)
+        self.pos = at + 1
+        return self.tokens[at][1]
 
 
 # the names a type operand may have, and the infixes, tightest first: the
@@ -238,22 +276,22 @@ def _read_type(p: _Parser) -> Type:
             sharps += 1
             pos += 1
             tok = tokens[pos]
-        pos += 1
         if tok[0] == "(":
+            pos += 1
             opened.append((group, sharps))
             group = [[], [], []]
             continue
         if tok[0] != "ident":
-            raise p.error(f"expected a type, found {_found(tok)}", tok)
+            raise p.error(f"expected a type, found {_found(tok)}", pos)
         t = _TYPE_NAMES.get(tok[1])
         if t is None:
-            raise p.error(f"unknown type name {tok[1]!r}", tok)
+            raise p.error(f"unknown type name {tok[1]!r}", pos)
+        pos += 1
         # t ends here: group what it closes
         while True:
             for _ in range(sharps):
                 t = Sharp(t)
-            tok = tokens[pos]
-            level = _INFIX_LEVEL.get(tok[0], 3)
+            level = _INFIX_LEVEL.get(tokens[pos][0], 3)
             for operands, node in zip(group[:level], _INFIX_NODES):
                 while operands:
                     t = node(operands.pop(), t)
@@ -264,7 +302,7 @@ def _read_type(p: _Parser) -> Type:
             if not opened:
                 p.pos = pos
                 return t
-            p.check(tok, ")", "')'")
+            p.check(pos, ")", "')'")
             pos += 1
             group, sharps = opened.pop()
 
@@ -295,23 +333,25 @@ def parse_program(text: str) -> Distribution:
             if kind == "ident":
                 v = Var(tok[1])
                 break
+            at = pos - 1
             if kind not in reading:
-                raise p.error(f"expected a term, found {_found(tok)}", tok)
+                raise p.error(f"expected a term, found {_found(tok)}", at)
             if kind == "(":
-                push((_PAREN, tok))
+                push((_PAREN, at))
                 reading = _SUMMAND
             elif kind == "inl" or kind == "inr":
-                push((_INJ, tok))
+                push((_INJ, at))
                 reading = _ATOM
             elif kind == "-" or kind == "scalar":
                 if kind == "-" and tokens[pos][0] == "scalar":
-                    tok = tokens[pos]
+                    at = pos
                     pos += 1
-                coeff = tok[1] if tok[0] == "scalar" else 1
-                if tok[0] == "scalar":
-                    p.check(tokens[pos], "*", "'*' after a scalar coefficient")
+                coeff = 1
+                if tokens[at][0] == "scalar":
+                    coeff = tokens[at][1]
+                    p.check(pos, "*", "'*' after a scalar coefficient")
                     pos += 1
-                push((_SCALED, -coeff if kind == "-" else coeff, tok))
+                push((_SCALED, -coeff if kind == "-" else coeff, at))
                 reading = _HEAD
             else:
                 p.pos = pos
@@ -328,17 +368,16 @@ def parse_program(text: str) -> Distribution:
                     y = p.expect("ident", "a name")
                     p.expect(")", "')' after the pair names")
                     p.expect("=", "'='")
-                    push((_LET, tok, x, y))
+                    push((_LET, at, x, y))
                 else:
-                    push((_MATCH, tok))
+                    push((_MATCH, at))
                 pos = p.pos
                 reading = _SUMMAND
 
         # v is an atom: pop what it completes until an operand is to be read
         atom = True
         while True:
-            tok = tokens[pos]
-            kind = tok[0]
+            kind = tokens[pos][0]
             if atom:
                 top = stack[-1]
                 while top[0] == _INJ:
@@ -349,12 +388,12 @@ def parse_program(text: str) -> Distribution:
                     v = _apply(p, top[1], v, top[2])
                     pop()
                 if kind in _ATOM:
-                    push((_APP, v, tok))
+                    push((_APP, v, pos))
                     reading = _ATOM
                     break
             # v is a head term
             if kind == ";":
-                push((_SEQ, v, tok))
+                push((_SEQ, v, pos))
                 pos += 1
                 reading = _HEAD
                 break
@@ -365,7 +404,7 @@ def parse_program(text: str) -> Distribution:
                 top = stack[-1]
             if top[0] == _SCALED:
                 pop()
-                v = _built(p, top[2], scale, top[1], _dist(v))
+                v = _scaled(p, top[1], v, top[2])
                 top = stack[-1]
             if kind == "+":
                 if top[0] == _SUM:
@@ -378,12 +417,12 @@ def parse_program(text: str) -> Distribution:
             if top[0] == _SUM:
                 pop()
                 top[1].append(v)
-                v = add(*map(_dist, top[1]))
+                v = _sum(top[1])
                 top = stack[-1]
             # v is a distribution: close the construct it ends
             frame = top[0]
             if frame == _END:
-                p.check(tok, "eof", "end of input")
+                p.check(pos, "eof", "end of input")
                 return _dist(v)
             if frame == _PAREN and kind == ",":
                 stack[-1] = (_PAIR, v, top[1])
@@ -391,7 +430,7 @@ def parse_program(text: str) -> Distribution:
                 reading = _SUMMAND
                 break
             if frame == _PAREN or frame == _PAIR:
-                p.check(tok, ")", "')'" if frame == _PAREN else "')' after the pair")
+                p.check(pos, ")", "')'" if frame == _PAREN else "')' after the pair")
                 pos += 1
                 pop()
                 if frame == _PAIR:
@@ -406,7 +445,7 @@ def parse_program(text: str) -> Distribution:
                 pop()
                 v = _built(p, top[1], mk_let, top[2], top[3], _dist(top[4]), _dist(v))
             elif frame == _RIGHT:
-                p.check(tok, "}", "'}' after the branches")
+                p.check(pos, "}", "'}' after the branches")
                 pos += 1
                 pop()
                 v = _built(p, top[1], mk_match, _dist(top[2]), top[3], top[4], top[5], _dist(v))
@@ -431,34 +470,59 @@ def parse_program(text: str) -> Distribution:
                 break
 
 
-def _inject(p: _Parser, tok: _Token, v: PureTerm | Distribution) -> PureTerm | Distribution:
-    """inl or inr (tok) of v, which must be a value distribution."""
+def _scaled(p: _Parser, coeff: complex | float, v: PureTerm | Distribution,
+            at: int) -> Distribution:
+    """The summand coeff * v, whose scalar or `-` is the token at.  A bare
+    term gets its one coefficient, computed and checked as `scale` does."""
+    if v.__class__ is Distribution:
+        return _built(p, at, scale, coeff, v)
+    a = complex(coeff) * _ONE
+    if not cmath.isfinite(a):
+        raise p.error(f"non-finite coefficient {a!r}", at)
+    return _trusted(((a, v),))
+
+
+def _sum(parts: list[PureTerm | Distribution]) -> Distribution:
+    """The `+` sum of parts, whose coefficients are already checked."""
+    summands: list[tuple[complex, PureTerm]] = []
+    for v in parts:
+        if v.__class__ is Distribution:
+            summands += v.summands
+        else:
+            summands.append((_ONE, v))
+    return _trusted(tuple(summands))
+
+
+def _inject(p: _Parser, at: int, v: PureTerm | Distribution) -> PureTerm | Distribution:
+    """inl or inr (the token at) of v, which must be a value distribution."""
+    kind = p.tokens[at][0]
     try:
         if v.__class__ is Distribution:
-            return mk_inl(v) if tok[0] == "inl" else mk_inr(v)
-        return InlV(v) if tok[0] == "inl" else InrV(v)
+            return mk_inl(v) if kind == "inl" else mk_inr(v)
+        return InlV(v) if kind == "inl" else InrV(v)
     except ValueError as e:
         if is_value_distribution(_dist(v)):
-            raise p.error(str(e), tok) from None  # merged summands overflowed
-        raise p.error(f"{tok[0]} applies to values only", tok) from None
+            raise p.error(str(e), at) from None  # merged summands overflowed
+        raise p.error(f"{kind} applies to values only", at) from None
 
 
 def _pair(p: _Parser, first: PureTerm | Distribution, second: PureTerm | Distribution,
-          tok: _Token) -> PureTerm | Distribution:
-    """The pair opened at tok; its components must be value distributions."""
+          at: int) -> PureTerm | Distribution:
+    """The pair opened at the token at; its components must be value
+    distributions."""
     try:
         if first.__class__ is Distribution or second.__class__ is Distribution:
             return mk_pair(_dist(first), _dist(second))
         return PairV(first, second)
     except ValueError as e:
         if is_value_distribution(_dist(first)) and is_value_distribution(_dist(second)):
-            raise p.error(str(e), tok) from None  # the coefficients' product overflowed
-        raise p.error("pair components must be values", tok) from None
+            raise p.error(str(e), at) from None  # the coefficients' product overflowed
+        raise p.error("pair components must be values", at) from None
 
 
 def _apply(p: _Parser, op: PureTerm | Distribution, arg: PureTerm | Distribution,
-           tok: _Token) -> PureTerm | Distribution:
-    """op applied to arg, whose first token is tok; op must be a single
+           at: int) -> PureTerm | Distribution:
+    """op applied to arg, whose first token is at; op must be a single
     unscaled term."""
     if op.__class__ is Distribution:
         summands = op.summands
@@ -466,20 +530,20 @@ def _apply(p: _Parser, op: PureTerm | Distribution, arg: PureTerm | Distribution
             raise TypeCheckError(
                 ErrorKind.HEAD_NOT_PURE,
                 "the operator of an application must be a single unscaled term",
-                span=_span(p.text, tok[2], tok[3]),
+                span=_token_span(p.text, at),
             )
         op = summands[0][1]
-    return App(op, arg) if arg.__class__ is not Distribution else _built(p, tok, mk_app, op, arg)
+    return App(op, arg) if arg.__class__ is not Distribution else _built(p, at, mk_app, op, arg)
 
 
-def _built(p: _Parser, tok: _Token, make: Callable[..., Distribution], *args) -> Distribution:
+def _built(p: _Parser, at: int, make: Callable[..., Distribution], *args) -> Distribution:
     """make(*args), a construct that multiplies or merges coefficients, with
     its ValueError (a coefficient that overflows, or a `let` whose two names
-    are equal) raised as a parse error at tok."""
+    are equal) raised as a parse error at the token at."""
     try:
         return make(*args)
     except ValueError as e:
-        raise p.error(str(e), tok) from None
+        raise p.error(str(e), at) from None
 
 
 def parse_type(text: str) -> Type:

@@ -340,38 +340,67 @@ _CLOSED: frozenset[str] = frozenset()
 
 
 def free_vars(t: PureTerm) -> frozenset[str]:
-    match t:
-        case Var(x):
-            return frozenset((x,))
-        case Void():
-            return _CLOSED
-        case PureTerm():
-            fv = t._fv
-            if fv is None:
-                fv = _free_vars_of(t)
-                object.__setattr__(t, "_fv", fv)
-            return fv
-        case _:
-            raise TypeError(f"not a pure term: {t!r}")
-
-
-def _free_vars_of(t: PureTerm) -> frozenset[str]:
-    out = _CLOSED
-    for part, binders in _FORMS[t.__class__].parts:
-        sub = getattr(t, part)
-        fv = free_vars_dist(sub) if sub.__class__ is Distribution else free_vars(sub)
-        out |= fv.difference(getattr(t, b) for b in binders) if binders else fv
-    return out
+    cls = t.__class__
+    if cls is Var:
+        return frozenset((t.name,))
+    if cls is Void:
+        return _CLOSED
+    if not isinstance(t, PureTerm):
+        raise TypeError(f"not a pure term: {t!r}")
+    fv = t._fv
+    return _filled(t) if fv is None else fv
 
 
 def free_vars_dist(d: Distribution) -> frozenset[str]:
-    out = d._fv
-    if out is None:
+    fv = d._fv
+    return _filled(d) if fv is None else fv
+
+
+def _filled(root: PureTerm | Distribution) -> frozenset[str]:
+    """The free variables of root, a compound term or a distribution, set in
+    its `_fv` and in that of every compound term and distribution below it
+    that has none.  One loop over an explicit stack sets each node's from
+    its subterms', or else pushes those that have none and comes back to
+    it, so nesting depth costs heap, not Python frames."""
+    stack = [root]
+    push, pop = stack.append, stack.pop
+    while stack:
+        x = stack[-1]
+        if x._fv is not None:
+            pop()  # a subterm that occurs twice, set the first time
+            continue
+        size = len(stack)
         out = _CLOSED
-        for _, t in d.summands:
-            out |= free_vars(t)
-        object.__setattr__(d, "_fv", out)
-    return out
+        if x.__class__ is Distribution:
+            for _, t in x.summands:
+                cls = t.__class__
+                if cls is Var:
+                    out |= frozenset((t.name,))
+                elif cls is not Void:
+                    fv = t._fv
+                    if fv is None:
+                        push(t)
+                    elif fv:
+                        out |= fv
+        else:
+            for part, binders in _FORMS[x.__class__].parts:
+                sub = getattr(x, part)
+                cls = sub.__class__
+                if cls is Var:
+                    fv = frozenset((sub.name,))
+                elif cls is Void:
+                    continue
+                else:
+                    fv = sub._fv
+                    if fv is None:
+                        push(sub)
+                        continue
+                if fv:
+                    out |= fv.difference(getattr(x, b) for b in binders) if binders else fv
+        if len(stack) == size:
+            pop()
+            object.__setattr__(x, "_fv", out)
+    return root._fv
 
 
 def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:

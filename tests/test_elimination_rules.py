@@ -35,6 +35,7 @@ from qlam.syntax import (
     Seq,
     Var,
     Void,
+    add,
     mk_app,
     mk_let,
     mk_match,
@@ -272,15 +273,16 @@ def test_deep_mixed_values_check(text):
 _BRANCHES = "{ inl left -> inr left | inr right -> inl right }"
 
 
-@pytest.mark.parametrize("text, want", [
-    (f"0.6 * match inl * {_BRANCHES} + 0.8 * match inr * {_BRANCHES}", "#(#U+#U)"),
-    ("0.6 * (let (left, right) = (*, inl *) in (right, left))"
-     " + 0.8 * (let (left, right) = (*, inr *) in (right, left))", "#(#(U+U)*#U)"),
+@pytest.mark.parametrize("summands, want", [
+    ((f"0.6 * match inl * {_BRANCHES}", f"0.8 * match inr * {_BRANCHES}"), "#(#U+#U)"),
+    (("0.6 * (let (left, right) = (*, inl *) in (right, left))",
+      "0.8 * (let (left, right) = (*, inr *) in (right, left))"), "#(#(U+U)*#U)"),
 ], ids=["match", "let"])
-def test_a_shared_context_compares_binder_names_by_value(text, want):
-    # each summand's names are read from its own text: equal names longer
-    # than one character are distinct string objects
-    d = parse_program(text)
+def test_a_shared_context_compares_binder_names_by_value(summands, want):
+    # each summand's names are read from its own text, parsed on its own:
+    # the lexer shares one string among the equal names of a text, but equal
+    # names longer than one character from two texts are distinct objects
+    d = add(*map(parse_program, summands))
     names = [[v for v in map(t.__getattribute__, t.__match_args__) if isinstance(v, str)]
              for _, t in d.summands]
     assert names[0] == names[1] and all(a is not b for a, b in zip(*names))

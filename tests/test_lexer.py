@@ -2,13 +2,17 @@
 built without re-validating what is already valid.
 
 `reference_lex` is the character-by-character lexer that the single regex
-pass replaced: it built a `SourceSpan` for every token.  The equivalence
-tests hold the new lexer to it token for token, as `(kind, value, start,
-end)`, and hold every error raised while lexing or parsing to the text and
-span recorded from the replaced front end in `parse_errors.json`.  The
-mechanism tests check that well-formed input builds no `SourceSpan` and that
-the parser's atoms and the one-hole constructors skip
-`Distribution.__post_init__`, while new coefficients are still checked.
+pass replaced: it built a `SourceSpan` for every token.  `surface._lex`
+gives each token as `(kind, value)`, with no offsets, and
+`surface._token_span` finds the span of a token from its index, as errors
+do.  The equivalence tests hold the new lexer to the reference token for
+token, on kind, value and span, and hold every error raised while lexing or
+parsing to the text and span recorded from the replaced front end in
+`parse_errors.json`.  The mechanism tests check that well-formed input
+builds no `SourceSpan` and looks up no token's span, and that the parser's
+atoms, scaled summands and sums, a whole printed gate among them, and the
+one-hole constructors skip `Distribution.__post_init__`, while new
+coefficients are still checked.
 """
 
 from __future__ import annotations
@@ -127,14 +131,17 @@ def reference_lex(text: str) -> list[_Token]:
 
 
 def _lexed(lex, text: str):
-    """The tokens as (kind, value, start, end), or the error's text and span."""
+    """The tokens as (kind, value, span), or the error's text and span.  The
+    span of each of `surface._lex`'s tokens, which carry no offsets, comes
+    from `surface._token_span`, the helper that errors use."""
     try:
         toks = lex(text)
     except ParseError as e:
         s = e.span
         return "error", str(e), (s.start, s.end, s.line, s.column)
-    return [(t.kind, t.value, t.span.start, t.span.end) if isinstance(t, _Token) else t
-            for t in toks]
+    if lex is reference_lex:
+        return [(t.kind, t.value, t.span) for t in toks]
+    return [(kind, value, surface._token_span(text, i)) for i, (kind, value) in enumerate(toks)]
 
 
 def _unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -271,6 +278,31 @@ def test_parsed_atoms_skip_revalidation(monkeypatch):
     d = parse_program("f (inl *) x")
     assert calls[0] == 0
     assert d == singleton(App(App(Var("f"), InlV(Void())), Var("x")))
+
+
+def test_parsed_gates_skip_revalidation(monkeypatch):
+    rng = np.random.default_rng(17)
+    lam = compile_isometry(GateMatrix(_unitary(rng, 3)))
+    want = singleton(lam)
+    text = pretty_print(want)
+    calls = _count_post_inits(monkeypatch)
+    d = parse_program(text)
+    assert calls[0] == 0
+    assert repr(d) == repr(want)  # coefficients of the same type and sign
+
+
+def test_well_formed_input_never_looks_up_a_span(monkeypatch):
+    rng = np.random.default_rng(5)
+    lam = compile_isometry(GateMatrix(_unitary(rng, 2)))
+    text = "-- a compiled gate\n" + pretty_print(singleton(lam)) + "  -- the end"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a token's span was looked up for well-formed input")
+
+    monkeypatch.setattr(surface, "_token_span", refuse)
+    monkeypatch.setattr(surface, "_lex_error", refuse)
+    assert parse_program(text) == singleton(lam)
+    assert parse_type("#((U+U) * B) -> #U") is parse_type("#(B*B)->#U")
 
 
 def test_new_coefficients_are_still_checked():

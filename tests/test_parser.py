@@ -99,7 +99,8 @@ class _ReferenceParser(surface._Parser):
         return self.atom_type()
 
     def atom_type(self) -> Type:
-        tok = self.tokens[self.pos]
+        at = self.pos
+        tok = self.tokens[at]
         self.pos += 1
         if tok[0] == "(":
             t = self.type_expr()
@@ -110,8 +111,8 @@ class _ReferenceParser(surface._Parser):
                 return UNIT
             if tok[1] == "B":
                 return BOOL
-            raise self.error(f"unknown type name {tok[1]!r}", tok)
-        raise self.error(f"expected a type, found {surface._found(tok)}", tok)
+            raise self.error(f"unknown type name {tok[1]!r}", at)
+        raise self.error(f"expected a type, found {surface._found(tok)}", at)
 
     # -- terms --------------------------------------------------------------
 
@@ -127,10 +128,10 @@ class _ReferenceParser(surface._Parser):
         if neg:
             self.pos += 1
         coeff: complex | float = 1
-        tok = self.tokens[self.pos]
+        at = self.pos
         scaled = self.at("scalar")
         if scaled:
-            coeff = tok[1]  # type: ignore[assignment]
+            coeff = self.tokens[at][1]  # type: ignore[assignment]
             self.pos += 1
             self.expect("*", "'*' after a scalar coefficient")
         body = self.seq_term()
@@ -140,24 +141,24 @@ class _ReferenceParser(surface._Parser):
             try:
                 return scale(coeff, body)
             except ValueError as e:
-                raise self.error(str(e), tok) from None
+                raise self.error(str(e), at) from None
         return body
 
     def seq_term(self) -> Distribution:
         first = self.head_term()
         if self.at(";"):
-            tok = self.tokens[self.pos]
+            at = self.pos
             self.pos += 1
             rest = self.seq_term()
             try:
                 return mk_seq(first, rest)
             except ValueError as e:
-                raise self.error(str(e), tok) from None
+                raise self.error(str(e), at) from None
         return first
 
     def head_term(self) -> Distribution:
-        tok = self.tokens[self.pos]
-        kind = tok[0]
+        at = self.pos
+        kind = self.tokens[at][0]
         if kind == "\\":
             self.pos += 1
             name = self.expect("ident", "a parameter name")
@@ -179,7 +180,7 @@ class _ReferenceParser(surface._Parser):
             try:
                 return mk_let(x, y, scrut, body)
             except ValueError as e:
-                raise self.error(str(e), tok) from None
+                raise self.error(str(e), at) from None
         if kind == "match":
             self.pos += 1
             scrut = self.dist()
@@ -197,30 +198,31 @@ class _ReferenceParser(surface._Parser):
             try:
                 return mk_match(scrut, x1, b1, x2, b2)
             except ValueError as e:
-                raise self.error(str(e), tok) from None
+                raise self.error(str(e), at) from None
         return self.app_term()
 
     def app_term(self) -> Distribution:
         cur = self.atom()
         tokens = self.tokens
         while tokens[self.pos][0] in _ATOM_STARTS:
-            tok = tokens[self.pos]
+            at = self.pos
             arg = self.atom()
             summands = cur.summands
             if len(summands) != 1 or summands[0][0] != 1:
                 raise TypeCheckError(
                     ErrorKind.HEAD_NOT_PURE,
                     "the operator of an application must be a single unscaled term",
-                    span=surface._span(self.text, tok[2], tok[3]),
+                    span=surface._token_span(self.text, at),
                 )
             try:
                 cur = mk_app(summands[0][1], arg)
             except ValueError as e:
-                raise self.error(str(e), tok) from None
+                raise self.error(str(e), at) from None
         return cur
 
     def atom(self) -> Distribution:
-        tok = self.tokens[self.pos]
+        at = self.pos
+        tok = self.tokens[at]
         kind = tok[0]
         if kind == "*":
             self.pos += 1
@@ -235,8 +237,8 @@ class _ReferenceParser(surface._Parser):
                 return mk_inl(arg) if kind == "inl" else mk_inr(arg)
             except ValueError as e:
                 if is_value_distribution(arg):
-                    raise self.error(str(e), tok) from None
-                raise self.error(f"{kind} applies to values only", tok) from None
+                    raise self.error(str(e), at) from None
+                raise self.error(f"{kind} applies to values only", at) from None
         if kind == "(":
             self.pos += 1
             first = self.dist()
@@ -248,11 +250,11 @@ class _ReferenceParser(surface._Parser):
                     return mk_pair(first, second)
                 except ValueError as e:
                     if is_value_distribution(first) and is_value_distribution(second):
-                        raise self.error(str(e), tok) from None
-                    raise self.error("pair components must be values", tok) from None
+                        raise self.error(str(e), at) from None
+                    raise self.error("pair components must be values", at) from None
             self.expect(")", "')'")
             return first
-        raise self.error(f"expected a term, found {surface._found(tok)}", tok)
+        raise self.error(f"expected a term, found {surface._found(tok)}", at)
 
 
 def reference_parse(text: str) -> Distribution:
