@@ -70,12 +70,11 @@ from .syntax import (
     PureTerm,
     Seq,
     Var,
+    _free,
     _subst,
-    _subst_dist,
     _trusted,
     canonicalize,
     free_vars,
-    free_vars_dist,
     is_value,
     show_term,
     substitute_many_dist,
@@ -85,6 +84,7 @@ from .syntax import (
 # namespace: a reduct is plugged back by `_term`, and every contraction that
 # substitutes calls `substitute_many_dist`
 from .syntax import mk_app, mk_let, mk_match, mk_seq, substitute_dist  # noqa: F401
+from .types import walk
 
 DEFAULT_MAX_STEPS = 100_000
 
@@ -357,26 +357,23 @@ def _term(t: PureTerm, env: dict, k: tuple, stop: tuple = _TOP) -> PureTerm:
 
 def _read_back(x: PureTerm | Distribution, env: dict) -> PureTerm | Distribution:
     """x, a term or a body, with the values env binds to its free names
-    substituted in: one `_subst` per closure, children first, without
-    recursion.  Every value env binds is closed, so no binder is renamed."""
+    substituted in: one `_subst` per closure, children first (`walk`).  A
+    closure that several environments share is read back once.  Every value
+    env binds is closed, so no binder is renamed."""
     if not env:
         return x
-    root = (x, env)
     done: dict[int, PureTerm | Distribution] = {}
-    todo = [root]
-    while todo:
-        v = todo[-1]
-        if id(v) in done:
-            todo.pop()
-            continue
+
+    def parts(v: tuple) -> PureTerm | Distribution | list:
         y, yenv = v
-        fv, subst = ((free_vars_dist, _subst_dist) if type(y) is Distribution
-                     else (free_vars, _subst))
-        names = fv(y).intersection(yenv) if yenv else ()
-        waiting = [yenv[n] for n in names if id(yenv[n]) not in done]
-        if waiting:
-            todo.extend(waiting)
-            continue
-        todo.pop()
-        done[id(v)] = subst(y, {n: done[id(yenv[n])] for n in names})
-    return done[id(root)]
+        if not yenv:
+            return y
+        got = done.get(id(v))
+        return [yenv[n] for n in _free(y).intersection(yenv)] if got is None else got
+
+    def read(v: tuple, values: list) -> PureTerm | Distribution:
+        y, yenv = v
+        done[id(v)] = y = _subst(y, dict(zip(_free(y).intersection(yenv), values)))
+        return y
+
+    return walk((x, env), parts, read)

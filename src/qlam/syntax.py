@@ -22,6 +22,15 @@ over each, and an elimination's hole.  Free variables, substitution and
 alpha-keys here, and the checker's shared-context test, are loops over that
 table rather than one case per form.
 
+Free variables, substitution and alpha-keys each run on `types.walk`, the
+one children-first loop over an explicit stack, as a pair of functions: one
+that gives an item's result at once (a variable, the unit value, a node
+whose `_fv` is set, a ground value's key, a subterm in which no substituted
+name is free) or else lists its subterms, and one that builds the item's
+result from theirs, in field order.  A term's depth costs heap, not Python
+frames.  A substitution that must rename a binder renames the subterm under
+it first, in a walk of its own.
+
 Every compound node and every distribution caches its free-variable set in a
 `_fv` field, computed on first use.  Substitution uses it to hand back
 untouched every subterm in which no substituted name is free.
@@ -51,12 +60,13 @@ from __future__ import annotations
 import cmath
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import itemgetter
 from typing import NamedTuple
 from weakref import ref
 
 from .config import get_tolerance
-from .types import _INTERNED, Type, _enter, _type_parts, emit, type_key
+from .types import _INTERNED, Type, _enter, _type_parts, emit, type_key, walk
 
 
 def _cache():
@@ -281,6 +291,9 @@ _FORMS: dict[type, _Form] = {
 class Distribution:
     summands: tuple[tuple[complex, PureTerm], ...]
     _fv: frozenset[str] | None = _cache()
+    # no key of its own, as a term that is not a ground value has none, so
+    # `_key_parts` may read it before it tests the class
+    _term_key = None
 
     def __post_init__(self) -> None:
         if not self.summands:
@@ -337,70 +350,58 @@ def is_value_distribution(d: Distribution) -> bool:
 # free variables and substitution
 
 _CLOSED: frozenset[str] = frozenset()
+_first, _second = itemgetter(0), itemgetter(1)
 
 
 def free_vars(t: PureTerm) -> frozenset[str]:
-    cls = t.__class__
-    if cls is Var:
-        return frozenset((t.name,))
-    if cls is Void:
-        return _CLOSED
     if not isinstance(t, PureTerm):
         raise TypeError(f"not a pure term: {t!r}")
-    fv = t._fv
-    return _filled(t) if fv is None else fv
+    return _free(t)
 
 
 def free_vars_dist(d: Distribution) -> frozenset[str]:
     fv = d._fv
-    return _filled(d) if fv is None else fv
+    return _free(d) if fv is None else fv
 
 
-def _filled(root: PureTerm | Distribution) -> frozenset[str]:
-    """The free variables of root, a compound term or a distribution, set in
-    its `_fv` and in that of every compound term and distribution below it
-    that has none.  One loop over an explicit stack sets each node's from
-    its subterms', or else pushes those that have none and comes back to
-    it, so nesting depth costs heap, not Python frames."""
-    stack = [root]
-    push, pop = stack.append, stack.pop
-    while stack:
-        x = stack[-1]
-        if x._fv is not None:
-            pop()  # a subterm that occurs twice, set the first time
-            continue
-        size = len(stack)
-        out = _CLOSED
-        if x.__class__ is Distribution:
-            for _, t in x.summands:
-                cls = t.__class__
-                if cls is Var:
-                    out |= frozenset((t.name,))
-                elif cls is not Void:
-                    fv = t._fv
-                    if fv is None:
-                        push(t)
-                    elif fv:
-                        out |= fv
-        else:
-            for part, binders in _FORMS[x.__class__].parts:
-                sub = getattr(x, part)
-                cls = sub.__class__
-                if cls is Var:
-                    fv = frozenset((sub.name,))
-                elif cls is Void:
-                    continue
-                else:
-                    fv = sub._fv
-                    if fv is None:
-                        push(sub)
-                        continue
-                if fv:
-                    out |= fv.difference(getattr(x, b) for b in binders) if binders else fv
-        if len(stack) == size:
-            pop()
-            object.__setattr__(x, "_fv", out)
-    return root._fv
+def _free(x: PureTerm | Distribution) -> frozenset[str]:
+    """The free variables of a term or a distribution, set in the `_fv` of
+    every compound node below it that has none."""
+    return walk(x, _fv_parts, _fv_of)
+
+
+def _fv_parts(x: PureTerm | Distribution) -> frozenset[str] | list:
+    """For `walk`: x's free variables when it is a variable, the unit value
+    or a node whose `_fv` is set, else its subterms."""
+    cls = x.__class__
+    if cls is Var:
+        return frozenset((x.name,))
+    if cls is Void:
+        return _CLOSED
+    fv = x._fv
+    if fv is not None:
+        return fv
+    if cls is Distribution:
+        return list(map(_second, x.summands))
+    # loops, not comprehensions, which cost a function call each in Python
+    # 3.11; in the key walk they took about a fifth of its time
+    parts = []
+    for part, _ in _FORMS[cls].parts:
+        parts.append(getattr(x, part))
+    return parts
+
+
+def _fv_of(x: PureTerm | Distribution, fvs: list) -> frozenset[str]:
+    """For `walk`: x's free variables, from its subterms', set in its `_fv`."""
+    out = _CLOSED
+    if x.__class__ is Distribution:
+        out = out.union(*fvs)
+    else:
+        for (_, binders), fv in zip(_FORMS[x.__class__].parts, fvs):
+            if fv:
+                out |= fv.difference(getattr(x, b) for b in binders) if binders else fv
+    object.__setattr__(x, "_fv", out)
+    return out
 
 
 def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
@@ -432,36 +433,53 @@ def substitute_many_dist(d: Distribution, mapping: dict[str, PureTerm]) -> Distr
     for v in mapping.values():
         if not is_value(v):
             raise ValueError("only pure values may be substituted for variables")
-    return _subst_dist(d, mapping)
+    return _subst(d, mapping)
 
 
-def _subst(t: PureTerm, mapping: dict[str, PureTerm]) -> PureTerm:
-    match t:
-        case Var(x):
-            return mapping.get(x, t)
-        case Void():
-            return t
-    if not mapping or mapping.keys().isdisjoint(free_vars(t)):
-        return t
-    # the subterms in field order, each binder group adjusted just before
-    # the subterm it scopes over
-    cls = t.__class__
-    fields = {f: getattr(t, f) for f in cls.__match_args__}
+def _subst(x: PureTerm | Distribution, mapping: dict[str, PureTerm]) -> PureTerm | Distribution:
+    """x, a term or a distribution, with the values of mapping substituted
+    for their free names."""
+    return walk((x, mapping), _subst_parts, _substituted)
+
+
+def _subst_parts(item: object) -> object:
+    """For `walk`: the result of an (x, mapping) item when it is done at
+    once, else the items of x's fields in constructor order.  x is done at
+    once when it is a variable, the unit value, or a node in which no name of
+    mapping is free, and so is a field item that is not a pair: a binder
+    name or an annotation.  Each binder group is renamed for the subterm it
+    scopes over; the renaming reads only x and mapping, so it picks the names
+    it would pick in any order."""
+    if item.__class__ is not tuple:
+        return item
+    x, mapping = item
+    cls = x.__class__
+    if cls is Var:
+        return mapping.get(x.name, x)
+    if cls is Void or not mapping:
+        return x
+    fv = x._fv
+    if mapping.keys().isdisjoint(_free(x) if fv is None else fv):
+        return x
+    if cls is Distribution:
+        return list(zip(map(_second, x.summands), repeat(mapping)))
+    fields = {f: getattr(x, f) for f in cls.__match_args__}
     for part, binders in _FORMS[cls].parts:
         sub, inner = fields[part], mapping
         if binders:
             names, sub, inner = _under_binders(tuple(fields[b] for b in binders), sub, mapping)
             fields.update(zip(binders, names))
-        walk = _subst_dist if sub.__class__ is Distribution else _subst
-        fields[part] = walk(sub, inner)
-    return cls(**fields)
+        fields[part] = (sub, inner)
+    return list(fields.values())
 
 
-def _subst_dist(d: Distribution, mapping: dict[str, PureTerm]) -> Distribution:
-    if not mapping or mapping.keys().isdisjoint(free_vars_dist(d)):
-        return d
-    # the coefficients are d's own, already checked
-    return _trusted(tuple((a, _subst(t, mapping)) for a, t in d.summands))
+def _substituted(item: tuple, fields: list) -> PureTerm | Distribution:
+    """For `walk`: an (x, mapping) item's result, from its fields'."""
+    x = item[0]
+    if x.__class__ is Distribution:
+        # the coefficients are x's own, already checked
+        return _trusted(tuple(zip(map(_first, x.summands), fields)))
+    return x.__class__(*fields)
 
 
 def _under_binders(
@@ -476,13 +494,13 @@ def _under_binders(
     (possibly renamed) binder names, the correspondingly renamed body, and the
     remaining mapping (empty when nothing is left to substitute).
     """
-    body_fv = free_vars_dist(body)
+    body_fv = _free(body)
     inner = {k: v for k, v in mapping.items() if k not in names and k in body_fv}
     if not inner:
         return names, body, inner
     clash = frozenset()
     for v in inner.values():
-        clash |= free_vars(v)
+        clash |= _free(v)
     out_names = list(names)
     renames: dict[str, PureTerm] = {}
     for i, x in enumerate(out_names):
@@ -492,7 +510,7 @@ def _under_binders(
             renames[x] = Var(x2)
             out_names[i] = x2
     if renames:
-        body = _subst_dist(body, renames)
+        body = _subst(body, renames)
     return tuple(out_names), body, inner
 
 
@@ -503,7 +521,8 @@ def term_key(t: PureTerm) -> tuple:
     """Structural key: equal on exactly the alpha-equivalent terms, and
     totally ordered (string tags, de Bruijn distances for bound variables,
     names for free ones, coefficients as real/imaginary pairs)."""
-    return _key(t, {}, 0)
+    # a ground value carries its key, so most summands start no walk
+    return t._term_key or _key(t, {}, 0)
 
 
 def dist_key(d: Distribution) -> tuple:
@@ -514,28 +533,49 @@ def _key(x: PureTerm | Distribution, bound: dict[str, int], depth: int) -> tuple
     """The `term_key` of a term or the `dist_key` of a distribution x under
     binders: bound maps each name bound around x to its binder's depth, and
     depth counts the binders around x."""
+    return walk((x, bound, depth), _key_parts, _keyed)
+
+
+def _key_parts(item: tuple) -> tuple | list:
+    """For `walk`: the key of an (x, bound, depth) item when x is a ground
+    value, which carries its key that no binder can change, or a variable,
+    else the items of x's subterms, each under the binders in scope over
+    it."""
+    x, bound, depth = item
+    key = x._term_key
+    if key is not None:
+        return key
     cls = x.__class__
-    if cls is Distribution:
-        return ("dist",) + tuple(
-            (("c", a.real, a.imag), _key(t, bound, depth)) for a, t in x.summands
-        )
     if cls is Var:
         at = bound.get(x.name)
         return ("fv", x.name) if at is None else ("bv", depth - at)
-    # a ground value carries its key, which no binder can change
-    if x._term_key is not None:
-        return x._term_key
-    form = _FORMS[cls]
-    key = [form.tag, type_key(x.ann)] if cls is Lam else [form.tag]
-    for part, binders in form.parts:
+    parts = []
+    if cls is Distribution:
+        for _, t in x.summands:
+            parts.append((t, bound, depth))
+        return parts
+    for part, binders in _FORMS[cls].parts:
         inner, d = bound, depth
         if binders:
             inner = bound.copy()
             for b in binders:
                 inner[getattr(x, b)] = d
                 d += 1
-        key.append(_key(getattr(x, part), inner, d))
-    return tuple(key)
+        parts.append((getattr(x, part), inner, d))
+    return parts
+
+
+def _keyed(item: tuple, keys: list) -> tuple:
+    """For `walk`: an item's key, from its subterms' keys."""
+    x = item[0]
+    cls = x.__class__
+    if cls is Distribution:
+        key = ["dist"]
+        for (a, _), k in zip(x.summands, keys):
+            key.append((("c", a.real, a.imag), k))
+        return tuple(key)
+    tag = _FORMS[cls].tag
+    return (tag, type_key(x.ann), *keys) if cls is Lam else (tag, *keys)
 
 
 def alpha_eq(t1: PureTerm, t2: PureTerm) -> bool:

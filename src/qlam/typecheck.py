@@ -99,6 +99,7 @@ from .types import (
     peel_sharps,
     sharp_lift,
     subtype,
+    walk,
 )
 
 TypingContext = Mapping[str, Type]
@@ -581,20 +582,22 @@ def _type_ground(t: PureTerm) -> tuple[Type, Derivation]:
     """Type a ground value and keep its type and derivation on the node.  A
     ground value has no variables, so neither depends on the context it is
     typed in, and each distinct value is typed once.  Its parts are interned
-    values too, so they are typed first, from an explicit stack: the depth of
-    a value is not bounded by the interpreter's recursion limit."""
-    stack = [t]
-    while stack:
-        node = stack[-1]
-        untyped = [c for c in map(node.__getattribute__, node.__match_args__)
-                   if c._typing is None]
-        if untyped:
-            stack += untyped
-            continue
-        stack.pop()
-        if node._typing is None:  # a pair of equal values holds one node twice
-            object.__setattr__(node, "_typing", _value_rule(node, _typing_of))
-    return t._typing
+    values too, so they are typed first (`walk`): the depth of a value is not
+    bounded by the interpreter's recursion limit."""
+    return walk(t, _ground_parts, _ground_typed)
+
+
+def _ground_parts(node: PureTerm) -> tuple | list:
+    """For `walk`: a ground value's typing when it is kept, else its parts."""
+    typing = node._typing
+    return typing if typing is not None else list(map(node.__getattribute__, node.__match_args__))
+
+
+def _ground_typed(node: PureTerm, _: list) -> tuple[Type, Derivation]:
+    """For `walk`: a ground value's typing, from its parts' kept ones."""
+    typing = _value_rule(node, _typing_of)
+    object.__setattr__(node, "_typing", typing)
+    return typing
 
 
 _typing_of = attrgetter("_typing")

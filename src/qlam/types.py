@@ -18,7 +18,9 @@ its form with every placeholder grounded to Unit (`ground_unknowns`).
 Reading them walks nothing, so a type's depth costs no Python frames there.
 
 Both printers, the types' here and the terms' in `syntax`, run on one loop,
-`emit`, over an explicit stack.
+`emit`, over an explicit stack.  Joins, meets and unifiers here, and the
+term walkers of `syntax`, `typecheck` and `rewrite`, run on another, `walk`,
+which builds each result from its children's.
 """
 
 from __future__ import annotations
@@ -270,25 +272,61 @@ def join_types(a: Type, b: Type) -> Type | None:
 
 
 def _join(a: Type, b: Type) -> Type | None:
-    if isinstance(a, Unknown):
+    """The candidate join of a and b, which `join_types` verifies."""
+    return walk((_JOIN, a, b), _pair_parts, _paired)
+
+
+def _unify(a: Type, b: Type) -> Type | None:
+    """Syntactic unification where Unknown is the only variable."""
+    return walk((_UNIFY, a, b), _pair_parts, _paired)
+
+
+# what a `_pair_parts` item asks of its two types
+_JOIN, _MEET, _UNIFY = "join", "meet", "unify"
+
+
+def _pair_parts(item: tuple) -> Type | None | list:
+    """For `walk`: the join, meet or unifier of an (op, a, b) item when it is
+    done at once, or else the items of its parts.  Types are interned, so a
+    type is its own join, meet and unifier.  A placeholder gives way to
+    anything.  A meet is one of the two, by `subtype`.  Under Sharp there is
+    no congruence, so a join of two Sharp-headed types unifies their cores,
+    and one of a bare type and a Sharp-headed one is the Sharp side when the
+    bare core fits under it as it is.  Otherwise both have one constructor,
+    and its parts pair up; a join meets arrow domains."""
+    op, a, b = item
+    if a is b or b.__class__ is Unknown:
+        return a
+    if a.__class__ is Unknown:
         return b
-    if isinstance(b, Unknown):
-        return a
-    if a == b:
-        return a
-    ma, ca = peel_sharps(a)
-    mb, cb = peel_sharps(b)
-    if ma >= 1 and mb >= 1:
-        # no congruence under Sharp, so the cores must unify exactly
-        u = _unify(ca, cb)
-        return None if u is None else _wrap(u, max(ma, mb))
-    if ma == 0 and mb == 0:
-        return _join_structural(ca, cb)
-    # one side bare, one side Sharp-headed: the bare core must fit under the
-    # Sharp side as-is
-    if ma == 0:
-        return Sharp(_wrap(cb, mb - 1)) if subtype(ca, cb) else None
-    return Sharp(_wrap(ca, ma - 1)) if subtype(cb, ca) else None
+    if op is _MEET:
+        return a if subtype(a, b) else b if subtype(b, a) else None
+    if op is _JOIN:
+        ma, ca = peel_sharps(a)
+        mb, cb = peel_sharps(b)
+        if ma and mb:
+            return [(_UNIFY, ca, cb)]
+        if mb:  # name the Sharp-headed side's count and core ma and ca
+            ma, ca, cb = mb, cb, ca
+        if ma:
+            return _wrap(ca, ma) if subtype(cb, ca) else None
+    cls = a.__class__
+    if cls is not b.__class__:
+        return None
+    parts = [(op, getattr(a, f), getattr(b, f)) for f in cls.__match_args__]
+    if op is _JOIN and cls is Arrow:
+        parts[0] = (_MEET, a.dom, b.dom)
+    return parts
+
+
+def _paired(item: tuple, parts: list) -> Type | None:
+    """For `walk`: an item's type, from the results of its parts."""
+    op, a, b = item
+    if None in parts:
+        return None
+    if op is _JOIN and a.__class__ is Sharp:
+        return _wrap(parts[0], max(peel_sharps(a)[0], peel_sharps(b)[0]))
+    return a.__class__(*parts)
 
 
 def _wrap(core: Type, m: int) -> Type:
@@ -297,67 +335,43 @@ def _wrap(core: Type, m: int) -> Type:
     return core
 
 
-def _join_structural(c: Type, d: Type) -> Type | None:
-    match c, d:
-        case Unit(), Unit():
-            return UNIT
-        case Sum(l1, r1), Sum(l2, r2):
-            l = _join(l1, l2)
-            r = _join(r1, r2)
-            return None if l is None or r is None else Sum(l, r)
-        case Prod(l1, r1), Prod(l2, r2):
-            l = _join(l1, l2)
-            r = _join(r1, r2)
-            return None if l is None or r is None else Prod(l, r)
-        case Arrow(d1, c1), Arrow(d2, c2):
-            dom = _meet(d1, d2)
-            cod = _join(c1, c2)
-            return None if dom is None or cod is None else Arrow(dom, cod)
-        case _:
-            return None
+def walk(root: object, expand: Callable[[object], object],
+         build: Callable[[object, list], object]) -> object:
+    """The result of root, children first.  expand(item) gives the item's
+    result when it is done at once (a leaf, or a node whose result is
+    cached), or else a new list of its child items; build(item, results)
+    makes its result from theirs, in the order of that list, which the loop
+    fills in place.  No result is a list.  One loop keeps each unfinished
+    item on an explicit stack, so depth costs heap, not Python frames.  A
+    child is expanded only after its elder siblings are built, so a node
+    that occurs twice finds its cached result the second time.
 
-
-def _meet(a: Type, b: Type) -> Type | None:
-    if isinstance(a, Unknown):
-        return b
-    if isinstance(b, Unknown):
-        return a
-    if subtype(a, b):
-        return a
-    if subtype(b, a):
-        return b
-    return None
-
-
-def _unify(a: Type, b: Type) -> Type | None:
-    """Syntactic unification where Unknown is the only variable.  Types are
-    interned, so a type unifies with itself as itself."""
-    if a is b:
-        return a
-    if isinstance(a, Unknown):
-        return b
-    if isinstance(b, Unknown):
-        return a
-    match a, b:
-        case Unit(), Unit():
-            return UNIT
-        case Sharp(x), Sharp(y):
-            u = _unify(x, y)
-            return None if u is None else Sharp(u)
-        case Sum(l1, r1), Sum(l2, r2):
-            l = _unify(l1, l2)
-            r = _unify(r1, r2)
-            return None if l is None or r is None else Sum(l, r)
-        case Prod(l1, r1), Prod(l2, r2):
-            l = _unify(l1, l2)
-            r = _unify(r1, r2)
-            return None if l is None or r is None else Prod(l, r)
-        case Arrow(d1, c1), Arrow(d2, c2):
-            d = _unify(d1, d2)
-            c = _unify(c1, c2)
-            return None if d is None or c is None else Arrow(d, c)
-        case _:
-            return None
+    Free variables, alpha-keys and substitution (`syntax`), ground typing
+    (`typecheck`), read-back (`rewrite`), and joins and unifiers here are
+    each an expand and a build over it."""
+    todo = expand(root)
+    if todo.__class__ is not list:
+        return todo
+    unfinished = []
+    item, i, n = root, 0, len(todo)
+    while True:
+        # todo[:i] holds the results of its first i items
+        while i < n:
+            child = todo[i]
+            sub = expand(child)
+            if sub.__class__ is list:
+                unfinished.append((item, todo, i))
+                item, todo, i, n = child, sub, 0, len(sub)
+            else:
+                todo[i] = sub
+                i += 1
+        result = build(item, todo)
+        if not unfinished:
+            return result
+        item, todo, i = unfinished.pop()
+        todo[i] = result
+        i += 1
+        n = len(todo)
 
 
 # printing: '->' loosest (right assoc), then '+', then '*', '#' tightest

@@ -23,6 +23,8 @@ from qlam.syntax import (
     InlV,
     InrV,
     Lam,
+    LetPair,
+    Match,
     PairV,
     PureTerm,
     Var,
@@ -345,3 +347,43 @@ def deep_types(depth: int) -> st.SearchStrategy[str]:
     """A type written depth layers deep: parentheses, `#`s, and `+`, `*`
     and `->` chains."""
     return st.integers(0, 2**32).map(lambda seed: _layered(_TYPE_LAYERS, seed, depth, "U"))
+
+
+# the names an open value is made of: binders take the first three, and `z`
+# is never bound, so it stays free.  `x_1` is the name `fresh_name` picks for
+# a binder `x`, so renaming one may have to rename again.
+OPEN_NAMES = ("x", "x_1", "y", "z")
+
+
+def deep_open_values(depth: int) -> st.SearchStrategy[PureTerm]:
+    """An open value depth layers deep around a variable: each layer an
+    `inl`, an `inr`, a pair with a variable on one side, or a lambda whose
+    body is the rest, alone or under a `let` or a `match` of the lambda's
+    variable.  All names come from `OPEN_NAMES`, so binders shadow one
+    another and capture the names that substituted values mention."""
+    return st.integers(0, 2**32).map(lambda seed: _open_value(random.Random(seed), depth))
+
+
+def _open_value(rng: random.Random, depth: int) -> PureTerm:
+    binders = OPEN_NAMES[:3]
+    name = lambda: rng.choice(OPEN_NAMES)  # noqa: E731
+    t: PureTerm = Var(name())
+    for _ in range(depth):
+        layer = rng.randrange(6)
+        if layer == 0:
+            t = InlV(t)
+        elif layer == 1:
+            t = InrV(t)
+        elif layer == 2:
+            t = PairV(t, Var(name())) if rng.random() < 0.5 else PairV(Var(name()), t)
+        else:
+            z = rng.choice(binders)
+            body = singleton(t)
+            if layer == 4:
+                left, right = rng.sample(binders, 2)
+                body = singleton(LetPair(left, right, Var(z), body))
+            elif layer == 5:
+                body = singleton(Match(Var(z), rng.choice(binders), body,
+                                       rng.choice(binders), singleton(Var(name()))))
+            t = Lam(z, UNIT, body)
+    return t

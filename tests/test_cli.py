@@ -243,6 +243,29 @@ def test_eval_no_check_overflow_then_divergence_exits_two_with_and_without_trace
     assert capsys.readouterr().err == "error: non-finite coefficient (inf+0j)\n"
 
 
+_DEEP = 10_000
+# `inr^m *` and `inr^(m-1) inl *` superposed: their types join in a sum of
+# m + 1 terms, which the second program also annotates under Sharp
+_JOINED = "0.6 * " + "inr " * 900 + "* + 0.8 * " + "inr " * 899 + "inl *"
+
+
+@pytest.mark.parametrize("src", [
+    "(\\y:U. " + "inr " * _DEEP + "y) *",
+    "0.6 * (\\x:U. " + "inr " * _DEEP + "x) + 0.8 * (\\x:U. " + "inl " * _DEEP + "x)",
+], ids=["substitution", "keys"])
+def test_eval_no_check_of_deep_open_values(write, capsys, src):
+    assert main(["eval", "--no-check", write("deep.qlam", src)]) == 0
+    assert capsys.readouterr().out.count("in") >= _DEEP
+
+
+@pytest.mark.parametrize("src", [
+    _JOINED, "(\\x:#(" + "+".join(["U"] * 901) + "). x) (" + _JOINED + ")",
+], ids=["join", "annotated"])
+def test_check_of_a_deep_join(write, capsys, src):
+    assert main(["check", write("joined.qlam", src)]) == 0
+    assert capsys.readouterr().out.strip() == "#(" + "+".join(["U"] * 901) + ")"
+
+
 def test_nonpositive_max_steps_rejected(write, capsys):
     assert main(["eval", "--max-steps", "0", write("x.qlam", "*\n")]) == 2
     assert capsys.readouterr().err == "error: --max-steps must be positive\n"

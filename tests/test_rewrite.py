@@ -762,6 +762,21 @@ def test_a_trace_through_a_deep_evaluation_context_ends_in_the_normal_form():
     assert _bits(trace[-1]) == _bits(normalize(d)) == _bits(singleton(STAR))
 
 
+def test_a_beta_into_a_deep_value_needs_no_recursion():
+    # (\y:U. inr^10000 y) *: the step substitutes * under 10,000 injections
+    depth = 10_000
+    body = Var("y")
+    for _ in range(depth):
+        body = InrV(body)
+    d = singleton(App(Lam("y", UNIT, singleton(body)), STAR))
+    want = STAR
+    for _ in range(depth):
+        want = InrV(want)
+    assert normalize(d) == singleton(want)
+    trace = trace_normalize(d)
+    assert len(trace) == 2 and trace[0] is d and trace[1] == singleton(want)
+
+
 # ------------------------------------------- the machine against the loop
 
 

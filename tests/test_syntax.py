@@ -4,8 +4,10 @@
 recursive walkers, one case per term form, that the loops over
 `syntax._FORMS` replaced.  The equivalence tests at the end hold free
 variables, substitution and alpha-keys to them on generator programs, on
-opened programs whose substitution renames binders, and on compiled gates at
-n = 1..4.
+opened programs whose substitution renames binders, on compiled gates at
+n = 1..4, and on open values up to 80 layers deep under binders that shadow
+one another (`generator.deep_open_values`).  The walkers run on
+`types.walk`, so terms 10,000 deep need no recursion.
 """
 
 from __future__ import annotations
@@ -17,7 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generator import ProgramGen, flow_programs, trace_programs
+from generator import (
+    OPEN_NAMES,
+    ProgramGen,
+    _open_value,
+    deep_open_values,
+    flow_programs,
+    trace_programs,
+)
 from qlam.quantum import GateMatrix, compile_gate, compile_isometry, gate_library
 from qlam.syntax import (
     App,
@@ -57,6 +66,7 @@ from qlam.syntax import (
     singleton,
     substitute,
     substitute_dist,
+    substitute_many,
     substitute_many_dist,
     term_key,
 )
@@ -330,6 +340,27 @@ def test_free_vars_of_deep_values_need_no_recursion():
     for _ in range(9_999):
         inner = inner.value
         assert inner._fv == frozenset({"y"})
+
+
+def test_keys_and_substitution_of_deep_open_values_need_no_recursion():
+    depth = 10_000
+    lam = Lam("x", UNIT, singleton(_inr_chain(depth, "x")))
+    assert term_key(lam)[:2] == ("lam", type_key(UNIT))
+    key = dist_key(singleton(lam))[1][1][2][1][1]
+    for _ in range(depth):
+        assert key[0] == "inr"
+        key = key[1]
+    assert key == ("bv", 1)
+    # y := x under the binder x renames it to x_1, in a nested walk of the body
+    open_lam = Lam("x", UNIT, singleton(PairV(_inr_chain(depth, "x"), Var("y"))))
+    got = substitute(open_lam, "y", Var("x"))
+    assert got.name == "x_1"
+    pair = got.body.summands[0][1]
+    assert pair.second == Var("x")
+    chain = pair.first
+    for _ in range(depth):
+        chain = chain.value
+    assert chain == Var("x_1")
 
 
 # ---------------------------------------------------------------- alpha
@@ -760,3 +791,33 @@ def test_compiled_gates_walk_as_the_reference_walks(n):
             renamed += _substitutes_as_the_reference_substitutes(
                 *_opened_with_mappings(singleton(lam), draw))
     assert renamed > 0
+
+
+# substituted values that mention the names deep open values bind
+_OPEN_VALUES = [Var(n) for n in OPEN_NAMES] + [
+    PairV(Var("x"), Var("x_1")), InlV(Lam("y", UNIT, singleton(Var("x"))))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 80).flatmap(deep_open_values), st.sampled_from(OPEN_NAMES),
+       st.sampled_from(_OPEN_VALUES), st.sampled_from(_OPEN_VALUES))
+def test_deep_open_values_walk_as_the_reference_walks(v, name, value, other):
+    # the references and `==` recurse a few frames per layer, so depths stay
+    # where they run within the default recursion limit
+    bound = {"y": 0, "x": 1}
+    assert free_vars(v) == reference_free_vars(v)
+    assert term_key(v) == reference_key(v, {}, 0)
+    assert _key(v, bound, 2) == reference_key(v, bound, 2)
+    assert substitute(v, name, value) == reference_subst(v, {name: value})
+    mapping = {name: value, "z" if name != "z" else "y": other}
+    assert substitute_many(v, mapping) == reference_subst(v, mapping)
+
+
+def test_substitution_into_deep_open_values_renames_binders():
+    # z is free in every such value and x and x_1 are bound around it
+    value = PairV(Var("x"), Var("x_1"))
+    for seed in range(20):
+        v = _open_value(random.Random(seed), 80)
+        got = substitute(v, "z", value)
+        assert got == reference_subst(v, {"z": value})
+        assert _binders(singleton(got)) != _binders(singleton(v))

@@ -1,5 +1,7 @@
 """Types: flatness, subtyping (against the derivation-search oracle), joins,
 and the data each type node carries against the recursive walks it
+replaced.  `reference_join` and `reference_unify` are the recursive joins
+and unifier, one case per constructor, that the children-first walk
 replaced."""
 
 from __future__ import annotations
@@ -7,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from generator import types
 from qlam.types import (
@@ -16,7 +19,10 @@ from qlam.types import (
     Prod,
     Sharp,
     Sum,
+    Unit,
     Unknown,
+    _join,
+    _unify,
     ground_unknowns,
     is_flat,
     join_types,
@@ -286,6 +292,135 @@ def test_join_of_subtype_pair_stays_below_the_larger(search):
                 j = join_types(a, b)
                 assert j is not None, (show_type(a), show_type(b))
                 assert subtype(j, b), (show_type(a), show_type(b), show_type(j))
+
+
+def reference_join(a, b):
+    if isinstance(a, Unknown):
+        return b
+    if isinstance(b, Unknown):
+        return a
+    if a == b:
+        return a
+    ma, ca = peel_sharps(a)
+    mb, cb = peel_sharps(b)
+    if ma >= 1 and mb >= 1:
+        u = reference_unify(ca, cb)
+        return None if u is None else _sharps(u, max(ma, mb))
+    if ma == 0 and mb == 0:
+        return _reference_join_structural(ca, cb)
+    if ma == 0:
+        return Sharp(_sharps(cb, mb - 1)) if subtype(ca, cb) else None
+    return Sharp(_sharps(ca, ma - 1)) if subtype(cb, ca) else None
+
+
+def _sharps(core, m):
+    for _ in range(m):
+        core = Sharp(core)
+    return core
+
+
+def _reference_join_structural(c, d):
+    match c, d:
+        case Unit(), Unit():
+            return U
+        case Sum(l1, r1), Sum(l2, r2):
+            l, r = reference_join(l1, l2), reference_join(r1, r2)
+            return None if l is None or r is None else Sum(l, r)
+        case Prod(l1, r1), Prod(l2, r2):
+            l, r = reference_join(l1, l2), reference_join(r1, r2)
+            return None if l is None or r is None else Prod(l, r)
+        case Arrow(d1, c1), Arrow(d2, c2):
+            dom, cod = _reference_meet(d1, d2), reference_join(c1, c2)
+            return None if dom is None or cod is None else Arrow(dom, cod)
+        case _:
+            return None
+
+
+def _reference_meet(a, b):
+    if isinstance(a, Unknown):
+        return b
+    if isinstance(b, Unknown):
+        return a
+    if subtype(a, b):
+        return a
+    if subtype(b, a):
+        return b
+    return None
+
+
+def reference_unify(a, b):
+    if a is b:
+        return a
+    if isinstance(a, Unknown):
+        return b
+    if isinstance(b, Unknown):
+        return a
+    match a, b:
+        case Unit(), Unit():
+            return U
+        case Sharp(x), Sharp(y):
+            u = reference_unify(x, y)
+            return None if u is None else Sharp(u)
+        case Sum(l1, r1), Sum(l2, r2):
+            l, r = reference_unify(l1, l2), reference_unify(r1, r2)
+            return None if l is None or r is None else Sum(l, r)
+        case Prod(l1, r1), Prod(l2, r2):
+            l, r = reference_unify(l1, l2), reference_unify(r1, r2)
+            return None if l is None or r is None else Prod(l, r)
+        case Arrow(d1, c1), Arrow(d2, c2):
+            d, c = reference_unify(d1, d2), reference_unify(c1, c2)
+            return None if d is None or c is None else Arrow(d, c)
+        case _:
+            return None
+
+
+def _placeholders_for_some_parts(a, seed):
+    """a with some of its parts, chosen by seed, replaced by placeholders."""
+    bits = iter(format(seed, "064b"))
+    def go(t):
+        if next(bits, "0") == "1":
+            return Unknown()
+        if isinstance(t, (Unit, Unknown)):
+            return t
+        return type(t)(*(go(p) for p in (getattr(t, f) for f in t.__match_args__)))
+    return go(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(types(), types(), st.integers(0, 2**64 - 1))
+def test_joins_and_unifiers_are_the_recursive_ones(a, b, seed):
+    # random pairs rarely meet; a type against itself lifted, grounded or
+    # with parts replaced by placeholders does
+    holey = _placeholders_for_some_parts(a, seed)
+    for x, y in ((a, b), (b, a), (a, Sharp(a)), (Sharp(b), b), (a, ground_unknowns(a)),
+                 (holey, a), (Sharp(holey), Sharp(Sharp(ground_unknowns(a)))),
+                 (Arrow(holey, b), Arrow(a, b))):
+        assert _join(x, y) is reference_join(x, y)
+        assert _unify(x, y) is reference_unify(x, y)
+
+
+def _spine(m, last):
+    """m `Sum(Unknown, ...)` around last: the type of `inr^m` over a value of type last."""
+    t = last
+    for _ in range(m):
+        t = Sum(Unknown(), t)
+    return t
+
+
+def test_a_deep_join_needs_no_recursion():
+    # the types of `inr^900 *` and `inr^899 inl *`, whose join is a 901-term sum
+    m = 900
+    a, b = _spine(m, U), _spine(m - 1, Sum(U, Unknown()))
+    j = join_types(a, b)
+    assert j is _spine(m - 1, BOOL)
+    top = BOOL
+    for _ in range(m - 1):
+        top = Sum(U, top)
+    assert ground_unknowns(j) is top
+    assert subtype(a, top) and subtype(b, top)
+    # the annotated program joins under Sharp, which unifies the cores
+    assert join_types(Sharp(a), Sharp(b)) is Sharp(j)
+    assert subtype(Sharp(j), Sharp(top)) and subtype(a, Sharp(top))
 
 
 # ---------------------------------------------------------------- printing
