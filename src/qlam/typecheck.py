@@ -16,6 +16,14 @@ form, which types the binders at Sharp-lifted component types and Sharp-lifts
 the result.  Any other distribution types only as a closed norm-1
 superposition of values.
 
+A value is typed by one rule per form (unit, pair, inl, inr), built
+children first on `types.walk`.  Its leaves are typed in field order: a
+ground value by the typing kept on it, a variable by its use, a lambda by
+inference.  Inventories of basis values are built on `walk` too, and the
+structural disjointness criterion keeps its pending positions on one stack,
+so a deep value or type costs no Python frames outside the inference of
+lambdas and eliminations.
+
 Case branches are checked under the full shared context with forked usage
 state and must consume the same non-flat variables.  They must also be
 orthogonal, which is decided by a three-tier procedure: exhaustive
@@ -46,12 +54,11 @@ bounded.  The tables live for one check.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, lru_cache
-from operator import attrgetter
+from functools import cached_property
 
 from .config import get_tolerance
 from .inner import Keyed, keyed, orthogonal
@@ -291,13 +298,22 @@ class _Checker:
                 ty = Arrow(entry.ty, bt)
                 return ty, Derivation("lambda", t, ty, (bd,))
             case Void() | PairV() | InlV() | InrV():
-                if is_ground(t):
-                    return t._typing or _type_ground(t)
-                return _value_rule(t, self.infer_term)
+                return t._typing or walk(t, self._value_parts, _value_typed)
             case App() | Seq() | LetPair() | Match():
                 return self._infer_elim(((1, t),), t)
             case _:
                 raise TypeCheckError(ErrorKind.MISMATCH, f"not a pure term: {t!r}")
+
+    def _value_parts(self, t: PureTerm) -> tuple[Type, Derivation] | list:
+        """For `walk`: a value's typing when it is done at once, else its
+        parts.  A ground value's typing is kept on it, and a variable or a
+        lambda is typed by `infer_term`, in the context as it stands: the
+        parts of a value are typed in field order, so its variables are used
+        in that order."""
+        cls = t.__class__
+        if cls is Var or cls is Lam:
+            return self.infer_term(t)
+        return t._typing or list(map(t.__getattribute__, cls.__match_args__))
 
     def _infer_elim(
         self, summands: tuple[tuple[complex, PureTerm], ...], here: PureTerm | Distribution
@@ -554,53 +570,24 @@ class _Checker:
         self.tables[id(lam)] = _Table(lam, dom, columns)
 
 
-def _value_rule(
-    t: PureTerm, infer: Callable[[PureTerm], tuple[Type, Derivation]]
-) -> tuple[Type, Derivation]:
-    """The rules for the unit value, pairs and injections, with `infer`
-    typing the components."""
-    match t:
-        case Void():
-            return UNIT, Derivation("unit", t, UNIT)
-        case PairV(a, b):
-            ta, da = infer(a)
-            tb, db = infer(b)
-            ty = Prod(ta, tb)
-            return ty, Derivation("pair", t, ty, (da, db))
-        case InlV(v):
-            tv, dv = infer(v)
-            ty = Sum(tv, Unknown())
-            return ty, Derivation("inl", t, ty, (dv,))
-        case InrV(v):
-            tv, dv = infer(v)
-            ty = Sum(Unknown(), tv)
-            return ty, Derivation("inr", t, ty, (dv,))
-    raise TypeError(f"not a value node: {t!r}")
-
-
-def _type_ground(t: PureTerm) -> tuple[Type, Derivation]:
-    """Type a ground value and keep its type and derivation on the node.  A
-    ground value has no variables, so neither depends on the context it is
-    typed in, and each distinct value is typed once.  Its parts are interned
-    values too, so they are typed first (`walk`): the depth of a value is not
-    bounded by the interpreter's recursion limit."""
-    return walk(t, _ground_parts, _ground_typed)
-
-
-def _ground_parts(node: PureTerm) -> tuple | list:
-    """For `walk`: a ground value's typing when it is kept, else its parts."""
-    typing = node._typing
-    return typing if typing is not None else list(map(node.__getattribute__, node.__match_args__))
-
-
-def _ground_typed(node: PureTerm, _: list) -> tuple[Type, Derivation]:
-    """For `walk`: a ground value's typing, from its parts' kept ones."""
-    typing = _value_rule(node, _typing_of)
-    object.__setattr__(node, "_typing", typing)
+def _value_typed(t: PureTerm, parts: list) -> tuple[Type, Derivation]:
+    """For `walk`: the typing of a unit value, pair or injection by its rule,
+    from its parts' typings.  A ground value has no variables, so neither its
+    type nor its derivation depends on the context: they are kept on the
+    node, and each distinct ground value is typed once."""
+    cls = t.__class__
+    if cls is Void:
+        ty, rule = UNIT, "unit"
+    elif cls is PairV:
+        ty, rule = Prod(parts[0][0], parts[1][0]), "pair"
+    elif cls is InlV:
+        ty, rule = Sum(parts[0][0], Unknown()), "inl"
+    else:
+        ty, rule = Sum(Unknown(), parts[0][0]), "inr"
+    typing = ty, Derivation(rule, t, ty, tuple(d for _, d in parts))
+    if is_ground(t):
+        object.__setattr__(t, "_typing", typing)
     return typing
-
-
-_typing_of = attrgetter("_typing")
 
 
 def _same_context(t0: PureTerm, t: PureTerm) -> bool:
@@ -670,34 +657,57 @@ def _table_shape(lam: Lam) -> tuple[Match, str | None] | None:
     return None
 
 
-@lru_cache(maxsize=_MEMO)
 def _enumerate_values(ty: Type) -> tuple[PureTerm, ...] | None:
     """All ground values of an arrow-free type, None when not enumerable.
 
     The superposition modality does not change the inventory of basis values,
     so Sharp is transparent here.  Types are interned, so the inventory is
-    kept per type (a bounded memo, as `subtype` keeps), and it is a tuple, so
-    that no caller can change a shared one.
+    kept per type in `_inventories`, and it is a tuple, so that no caller can
+    change a shared one.  It is built children first (`walk`), so a deep type
+    costs no Python frames, and a subtype that occurs twice is enumerated
+    once, so a type costs its distinct nodes, not its paths.
     """
-    match ty:
-        case Unit() | Unknown():
-            return (Void(),)
-        case Sharp(inner):
-            return _enumerate_values(inner)
-        case Sum(l, r):
-            lv = _enumerate_values(l)
-            rv = _enumerate_values(r)
-            if lv is None or rv is None or len(lv) + len(rv) > _INVENTORY_CAP:
-                return None
-            return tuple(InlV(v) for v in lv) + tuple(InrV(v) for v in rv)
-        case Prod(l, r):
-            lv = _enumerate_values(l)
-            rv = _enumerate_values(r)
-            if lv is None or rv is None or len(lv) * len(rv) > _INVENTORY_CAP:
-                return None
-            return tuple(PairV(a, b) for a in lv for b in rv)
-        case _:
-            return None
+    return walk(ty, _inventory_parts, _inventory)
+
+
+# inventories by type; emptied when it holds `_MEMO` of them, so that it keeps
+# a bounded number of types alive
+_inventories: dict[Type, tuple[PureTerm, ...] | None] = {}
+
+
+def _inventory_parts(ty: Type) -> tuple[PureTerm, ...] | list | None:
+    """For `walk`: the inventory of a unit, a placeholder, an arrow (None)
+    or a type already enumerated, else the type's parts."""
+    cls = ty.__class__
+    if cls is Unit or cls is Unknown:
+        return _UNIT_VALUES
+    if cls is Arrow:
+        return None
+    inv = _inventories.get(ty, _inventories)
+    if inv is not _inventories:
+        return inv
+    return list(map(ty.__getattribute__, cls.__match_args__))
+
+
+def _inventory(ty: Type, parts: list) -> tuple[PureTerm, ...] | None:
+    """For `walk`: the inventory of a Sharp, a sum or a product from its
+    parts' inventories, or None past `_INVENTORY_CAP` values; it is kept in
+    `_inventories`."""
+    lv, rv = parts[0], parts[-1]
+    if ty.__class__ is Sharp:
+        inv = lv
+    elif lv is None or rv is None:
+        inv = None
+    elif ty.__class__ is Sum:
+        inv = (None if len(lv) + len(rv) > _INVENTORY_CAP else
+               tuple(InlV(v) for v in lv) + tuple(InrV(v) for v in rv))
+    else:
+        inv = (None if len(lv) * len(rv) > _INVENTORY_CAP else
+               tuple(PairV(a, b) for a in lv for b in rv))
+    if len(_inventories) >= _MEMO:
+        _inventories.clear()
+    _inventories[ty] = inv
+    return inv
 
 
 _UNIT_VALUES = (_VOID,)
@@ -954,22 +964,29 @@ def _ground_branch(
 
 
 def _structurally_disjoint(v1: list[PureTerm], v2: list[PureTerm]) -> bool:
-    """A rigid position where one side is all inl and the other all inr."""
-    if all(isinstance(t, InlV) for t in v1) and all(isinstance(t, InrV) for t in v2):
-        return True
-    if all(isinstance(t, InrV) for t in v1) and all(isinstance(t, InlV) for t in v2):
-        return True
-    if all(isinstance(t, InlV) for t in v1) and all(isinstance(t, InlV) for t in v2):
-        return _structurally_disjoint([t.value for t in v1], [t.value for t in v2])
-    if all(isinstance(t, InrV) for t in v1) and all(isinstance(t, InrV) for t in v2):
-        return _structurally_disjoint([t.value for t in v1], [t.value for t in v2])
-    if all(isinstance(t, PairV) for t in v1) and all(isinstance(t, PairV) for t in v2):
-        return _structurally_disjoint(
-            [t.first for t in v1], [t.first for t in v2]
-        ) or _structurally_disjoint(
-            [t.second for t in v1], [t.second for t in v2]
-        )
+    """A rigid position where one side is all inl and the other all inr.  It
+    is sought among pending pairs of value lists, the components of one
+    position on each side: where both sides are injections of one kind it
+    lies under them, and where both are pairs, under either component."""
+    pending = [(v1, v2)]
+    while pending:
+        v1, v2 = pending.pop()
+        h1, h2 = _head(v1), _head(v2)
+        if h1 is not h2:
+            if {h1, h2} == {InlV, InrV}:
+                return True
+        elif h1 is InlV or h1 is InrV:
+            pending.append(([t.value for t in v1], [t.value for t in v2]))
+        elif h1 is PairV:
+            pending += (([t.second for t in v1], [t.second for t in v2]),
+                        ([t.first for t in v1], [t.first for t in v2]))
     return False
+
+
+def _head(values: list[PureTerm]) -> type | None:
+    """The class of every value in values, None when they differ."""
+    cls = values[0].__class__
+    return cls if all(t.__class__ is cls for t in values) else None
 
 
 # ---------------------------------------------------------------------------

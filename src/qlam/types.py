@@ -19,8 +19,9 @@ Reading them walks nothing, so a type's depth costs no Python frames there.
 
 Both printers, the types' here and the terms' in `syntax`, run on one loop,
 `emit`, over an explicit stack.  Joins, meets and unifiers here, and the
-term walkers of `syntax`, `typecheck` and `rewrite`, run on another, `walk`,
-which builds each result from its children's.
+term and type walkers of `syntax`, `typecheck` and `rewrite`, run on
+another, `walk`, which builds each result from its children's.  `subtype`
+keeps the pairs it has still to decide on a stack of its own.
 """
 
 from __future__ import annotations
@@ -194,8 +195,9 @@ def peel_sharps(a: Type) -> tuple[int, Type]:
     return m, a
 
 
-# entries in each of the `subtype` and `join_types` memos; the least recently
-# used entry goes first, so a memo keeps at most this many calls' types alive
+# entries in each of the `subtype` and `join_types` memos, where the least
+# recently used entry goes first, and in the checker's inventories, which are
+# emptied when full; so a memo keeps at most this many calls' types alive
 _MEMO = 1024
 
 
@@ -212,32 +214,38 @@ def subtype(a: Type, b: Type) -> bool:
     anything; types are interned, so that case costs no walk.
 
     The structural order is covariant in both components of sums and
-    products and in arrow codomains, and contravariant in arrow domains.  It
-    recurses only on left components and domains; the right spine is walked
-    in the loop, so a deep right-nested sum costs no Python frames.
+    products and in arrow codomains, and contravariant in arrow domains.
+    a <= b is the conjunction of the pairs of components it leads to, kept
+    on one stack and decided left components and domains first, so a deep
+    type on either side costs no Python frames.  A pair met twice is decided
+    once, so shared parts cost their distinct pairs, not their paths.
     """
-    while True:
+    pending = [(a, b)]
+    seen = set()
+    while pending:
+        pair = pending.pop()
+        if pair in seen:
+            continue
+        seen.add(pair)
+        a, b = pair
         if isinstance(a, Unknown) or isinstance(b, Unknown) or ground_unknowns(a) is b:
-            return True
+            continue
         m, c = peel_sharps(a)
         n, d = peel_sharps(b)
         if m:
-            return n >= 1 and _unify(c, d) is not None
+            if n >= 1 and _unify(c, d) is not None:
+                continue
+            return False
         if isinstance(d, Unknown):
-            return True
+            continue
         cls = c.__class__
         if cls is not d.__class__:
             return False
-        if cls is Unit:
-            return True
         if cls is Arrow:
-            if not subtype(d.dom, c.dom):
-                return False
-            a, b = c.cod, d.cod
-        elif not subtype(c.left, d.left):
-            return False
-        else:
-            a, b = c.right, d.right
+            pending += (c.cod, d.cod), (d.dom, c.dom)
+        elif cls is not Unit:
+            pending += (c.right, d.right), (c.left, d.left)
+    return True
 
 
 def ground_unknowns(a: Type) -> Type:
@@ -346,9 +354,9 @@ def walk(root: object, expand: Callable[[object], object],
     child is expanded only after its elder siblings are built, so a node
     that occurs twice finds its cached result the second time.
 
-    Free variables, alpha-keys and substitution (`syntax`), ground typing
-    (`typecheck`), read-back (`rewrite`), and joins and unifiers here are
-    each an expand and a build over it."""
+    Free variables, alpha-keys and substitution (`syntax`), value typing
+    and inventories (`typecheck`), read-back (`rewrite`), and joins and
+    unifiers here are each an expand and a build over it."""
     todo = expand(root)
     if todo.__class__ is not list:
         return todo

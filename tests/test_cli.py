@@ -266,6 +266,36 @@ def test_check_of_a_deep_join(write, capsys, src):
     assert capsys.readouterr().out.strip() == "#(" + "+".join(["U"] * 901) + ")"
 
 
+# a pair of a name and * under _DEEP injections, on either side of a match
+_STRUCTURAL = ("(\\f:U->U. \\s:U+U. match s { inl a -> " + "inl " * _DEEP
+               + "inl (f, *) | inr b -> " + "inl " * _DEEP + "inr (f, *) }) (\\u:U. u)")
+
+
+# a flat variable duplicated 60 times over: the pair matched on has a type
+# whose tree has 2^61 leaves but 62 distinct nodes
+_SHARED = ("\\x:U. let (a1, b1) = ((x, x), (x, x)) in " + "".join(
+    f"let (a{i}, b{i}) = ((a{i - 1}, b{i - 1}), (a{i - 1}, b{i - 1})) in " for i in range(2, 61))
+    + "match inl (a60, b60) { inl p -> inl * | inr q -> inr * }")
+
+
+@pytest.mark.parametrize("src, want", [
+    ("(\\y:U. " + "inr " * _DEEP + "y) *", "+".join(["U"] * (_DEEP + 1))),
+    ("(\\s:" + "+".join(["U"] * _DEEP) + ". match s { inl a -> inl * | inr b -> inr * })",
+     "+".join(["U"] * _DEEP) + " -> U+U"),
+    ("(\\x:" + "(" * (_DEEP - 1) + "#U" + "+U)" * (_DEEP - 1) + "+U. x) (" + "inl " * _DEEP + "*)",
+     "(" * (_DEEP - 1) + "#U" + "+U)" * (_DEEP - 1) + "+U"),
+    (_STRUCTURAL, "U+U -> " + "(" * _DEEP + "(U -> U)*U+(U -> U)*U" + ")+U" * _DEEP),
+    (_SHARED, "U -> U+U"),
+], ids=["open value", "inventory", "left spine", "structural", "shared"])
+def test_check_of_deep_values_and_types(write, capsys, src, want):
+    # an open value typed by the value rules, a match on a sum too wide to
+    # enumerate, a subtype decided at the bottom of a left spine, branches
+    # that only the structural tier tells apart, and a match whose scrutinee
+    # type is enumerated once per distinct part
+    assert main(["check", write("deep.qlam", src)]) == 0
+    assert capsys.readouterr().out.strip() == want
+
+
 def test_nonpositive_max_steps_rejected(write, capsys):
     assert main(["eval", "--max-steps", "0", write("x.qlam", "*\n")]) == 2
     assert capsys.readouterr().err == "error: --max-steps must be positive\n"

@@ -1,16 +1,31 @@
 """Algorithmic type checker: inference, linearity, superpositions, branch
-orthogonality, reconstructed derivations."""
+orthogonality, reconstructed derivations, and the recursive value rules,
+inventories and disjointness test that the checker's walks replaced, as
+references."""
 
 from __future__ import annotations
 
+import json
 import math
+from itertools import count
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from generator import (
+    deep_open_values,
+    deep_types,
+    flow_programs,
+    trace_programs,
+    types,
+    value_distributions,
+)
 from qlam.config import tolerance
 from qlam.quantum import StateVector, case_construct, encode
-from qlam.surface import parse_program
+from qlam.surface import parse_program, parse_type
 from qlam.syntax import (
     App,
     Distribution,
@@ -32,9 +47,13 @@ from qlam.syntax import (
     singleton,
 )
 from qlam.typecheck import (
+    _INVENTORY_CAP,
     Derivation,
     ErrorKind,
     TypeCheckError,
+    _Checker,
+    _enumerate_values,
+    _structurally_disjoint,
     check_distribution,
     check_orthogonal_judgment,
     check_program,
@@ -48,6 +67,8 @@ from qlam.types import (
     Prod,
     Sharp,
     Sum,
+    Unit,
+    Unknown,
     ground_unknowns,
     qubits,
     subtype,
@@ -552,3 +573,198 @@ def test_classical_fragment_embeds():
         got = type_of_program(prog)
         assert got == expected, f"{src}: {got}"
         assert subtype(got, expected) and subtype(expected, got)
+
+
+# ------------------------------------------------- the replaced recursions
+#
+# `reference_value_rule`, `reference_enumerate_values` and
+# `reference_structurally_disjoint` are the recursive code that the value
+# walk, the inventory walk and the worklist of pending positions replaced.
+# The tests below hold the checker to them on generator programs, on the
+# programs of `eager_errors.json`, and on open values up to 80 layers deep
+# (`generator.deep_open_values`), below the recursion limit.
+
+
+def reference_value_rule(t, infer):
+    """The rules for the unit value, pairs and injections, with `infer`
+    typing the components."""
+    match t:
+        case Void():
+            return UNIT, Derivation("unit", t, UNIT)
+        case PairV(a, b):
+            ta, da = infer(a)
+            tb, db = infer(b)
+            ty = Prod(ta, tb)
+            return ty, Derivation("pair", t, ty, (da, db))
+        case InlV(v):
+            tv, dv = infer(v)
+            ty = Sum(tv, Unknown())
+            return ty, Derivation("inl", t, ty, (dv,))
+        case InrV(v):
+            tv, dv = infer(v)
+            ty = Sum(Unknown(), tv)
+            return ty, Derivation("inr", t, ty, (dv,))
+    raise TypeError(f"not a value node: {t!r}")
+
+
+class _ReferenceChecker(_Checker):
+    """The checker whose value case recurses through the value rules, for
+    ground values as for open ones."""
+
+    def infer_term(self, t):
+        if isinstance(t, (Void, PairV, InlV, InrV)):
+            return reference_value_rule(t, self.infer_term)
+        return super().infer_term(t)
+
+
+def _typing_outcome(infer, x):
+    try:
+        return infer(x)
+    except TypeCheckError as e:
+        return str(e)
+
+
+def _assert_same_typing(got, want):
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got[0] is want[0]
+        assert got[1] == want[1]
+
+
+def test_programs_are_typed_as_the_recursive_value_rules_type_them():
+    eager = json.loads((Path(__file__).parent / "eager_errors.json").read_text())
+    programs = [d for d, _ in trace_programs(41, 150)]
+    programs += [d for d, _ in flow_programs(42, 150)]
+    programs += value_distributions(43, 100)
+    for src in eager["programs"]:
+        try:
+            programs.append(parse_program(src))
+        except TypeCheckError:  # HeadNotPure, which the parser raises
+            pass
+    for d in programs:
+        _assert_same_typing(_typing_outcome(_Checker().infer_dist, d),
+                            _typing_outcome(_ReferenceChecker().infer_dist, d))
+
+
+# the free names of the open values below; the non-flat ones make a second
+# use a linearity violation, raised at the use the rules reach first
+_OPEN_CONTEXT = {"x": UNIT, "x_1": Sharp(UNIT), "y": BOOL, "z": qubits(1)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 80).flatmap(deep_open_values))
+def test_open_values_are_typed_as_the_recursive_value_rules_type_them(v):
+    outcomes = []
+    for checker in (_Checker(), _ReferenceChecker()):
+        for x, ty in _OPEN_CONTEXT.items():
+            checker._bind(x, ty)
+        outcomes.append(_typing_outcome(checker.infer_term, v))
+    _assert_same_typing(*outcomes)
+
+
+def reference_enumerate_values(ty):
+    """All ground values of an arrow-free type, None when not enumerable."""
+    match ty:
+        case Unit() | Unknown():
+            return (Void(),)
+        case Sharp(inner):
+            return reference_enumerate_values(inner)
+        case Sum(l, r):
+            lv = reference_enumerate_values(l)
+            rv = reference_enumerate_values(r)
+            if lv is None or rv is None or len(lv) + len(rv) > _INVENTORY_CAP:
+                return None
+            return tuple(InlV(v) for v in lv) + tuple(InrV(v) for v in rv)
+        case Prod(l, r):
+            lv = reference_enumerate_values(l)
+            rv = reference_enumerate_values(r)
+            if lv is None or rv is None or len(lv) * len(rv) > _INVENTORY_CAP:
+                return None
+            return tuple(PairV(a, b) for a in lv for b in rv)
+        case _:
+            return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(types(), deep_types(300), st.integers(1, 10))
+def test_inventories_are_the_recursive_ones(a, text, n):
+    # registers of n qubits have 2^n values, which reach the cap at n = 8
+    for ty in (a, Sharp(a), Prod(a, BOOL), Sum(BOOL, a), parse_type(text),
+               qubits(n), Prod(a, qubits(n)), Sum(qubits(n), a)):
+        assert _enumerate_values(ty) == reference_enumerate_values(ty)
+
+
+def test_a_shared_part_is_enumerated_once(monkeypatch):
+    # P_k = P_(k-1) * P_(k-1) has 2^k leaves but k + 1 distinct parts, and
+    # one value, a pair of its part's value with itself
+    import qlam.typecheck as typecheck
+
+    ty, value = UNIT, Void()
+    for k in range(1, 61):
+        ty, value = Prod(ty, ty), PairV(value, value)
+        if k <= 8:
+            assert _enumerate_values(ty) == reference_enumerate_values(ty)
+    built = count(1)
+    real = typecheck._inventory
+
+    def counted(t, parts):
+        assert next(built) <= 62, "a part is enumerated twice"
+        return real(t, parts)
+
+    monkeypatch.setattr(typecheck, "_inventory", counted)
+    assert _enumerate_values(ty) == (value,)
+    assert _enumerate_values(Sum(Sharp(ty), ty)) == (InlV(value), InrV(value))
+
+
+def reference_structurally_disjoint(v1, v2):
+    """A rigid position where one side is all inl and the other all inr."""
+    if all(isinstance(t, InlV) for t in v1) and all(isinstance(t, InrV) for t in v2):
+        return True
+    if all(isinstance(t, InrV) for t in v1) and all(isinstance(t, InlV) for t in v2):
+        return True
+    if all(isinstance(t, InlV) for t in v1) and all(isinstance(t, InlV) for t in v2):
+        return reference_structurally_disjoint([t.value for t in v1], [t.value for t in v2])
+    if all(isinstance(t, InrV) for t in v1) and all(isinstance(t, InrV) for t in v2):
+        return reference_structurally_disjoint([t.value for t in v1], [t.value for t in v2])
+    if all(isinstance(t, PairV) for t in v1) and all(isinstance(t, PairV) for t in v2):
+        return reference_structurally_disjoint(
+            [t.first for t in v1], [t.first for t in v2]
+        ) or reference_structurally_disjoint(
+            [t.second for t in v1], [t.second for t in v2]
+        )
+    return False
+
+
+# the layers values are wrapped in: injections, and pairs with the rest on
+# either side
+_LAYERS = (InlV, InrV, lambda v: PairV(v, STAR), lambda v: PairV(Var("x"), v))
+
+
+def _wrapped(layers, core):
+    for i in layers:
+        core = _LAYERS[i](core)
+    return core
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 3), max_size=300),
+       st.lists(st.tuples(st.lists(st.integers(0, 3), max_size=3),
+                          st.integers(0, 12).flatmap(deep_open_values)),
+                min_size=2, max_size=5),
+       st.integers(1, 4))
+def test_structural_disjointness_is_the_recursive_one(spine, ends, cut):
+    # values that share one spine of layers, each ending in a few layers of
+    # its own around an open value, split into the two sides
+    values = [_wrapped(spine, _wrapped(layers, core)) for layers, core in ends]
+    cut = min(cut, len(values) - 1)
+    v1, v2 = values[:cut], values[cut:]
+    assert _structurally_disjoint(v1, v2) is reference_structurally_disjoint(v1, v2)
+    assert _structurally_disjoint(v2, v1) is reference_structurally_disjoint(v2, v1)
+
+
+def test_a_deep_rigid_position_needs_no_recursion():
+    spine = [0, 2, 1, 3] * 2_500
+    left, right = _wrapped(spine, INL), _wrapped(spine, INR)
+    assert _structurally_disjoint([left], [right])
+    assert not _structurally_disjoint([left, right], [right])

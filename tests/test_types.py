@@ -2,16 +2,20 @@
 and the data each type node carries against the recursive walks it
 replaced.  `reference_join` and `reference_unify` are the recursive joins
 and unifier, one case per constructor, that the children-first walk
-replaced."""
+replaced, and `reference_subtype` is the recursive order that the worklist
+of pending pairs replaced."""
 
 from __future__ import annotations
+
+from itertools import count
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generator import types
+from generator import deep_types, types
+from qlam.surface import parse_type
 from qlam.types import (
     BOOL,
     UNIT,
@@ -97,6 +101,90 @@ def test_unknown_is_wildcard():
     assert subtype(Unknown(), Arrow(U, U))
     assert subtype(Sharp(Sum(U, Unknown())), Sharp(BOOL))
     assert subtype(Sharp(BOOL), Sharp(Sum(Unknown(), U)))
+
+
+def reference_subtype(a, b):
+    """Decide a <= b, recursing on left components and arrow domains and
+    walking the right spine in the loop."""
+    while True:
+        if isinstance(a, Unknown) or isinstance(b, Unknown) or ground_unknowns(a) is b:
+            return True
+        m, c = peel_sharps(a)
+        n, d = peel_sharps(b)
+        if m:
+            return n >= 1 and _unify(c, d) is not None
+        if isinstance(d, Unknown):
+            return True
+        cls = c.__class__
+        if cls is not d.__class__:
+            return False
+        if cls is Unit:
+            return True
+        if cls is Arrow:
+            if not reference_subtype(d.dom, c.dom):
+                return False
+            a, b = c.cod, d.cod
+        elif not reference_subtype(c.left, d.left):
+            return False
+        else:
+            a, b = c.right, d.right
+
+
+def _with_core(text, core):
+    """A type's text with its innermost `U` replaced by core, an atom."""
+    i = len(text.rstrip(")")) - 1
+    return text[:i] + core + text[i + 1:]
+
+
+_CORES = ("U", "#U", "(U+U)", "(U -> U)", "#(U*U)")
+
+
+@settings(max_examples=300, deadline=None)
+@given(types(), types(), st.integers(0, 2**64 - 1), st.integers(1, 300).flatmap(deep_types),
+       st.sampled_from(_CORES), st.sampled_from(_CORES))
+def test_subtype_is_the_recursive_one(a, b, seed, text, core1, core2):
+    # random pairs, a type against itself lifted, grounded or with parts
+    # replaced by placeholders, and deep types that differ only at the bottom
+    holey = _placeholders_for_some_parts(a, seed)
+    deep1, deep2 = parse_type(_with_core(text, core1)), parse_type(_with_core(text, core2))
+    for x, y in ((a, b), (b, a), (a, Sharp(a)), (Sharp(b), b), (a, ground_unknowns(a)),
+                 (holey, a), (a, holey), (Sharp(holey), Sharp(Sharp(ground_unknowns(a)))),
+                 (Arrow(holey, b), Arrow(a, b)), (Arrow(a, b), Arrow(holey, b)),
+                 (Arrow(Sharp(a), b), Arrow(a, b)), (Arrow(a, b), Arrow(Sharp(a), b)),
+                 (deep1, deep2), (deep2, deep1)):
+        assert subtype(x, y) is reference_subtype(x, y)
+
+
+def test_a_deep_left_spine_needs_no_recursion():
+    # `inl^m *` at `((#U+U)+U)...+U`: U <= #U is decided at the bottom of
+    # the left spine, and #U <= U fails there
+    m = 10_000
+    value, wide, narrow = U, SU, SU
+    for _ in range(m):
+        value, wide, narrow = Sum(value, Unknown()), Sum(wide, U), Sum(narrow, Unknown())
+    assert subtype(value, wide)
+    assert not subtype(narrow, ground_unknowns(value))
+
+
+def test_a_shared_pair_of_parts_is_compared_once(monkeypatch):
+    # P = P' * P' over U and over #U, and the same with arrows: 2^60 paths
+    # down to the one pair of cores, but 61 distinct pairs of parts
+    import qlam.types as types
+
+    low, high, fn_low, fn_high = U, SU, U, SU
+    for _ in range(60):
+        low, high = Prod(low, low), Prod(high, high)
+        fn_low, fn_high = Arrow(fn_high, fn_low), Arrow(fn_low, fn_high)
+    peeled = count(1)
+    real = types.peel_sharps
+
+    def counted(t):
+        assert next(peeled) <= 4 * 2 * 61, "a pair of parts is compared twice"
+        return real(t)
+
+    monkeypatch.setattr(types, "peel_sharps", counted)
+    assert subtype(low, high) and not subtype(high, low)
+    assert subtype(fn_low, fn_high) and not subtype(fn_high, fn_low)
 
 
 def _types_with_placeholders(max_size: int) -> list:
