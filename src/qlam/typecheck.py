@@ -16,13 +16,17 @@ form, which types the binders at Sharp-lifted component types and Sharp-lifts
 the result.  Any other distribution types only as a closed norm-1
 superposition of values.
 
-A value is typed by one rule per form (unit, pair, inl, inr), built
-children first on `types.walk`.  Its leaves are typed in field order: a
-ground value by the typing kept on it, a variable by its use, a lambda by
-inference.  Inventories of basis values are built on `walk` too, and the
-structural disjointness criterion keeps its pending positions on one stack,
-so a deep value or type costs no Python frames outside the inference of
-lambdas and eliminations.
+Every rule runs in one loop, `_Checker._run`.  A rule is a generator: it
+yields its premises in order, each a term or a distribution, is sent each
+one's typing, and returns its own, so it can bind names, test a type or
+snapshot the usage state between premises.  The loop types a variable, and
+a ground value whose typing is kept on it, at once, and keeps the rules
+that wait on a premise on one list.  A value is typed by one rule per form
+(unit, pair, inl, inr), its parts in field order; a ground value's typing
+is kept on the node.  Inventories of basis values are built children first
+on `types.walk`, and the structural disjointness criterion keeps its
+pending positions on one stack, so the depth of a program or a type costs
+heap, not Python frames.
 
 Case branches are checked under the full shared context with forked usage
 state and must consume the same non-flat variables.  They must also be
@@ -135,19 +139,24 @@ class ErrorKind(Enum):
 
 class TypeCheckError(Exception):
     """A typing error of some kind.  A term or distribution given as the
-    location is printed, clipped, when the error is made, so `location` is
-    always text (or None)."""
+    location is printed, clipped, when `location` or the error's text is
+    first read, so an error that is only told apart by its kind prints
+    nothing; `location` is always text (or None)."""
 
     def __init__(self, kind: ErrorKind, message: str, location: Location | None = None,
                  span: object = None):
-        if location is not None:
-            location = _render(location)
-        at = f" (in {location})" if location else ""
-        super().__init__(f"{kind.value}: {message}{at}")
         self.kind = kind
         self.message = message
-        self.location = location
+        self._where = location
         self.span = span
+
+    @cached_property
+    def location(self) -> str | None:
+        return None if self._where is None else _render(self._where)
+
+    def __str__(self) -> str:
+        at = f" (in {self.location})" if self.location else ""
+        return f"{self.kind.value}: {self.message}{at}"
 
 
 @dataclass(frozen=True)
@@ -279,45 +288,78 @@ class _Checker:
                 )
             e.uses = u0 + max(a, b)
 
+    # -- the loop -----------------------------------------------------------
+
+    def _run(self, typing: tuple[Type, Derivation] | Iterator) -> tuple[Type, Derivation]:
+        """The typing of a term or distribution, given as its typing or as
+        the generator of its rule.
+
+        A rule yields its premises in order, each a term or a distribution,
+        is sent each one's typing, and returns its own.  A premise is typed
+        at once (`_term`, `_dist`) or by a new rule, which runs while the
+        rules that wait on it stay on one list, so the depth of a derivation
+        costs heap, not Python frames."""
+        unfinished = []
+        while True:
+            if typing.__class__ is not tuple:
+                unfinished.append(typing)
+                typing = None
+            elif not unfinished:
+                return typing
+            try:
+                premise = unfinished[-1].send(typing)
+            except StopIteration as done:
+                unfinished.pop()
+                typing = done.value
+                continue
+            typing = self._dist(premise) if premise.__class__ is Distribution else self._term(premise)
+
     # -- pure terms ---------------------------------------------------------
 
     def infer_term(self, t: PureTerm) -> tuple[Type, Derivation]:
+        return self._run(self._term(t))
+
+    def _term(self, t: PureTerm) -> tuple[Type, Derivation] | Iterator:
+        """The typing of t when it is done at once, a variable's or a kept
+        ground value's, else the generator of its rule."""
         match t:
             case Var(x):
                 ty = self._use(x, t)
                 return ty, Derivation("var", t, ty)
-            case Lam(x, ann, body):
-                entry = self._bind(x, ann)
-                shape = _table_shape(t)
-                if shape is not None:
-                    self._cells[id(shape[0])] = None
-                bt, bd = self.infer_dist(body)
-                self._unbind(x, t)
-                if shape is not None:
-                    self._tabulate(t, entry.ty, shape[1], self._cells.pop(id(shape[0])))
-                ty = Arrow(entry.ty, bt)
-                return ty, Derivation("lambda", t, ty, (bd,))
+            case Lam():
+                return self._lam(t)
             case Void() | PairV() | InlV() | InrV():
-                return t._typing or walk(t, self._value_parts, _value_typed)
+                return t._typing or self._value(t)
             case App() | Seq() | LetPair() | Match():
-                return self._infer_elim(((1, t),), t)
+                return self._elim(((1, t),), t)
             case _:
                 raise TypeCheckError(ErrorKind.MISMATCH, f"not a pure term: {t!r}")
 
-    def _value_parts(self, t: PureTerm) -> tuple[Type, Derivation] | list:
-        """For `walk`: a value's typing when it is done at once, else its
-        parts.  A ground value's typing is kept on it, and a variable or a
-        lambda is typed by `infer_term`, in the context as it stands: the
-        parts of a value are typed in field order, so its variables are used
-        in that order."""
-        cls = t.__class__
-        if cls is Var or cls is Lam:
-            return self.infer_term(t)
-        return t._typing or list(map(t.__getattribute__, cls.__match_args__))
+    def _lam(self, t: Lam) -> Iterator:
+        """The lambda rule; a lambda of a table shape gets its column table
+        once its body is typed."""
+        entry = self._bind(t.name, t.ann)
+        shape = _table_shape(t)
+        if shape is not None:
+            self._cells[id(shape[0])] = None
+        bt, bd = yield t.body
+        self._unbind(t.name, t)
+        if shape is not None:
+            self._tabulate(t, entry.ty, shape[1], self._cells.pop(id(shape[0])))
+        ty = Arrow(entry.ty, bt)
+        return ty, Derivation("lambda", t, ty, (bd,))
 
-    def _infer_elim(
-        self, summands: tuple[tuple[complex, PureTerm], ...], here: PureTerm | Distribution
-    ) -> tuple[Type, Derivation]:
+    def _value(self, t: PureTerm) -> Iterator:
+        """The rule of a unit value, pair or injection whose typing is not
+        kept.  Its parts are typed in field order, so its variables are used
+        in that order."""
+        parts = []
+        for f in t.__class__.__match_args__:
+            parts.append((yield getattr(t, f)))
+        return _value_typed(t, parts)
+
+    def _elim(self, summands: tuple[tuple[complex, PureTerm], ...],
+              here: PureTerm | Distribution) -> Iterator:
         """The elimination rules.  `here` is either a single term, the one
         unscaled summand, or a distribution whose summands all put their own
         hole into one shared context: the same operator, tail, or binders and
@@ -329,14 +371,14 @@ class _Checker:
             t0 = None  # no shared context: no rule matches below
         match t0:
             case App(f, _):
-                tf, df = self.infer_term(f)
+                tf, df = yield f
                 if not isinstance(tf, Arrow):
                     raise TypeCheckError(
                         ErrorKind.MISMATCH,
                         f"operator has type {tf}, a function type is required",
                         here,
                     )
-                ta, da = self.infer_dist(_holes(summands))
+                ta, da = yield _holes(summands)
                 if not subtype(ta, tf.dom):
                     what = "argument" if isinstance(here, PureTerm) else "argument distribution"
                     raise TypeCheckError(
@@ -346,19 +388,51 @@ class _Checker:
                     )
                 return tf.cod, Derivation("apply", here, tf.cod, (df, da))
             case Seq(_, tail):
-                th, dh = self.infer_dist(_holes(summands))
+                th, dh = yield _holes(summands)
                 what = ("sequencing head has" if isinstance(here, PureTerm)
                         else "sequencing heads have")
                 form, _, lift = _form(th, Unit, what, "the unit", here)
-                tt, dt = self.infer_dist(tail)
+                tt, dt = yield tail
                 ty = lift(tt)
                 return ty, Derivation(f"seq-{form}", here, ty, (dh, dt))
             case LetPair(x, y, _, body):
-                ts, ds = self.infer_dist(_holes(summands))
-                return self._infer_let(ts, ds, x, y, body, here)
+                ts, ds = yield _holes(summands)
+                form, core, lift = _form(ts, Prod, "destructured term has", "a product", here)
+                self._bind(x, lift(core.left))
+                self._bind(y, lift(core.right))
+                bt, bd = yield body
+                self._unbind(y, here)
+                self._unbind(x, here)
+                ty = lift(bt)
+                return ty, Derivation(f"let-{form}", here, ty, (ds, bd))
             case Match(_, x1, b1, x2, b2):
-                ts, ds = self.infer_dist(_holes(summands))
-                return self._infer_match(ts, ds, x1, b1, x2, b2, here)
+                ts, ds = yield _holes(summands)
+                form, core, lift = _form(ts, Sum, "matched term has", "a sum", here)
+                lt = lift(core.left)
+                rt = lift(core.right)
+                snap = self._snapshot()
+                self._bind(x1, lt)
+                t1, d1 = yield b1
+                self._unbind(x1, here)
+                delta1 = self._delta(snap)
+                self._restore(snap)
+                self._bind(x2, rt)
+                t2, d2 = yield b2
+                self._unbind(x2, here)
+                delta2 = self._delta(snap)
+                self._merge_branch_usage(snap, delta1, delta2, here)
+                joined = join_types(t1, t2)
+                if joined is None:
+                    raise TypeCheckError(
+                        ErrorKind.MISMATCH,
+                        f"match branches have incompatible types {t1} and {t2}",
+                        here,
+                    )
+                cells = self._require_orthogonal(x1, lt, b1, x2, rt, b2, here)
+                if id(here) in self._cells:
+                    self._cells[id(here)] = cells
+                ty = lift(joined)
+                return ty, Derivation(f"match-{form}", here, ty, (ds, d1, d2))
         raise TypeCheckError(
             ErrorKind.MISMATCH,
             "a proper distribution must be a superposition of values or a single "
@@ -366,71 +440,23 @@ class _Checker:
             here,
         )
 
-    def _infer_let(
-        self, scrut_ty: Type, ds: Derivation, x: str, y: str, body: Distribution,
-        here: PureTerm | Distribution,
-    ) -> tuple[Type, Derivation]:
-        form, core, lift = _form(scrut_ty, Prod, "destructured term has", "a product", here)
-        self._bind(x, lift(core.left))
-        self._bind(y, lift(core.right))
-        bt, bd = self.infer_dist(body)
-        self._unbind(y, here)
-        self._unbind(x, here)
-        ty = lift(bt)
-        return ty, Derivation(f"let-{form}", here, ty, (ds, bd))
-
-    def _infer_match(
-        self,
-        scrut_ty: Type,
-        ds: Derivation,
-        x1: str,
-        b1: Distribution,
-        x2: str,
-        b2: Distribution,
-        here: PureTerm | Distribution,
-    ) -> tuple[Type, Derivation]:
-        form, core, lift = _form(scrut_ty, Sum, "matched term has", "a sum", here)
-        lt = lift(core.left)
-        rt = lift(core.right)
-        snap = self._snapshot()
-        self._bind(x1, lt)
-        t1, d1 = self.infer_dist(b1)
-        self._unbind(x1, here)
-        delta1 = self._delta(snap)
-        self._restore(snap)
-        self._bind(x2, rt)
-        t2, d2 = self.infer_dist(b2)
-        self._unbind(x2, here)
-        delta2 = self._delta(snap)
-        self._merge_branch_usage(snap, delta1, delta2, here)
-        joined = join_types(t1, t2)
-        if joined is None:
-            raise TypeCheckError(
-                ErrorKind.MISMATCH,
-                f"match branches have incompatible types {t1} and {t2}",
-                here,
-            )
-        cells = self._require_orthogonal(x1, lt, b1, x2, rt, b2, here)
-        if id(here) in self._cells:
-            self._cells[id(here)] = cells
-        ty = lift(joined)
-        return ty, Derivation(f"match-{form}", here, ty, (ds, d1, d2))
-
     # -- distributions ------------------------------------------------------
 
     def infer_dist(self, d: Distribution) -> tuple[Type, Derivation]:
+        return self._run(self._dist(d))
+
+    def _dist(self, d: Distribution) -> tuple[Type, Derivation] | Iterator:
+        """The typing of d when it is done at once, else the generator of
+        its rule."""
         s = d.summands
         if len(s) != 1 or s[0][0] != 1:
             d = canonicalize(d)
             s = d.summands
         if len(s) == 1 and s[0][0] == 1:
-            t = s[0][1]
-            if isinstance(t, (App, Seq, LetPair, Match)):
-                return self._infer_elim(s, t)
-            return self.infer_term(t)
+            return self._term(s[0][1])
         if is_value_distribution(d):
-            return self._infer_superposition(d, expected_core=None)
-        return self._infer_elim(s, d)
+            return self._superposition(d, expected_core=None)
+        return self._elim(s, d)
 
     def check_dist(self, d: Distribution, expected: Type) -> Derivation:
         cd = canonicalize(d)
@@ -450,10 +476,9 @@ class _Checker:
                     f"a proper distribution cannot have the bare type {expected}",
                     d,
                 )
-            _, der = self._infer_superposition(cd, expected_core=core)
-            return der
+            return self._run(self._superposition(cd, expected_core=core))[1]
         # cd is canonical already: a proper one goes to the elimination rule
-        ty, der = self.infer_dist(cd) if single else self._infer_elim(s, cd)
+        ty, der = self._run(self._dist(cd) if single else self._elim(s, cd))
         if not subtype(ty, expected):
             if single:
                 raise TypeCheckError(
@@ -468,9 +493,7 @@ class _Checker:
             )
         return der
 
-    def _infer_superposition(
-        self, cd: Distribution, expected_core: Type | None
-    ) -> tuple[Type, Derivation]:
+    def _superposition(self, cd: Distribution, expected_core: Type | None) -> Iterator:
         """A canonical proper distribution of values: the superposition rule.
 
         Closed, norm 1 within tolerance, summands pairwise orthogonal (free
@@ -492,7 +515,7 @@ class _Checker:
         joined: Type | None = expected_core
         for _, t in cd.summands:
             # t is closed, so no binding of this checker can reach it
-            ty, der = self.infer_term(t)
+            ty, der = yield t
             children.append(der)
             if expected_core is not None:
                 if not subtype(ty, expected_core):
@@ -571,8 +594,8 @@ class _Checker:
 
 
 def _value_typed(t: PureTerm, parts: list) -> tuple[Type, Derivation]:
-    """For `walk`: the typing of a unit value, pair or injection by its rule,
-    from its parts' typings.  A ground value has no variables, so neither its
+    """The typing of a unit value, pair or injection by its rule, from its
+    parts' typings.  A ground value has no variables, so neither its
     type nor its derivation depends on the context: they are kept on the
     node, and each distinct ground value is typed once."""
     cls = t.__class__

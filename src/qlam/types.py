@@ -354,9 +354,10 @@ def walk(root: object, expand: Callable[[object], object],
     child is expanded only after its elder siblings are built, so a node
     that occurs twice finds its cached result the second time.
 
-    Free variables, alpha-keys and substitution (`syntax`), value typing
-    and inventories (`typecheck`), read-back (`rewrite`), and joins and
-    unifiers here are each an expand and a build over it."""
+    Free variables, alpha-keys and substitution (`syntax`), inventories
+    (`typecheck`), read-back (`rewrite`), and joins and unifiers here are
+    each an expand and a build over it.  The checker's rules do not use
+    it: they must run code between premises, which a build cannot."""
     todo = expand(root)
     if todo.__class__ is not list:
         return todo

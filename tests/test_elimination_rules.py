@@ -5,9 +5,11 @@ rule each, whether the elimination is a single term `f a` or is distributed
 over a superposition `Σ αᵢ f aᵢ`.  `derivations.json` holds the derivation
 (every node's rule, type and subject, in preorder) or the error text of each
 case below, recorded from the checker that typed the two shapes by separate
-code.  The depth floors pin how deep a text program may nest before the
-checker runs out of stack; values 10,000 deep and a 10,000-term sum
-annotation check, and print, with no stack at all.
+code.  The rules run in one loop, so a `;` chain, `let`s, applications,
+lambdas, lambdas inside pairs and matches nested in the scrutinee check
+10,000 deep, and values 10,000 deep and a 10,000-term sum annotation check,
+and print, with no stack at all.  `_RecursiveChecker` keeps the mutual
+recursion the loop replaced, as the reference the loop is held to.
 """
 
 from __future__ import annotations
@@ -22,20 +24,27 @@ import pytest
 from hypothesis import given, settings
 
 from generator import DEEP_VALUES, ProgramGen, deep_values, flow_programs, trace_programs
+from qlam.config import get_tolerance
 from qlam.quantum import GateMatrix, StateVector, case_construct, compile_gate, encode, gate_library
 from qlam.rewrite import normalize
 from qlam.surface import parse_program, parse_type, pretty_print
 from qlam.syntax import (
+    App,
     Distribution,
     InlV,
     InrV,
     Lam,
+    LetPair,
     Match,
     PairV,
+    PureTerm,
     Seq,
     Var,
     Void,
     add,
+    canonicalize,
+    free_vars_dist,
+    is_value_distribution,
     mk_app,
     mk_let,
     mk_match,
@@ -43,8 +52,34 @@ from qlam.syntax import (
     scale,
     singleton,
 )
-from qlam.typecheck import Derivation, TypeCheckError, check_program
-from qlam.types import BOOL, Arrow, Prod, Sharp, show_type
+from qlam.typecheck import (
+    Derivation,
+    ErrorKind,
+    TypeCheckError,
+    _Checker,
+    _form,
+    _holes,
+    _same_context,
+    _table_shape,
+    _value_typed,
+    check_program,
+)
+from qlam.types import (
+    BOOL,
+    Arrow,
+    Prod,
+    Sharp,
+    Sum,
+    Type,
+    Unit,
+    ground_unknowns,
+    join_types,
+    peel_sharps,
+    qubits,
+    show_type,
+    subtype,
+    walk,
+)
 
 _R2 = 1 / math.sqrt(2)
 _RECORDED = Path(__file__).parent / "derivations.json"
@@ -195,6 +230,20 @@ def _app_chain(depth: int) -> str:
     return "(\\x:U. x) (" * depth + "*" + ")" * depth
 
 
+def _lam_chain(depth: int) -> str:
+    return "".join(f"\\x{i}:U. " for i in range(depth)) + "*"
+
+
+def _lam_pair_chain(depth: int) -> str:
+    """A lambda inside a pair inside a lambda, depth times."""
+    return "".join(f"(\\x{i}:U. " for i in range(depth)) + "*" + ", *)" * depth
+
+
+def _scrutinee_chain(depth: int) -> str:
+    """A match nested in the scrutinee of a match, depth times."""
+    return "match " * depth + "inl *" + " { inl a -> a ; inl * | inr b -> b ; inr * }" * depth
+
+
 def _inl_chain(depth: int) -> str:
     return "inl " * depth + "*"
 
@@ -203,11 +252,16 @@ def _pair_chain(depth: int) -> str:
     return "(*, " * depth + "*" + ")" * depth
 
 
+# each level of `_match_chain` normalizes the chain below it to decide its
+# branches orthogonal, so its cost grows with the square of its depth
 @pytest.mark.parametrize("build, depth", [
-    (_seq_chain, 400),
-    (_let_chain, 110),
-    (_match_chain, 150),
-    (_app_chain, 400),
+    (_seq_chain, 10_000),
+    (_let_chain, 10_000),
+    (_match_chain, 1_000),
+    (_app_chain, 10_000),
+    (_lam_chain, 10_000),
+    (_lam_pair_chain, 10_000),
+    (_scrutinee_chain, 10_000),
     (_inl_chain, 900),
     (_pair_chain, 900),
 ])
@@ -299,3 +353,305 @@ def test_values_of_one_form_beside_an_elimination_share_no_context(text):
     # has no hole: no elimination rule applies
     with pytest.raises(TypeCheckError, match="a single elimination distributed"):
         check_program(parse_program(text))
+
+
+# ---------------------------------------------------- the replaced recursion
+#
+# `_RecursiveChecker` is the checker as it was before its rules ran in one
+# loop (`_Checker._run`): each rule calls `infer_term` or `infer_dist` for
+# its premises, and a value is typed on `types.walk`.  The tests below hold
+# the loop to it on the recorded cases, generator programs and programs
+# with two faults, on the programs and checks of `eager_errors.json`, on
+# compiled gates and planted defects at n = 1..4, and on the deep programs
+# above at depths the recursion reaches: types by identity, derivations by
+# `==`, error texts by `==`.
+
+
+class _RecursiveChecker(_Checker):
+    def infer_term(self, t: PureTerm) -> tuple[Type, Derivation]:
+        match t:
+            case Var(x):
+                ty = self._use(x, t)
+                return ty, Derivation("var", t, ty)
+            case Lam(x, ann, body):
+                entry = self._bind(x, ann)
+                shape = _table_shape(t)
+                if shape is not None:
+                    self._cells[id(shape[0])] = None
+                bt, bd = self.infer_dist(body)
+                self._unbind(x, t)
+                if shape is not None:
+                    self._tabulate(t, entry.ty, shape[1], self._cells.pop(id(shape[0])))
+                ty = Arrow(entry.ty, bt)
+                return ty, Derivation("lambda", t, ty, (bd,))
+            case Void() | PairV() | InlV() | InrV():
+                return t._typing or walk(t, self._value_parts, _value_typed)
+            case App() | Seq() | LetPair() | Match():
+                return self._infer_elim(((1, t),), t)
+            case _:
+                raise TypeCheckError(ErrorKind.MISMATCH, f"not a pure term: {t!r}")
+
+    def _value_parts(self, t: PureTerm) -> tuple[Type, Derivation] | list:
+        cls = t.__class__
+        if cls is Var or cls is Lam:
+            return self.infer_term(t)
+        return t._typing or list(map(t.__getattribute__, cls.__match_args__))
+
+    def _infer_elim(self, summands, here):
+        t0 = summands[0][1]
+        if len(summands) > 1 and not all(_same_context(t0, t) for _, t in summands[1:]):
+            t0 = None
+        match t0:
+            case App(f, _):
+                tf, df = self.infer_term(f)
+                if not isinstance(tf, Arrow):
+                    raise TypeCheckError(
+                        ErrorKind.MISMATCH,
+                        f"operator has type {tf}, a function type is required",
+                        here,
+                    )
+                ta, da = self.infer_dist(_holes(summands))
+                if not subtype(ta, tf.dom):
+                    what = "argument" if isinstance(here, PureTerm) else "argument distribution"
+                    raise TypeCheckError(
+                        ErrorKind.MISMATCH, f"{what} has type {ta}, expected {tf.dom}", here,
+                    )
+                return tf.cod, Derivation("apply", here, tf.cod, (df, da))
+            case Seq(_, tail):
+                th, dh = self.infer_dist(_holes(summands))
+                what = ("sequencing head has" if isinstance(here, PureTerm)
+                        else "sequencing heads have")
+                form, _, lift = _form(th, Unit, what, "the unit", here)
+                tt, dt = self.infer_dist(tail)
+                ty = lift(tt)
+                return ty, Derivation(f"seq-{form}", here, ty, (dh, dt))
+            case LetPair(x, y, _, body):
+                ts, ds = self.infer_dist(_holes(summands))
+                return self._infer_let(ts, ds, x, y, body, here)
+            case Match(_, x1, b1, x2, b2):
+                ts, ds = self.infer_dist(_holes(summands))
+                return self._infer_match(ts, ds, x1, b1, x2, b2, here)
+        raise TypeCheckError(
+            ErrorKind.MISMATCH,
+            "a proper distribution must be a superposition of values or a single "
+            "elimination distributed across its summands",
+            here,
+        )
+
+    def _infer_let(self, scrut_ty, ds, x, y, body, here):
+        form, core, lift = _form(scrut_ty, Prod, "destructured term has", "a product", here)
+        self._bind(x, lift(core.left))
+        self._bind(y, lift(core.right))
+        bt, bd = self.infer_dist(body)
+        self._unbind(y, here)
+        self._unbind(x, here)
+        ty = lift(bt)
+        return ty, Derivation(f"let-{form}", here, ty, (ds, bd))
+
+    def _infer_match(self, scrut_ty, ds, x1, b1, x2, b2, here):
+        form, core, lift = _form(scrut_ty, Sum, "matched term has", "a sum", here)
+        lt = lift(core.left)
+        rt = lift(core.right)
+        snap = self._snapshot()
+        self._bind(x1, lt)
+        t1, d1 = self.infer_dist(b1)
+        self._unbind(x1, here)
+        delta1 = self._delta(snap)
+        self._restore(snap)
+        self._bind(x2, rt)
+        t2, d2 = self.infer_dist(b2)
+        self._unbind(x2, here)
+        delta2 = self._delta(snap)
+        self._merge_branch_usage(snap, delta1, delta2, here)
+        joined = join_types(t1, t2)
+        if joined is None:
+            raise TypeCheckError(
+                ErrorKind.MISMATCH, f"match branches have incompatible types {t1} and {t2}", here,
+            )
+        cells = self._require_orthogonal(x1, lt, b1, x2, rt, b2, here)
+        if id(here) in self._cells:
+            self._cells[id(here)] = cells
+        ty = lift(joined)
+        return ty, Derivation(f"match-{form}", here, ty, (ds, d1, d2))
+
+    def infer_dist(self, d: Distribution) -> tuple[Type, Derivation]:
+        s = d.summands
+        if len(s) != 1 or s[0][0] != 1:
+            d = canonicalize(d)
+            s = d.summands
+        if len(s) == 1 and s[0][0] == 1:
+            t = s[0][1]
+            if isinstance(t, (App, Seq, LetPair, Match)):
+                return self._infer_elim(s, t)
+            return self.infer_term(t)
+        if is_value_distribution(d):
+            return self._infer_superposition(d, expected_core=None)
+        return self._infer_elim(s, d)
+
+    def check_dist(self, d: Distribution, expected: Type) -> Derivation:
+        cd = canonicalize(d)
+        s = cd.summands
+        single = len(s) == 1 and s[0][0] == 1
+        if not single and is_value_distribution(cd):
+            n, core = peel_sharps(expected)
+            if isinstance(core, Arrow):
+                raise TypeCheckError(
+                    ErrorKind.SUP_AT_ARROW_TYPE, "a superposition cannot inhabit a function type", d,
+                )
+            if n == 0:
+                raise TypeCheckError(
+                    ErrorKind.MISMATCH,
+                    f"a proper distribution cannot have the bare type {expected}",
+                    d,
+                )
+            _, der = self._infer_superposition(cd, expected_core=core)
+            return der
+        ty, der = self.infer_dist(cd) if single else self._infer_elim(s, cd)
+        if not subtype(ty, expected):
+            if single:
+                raise TypeCheckError(
+                    ErrorKind.MISMATCH, f"term has type {ty}, expected {expected}", s[0][1],
+                )
+            raise TypeCheckError(
+                ErrorKind.MISMATCH, f"distribution has type {ty}, expected {expected}", d,
+            )
+        return der
+
+    def _infer_superposition(self, cd, expected_core):
+        for x in sorted(free_vars_dist(cd)):
+            if x in self.scopes:
+                raise TypeCheckError(
+                    ErrorKind.MISMATCH, f"a superposition must be closed, but {x} occurs free", cd,
+                )
+            raise TypeCheckError(ErrorKind.UNBOUND_VARIABLE, f"unbound variable {x}", cd)
+        children = []
+        joined = expected_core
+        for _, t in cd.summands:
+            ty, der = self.infer_term(t)
+            children.append(der)
+            if expected_core is not None:
+                if not subtype(ty, expected_core):
+                    raise TypeCheckError(
+                        ErrorKind.MISMATCH,
+                        f"superposed value has type {ty}, expected {expected_core}",
+                        t,
+                    )
+            elif joined is None:
+                joined = ty
+            else:
+                joined = join_types(joined, ty)
+                if joined is None:
+                    raise TypeCheckError(
+                        ErrorKind.MISMATCH, "superposed values have incompatible types", cd,
+                    )
+        if expected_core is None and isinstance(joined, Arrow):
+            raise TypeCheckError(
+                ErrorKind.SUP_AT_ARROW_TYPE, "a superposition cannot inhabit a function type", cd,
+            )
+        total = sum(abs(a) ** 2 for a, _ in cd.summands)
+        if abs(total - 1.0) > get_tolerance():
+            raise TypeCheckError(
+                ErrorKind.NORM_VIOLATION, f"squared amplitudes sum to {total:.12g}, expected 1", cd,
+            )
+        ty = Sharp(ground_unknowns(joined))
+        return ty, Derivation("superposition", cd, ty, tuple(children))
+
+
+def _typed(checker_class, d: Distribution, context=(), expected: Type | None = None):
+    """The typing of d, or with an expected type its derivation, by a new
+    checker of checker_class under the context's bindings; or the text of
+    the error it raises."""
+    c = checker_class()
+    for x, ty in context:
+        c._bind(x, ty)
+    try:
+        return c.infer_dist(d) if expected is None else c.check_dist(d, expected)
+    except TypeCheckError as e:
+        return str(e)
+
+
+def _assert_typed_as_the_recursion_types(d: Distribution, context=(), expected=None):
+    got = _typed(_Checker, d, context, expected)
+    want = _typed(_RecursiveChecker, d, context, expected)
+    if isinstance(want, tuple):
+        assert got[0] is want[0]
+        got, want = got[1], want[1]
+    if isinstance(want, str):
+        assert got == want
+        return
+    # got == want, node by node, so that a deep derivation needs no recursion
+    pending = [(got, want)]
+    while pending:
+        a, b = pending.pop()
+        assert (a.rule, a.node, a.type, a.note) == (b.rule, b.node, b.type, b.note)
+        assert len(a.children) == len(b.children)
+        pending += zip(a.children, b.children)
+
+
+# programs with two faults, where the order in which a rule types its
+# premises, and binds and closes its names, decides which one is reported
+_RACES = (
+    "x y",
+    "(\\f:U. y) x",
+    "y ; z",
+    "let (a, b) = x in y",
+    "match x { inl a -> y | inr b -> z }",
+    "\\s:U+U. match s { inl a -> x | inr b -> y }",
+    "\\x:#(U+U). \\y:#(U+U). let (a, b) = (x, y) in *",
+    "\\x:#(U+U). \\y:#(U+U). match x { inl a -> y | inr b -> * }",
+    "(\\a:#U. *, \\b:#U. *)",
+)
+
+
+def test_programs_are_typed_as_the_recursion_types_them():
+    programs = [d for _, d in _cases()] + [parse_program(src) for src in _RACES]
+    programs += [d for d, _ in trace_programs(51, 200) + flow_programs(52, 200)]
+    for d in programs:
+        _assert_typed_as_the_recursion_types(d)
+
+
+def test_eager_error_programs_are_typed_as_the_recursion_types_them():
+    eager = json.loads((Path(__file__).parent / "eager_errors.json").read_text())
+    for src in eager["programs"]:
+        try:
+            d = parse_program(src)
+        except TypeCheckError:  # HeadNotPure, which the parser raises
+            continue
+        _assert_typed_as_the_recursion_types(d)
+    for src, ty, ctx in eager["checks"]:
+        context = [(x, parse_type(t)) for x, t in ctx]
+        _assert_typed_as_the_recursion_types(parse_program(src), context, parse_type(ty))
+
+
+def _planted_gates(n: int) -> list[PureTerm]:
+    """H and CNOT on one placement and the fixed unitary of `_kron_unitary`
+    compiled at n qubits, and case trees of that unitary with a column image
+    copied one bit away or two, or scaled."""
+    u = _kron_unitary(n)
+    lams = [compile_gate(gate_library["H"], (n - 1,), n),
+            compile_gate(GateMatrix(u), tuple(range(n)), n)]
+    if n > 1:
+        lams.append(compile_gate(gate_library["CNOT"], (0, n - 1), n))
+    images = [encode(StateVector(u[:, k])) for k in range(1 << n)]
+    planted = [(1, images[0]), (0, scale(2, images[0]))] + ([(3, images[0])] if n > 1 else [])
+    for k, image in planted:
+        lams.append(case_construct(n, images[:k] + [image] + images[k + 1:]))
+    return lams
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gates_are_typed_as_the_recursion_types_them(n):
+    for lam in _planted_gates(n):
+        d = singleton(lam)
+        _assert_typed_as_the_recursion_types(d)
+        _assert_typed_as_the_recursion_types(d, expected=Arrow(qubits(n), qubits(n)))
+
+
+@pytest.mark.parametrize("build", [_seq_chain, _let_chain, _match_chain, _app_chain, _lam_chain,
+                                   _lam_pair_chain, _scrutinee_chain, _inl_chain, _pair_chain])
+def test_deep_programs_are_typed_as_the_recursion_types_them(build):
+    # the recursion runs out of frames from 142 lets and from about 200
+    # levels of the other shapes, in a fresh process; 100 leaves room for
+    # the test runner's own frames
+    for depth in (1, 2, 5, 20, 100):
+        _assert_typed_as_the_recursion_types(parse_program(build(depth)))

@@ -188,7 +188,7 @@ def test_intern_table_lets_dead_values_go():
 
 def test_each_ground_value_is_typed_once(monkeypatch):
     # the value rules run at most once per distinct ground value; after
-    # that, infer_term hands back the type and derivation kept on the node
+    # that, the checker hands back the type and derivation kept on the node
     typed = []
     real = typecheck._value_typed
     monkeypatch.setattr(typecheck, "_value_typed",

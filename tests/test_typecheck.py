@@ -609,12 +609,14 @@ def reference_value_rule(t, infer):
 
 class _ReferenceChecker(_Checker):
     """The checker whose value case recurses through the value rules, for
-    ground values as for open ones."""
+    ground values as for open ones.  `_term` is where the checker's loop
+    types every term premise, a value nested in another rule's premise too;
+    the components go through `infer_term`, a loop of their own."""
 
-    def infer_term(self, t):
+    def _term(self, t):
         if isinstance(t, (Void, PairV, InlV, InrV)):
             return reference_value_rule(t, self.infer_term)
-        return super().infer_term(t)
+        return super()._term(t)
 
 
 def _typing_outcome(infer, x):
