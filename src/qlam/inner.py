@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from .config import get_tolerance
-from .syntax import Distribution, _merged, is_value, show_term
+from .syntax import Distribution, _merged, is_value, show_term, term_key
 
 
 # a value distribution's canonical coefficients by alpha-key
@@ -27,7 +27,7 @@ def keyed(v: Distribution) -> Keyed:
     order.  A caller that pairs one value distribution with many others keys
     it once and passes this instead."""
     _require_values(v)
-    return {k: a for k, (a, _) in _merged(v.summands)}
+    return {term_key(t): a for a, t in _merged(v.summands)}
 
 
 def inner_product(v: Distribution | Keyed, w: Distribution | Keyed) -> complex:

@@ -16,11 +16,18 @@ it.  Distributions nested inside terms (bodies, tails, branches) are plain
 syntax and are compared only up to alpha-equivalence in the given summand
 order.
 
+The structural order is that of `term_key`, a nested tuple, but it is found
+by comparing: `compare` walks two terms or distributions side by side on an
+explicit stack and returns at their first difference, so ordering, merging
+and alpha-equality build no key and cost no Python frame per layer.  Keys
+are still built where a term must be hashed: the inner product's `keyed`
+form and the checker's orthogonality buckets.
+
 The term structure is described once, in `_FORMS`: for each compound form,
 the tag of its key, its subterm fields in order, the binder names in scope
-over each, and an elimination's hole.  Free variables, substitution and
-alpha-keys here, and the checker's shared-context test, are loops over that
-table rather than one case per form.
+over each, and an elimination's hole.  Free variables, substitution,
+alpha-keys and comparison here, and the checker's shared-context test, are
+loops over that table rather than one case per form.
 
 Free variables, substitution and alpha-keys each run on `types.walk`, the
 one children-first loop over an explicit stack, as a pair of functions: one
@@ -47,12 +54,13 @@ is compared and hashed by identity: it is the only object equal to itself.
 A value node with a variable or an abstraction inside is not interned and
 keeps the structural dataclass `==` and hash.  An interned node carries its
 empty free-variable set and its `term_key`, built in O(1) from its
-children's keys, so keying, canonicalizing and comparing a distribution of
-ground values costs O(1) per summand, and the checker keeps a ground value's
-type and derivation on the node (`_typing`).  Each cached datum is a
-function of the value alone, so what ran earlier in the process cannot show.
-The cache fields take no part in construction, equality, `repr` or `match`
-patterns.
+children's keys.  So two ground values are alpha-equivalent only when they
+are one object, and two distinct ones are ordered by comparing their keys
+in C, or by `compare`'s walk once they nest too deep for that.  The checker
+keeps a ground value's type and derivation on the node (`_typing`).  Each
+cached datum is a function of the value alone, so what ran earlier in the
+process cannot show.  The cache fields take no part in construction,
+equality, `repr` or `match` patterns.
 """
 
 from __future__ import annotations
@@ -60,13 +68,14 @@ from __future__ import annotations
 import cmath
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from functools import cmp_to_key
 from itertools import repeat
 from operator import itemgetter
 from typing import NamedTuple
 from weakref import ref
 
 from .config import get_tolerance
-from .types import _INTERNED, Type, _enter, _type_parts, emit, type_key, walk
+from .types import _INTERNED, _TAGS as _TYPE_TAGS, Type, _enter, _type_parts, emit, type_key, walk
 
 
 def _cache():
@@ -520,7 +529,9 @@ def _under_binders(
 def term_key(t: PureTerm) -> tuple:
     """Structural key: equal on exactly the alpha-equivalent terms, and
     totally ordered (string tags, de Bruijn distances for bound variables,
-    names for free ones, coefficients as real/imaginary pairs)."""
+    names for free ones, coefficients as real/imaginary pairs).  `compare`
+    finds this order without building keys; a key is built where a term is
+    hashed, as by `inner.keyed`."""
     # a ground value carries its key, so most summands start no walk
     return t._term_key or _key(t, {}, 0)
 
@@ -578,36 +589,182 @@ def _keyed(item: tuple, keys: list) -> tuple:
     return (tag, type_key(x.ann), *keys) if cls is Lam else (tag, *keys)
 
 
+def compare(x: PureTerm | Distribution, y: PureTerm | Distribution) -> int:
+    """-1, 0 or 1 as the `term_key` of term x is below, equal to or above
+    y's, or the `dist_key` of distribution x is y's; so 0 exactly when they
+    are alpha-equivalent.  No key is built: two ground values are equal only
+    when they are one object, and otherwise ordered by their kept keys."""
+    if x is y:
+        return 0
+    kx, ky = x._term_key, y._term_key
+    if kx is not None and ky is not None:
+        try:
+            return -1 if kx < ky else 1
+        except RecursionError:
+            pass  # keys nested too deep to compare in C
+    return _compare(x, y)
+
+
+# the first element of a `term_key` or type key, by class; a variable's is
+# "bv" or "fv", by whether it is bound
+_TAG: dict[type, str] = {cls: form.tag for cls, form in _FORMS.items()}
+_TAG |= {Void: "void"} | _TYPE_TAGS
+
+# the subterm fields of each compound term form, with the binder fields in
+# scope over each, and the parts of each compound type, last first: the
+# order `_compare` stacks them in
+_STACKED: dict[type, tuple[tuple[str, tuple[str, ...]], ...]] = {
+    cls: form.parts[::-1] for cls, form in _FORMS.items()
+} | {cls: tuple((f, ()) for f in cls.__match_args__[::-1]) for cls in _TYPE_TAGS}
+
+# what a `_compare` stack entry that is not a pair of nodes holds first
+_ENTER, _LEAVE = "enter", "leave"
+
+
+def _compare(x: object, y: object) -> int:
+    """`compare` by one walk of x and y side by side on an explicit stack,
+    which returns at their first difference: a tag, a de Bruijn distance, a
+    free name, an annotation, a coefficient or a summand count.  Ground
+    values and annotations are compared by their kept keys in C until that
+    recurses too deep once; from then on they are walked like any node, so
+    no pair is tried in C twice over."""
+    # the depth of each name's innermost binder, per side; the walk goes
+    # into two nodes only when their tags are equal, so both sides are under
+    # the same number of binders, `depth`
+    bx: dict[str, int] = {}
+    by: dict[str, int] = {}
+    depth = 0
+    # binders in scope that bind other names on each side: while there is
+    # none, both sides are in one scope and a node is equal to itself
+    skew = 0
+    keys_in_c = True
+    stack: list = [(x, y)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        x, y = pop()
+        # under skewed binders only a closed node (a ground value, a type or
+        # a coefficient) is equal to itself for certain
+        if x is y and (not skew or getattr(x, "_term_key", x) is not None):
+            continue
+        cls = x.__class__
+        if cls is complex:
+            # only unequal coefficients are stacked; a key holds the real
+            # and imaginary parts
+            return -1 if (x.real, x.imag) < (y.real, y.imag) else 1
+        if cls is int:
+            return x  # the side with more summands is greater
+        if cls is str:
+            nx, ny = y[0], y[1]
+            if x is _ENTER:
+                push((_LEAVE, (nx, ny, [bx.get(n) for n in nx], [by.get(n) for n in ny])))
+                for n, m in zip(nx, ny):
+                    bx[n] = by[m] = depth
+                    depth += 1
+                skew += nx != ny
+                push(y[2])
+            else:
+                for names, bound, old in ((nx, bx, y[2]), (ny, by, y[3])):
+                    for n, at in zip(names, old):
+                        if at is None:
+                            del bound[n]
+                        else:
+                            bound[n] = at
+                depth -= len(nx)
+                skew -= nx != ny
+            continue
+        if keys_in_c:
+            # types reach the stack only once `keys_in_c` is off
+            kx, ky = x._term_key, y._term_key
+            if kx is not None and ky is not None:
+                try:
+                    return -1 if kx < ky else 1
+                except RecursionError:
+                    keys_in_c = False
+        if cls is not y.__class__ or cls is Var:
+            tx = _TAG.get(cls) or ("fv" if bx.get(x.name) is None else "bv")
+            ty = _TAG.get(y.__class__) or ("fv" if by.get(y.name) is None else "bv")
+            if tx != ty:
+                return -1 if tx < ty else 1
+            if tx == "fv":
+                if x.name != y.name:
+                    return -1 if x.name < y.name else 1
+            elif tx == "bv":
+                # the binder further out is the greater distance
+                ax, ay = bx[x.name], by[y.name]
+                if ax != ay:
+                    return -1 if ax > ay else 1
+            continue
+        if cls is Distribution:
+            sx, sy = x.summands, y.summands
+            n = len(sx)
+            if n != len(sy):
+                push((-1 if n < len(sy) else 1, None))
+                n = min(n, len(sy))
+            for i in range(n - 1, -1, -1):
+                (a, t), (b, u) = sx[i], sy[i]
+                push((t, u))
+                if a != b:
+                    push((a, b))
+            continue
+        for part, binders in _STACKED[cls]:
+            sub = getattr(x, part), getattr(y, part)
+            if binders:
+                sub = (_ENTER, (tuple(getattr(x, b) for b in binders),
+                                tuple(getattr(y, b) for b in binders), sub))
+            push(sub)
+        if cls is Lam:
+            # the annotation comes before the body in the key
+            ax, ay = x.ann, y.ann
+            if ax is not ay:
+                if keys_in_c:
+                    try:
+                        return -1 if ax._key < ay._key else 1
+                    except RecursionError:
+                        keys_in_c = False
+                push((ax, ay))
+    return 0
+
+
 def alpha_eq(t1: PureTerm, t2: PureTerm) -> bool:
-    return term_key(t1) == term_key(t2)
+    """Whether t1 and t2 are alpha-equivalent, by `compare`."""
+    return compare(t1, t2) == 0
 
 
 def dist_alpha_eq(d1: Distribution, d2: Distribution) -> bool:
-    return dist_key(d1) == dist_key(d2)
+    """Whether d1 and d2 are alpha-equivalent summand by summand, in their
+    order, by `compare`."""
+    return compare(d1, d2) == 0
 
 
 def canonicalize(d: Distribution) -> Distribution:
     """Merge alpha-equivalent summands by adding coefficients (zeros are
-    kept), then sort by the structural key.  A one-summand distribution has
-    nothing to merge or sort and comes back as it is, without computing a
-    key, so building a term from single summands costs time linear in it."""
-    if len(d.summands) == 1:
-        return d
-    return Distribution(tuple((a, t) for _, (a, t) in _merged(d.summands)))
+    kept) into the first of them, and order the summands by `compare`, which
+    is the order of their `term_key`s.  A distribution whose summands already
+    strictly increase comes back as it is, after one comparison per
+    neighbouring pair; a one-summand distribution makes none, so building a
+    term from single summands costs time linear in it."""
+    merged = _merged(d.summands)
+    return d if merged is d.summands else Distribution(merged)
 
 
-def _merged(summands: tuple[tuple[complex, PureTerm], ...]) -> list[tuple[tuple, list]]:
-    """(key, [coefficient, term]) in key order, alpha-equivalent summands
-    merged into the first; `canonicalize` and `inner.keyed` both read it."""
-    acc: dict[tuple, list] = {}
-    for a, t in summands:
-        k = term_key(t)
-        slot = acc.get(k)
-        if slot is None:
-            acc[k] = [a, t]
+def _merged(summands: tuple[tuple[complex, PureTerm], ...]) -> tuple[tuple[complex, PureTerm], ...]:
+    """The summands in `compare` order, alpha-equivalent ones merged into
+    the first; summands that already strictly increase, themselves.
+    `canonicalize` and `inner.keyed` both read it."""
+    for i in range(1, len(summands)):
+        if compare(summands[i - 1][1], summands[i][1]) >= 0:
+            break
+    else:
+        return summands
+    # a stable sort puts equal summands next to each other, first one first
+    order = cmp_to_key(compare)
+    out: list[list] = []
+    for a, t in sorted(summands, key=lambda at: order(at[1])):
+        if out and compare(out[-1][1], t) == 0:
+            out[-1][0] += a
         else:
-            slot[0] += a
-    return sorted(acc.items(), key=itemgetter(0))
+            out.append([a, t])
+    return tuple(map(tuple, out))
 
 
 def congruent(d1: Distribution, d2: Distribution, tol: float | None = None) -> bool:
@@ -622,7 +779,7 @@ def congruent(d1: Distribution, d2: Distribution, tol: float | None = None) -> b
     for (a1, t1), (a2, t2) in zip(c1.summands, c2.summands):
         if abs(a1 - a2) > tol:
             return False
-        if term_key(t1) != term_key(t2):
+        if compare(t1, t2) != 0:
             return False
     return True
 

@@ -362,14 +362,12 @@ class _Checker:
               here: PureTerm | Distribution) -> Iterator:
         """The elimination rules.  `here` is either a single term, the one
         unscaled summand, or a distribution whose summands all put their own
-        hole into one shared context: the same operator, tail, or binders and
-        bodies.  The holes are typed together as a distribution, which reads
-        `Σ αᵢ f aᵢ` as `f (Σ αᵢ aᵢ)`: the shape reduction produces when it
-        spreads an elimination over a superposition."""
-        t0 = summands[0][1]
-        if len(summands) > 1 and not all(_same_context(t0, t) for _, t in summands[1:]):
-            t0 = None  # no shared context: no rule matches below
-        match t0:
+        hole into one shared context (`_canonical`): the same operator, tail,
+        or binders and bodies.  The holes are typed together as a
+        distribution, which reads `Σ αᵢ f aᵢ` as `f (Σ αᵢ aᵢ)`: the shape
+        reduction produces when it spreads an elimination over a
+        superposition."""
+        match summands[0][1]:
             case App(f, _):
                 tf, df = yield f
                 if not isinstance(tf, Arrow):
@@ -433,12 +431,6 @@ class _Checker:
                     self._cells[id(here)] = cells
                 ty = lift(joined)
                 return ty, Derivation(f"match-{form}", here, ty, (ds, d1, d2))
-        raise TypeCheckError(
-            ErrorKind.MISMATCH,
-            "a proper distribution must be a superposition of values or a single "
-            "elimination distributed across its summands",
-            here,
-        )
 
     # -- distributions ------------------------------------------------------
 
@@ -449,17 +441,20 @@ class _Checker:
         """The typing of d when it is done at once, else the generator of
         its rule."""
         s = d.summands
-        if len(s) != 1 or s[0][0] != 1:
-            d = canonicalize(d)
-            s = d.summands
         if len(s) == 1 and s[0][0] == 1:
             return self._term(s[0][1])
+        d, shared = _canonical(d)
+        s = d.summands
+        if len(s) == 1 and s[0][0] == 1:
+            return self._term(s[0][1])
+        if shared:
+            return self._elim(s, d)
         if is_value_distribution(d):
             return self._superposition(d, expected_core=None)
-        return self._elim(s, d)
+        raise _not_one_elimination(d)
 
     def check_dist(self, d: Distribution, expected: Type) -> Derivation:
-        cd = canonicalize(d)
+        cd, shared = _canonical(d)
         s = cd.summands
         single = len(s) == 1 and s[0][0] == 1
         if not single and is_value_distribution(cd):
@@ -477,6 +472,8 @@ class _Checker:
                     d,
                 )
             return self._run(self._superposition(cd, expected_core=core))[1]
+        if not (single or shared):
+            raise _not_one_elimination(cd)
         # cd is canonical already: a proper one goes to the elimination rule
         ty, der = self._run(self._dist(cd) if single else self._elim(s, cd))
         if not subtype(ty, expected):
@@ -630,6 +627,36 @@ def _same_context(t0: PureTerm, t: PureTerm) -> bool:
                 else alpha_eq(a, b) if isinstance(a, PureTerm) else dist_alpha_eq(a, b)):
             return False
     return True
+
+
+def _canonical(d: Distribution) -> tuple[Distribution, bool]:
+    """`canonicalize(d)`, and whether its summands put their own terms into
+    the hole of one shared elimination context.  Such summands order and
+    merge as their holes do, so their holes are canonicalized instead: the
+    context is compared once per summand, here, and not again in every
+    comparison of two of them."""
+    s = d.summands
+    form = _FORMS.get(s[0][1].__class__)
+    if form is None or form.hole is None or not all(_same_context(s[0][1], t) for _, t in s[1:]):
+        return canonicalize(d), False
+    holes = _holes(s)
+    ordered = canonicalize(holes)
+    if ordered is holes:
+        return d, True
+    # a merged summand keeps the first term, as its hole is the first hole
+    first: dict[int, PureTerm] = {}
+    for (_, t), (_, h) in zip(s, holes.summands):
+        first.setdefault(id(h), t)
+    return Distribution(tuple((a, first[id(h)]) for a, h in ordered.summands)), True
+
+
+def _not_one_elimination(here: Distribution) -> TypeCheckError:
+    return TypeCheckError(
+        ErrorKind.MISMATCH,
+        "a proper distribution must be a superposition of values or a single "
+        "elimination distributed across its summands",
+        here,
+    )
 
 
 def _holes(summands: tuple[tuple[complex, PureTerm], ...]) -> Distribution:

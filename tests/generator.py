@@ -15,10 +15,12 @@ inner product laws.  Everything is deterministic in the seed.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
 
 from qlam.syntax import (
+    App,
     Distribution,
     InlV,
     InrV,
@@ -27,6 +29,7 @@ from qlam.syntax import (
     Match,
     PairV,
     PureTerm,
+    Seq,
     Var,
     Void,
     mk_app,
@@ -387,3 +390,43 @@ def _open_value(rng: random.Random, depth: int) -> PureTerm:
                                        rng.choice(binders), singleton(Var(name()))))
             t = Lam(z, UNIT, body)
     return t
+
+
+def alpha_variant(x: PureTerm | Distribution, rng: random.Random,
+                  change: float = 0.0) -> PureTerm | Distribution:
+    """x with each binder either kept or renamed to a name of its own, at
+    random, so the result is alpha-equivalent to x.  With change > 0, each
+    variable, unit value and coefficient is also changed with that
+    probability: a variable to another bound name or to the free `w`, the
+    unit value to `inl *`, a coefficient times i.  Recursive, for the small
+    terms of the property tests."""
+    fresh = itertools.count()
+
+    def rename(name: str) -> str:
+        return name if rng.random() < 0.5 else f"{name}_r{next(fresh)}"
+
+    def go(x, env: dict[str, str]):
+        if isinstance(x, Distribution):
+            return Distribution(tuple((a * 1j if rng.random() < change else a, go(t, env))
+                                      for a, t in x.summands))
+        if isinstance(x, Var):
+            if rng.random() < change:
+                return Var(rng.choice([*env.values(), "w"]))
+            return Var(env.get(x.name, x.name))
+        if isinstance(x, Void):
+            return InlV(x) if rng.random() < change else x
+        if isinstance(x, Lam):
+            y = rename(x.name)
+            return Lam(y, x.ann, go(x.body, {**env, x.name: y}))
+        if isinstance(x, LetPair):
+            y, z = rename(x.left), rename(x.right)
+            return LetPair(y, z, go(x.scrutinee, env),
+                           go(x.body, {**env, x.left: y, x.right: z}))
+        if isinstance(x, Match):
+            y, z = rename(x.left_name), rename(x.right_name)
+            return Match(go(x.scrutinee, env), y, go(x.left_body, {**env, x.left_name: y}),
+                         z, go(x.right_body, {**env, x.right_name: z}))
+        assert isinstance(x, (PairV, InlV, InrV, App, Seq))
+        return x.__class__(*(go(getattr(x, f), env) for f in x.__match_args__))
+
+    return go(x, {})

@@ -244,9 +244,10 @@ def test_eval_no_check_overflow_then_divergence_exits_two_with_and_without_trace
 
 
 _DEEP = 10_000
-# `inr^m *` and `inr^(m-1) inl *` superposed: their types join in a sum of
-# m + 1 terms, which the second program also annotates under Sharp
-_JOINED = "0.6 * " + "inr " * 900 + "* + 0.8 * " + "inr " * 899 + "inl *"
+# `inr^m *` and `inr^(m-1) inl *` superposed, with m = _DEEP - 1: their
+# types join in a sum of _DEEP terms, which the second program also
+# annotates under Sharp
+_JOINED = "0.6 * " + "inr " * (_DEEP - 1) + "* + 0.8 * " + "inr " * (_DEEP - 2) + "inl *"
 
 
 @pytest.mark.parametrize("src", [
@@ -259,11 +260,45 @@ def test_eval_no_check_of_deep_open_values(write, capsys, src):
 
 
 @pytest.mark.parametrize("src", [
-    _JOINED, "(\\x:#(" + "+".join(["U"] * 901) + "). x) (" + _JOINED + ")",
+    _JOINED, "(\\x:#(" + "+".join(["U"] * _DEEP) + "). x) (" + _JOINED + ")",
 ], ids=["join", "annotated"])
 def test_check_of_a_deep_join(write, capsys, src):
     assert main(["check", write("joined.qlam", src)]) == 0
-    assert capsys.readouterr().out.strip() == "#(" + "+".join(["U"] * 901) + ")"
+    assert capsys.readouterr().out.strip() == "#(" + "+".join(["U"] * _DEEP) + ")"
+
+
+# two summands whose terms differ only under _DEEP layers: lambdas whose
+# bodies do not join, and values of unequal depth
+_DEEP_LAMS = ("0.6 * (\\x:U. " + "inr " * _DEEP + "x) + 0.8 * (\\x:U. " + "inr " * _DEEP
+              + "inl x)")
+_DEEP_UNEQUAL = "0.6 * " + "inr " * _DEEP + "inl * + 0.8 * inl *"
+
+
+@pytest.mark.parametrize("argv, src, want", [
+    (["eval"], _JOINED,
+     "0.8 * " + "inr " * (_DEEP - 2) + "inl * + 0.6 * " + "inr " * (_DEEP - 1) + "*"),
+    (["eval", "--no-check"], _DEEP_LAMS, _DEEP_LAMS),
+    (["check"], _DEEP_UNEQUAL, "#(" + "+".join(["U"] * (_DEEP + 2)) + ")"),
+    (["eval", "--no-check"], _DEEP_UNEQUAL, "0.8 * inl * + 0.6 * " + "inr " * _DEEP + "inl *"),
+], ids=["eval join", "eval lambdas", "check unequal", "eval unequal"])
+def test_summands_that_differ_only_deep_down_are_ordered(write, capsys, argv, src, want):
+    # the summands are compared layer by layer, never as keys nested _DEEP deep
+    assert main([*argv, write("deep.qlam", src)]) == 0
+    assert capsys.readouterr().out.strip() == want
+
+
+def test_check_of_deep_lambdas_whose_bodies_do_not_join(write, capsys):
+    assert main(["check", write("deep.qlam", _DEEP_LAMS)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: Mismatch: superposed values have incompatible types")
+
+
+def test_equiv_of_programs_that_differ_only_deep_down(write, capsys):
+    a = write("a.qlam", _DEEP_UNEQUAL)
+    b = write("b.qlam", _DEEP_UNEQUAL.replace("inl * +", "inr * +"))
+    assert main(["equiv", a, b]) == 6
+    assert _lines(capsys) == ["not equivalent"]
+    assert main(["equiv", a, a]) == 0
 
 
 # a pair of a name and * under _DEEP injections, on either side of a match

@@ -1,14 +1,14 @@
 """Parsing and checking in time linear in the term.
 
 `canonicalize` hands back a one-summand distribution as it is, so the
-parser's `mk_*` calls on single scrutinees and arguments compute no
-alpha-keys.  The `mk_*` constructors key only the holes they fill, never the
-shared context around them.  The checker keeps the term or distribution it
-types and prints it only when an error is raised or a derivation's subject
-is read.
+parser's `mk_*` calls on single scrutinees and arguments neither compute
+alpha-keys nor compare terms.  The `mk_*` constructors order only the holes
+they fill, never the shared context around them.  The checker keeps the
+term or distribution it types and prints it only when an error is raised or
+a derivation's subject is read.
 
 The equivalence tests hold the new code to the behaviour it replaced: the
-merge-and-sort canonical form (`reference_canonicalize`), derivation
+merge-and-sort canonical form by keys (`reference_canonicalize`), derivation
 subjects printed at every node (`eager_subjects`), and error texts recorded
 from the checker that printed eagerly (`eager_errors.json`).  The mechanism
 tests count the calls that made parsing and checking cost size × depth.
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 
 import qlam.syntax as syntax
 import qlam.typecheck as typecheck
-from generator import ProgramGen, flow_programs, trace_programs
+from generator import ProgramGen, alpha_variant, flow_programs, trace_programs
 from qlam.quantum import (
     GateMatrix,
     StateVector,
@@ -193,6 +194,22 @@ def test_canonicalize_matches_the_merge_and_sort_reference(d):
     assert canonicalize(d) == reference_canonicalize(d)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_distributions(), st.integers(0, 2**32))
+def test_canonicalize_merges_shuffled_alpha_variants_into_the_first(d, seed):
+    rng = random.Random(seed)
+    # alpha-variants of some summands, which must merge with them
+    summands = list(d.summands) + [(a * rng.choice([1, -0.5, 0.5j]), alpha_variant(t, rng))
+                                   for a, t in d.summands if rng.random() < 0.5]
+    rng.shuffle(summands)
+    shuffled = Distribution(tuple(summands))
+    got = canonicalize(shuffled)
+    assert got == reference_canonicalize(shuffled)
+    for _, t in got.summands:
+        first = next(u for _, u in summands if term_key(u) == term_key(t))
+        assert t is first
+
+
 _ID = Lam("b", BOOL, singleton(Var("b")))
 _TAIL = Distribution(((_R2, InlV(Void())), (_R2, InrV(Void()))))
 _BODY = singleton(PairV(Var("y"), Var("x")))
@@ -310,44 +327,38 @@ def test_errors_match_the_eager_rendering():
 # -------------------------------------------------------------- mechanisms
 
 
-def _multi_summand_count(d: Distribution) -> int:
-    """Summands of the multi-summand distributions anywhere in d."""
-    total = 0
-    stack: list[object] = [d]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, Distribution):
-            if len(x) > 1:
-                total += len(x)
-            stack.extend(t for _, t in x.summands)
-        elif isinstance(x, PureTerm):
-            stack.extend(getattr(x, f) for f in x.__match_args__)
-    return total
-
-
 def test_one_summand_distribution_is_returned_without_a_key(monkeypatch):
-    def refuse(t):
-        raise AssertionError("keyed a one-summand distribution")
+    def refuse(*terms):
+        raise AssertionError("keyed or compared a one-summand distribution")
 
     monkeypatch.setattr(syntax, "term_key", refuse)
+    monkeypatch.setattr(syntax, "compare", refuse)
     for d in (singleton(Var("x")), singleton(InlV(Void()), -0.5j)):
         assert canonicalize(d) is d
 
 
 def test_parsing_a_compiled_gate_keys_only_multi_summand_distributions(monkeypatch):
     lam = compile_isometry(GateMatrix(_unitary(np.random.default_rng(3), 3)))
-    text = pretty_print(singleton(lam))
+    amps = np.random.default_rng(6).normal(size=8) + 0.5
+    state = encode(StateVector(amps / np.linalg.norm(amps)))
+    text = f"({pretty_print(singleton(lam))}) ({pretty_print(state)})"
     calls = 0
-    real = syntax.term_key
 
-    def counting(t):
-        nonlocal calls
-        calls += 1
-        return real(t)
+    def counting(real):
+        def wrapped(*terms):
+            nonlocal calls
+            calls += 1
+            return real(*terms)
+        return wrapped
 
-    monkeypatch.setattr(syntax, "term_key", counting)
+    monkeypatch.setattr(syntax, "term_key", counting(syntax.term_key))
+    monkeypatch.setattr(syntax, "compare", counting(syntax.compare))
     program = parse_program(text)
-    assert calls <= _multi_summand_count(program)
+    # the gate's scrutinees are single terms and its leaves are read as
+    # written; the argument, printed in canonical order, is put into the
+    # application after one comparison per neighbouring pair of summands
+    assert len(program) == len(state) == 8
+    assert calls <= len(state) - 1
 
 
 def test_checking_a_compiled_gate_prints_nothing(monkeypatch):
@@ -387,12 +398,14 @@ def test_applying_a_gate_to_a_state_keys_no_application(monkeypatch):
     assert len(state) == 16
     want = reference_canonicalize(
         Distribution(tuple((a, App(lam, t)) for a, t in state.summands)))
-    real = syntax.term_key
 
-    def holes_only(t):
-        if isinstance(t, App):
-            raise AssertionError("keyed the operator with its argument")
-        return real(t)
+    def holes_only(real):
+        def wrapped(*terms):
+            if any(isinstance(t, App) for t in terms):
+                raise AssertionError("keyed or compared the operator with its argument")
+            return real(*terms)
+        return wrapped
 
-    monkeypatch.setattr(syntax, "term_key", holes_only)
+    monkeypatch.setattr(syntax, "term_key", holes_only(syntax.term_key))
+    monkeypatch.setattr(syntax, "compare", holes_only(syntax.compare))
     assert mk_app(lam, state) == want

@@ -8,11 +8,18 @@ opened programs whose substitution renames binders, on compiled gates at
 n = 1..4, and on open values up to 80 layers deep under binders that shadow
 one another (`generator.deep_open_values`).  The walkers run on
 `types.walk`, so terms 10,000 deep need no recursion.
+
+`compare` orders terms without building keys.  The comparison tests at the
+end hold its sign to the keys' on generator terms, their alpha-variants and
+changed copies (`generator.alpha_variant`), and deep open values, and order
+terms that differ only under 10,000 layers with the recursion limit a few
+frames above the caller.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +30,7 @@ from generator import (
     OPEN_NAMES,
     ProgramGen,
     _open_value,
+    alpha_variant,
     deep_open_values,
     flow_programs,
     trace_programs,
@@ -41,11 +49,13 @@ from qlam.syntax import (
     Seq,
     Var,
     Void,
+    _FORMS,
     _key,
     _trusted,
     add,
     alpha_eq,
     canonicalize,
+    compare,
     congruent,
     dist_alpha_eq,
     dist_key,
@@ -70,6 +80,8 @@ from qlam.syntax import (
     substitute_many_dist,
     term_key,
 )
+from qlam.surface import parse_program
+from qlam.typecheck import _same_context
 from qlam.types import BOOL, UNIT, Sharp, type_key
 from test_lexer import _unitary
 from test_rewrite import _opened
@@ -325,10 +337,7 @@ def test_free_vars():
 
 
 def _inr_chain(depth: int, name: str) -> PureTerm:
-    t: PureTerm = Var(name)
-    for _ in range(depth):
-        t = InrV(t)
-    return t
+    return _chain(depth, Var(name))
 
 
 def test_free_vars_of_deep_values_need_no_recursion():
@@ -821,3 +830,139 @@ def test_substitution_into_deep_open_values_renames_binders():
         got = substitute(v, "z", value)
         assert got == reference_subst(v, {"z": value})
         assert _binders(singleton(got)) != _binders(singleton(v))
+
+
+# -------------------------------------------------------------- comparison
+
+
+def _key_of(x: PureTerm | Distribution) -> tuple:
+    return dist_key(x) if isinstance(x, Distribution) else term_key(x)
+
+
+def _compares_as_the_keys_compare(x: PureTerm | Distribution,
+                                  y: PureTerm | Distribution) -> int:
+    kx, ky = _key_of(x), _key_of(y)
+    want = (kx > ky) - (kx < ky)
+    assert compare(x, y) == want
+    assert compare(y, x) == -want
+    same = dist_alpha_eq(x, y) if isinstance(x, Distribution) else alpha_eq(x, y)
+    assert same == (want == 0)
+    return want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32))
+def test_compare_orders_generator_terms_as_their_keys_order(seed):
+    g = ProgramGen(seed)
+    rng = random.Random(seed)
+    programs = [g.trace_program()[0], g.flow_program()[0], g.value_distribution()]
+    nodes = [x for d in programs for x, _ in _nodes(d)]
+    for x in nodes:
+        # a changed copy differs, if at all, somewhere inside; another node
+        # of the same class differs anywhere
+        _compares_as_the_keys_compare(x, alpha_variant(x, rng, change=0.05))
+        _compares_as_the_keys_compare(x, rng.choice([y for y in nodes if y.__class__ is x.__class__]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32))
+def test_alpha_variants_compare_equal(seed):
+    g = ProgramGen(seed)
+    rng = random.Random(seed)
+    for d in (g.trace_program()[0], g.flow_program()[0], _opened(g.flow_program()[0], rng)):
+        for x, _ in _nodes(d):
+            assert compare(x, alpha_variant(x, rng)) == 0
+            assert compare(alpha_variant(x, rng), x) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 80).flatmap(deep_open_values), st.integers(1, 80).flatmap(deep_open_values),
+       st.integers(0, 2**32))
+def test_compare_orders_deep_open_values_as_their_keys_order(v, w, seed):
+    rng = random.Random(seed)
+    _compares_as_the_keys_compare(v, w)
+    _compares_as_the_keys_compare(v, alpha_variant(v, rng, change=0.02))
+    assert compare(v, alpha_variant(v, rng)) == 0
+
+
+@pytest.mark.parametrize("context", [
+    "({}) {}",
+    "{1} ; ({0})",
+    "let (p, q) = {1} in ({0}) p ; q",
+    "match {1} {{ inl a -> ({0}) a | inr b -> inr * }}",
+])
+def test_contexts_parsed_apart_compare_by_their_holes(context):
+    # the lambdas are parsed separately, so each summand has a context of
+    # its own, alpha-equivalent to the other's
+    lams = [r"\x:U+U. x ; *", r"\y:U+U. y ; *"]
+    holes = ["inl *", "inr *", "(inl *, inr *)", "(inr *, inl *)", "inl inl *", "inr inr *"]
+    for h1 in holes:
+        for h2 in holes:
+            t1 = parse_program(context.format(lams[0], h1)).summands[0][1]
+            t2 = parse_program(context.format(lams[1], h2)).summands[0][1]
+            hole = _FORMS[t1.__class__].hole
+            assert _same_context(t1, t2)
+            assert compare(t1, t2) == compare(getattr(t1, hole), getattr(t2, hole))
+            assert compare(t1, t2) == _compares_as_the_keys_compare(t1, t2)
+
+
+def _nested_lams(n: int, prefix: str, body: str | None = None) -> PureTerm:
+    """n nested lambdas, with binders prefix0 to prefix(n-1), around the
+    variable named body, or prefix0."""
+    t: PureTerm = Var(body or f"{prefix}0")
+    for i in reversed(range(n)):
+        t = Lam(f"{prefix}{i}", UNIT, singleton(t))
+    return t
+
+
+def _deep_pairs(n: int) -> list[tuple[PureTerm | Distribution, PureTerm | Distribution, int]]:
+    """Pairs of terms that differ only under n layers, each with the sign
+    of their comparison by construction."""
+    shared = singleton(_chain(n, Var("x")))
+    return [
+        # ground values: inl * is below inr *, and a free name below the unit value
+        (_chain(n, INL), _chain(n, INR), -1),
+        (_chain(n, Var("x")), _chain(n, STAR), -1),
+        # under a binder that the other side names otherwise: a bound name
+        # is below an injection, and equal to one at the same distance
+        (Lam("x", UNIT, singleton(_chain(n, Var("x")))),
+         Lam("y", UNIT, singleton(_chain(n, InlV(Var("y"))))), -1),
+        (Lam("x", UNIT, singleton(_chain(n, Var("x")))),
+         Lam("y", UNIT, singleton(_chain(n, Var("y")))), 0),
+        # one body under binders of two names: x is bound on the left only
+        (Lam("x", UNIT, shared), Lam("y", UNIT, shared), -1),
+        # n binders: the outermost is further away than the second
+        (_nested_lams(n, "x"), _nested_lams(n, "y", "y1"), 1),
+        (_nested_lams(n, "x"), _nested_lams(n, "y"), 0),
+        # coefficients: the first summands are equal, the second differ
+        (dist((0.6, _chain(n, INL)), (0.8, _chain(n, Var("x")))),
+         dist((0.6, _chain(n, INL)), (0.8j, _chain(n, Var("x")))), 1),
+    ]
+
+
+def _chain(depth: int, t: PureTerm) -> PureTerm:
+    """t under depth `inr`s."""
+    for _ in range(depth):
+        t = InrV(t)
+    return t
+
+
+def test_deep_pair_signs_are_the_keys_signs_at_small_depth():
+    for x, y, want in _deep_pairs(40):
+        assert _compares_as_the_keys_compare(x, y) == want
+
+
+def test_terms_that_differ_only_under_10000_layers_compare_without_recursion():
+    pairs = _deep_pairs(10_000)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    # a comparison in C recurses only until it raises; no Python frame is
+    # left for a recursive walk
+    sys.setrecursionlimit(depth + 30)
+    try:
+        got = [(compare(x, y), compare(y, x)) for x, y, _ in pairs]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == [(want, -want) for _, _, want in pairs]
