@@ -7,6 +7,11 @@ values an orthonormal family by construction.  Only value distributions have
 an inner product; anything else is a usage error.  Either side may also be
 given in its `keyed` form, so a distribution paired with many others is keyed
 once.
+
+A keyed form keys a ground value by its node's `id`, a flat int that hashes
+in O(1) however deep the value is: ground values are interned, so while the
+keyed form keeps its summands' nodes alive, two equal ground values are one
+live node and have one id.  Any other value is keyed by its `term_key`.
 """
 
 from __future__ import annotations
@@ -17,8 +22,10 @@ from .config import get_tolerance
 from .syntax import Distribution, _merged, is_value, show_term, term_key
 
 
-# a value distribution's canonical coefficients by alpha-key
-Keyed = dict[tuple, complex]
+class Keyed(dict):
+    """A value distribution's canonical coefficients by flat key, holding
+    the summands whose nodes the keys of ground values are the ids of."""
+    __slots__ = ("held",)
 
 
 def keyed(v: Distribution) -> Keyed:
@@ -27,7 +34,10 @@ def keyed(v: Distribution) -> Keyed:
     order.  A caller that pairs one value distribution with many others keys
     it once and passes this instead."""
     _require_values(v)
-    return {term_key(t): a for a, t in _merged(v.summands)}
+    merged = _merged(v.summands)
+    out = Keyed((term_key(t) if t._term_key is None else id(t), a) for a, t in merged)
+    out.held = merged
+    return out
 
 
 def inner_product(v: Distribution | Keyed, w: Distribution | Keyed) -> complex:

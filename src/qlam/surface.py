@@ -14,10 +14,17 @@ comment.
 
 The lexer is one `findall` of a single regex.  Each token is a plain tuple
 `(kind, value)`, with no offsets: punctuation, keywords and the end are
-shared tuples, and each distinct identifier or scalar of a text is read
-once.  The parser names a token by its index.  Only when a `ParseError` or
+shared tuples, and each distinct identifier, scalar or register literal of a
+text is read once.  A register literal is a ground value written as the
+printer writes a register of up to `_MAX_REGISTER` qubits, such as
+`(inl *, (inr *, inl *))`.  `parse_program` reads each one as a single
+`value` token, which the parse loop takes as an atom, as it takes `*`.  The
+parser names a token by its index.  Only when a `ParseError` or
 `HeadNotPure` error is raised is the span of that token, its offsets, line
-and column, found, by scanning the text again with the same regex.
+and column, found, by scanning the text again with the plain regex, which
+has no register token.  Errors come from the plain tokens: where the read
+with register tokens raises, `parse_program` reads the text again without
+them and raises what that read raises.
 
 Terms are parsed by one loop over the tokens and an explicit stack, with no
 recursion, so nesting depth costs heap, not Python frames.  A frame is pushed
@@ -41,6 +48,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import islice
 
+from .quantum import _MAX_REGISTER
 from .syntax import (
     App,
     Distribution,
@@ -96,15 +104,26 @@ _NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 # empty string at the end.  A `.` before a non-ASCII word character is read as
 # any other character, and `_lex_error` tells it apart from a malformed number
 # such as `.²`.
-_TOKEN_RE = re.compile(
-    r"(?:[ \t\r\n]+|--[^\n]*)*"
-    r"([A-Za-z_][A-Za-z0-9_']*"
+_SKIP = r"(?:[ \t\r\n]+|--[^\n]*)*"
+_TOKENS = (
+    r"[A-Za-z_][A-Za-z0-9_']*"
     rf"|{_NUM}(?:/sqrt2|/{_NUM}|[+-]{_NUM}i|i)?"
     r"|->|\.(?![^\W\d_A-Za-z])|[-\\(),;+*={}|:#]"
     r"|."
-    r"|\Z)",
-    re.S,
+    r"|\Z"
 )
+_TOKEN_RE = re.compile(rf"{_SKIP}({_TOKENS})", re.S)
+# A register literal as the printer writes it: pairs nested to the right,
+# `, ` between components, each left component and the last right one a
+# chain of `inl `/`inr ` over `*`, and at most as many pairs as a register
+# of `_MAX_REGISTER` qubits has.  `_REGISTER_TOKEN_RE` reads one as a single
+# token; anything else, a deeper literal's outer pairs among it, is read as
+# `_TOKEN_RE` reads it.
+_CHAIN = r"(?:in[lr] )*\*"
+_RIGHT = _CHAIN
+for _ in range(_MAX_REGISTER - 2):
+    _RIGHT = rf"{_CHAIN}|\({_CHAIN}, (?:{_RIGHT})\)"
+_REGISTER_TOKEN_RE = re.compile(rf"{_SKIP}(\({_CHAIN}, (?:{_RIGHT})\)|{_TOKENS})", re.S)
 # a scalar's parts: the number, then `/sqrt2`, a denominator, an imaginary
 # part after the real one, or `i`
 _SCALAR_RE = re.compile(rf"({_NUM})(?:(/sqrt2)|/({_NUM})|([+-]{_NUM})i|(i))?")
@@ -119,12 +138,14 @@ _SHARED: dict[str, _Token] = {
                         ":", "#", "let", "in", "match", "inl", "inr")
 }
 _SHARED[""] = ("eof", None)
+_VOID = Void()
 
 
-def _lex(text: str) -> list[_Token]:
-    """The tokens of text, the last one the end.  Each distinct identifier
-    and scalar is read once, and its tuple shared by all its occurrences."""
-    found = _TOKEN_RE.findall(text)
+def _lex(text: str, pattern: re.Pattern = _TOKEN_RE) -> list[_Token]:
+    """The tokens of text, the last one the end, as pattern reads them.
+    Each distinct identifier, scalar and register literal is read once, and
+    its tuple shared by all its occurrences."""
+    found = pattern.findall(text)
     if found[-2:] == ["", ""]:
         found.pop()  # blanks or a comment at the end, then the end again
     tokens = dict(_SHARED)
@@ -137,15 +158,35 @@ def _lex(text: str) -> list[_Token]:
 
 
 def _token(s: str) -> _Token | None:
-    """The token of s, a match of `_TOKEN_RE` that is neither punctuation
-    nor a keyword, or None where lexing stops at it."""
+    """The token of s, a match of `_REGISTER_TOKEN_RE` that is neither
+    punctuation nor a keyword, or None where lexing stops at it."""
     if s[0] in _IDENT_START:
         return ("ident", s)
+    if s[0] == "(":
+        return ("value", _register(s))
     if len(s) > 1 or s.isdecimal():
         value = _scalar(s)
         if value is not None:
             return ("scalar", value)
     return None
+
+
+def _register(s: str) -> PureTerm:
+    """The value of a register literal: split at `, `, each component's
+    chain read from the `*` out."""
+    *lefts, last = s.replace("(", "").replace(")", "").split(", ")
+    v = _chain(last)
+    for c in reversed(lefts):
+        v = PairV(_chain(c), v)
+    return v
+
+
+def _chain(c: str) -> PureTerm:
+    """The value of a chain of `inl `/`inr ` over `*`."""
+    v = _VOID
+    for word in reversed(c.split()[:-1]):
+        v = InlV(v) if word == "inl" else InrV(v)
+    return v
 
 
 def _scalar(s: str) -> complex | float | None:
@@ -188,12 +229,11 @@ def _token_span(text: str, at: int) -> SourceSpan:
 
 
 _ONE = complex(1)
-_VOID = Void()
 
 # The tokens that may start what the parse loop reads next: an atom (after
 # `inl`/`inr`, and as an argument), a head term (after a scalar or `;`) or a
 # summand.
-_ATOM = frozenset({"*", "ident", "(", "inl", "inr"})
+_ATOM = frozenset({"*", "ident", "value", "(", "inl", "inr"})
 _HEAD = _ATOM | {"\\", "let", "match"}
 _SUMMAND = _HEAD | {"-", "scalar"}
 # The frames on its stack, tuples whose first item is the kind; `at` is the
@@ -224,9 +264,9 @@ def _dist(v: PureTerm | Distribution) -> Distribution:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, pattern: re.Pattern = _TOKEN_RE):
         self.text = text
-        self.tokens = _lex(text)
+        self.tokens = _lex(text, pattern)
         self.pos = 0
 
     def error(self, message: str, at: int) -> ParseError:
@@ -310,12 +350,25 @@ def _read_type(p: _Parser) -> Type:
 def parse_program(text: str) -> Distribution:
     """The distribution that text writes down.
 
+    It is read with each register literal as one token.  Where that raises
+    a `ParseError` or `HeadNotPure`, the text is read again token by token,
+    and what that raises is raised: the same error, text and span as
+    without register tokens, which a literal could otherwise move."""
+    try:
+        return _parse(_Parser(text, _REGISTER_TOKEN_RE))
+    except (ParseError, TypeCheckError):
+        pass
+    return _parse(_Parser(text))
+
+
+def _parse(p: _Parser) -> Distribution:
+    """The distribution of p's tokens.
+
     One loop reads the tokens.  It descends to an atom, pushing a frame for
     each construct that opens on the way, then pops the frames that the atom
     completes, building each construct as it closes, until another operand
     is to be read or the program ends.  A single unscaled term is carried as
     the bare term and becomes a distribution only where one is stored."""
-    p = _Parser(text)
     tokens = p.tokens
     stack: list[tuple] = [(_END,)]
     push, pop = stack.append, stack.pop
@@ -332,6 +385,9 @@ def parse_program(text: str) -> Distribution:
                 break
             if kind == "ident":
                 v = Var(tok[1])
+                break
+            if kind == "value":
+                v = tok[1]
                 break
             at = pos - 1
             if kind not in reading:

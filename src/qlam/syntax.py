@@ -20,8 +20,9 @@ The structural order is that of `term_key`, a nested tuple, but it is found
 by comparing: `compare` walks two terms or distributions side by side on an
 explicit stack and returns at their first difference, so ordering, merging
 and alpha-equality build no key and cost no Python frame per layer.  Keys
-are still built where a term must be hashed: the inner product's `keyed`
-form and the checker's orthogonality buckets.
+are still used where a term that is not a ground value must be hashed: the
+inner product's `keyed` form, which the checker's orthogonality buckets
+read.  A ground value is hashed there by its node's identity.
 
 The term structure is described once, in `_FORMS`: for each compound form,
 the tag of its key, its subterm fields in order, the binder names in scope
@@ -57,10 +58,13 @@ empty free-variable set and its `term_key`, built in O(1) from its
 children's keys.  So two ground values are alpha-equivalent only when they
 are one object, and two distinct ones are ordered by comparing their keys
 in C, or by `compare`'s walk once they nest too deep for that.  The checker
-keeps a ground value's type and derivation on the node (`_typing`).  Each
-cached datum is a function of the value alone, so what ran earlier in the
-process cannot show.  The cache fields take no part in construction,
-equality, `repr` or `match` patterns.
+keeps a ground value's type and derivation on the node (`_typing`), and the
+printer its text (`_text`), which is the same at every print level.  The
+text is kept the first time the value is printed, not when it is interned,
+where a deep value would cost time quadratic in its depth.  Each cached
+datum is a function of the value alone, so what ran earlier in the process
+cannot show.  The cache fields take no part in construction, equality,
+`repr` or `match` patterns.
 """
 
 from __future__ import annotations
@@ -80,8 +84,9 @@ from .types import _INTERNED, _TAGS as _TYPE_TAGS, Type, _enter, _type_parts, em
 
 def _cache():
     """A field for data derived from the node, None until it is computed
-    (`_fv` by `free_vars`) or set when an interned node is made.  It takes no
-    part in construction, equality, `repr` or `match` patterns."""
+    (`_fv` by `free_vars`, `_text` by printing) or set when an interned node
+    is made.  It takes no part in construction, equality, `repr` or `match`
+    patterns."""
     return field(init=False, default=None, compare=False, repr=False)
 
 
@@ -136,6 +141,7 @@ class Void(_ValueNode):
     """The unit value, written ⋆ (surface syntax: `*`)."""
     _term_key: tuple | None = _cache()
     _typing: tuple | None = _cache()
+    _text: str | None = _cache()
 
     def __new__(cls) -> "Void":
         return _VOID
@@ -148,6 +154,7 @@ class PairV(_ValueNode):
     _fv: frozenset[str] | None = _cache()
     _term_key: tuple | None = _cache()
     _typing: tuple | None = _cache()
+    _text: str | None = _cache()
 
     def __new__(cls, first: PureTerm, second: PureTerm) -> "PairV":
         if (getattr(first, "_term_key", None) is not None
@@ -166,6 +173,7 @@ class InlV(_ValueNode):
     _fv: frozenset[str] | None = _cache()
     _term_key: tuple | None = _cache()
     _typing: tuple | None = _cache()
+    _text: str | None = _cache()
 
     def __new__(cls, value: PureTerm) -> "InlV":
         if getattr(value, "_term_key", None) is not None:
@@ -183,6 +191,7 @@ class InrV(_ValueNode):
     _fv: frozenset[str] | None = _cache()
     _term_key: tuple | None = _cache()
     _typing: tuple | None = _cache()
+    _text: str | None = _cache()
 
     def __new__(cls, value: PureTerm) -> "InrV":
         if getattr(value, "_term_key", None) is not None:
@@ -223,11 +232,13 @@ def _new_node(cls: type, children: tuple[PureTerm, ...], key: tuple | None) -> P
         set_(node, "_fv", None if key is None else _CLOSED)
     set_(node, "_term_key", key)
     set_(node, "_typing", None)
+    set_(node, "_text", None)
     return node
 
 
 # the unit value, which every ground value ends in
 _VOID = _new_node(Void, (), ("void",))
+object.__setattr__(_VOID, "_text", "*")
 
 
 def is_ground(t: PureTerm) -> bool:
@@ -910,14 +921,15 @@ def _parts(t: PureTerm | Distribution | Type, level: int) -> str | Sequence:
     It tests the exact class, commonest first, which is cheaper than the
     isinstance tests of a `match`."""
     cls = t.__class__
-    if cls is Void:
-        return "*"
-    if cls is InlV:
-        return "inl ", (t.value, _ATOMIC)
-    if cls is InrV:
-        return "inr ", (t.value, _ATOMIC)
-    if cls is PairV:
-        return "(", (t.first, _LOW), ", ", (t.second, _LOW), ")"
+    if cls is InlV or cls is PairV or cls is InrV or cls is Void:
+        text = t._text
+        if text is None:
+            if t._term_key is None:
+                return _value_parts(t)
+            # a ground value's text is the same at every level
+            text = emit((t, _LOW), _kept_parts)
+            object.__setattr__(t, "_text", text)
+        return text
     if cls is Var:
         return t.name
     if cls is Distribution:
@@ -957,6 +969,18 @@ def _parts(t: PureTerm | Distribution | Type, level: int) -> str | Sequence:
         s = f"let ({t.left}, {t.right}) = ", (t.scrutinee, _LOW), " in ", (t.body, _LOW)
         return ("(", *s, ")") if level > _LOW else s
     raise TypeError(f"not a pure term: {t!r}")
+
+
+def _value_parts(t: PureTerm) -> tuple:
+    """The pieces of a pair or an injection."""
+    if t.__class__ is PairV:
+        return "(", (t.first, _LOW), ", ", (t.second, _LOW), ")"
+    return "inl " if t.__class__ is InlV else "inr ", (t.value, _ATOMIC)
+
+
+def _kept_parts(t: PureTerm, level: int) -> str | tuple:
+    """For `emit`: the text of a ground value, kept or else by its parts."""
+    return t._text or _value_parts(t)
 
 
 def _applied(t: PureTerm, level: int) -> tuple:

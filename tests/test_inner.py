@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -192,3 +198,43 @@ def test_keyed_forms_give_the_reference_inner_product_exactly(v, w):
     assert inner_product(v2, w) == want
     assert inner_product(keyed(v2), keyed(w)) == want
     assert list(keyed(v2).values()) == [a for a, _ in canonicalize(v2).summands]
+
+
+def test_a_keyed_form_keeps_its_ground_values_alive():
+    # a ground value is keyed by its node's id, which names the value only
+    # while the node lives
+    v = PairV(InrV(InlV(InrV(STAR))), InlV(InlV(InlV(STAR))))
+    node = weakref.ref(v)
+    k = keyed(Distribution(((0.6, v), (0.8, INL))))
+    del v
+    gc.collect()
+    assert node() is not None
+    again = PairV(InrV(InlV(InrV(STAR))), InlV(InlV(InlV(STAR))))
+    assert again is node()
+    assert inner_product(k, singleton(again)) == 0.6
+
+
+_DEEP_KEYED = """
+from qlam.inner import keyed, orthogonal
+from qlam.syntax import Distribution, InlV, InrV, Void
+
+left, right = InlV(Void()), InrV(Void())
+for _ in range(300_000):
+    left, right = InrV(left), InrV(right)
+v = Distribution(((0.6, left), (0.8, right)))
+w = Distribution(((0.8, left), (-0.6, right)))
+kv = keyed(v)
+assert list(kv.values()) == [0.6, 0.8]
+print(orthogonal(kv, keyed(w)), orthogonal(kv, kv))
+"""
+
+
+def test_values_300000_deep_are_keyed_in_a_fresh_process():
+    # a key nested as deep as its value was hashed in C with no recursion
+    # check, which ended the process with SIGSEGV; a crash in this process
+    # would end the test run with it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    r = subprocess.run([sys.executable, "-c", _DEEP_KEYED], capture_output=True, text=True,
+                       env=env, check=False)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "True False\n", "")

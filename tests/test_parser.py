@@ -10,6 +10,11 @@ lambda's annotation through it.  Both read the same `_lex` tokens.  The
 equivalence tests hold the loops to them: the same `repr`, or the same error
 type, text and span, on generator programs and types with blanks, comments
 and extra parentheses, on damaged text and on compiled gates.
+
+`parse_program` reads each register literal as one token.  The register
+tests hold it to the same loop on the plain tokens: the same `repr` and the
+same interned values, the same error, text and span, literals at and past
+the depth bound, and each distinct literal of a text read once.
 """
 
 from __future__ import annotations
@@ -23,7 +28,14 @@ from hypothesis import strategies as st
 
 import qlam.surface as surface
 from generator import DEEP_TYPES, deep_types, types
-from qlam.quantum import GateMatrix, compile_gate, compile_isometry, gate_library
+from qlam.quantum import (
+    _MAX_REGISTER,
+    GateMatrix,
+    basis_value,
+    compile_gate,
+    compile_isometry,
+    gate_library,
+)
 from qlam.surface import ParseError, parse_program, parse_type, pretty_print
 from qlam.syntax import (
     App,
@@ -33,6 +45,7 @@ from qlam.syntax import (
     LetPair,
     Match,
     PairV,
+    PureTerm,
     Seq,
     Var,
     Void,
@@ -47,6 +60,7 @@ from qlam.syntax import (
     mk_pair,
     mk_seq,
     scale,
+    show_term,
     singleton,
 )
 from qlam.typecheck import ErrorKind, TypeCheckError
@@ -453,3 +467,138 @@ def test_deep_annotations_parse_without_recursion(shape):
 def test_deep_mixed_types_read_back_from_their_text(text):
     t = parse_type(text)
     assert parse_type(show_type(t)) is t
+
+
+# --------------------------------------------------------- register tokens
+
+
+def _plain_parse(text: str) -> Distribution:
+    """parse_program's loop on the plain tokens, with no register token."""
+    return surface._parse(surface._Parser(text))
+
+
+def _one_object_per_value(x: Distribution, y: Distribution) -> bool:
+    """Whether x and y, of equal `repr`, hold every ground value at the same
+    place as the same object."""
+    stack = [(x, y)]
+    while stack:
+        a, b = stack.pop()
+        if isinstance(a, Distribution):
+            stack += zip([t for _, t in a.summands], [u for _, u in b.summands])
+        elif a._term_key is not None:
+            if a is not b:
+                return False
+        else:
+            stack += [(getattr(a, f), getattr(b, f)) for f in a.__match_args__
+                      if isinstance(getattr(a, f), (PureTerm, Distribution))]
+    return True
+
+
+def _same_as_plain(text: str) -> None:
+    got, want = parse_program(text), _plain_parse(text)
+    assert repr(got) == repr(want)
+    assert _one_object_per_value(got, want)
+
+
+_GATES = [
+    compile_isometry(GateMatrix(_unitary(np.random.default_rng(31), 2))),
+    compile_isometry(GateMatrix(_unitary(np.random.default_rng(37), 3))),
+    compile_gate(gate_library["CNOT"], [2, 0], 3),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_spaced_texts())
+def test_register_tokens_parse_as_the_plain_tokens_with_blanks_and_comments(texts):
+    for text in texts:
+        _same_as_plain(text)
+
+
+def test_register_tokens_parse_as_the_plain_tokens_on_compiled_gates():
+    for n in range(1, 13):
+        _same_as_plain(pretty_print(singleton(compile_gate(gate_library["X"], [n - 1], n))))
+    for lam in _GATES:
+        _same_as_plain(pretty_print(singleton(lam)))
+
+
+def _literal(rng: random.Random, width: int, space: str = " ") -> str:
+    """A register literal of width components, each a chain of up to three
+    injections over `*`, its pairs nested to the right."""
+    chains = ["inl " * rng.randint(0, 2) + rng.choice(["inl ", "inr ", ""]) + "*"
+              for _ in range(width)]
+    text = chains[-1]
+    for c in reversed(chains[:-1]):
+        text = f"({c},{space}{text})"
+    return text
+
+
+@pytest.mark.parametrize("width", [2, _MAX_REGISTER, _MAX_REGISTER + 1, 3 * _MAX_REGISTER])
+def test_literals_at_and_past_the_depth_bound_parse_as_the_plain_tokens(width):
+    rng = random.Random(width)
+    for _ in range(20):
+        text = _literal(rng, width)
+        kinds = [kind for kind, _ in surface._lex(text, surface._REGISTER_TOKEN_RE)]
+        if width <= _MAX_REGISTER:
+            assert kinds == ["value", "eof"]
+        else:
+            # the outer pairs token by token, the innermost twelve components
+            # as one token
+            assert kinds[0] == "(" and kinds.count("value") == 1
+        for program in (text, f"f {text} {text}", f"0.6 * {text} + 0.8 * (*, {text})",
+                        f"({text}, {text})", f"inr {text}"):
+            _same_as_plain(program)
+
+
+def test_literals_with_other_spacing_are_read_token_by_token():
+    rng = random.Random(3)
+    for text in [_literal(rng, 4, "  "), _literal(rng, 4, ""), "(inl *, -- note\n inr *)",
+                 "((inl *, *), *)", "( inl *, *)", "(inl *, inr * )", "(inl\t*, *)"]:
+        assert "value" not in surface._lex(text, surface._REGISTER_TOKEN_RE)[0]
+        _same_as_plain(text)
+
+
+_gate_texts = st.sampled_from([pretty_print(singleton(lam)) for lam in _GATES])
+_damaged_gates = st.tuples(_gate_texts, st.randoms(use_true_random=False)).map(
+    lambda drawn: _damaged(*drawn))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_damaged_gates, _damaged_texts()))
+def test_damaged_text_gives_the_plain_tokens_error(text):
+    assert _parsed(parse_program, text) == _parsed(_plain_parse, text)
+
+
+@pytest.mark.parametrize("text", [
+    "\\x:(inl *, *). x",
+    "0.5 (inl *, *)",
+    "(0.5 * f + 0.5 * g) (inl *, inr *)",
+    "(0.5 * f + 0.5 * g) x (inl *, inr *)",
+    "f (inl *, (inr *, *)",
+    "f (inl *, (inr *, *))) x",
+    "((inl *, *)",
+    "let (inl *, *) = z in z",
+    "match z { inl (inl *, *) -> * | inr b -> b }",
+    "(inl *, *) (inr *, *) @",
+    "(inl *, inr *) ; (*, *) }",
+    "1/0 * (inl *, *)",
+])
+def test_errors_near_register_literals_are_the_plain_tokens_errors(text):
+    got = _parsed(parse_program, text)
+    assert got == _parsed(_plain_parse, text)
+    assert got[0] in ("ParseError", "TypeCheckError")
+
+
+def test_each_distinct_register_literal_is_read_once(monkeypatch):
+    read = []
+    register = surface._register
+
+    def reading(s):
+        read.append(s)
+        return register(s)
+
+    monkeypatch.setattr(surface, "_register", reading)
+    text = pretty_print(singleton(_GATES[1]))
+    assert repr(parse_program(text)) == repr(_plain_parse(text))
+    # the eight basis values of three qubits, each read once
+    assert sorted(read) == sorted(set(read))
+    assert set(read) == {show_term(basis_value(k, 3)) for k in range(8)}

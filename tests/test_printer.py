@@ -6,7 +6,9 @@ the recursive printers that `syntax.show_dist`, `syntax.show_term` and
 `types.show_type` replaced: one Python frame per node, and a `;` chain in a
 loop of its own.  The equivalence tests hold the one loop of `types.emit` to
 them, byte for byte, on generator programs, their traces, the types of their
-derivations, and compiled gates at n = 1..4.
+derivations, and compiled gates at n = 1..4.  A ground value keeps its text
+once printed: the kept texts match the reference too, and a gate's printing
+writes each distinct value once.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from generator import DEEP_TYPES, DEEP_VALUES, flow_programs, trace_programs, types
+import qlam.syntax as syntax
+from generator import DEEP_TYPES, DEEP_VALUES, flow_programs, ground_values, trace_programs, types
 from qlam.quantum import GateMatrix, compile_gate, compile_isometry, gate_library
 from qlam.rewrite import trace_normalize
 from qlam.surface import parse_program, parse_type, pretty_print
@@ -38,7 +41,7 @@ from qlam.syntax import (
     singleton,
 )
 from qlam.typecheck import check_program
-from qlam.types import Arrow, Prod, Sharp, Sum, Type, Unit, Unknown, show_type
+from qlam.types import Arrow, Prod, Sharp, Sum, Type, Unit, Unknown, emit, show_type
 from test_lexer import _unitary
 
 # ---------------------------------------------------------------- reference
@@ -201,3 +204,65 @@ def test_a_deep_value_prints_as_it_reads(shape):
     d = parse_program(text)
     assert pretty_print(d) == text
     assert show_term(d.summands[0][1], _ATOMIC) == text
+
+
+# ------------------------------------------------------------ kept texts
+
+
+@pytest.mark.parametrize("written", [
+    "U", "B", "#B", "(U+U)+U", "U*(U+(U+U))", "#((U+B)*(B+U))*B", "B*B*B*B*B",
+    "#(B*(B+(U*B)))",
+])
+def test_ground_values_print_as_the_reference_prints(written):
+    for v in ground_values(parse_type(written)):
+        want = reference_show_term(v)
+        for level in (_LOW, _SEQ, _APP, _ATOMIC, _LOW):
+            assert show_term(v, level) == want
+        assert v._text == want
+
+
+def _ground_parts(d: Distribution) -> list[PureTerm]:
+    """The ground values in d that are not part of a larger one."""
+    out, stack = [], [d]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Distribution):
+            stack += [t for _, t in x.summands]
+        elif x._term_key is not None:
+            out.append(x)
+        else:
+            stack += [getattr(x, f) for f in x.__match_args__
+                      if isinstance(getattr(x, f), (PureTerm, Distribution))]
+    return out
+
+
+def test_a_printed_gate_writes_each_distinct_value_once(monkeypatch):
+    d = singleton(compile_isometry(GateMatrix(_unitary(np.random.default_rng(41), 3))))
+    values = {id(v): v for v in _ground_parts(d)}
+    for v in values.values():
+        object.__setattr__(v, "_text", None)  # as if never printed
+    roots = []
+
+    def counting(root, parts):
+        roots.append(root[0])
+        return emit(root, parts)
+
+    monkeypatch.setattr(syntax, "emit", counting)
+    text = show_dist(d)
+    assert text == reference_show_dist(d)
+    # one loop for the gate, then one per distinct value the first time it
+    # is reached: the eight basis values of three qubits
+    assert roots[0] is d and len(values) == 8
+    assert sorted(map(id, roots[1:])) == sorted(values)
+    roots.clear()
+    assert show_dist(d) == text
+    assert roots == [d]
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_VALUES))
+def test_a_deep_value_prints_the_same_twice(shape):
+    text = DEEP_VALUES[shape](_DEEP)
+    (_, v), = parse_program(text).summands
+    assert show_term(v) == text
+    assert v._text == text
+    assert show_term(v, _ATOMIC) == show_dist(singleton(v)) == text
