@@ -11,7 +11,10 @@ once.
 A keyed form keys a ground value by its node's `id`, a flat int that hashes
 in O(1) however deep the value is: ground values are interned, so while the
 keyed form keeps its summands' nodes alive, two equal ground values are one
-live node and have one id.  Any other value is keyed by its `term_key`.
+live node and have one id.  A value with a variable or a lambda inside is
+keyed by an `_Alpha` wrapper, hashed by what alpha-renaming keeps and equal
+to another wrapper exactly when `compare` finds their values
+alpha-equivalent.  No key nests, so a value's depth costs no recursion.
 """
 
 from __future__ import annotations
@@ -19,7 +22,25 @@ from __future__ import annotations
 import math
 
 from .config import get_tolerance
-from .syntax import Distribution, _merged, is_value, show_term, term_key
+from .syntax import Distribution, PureTerm, _merged, compare, free_vars, is_value, show_term
+
+
+class _Alpha:
+    """The key of a value that is not ground.  Its hash reads only what
+    alpha-renaming keeps: the value's class, a lambda's interned annotation
+    and its free names.  Keys in one hash bucket are told apart by
+    `compare`."""
+    __slots__ = ("t", "_hash")
+
+    def __init__(self, t: PureTerm):
+        self.t = t
+        self._hash = hash((t.__class__, getattr(t, "ann", None), free_vars(t)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is _Alpha and compare(self.t, other.t) == 0
 
 
 class Keyed(dict):
@@ -35,7 +56,7 @@ def keyed(v: Distribution) -> Keyed:
     it once and passes this instead."""
     _require_values(v)
     merged = _merged(v.summands)
-    out = Keyed((term_key(t) if t._term_key is None else id(t), a) for a, t in merged)
+    out = Keyed((_Alpha(t) if t._term_key is None else id(t), a) for a, t in merged)
     out.held = merged
     return out
 

@@ -16,28 +16,28 @@ it.  Distributions nested inside terms (bodies, tails, branches) are plain
 syntax and are compared only up to alpha-equivalence in the given summand
 order.
 
-The structural order is that of `term_key`, a nested tuple, but it is found
-by comparing: `compare` walks two terms or distributions side by side on an
-explicit stack and returns at their first difference, so ordering, merging
-and alpha-equality build no key and cost no Python frame per layer.  Keys
-are still used where a term that is not a ground value must be hashed: the
-inner product's `keyed` form, which the checker's orthogonality buckets
-read.  A ground value is hashed there by its node's identity.
+The structural order is defined by `compare`, its only implementation: it
+walks two terms or distributions side by side on an explicit stack and
+returns at their first difference, so ordering, merging and alpha-equality
+build no key and cost no Python frame per layer.  Where a value must be
+hashed, in the inner product's `keyed` form, a ground value is hashed by its
+node's identity and any other value by what alpha-renaming keeps, with
+`compare` telling apart the values that share a hash.
 
 The term structure is described once, in `_FORMS`: for each compound form,
-the tag of its key, its subterm fields in order, the binder names in scope
-over each, and an elimination's hole.  Free variables, substitution,
-alpha-keys and comparison here, and the checker's shared-context test, are
+its tag in the structural order, its subterm fields in order, the binder
+names in scope over each, and an elimination's hole.  Free variables,
+substitution and comparison here, and the checker's shared-context test, are
 loops over that table rather than one case per form.
 
-Free variables, substitution and alpha-keys each run on `types.walk`, the
-one children-first loop over an explicit stack, as a pair of functions: one
+Free variables and substitution each run on `types.walk`, the one
+children-first loop over an explicit stack, as a pair of functions: one
 that gives an item's result at once (a variable, the unit value, a node
-whose `_fv` is set, a ground value's key, a subterm in which no substituted
-name is free) or else lists its subterms, and one that builds the item's
-result from theirs, in field order.  A term's depth costs heap, not Python
-frames.  A substitution that must rename a binder renames the subterm under
-it first, in a walk of its own.
+whose `_fv` is set, a subterm in which no substituted name is free) or else
+lists its subterms, and one that builds the item's result from theirs, in
+field order.  A term's depth costs heap, not Python frames.  A substitution
+that must rename a binder renames the subterm under it first, in a walk of
+its own.
 
 Every compound node and every distribution caches its free-variable set in a
 `_fv` field, computed on first use.  Substitution uses it to hand back
@@ -54,17 +54,17 @@ constructors, substitution, `encode`) therefore shares it, and a ground value
 is compared and hashed by identity: it is the only object equal to itself.
 A value node with a variable or an abstraction inside is not interned and
 keeps the structural dataclass `==` and hash.  An interned node carries its
-empty free-variable set and its `term_key`, built in O(1) from its
-children's keys.  So two ground values are alpha-equivalent only when they
-are one object, and two distinct ones are ordered by comparing their keys
-in C, or by `compare`'s walk once they nest too deep for that.  The checker
-keeps a ground value's type and derivation on the node (`_typing`), and the
-printer its text (`_text`), which is the same at every print level.  The
-text is kept the first time the value is printed, not when it is interned,
-where a deep value would cost time quadratic in its depth.  Each cached
-datum is a function of the value alone, so what ran earlier in the process
-cannot show.  The cache fields take no part in construction, equality,
-`repr` or `match` patterns.
+empty free-variable set and its key, (its tag, *its children's keys), built
+in O(1) from its children's.  So two ground values are alpha-equivalent only
+when they are one object, and two distinct ones are ordered by comparing
+their keys in C, or by `compare`'s walk once they nest too deep for that.
+The checker keeps a ground value's type and derivation on the node
+(`_typing`), and the printer its text (`_text`), which is the same at every
+print level.  The text is kept the first time the value is printed, not
+when it is interned, where a deep value would cost time quadratic in its
+depth.  Each cached datum is a function of the value alone, so what ran
+earlier in the process cannot show.  The cache fields take no part in
+construction, equality, `repr` or `match` patterns.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ from typing import NamedTuple
 from weakref import ref
 
 from .config import get_tolerance
-from .types import _INTERNED, _TAGS as _TYPE_TAGS, Type, _enter, _type_parts, emit, type_key, walk
+from .types import _INTERNED, _TAGS as _TYPE_TAGS, Type, _enter, _type_parts, emit, walk
 
 
 def _cache():
@@ -92,8 +92,8 @@ def _cache():
 
 class PureTerm:
     __slots__ = ()
-    # a ground value's alpha-key, kept on the node (see `_interned`); no
-    # other term has one
+    # a ground value's key, which `compare` orders ground values by, kept on
+    # the node (see `_interned`); no other term has one
     _term_key = None
 
     def __str__(self) -> str:
@@ -205,8 +205,8 @@ class InrV(_ValueNode):
 
 def _interned(cls: type, first: PureTerm, second: PureTerm | None = None) -> PureTerm:
     """The one node cls(first) or cls(first, second) of a ground value, whose
-    children are ground values.  Its `term_key` is (its tag, *the children's
-    keys), as `_key` would build it, in O(1)."""
+    children are ground values.  Its key is (its tag, *the children's keys),
+    which `compare` reads, built in O(1)."""
     if second is None:
         probe = (cls, ref(first))
     else:
@@ -284,7 +284,7 @@ class Match(PureTerm):
 
 
 class _Form(NamedTuple):
-    """How a compound term form is built: the tag that heads its `term_key`,
+    """How a compound term form is built: its tag in the structural order,
     its subterm fields in order, each with the binder-name fields in scope
     over it, and for an elimination the field of its hole."""
     tag: str
@@ -312,7 +312,7 @@ class Distribution:
     summands: tuple[tuple[complex, PureTerm], ...]
     _fv: frozenset[str] | None = _cache()
     # no key of its own, as a term that is not a ground value has none, so
-    # `_key_parts` may read it before it tests the class
+    # `compare` may read it before it tests the class
     _term_key = None
 
     def __post_init__(self) -> None:
@@ -403,8 +403,7 @@ def _fv_parts(x: PureTerm | Distribution) -> frozenset[str] | list:
         return fv
     if cls is Distribution:
         return list(map(_second, x.summands))
-    # loops, not comprehensions, which cost a function call each in Python
-    # 3.11; in the key walk they took about a fifth of its time
+    # a loop, not a comprehension, which costs a function call in Python 3.11
     parts = []
     for part, _ in _FORMS[cls].parts:
         parts.append(getattr(x, part))
@@ -537,74 +536,21 @@ def _under_binders(
 # ---------------------------------------------------------------------------
 # alpha-equivalence, canonical form, congruence
 
-def term_key(t: PureTerm) -> tuple:
-    """Structural key: equal on exactly the alpha-equivalent terms, and
-    totally ordered (string tags, de Bruijn distances for bound variables,
-    names for free ones, coefficients as real/imaginary pairs).  `compare`
-    finds this order without building keys; a key is built where a term is
-    hashed, as by `inner.keyed`."""
-    # a ground value carries its key, so most summands start no walk
-    return t._term_key or _key(t, {}, 0)
-
-
-def dist_key(d: Distribution) -> tuple:
-    return _key(d, {}, 0)
-
-
-def _key(x: PureTerm | Distribution, bound: dict[str, int], depth: int) -> tuple:
-    """The `term_key` of a term or the `dist_key` of a distribution x under
-    binders: bound maps each name bound around x to its binder's depth, and
-    depth counts the binders around x."""
-    return walk((x, bound, depth), _key_parts, _keyed)
-
-
-def _key_parts(item: tuple) -> tuple | list:
-    """For `walk`: the key of an (x, bound, depth) item when x is a ground
-    value, which carries its key that no binder can change, or a variable,
-    else the items of x's subterms, each under the binders in scope over
-    it."""
-    x, bound, depth = item
-    key = x._term_key
-    if key is not None:
-        return key
-    cls = x.__class__
-    if cls is Var:
-        at = bound.get(x.name)
-        return ("fv", x.name) if at is None else ("bv", depth - at)
-    parts = []
-    if cls is Distribution:
-        for _, t in x.summands:
-            parts.append((t, bound, depth))
-        return parts
-    for part, binders in _FORMS[cls].parts:
-        inner, d = bound, depth
-        if binders:
-            inner = bound.copy()
-            for b in binders:
-                inner[getattr(x, b)] = d
-                d += 1
-        parts.append((getattr(x, part), inner, d))
-    return parts
-
-
-def _keyed(item: tuple, keys: list) -> tuple:
-    """For `walk`: an item's key, from its subterms' keys."""
-    x = item[0]
-    cls = x.__class__
-    if cls is Distribution:
-        key = ["dist"]
-        for (a, _), k in zip(x.summands, keys):
-            key.append((("c", a.real, a.imag), k))
-        return tuple(key)
-    tag = _FORMS[cls].tag
-    return (tag, type_key(x.ann), *keys) if cls is Lam else (tag, *keys)
-
-
 def compare(x: PureTerm | Distribution, y: PureTerm | Distribution) -> int:
-    """-1, 0 or 1 as the `term_key` of term x is below, equal to or above
-    y's, or the `dist_key` of distribution x is y's; so 0 exactly when they
-    are alpha-equivalent.  No key is built: two ground values are equal only
-    when they are one object, and otherwise ordered by their kept keys."""
+    """-1, 0 or 1 as term or distribution x is below, equal to or above y
+    in the structural order, which is defined here; so 0 exactly when they
+    are alpha-equivalent.  Two terms are ordered by their tags first, as
+    strings (`_TAG`; a variable's is "bv" when it is bound, else "fv"), then
+    two bound variables by the distance to their binder, nearer first, two
+    free ones by name, and two other terms by their parts in field order, a
+    lambda's annotation (by its type key) before its body.  Two
+    distributions are ordered summand by summand, each by the (real,
+    imaginary) parts of its coefficient and then by its term, and the one
+    that runs out of summands first is below.  `reference_key` in
+    `tests/test_syntax.py` builds this order as nested keys, and is the
+    oracle the tests hold `compare` to.  No key is built here: two ground
+    values are equal only when they are one object, and otherwise ordered
+    by their kept keys."""
     if x is y:
         return 0
     kx, ky = x._term_key, y._term_key
@@ -616,8 +562,8 @@ def compare(x: PureTerm | Distribution, y: PureTerm | Distribution) -> int:
     return _compare(x, y)
 
 
-# the first element of a `term_key` or type key, by class; a variable's is
-# "bv" or "fv", by whether it is bound
+# the tag `compare` orders terms and types by first, by class; a variable's
+# is "bv" or "fv", by whether it is bound
 _TAG: dict[type, str] = {cls: form.tag for cls, form in _FORMS.items()}
 _TAG |= {Void: "void"} | _TYPE_TAGS
 
@@ -749,11 +695,11 @@ def dist_alpha_eq(d1: Distribution, d2: Distribution) -> bool:
 
 def canonicalize(d: Distribution) -> Distribution:
     """Merge alpha-equivalent summands by adding coefficients (zeros are
-    kept) into the first of them, and order the summands by `compare`, which
-    is the order of their `term_key`s.  A distribution whose summands already
-    strictly increase comes back as it is, after one comparison per
-    neighbouring pair; a one-summand distribution makes none, so building a
-    term from single summands costs time linear in it."""
+    kept) into the first of them, and order the summands by `compare`, the
+    structural order.  A distribution whose summands already strictly
+    increase comes back as it is, after one comparison per neighbouring
+    pair; a one-summand distribution makes none, so building a term from
+    single summands costs time linear in it."""
     merged = _merged(d.summands)
     return d if merged is d.summands else Distribution(merged)
 

@@ -955,13 +955,13 @@ def _instance(
     return keyed(_ground_branch(b, assignment, here))
 
 
-def _holders(instances: Iterable[tuple[object, Keyed]]) -> dict[tuple, list]:
+def _holders(instances: Iterable[tuple[object, Keyed]]) -> dict[object, list]:
     """For each key, the tags of the keyed instances that hold it, in order.
     Two instances that share no key have an inner product of exactly 0, so
     only the instances a key leads to need comparing; they are compared in
     the order of the tags, which keeps the first failure the same as when
     every pair is compared."""
-    out: dict[tuple, list] = {}
+    out: dict[object, list] = {}
     for tag, inst in instances:
         for k in inst:
             out.setdefault(k, []).append(tag)

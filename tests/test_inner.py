@@ -1,10 +1,17 @@
-"""Pseudo inner product, orthogonality, norm."""
+"""Pseudo inner product, orthogonality, norm.
+
+The laws and the keyed forms are tested on ground values, on closed and open
+lambda values inside pairs and injections, and on alpha-variants of them
+(`generator.alpha_variant`).  `reference_inner_product` keys summands by
+`reference_key` from `tests/test_syntax.py`, the nested key the structural
+order was once built from."""
 
 from __future__ import annotations
 
 import gc
 import math
 import os
+import random
 import subprocess
 import sys
 import weakref
@@ -14,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from generator import alpha_variant
 from qlam.inner import inner_product, keyed, norm, orthogonal
 from qlam.syntax import (
     App,
@@ -28,9 +36,9 @@ from qlam.syntax import (
     canonicalize,
     scale,
     singleton,
-    term_key,
 )
-from qlam.types import UNIT
+from qlam.types import BOOL, UNIT
+from test_syntax import reference_key
 
 STAR = Void()
 INL = InlV(STAR)
@@ -123,14 +131,22 @@ def test_norm_zero_threshold_reading():
 
 # ---------------------------------------------------------------- laws
 
-_values = st.recursive(
-    st.sampled_from([STAR, INL, INR]),
+# ground values, the free names x and y, and lambdas that bind one of them
+# or neither, so some are closed and some open; and alpha-variants of these
+_plain_values = st.recursive(
+    st.sampled_from([STAR, INL, INR, Var("x"), Var("y")]),
     lambda inner: st.one_of(
         st.tuples(inner, inner).map(lambda p: PairV(*p)),
         inner.map(InlV),
         inner.map(InrV),
+        st.builds(lambda x, ann, v: Lam(x, ann, singleton(v)),
+                  st.sampled_from(["x", "y", "z"]), st.sampled_from([UNIT, BOOL]), inner),
     ),
     max_leaves=4,
+)
+_values = st.one_of(
+    _plain_values,
+    st.builds(alpha_variant, _plain_values, st.randoms(use_true_random=False)),
 )
 _coeffs = st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False)
 _dists = st.lists(st.tuples(_coeffs, _values), min_size=1, max_size=4).map(
@@ -179,25 +195,70 @@ def test_norm_nonnegative(v):
 
 
 def reference_inner_product(v: Distribution, w: Distribution) -> complex:
-    """The inner product as it was computed from both canonical forms."""
-    left = {term_key(t): a for a, t in canonicalize(v).summands}
+    """The inner product as it was computed from both canonical forms, with
+    each summand keyed by its nested reference key."""
+    left = {reference_key(t, {}, 0): a for a, t in canonicalize(v).summands}
     out = 0j
     for b, t in canonicalize(w).summands:
-        a = left.get(term_key(t))
+        a = left.get(reference_key(t, {}, 0))
         if a is not None:
             out += a.conjugate() * b
     return out
 
 
 @settings(max_examples=300, deadline=None)
-@given(_dists, _dists)
-def test_keyed_forms_give_the_reference_inner_product_exactly(v, w):
-    # repeated summands merge, and sums run in canonical order either way
-    v2 = add(v, scale(0.5j, v))
-    want = reference_inner_product(v2, w)
-    assert inner_product(v2, w) == want
-    assert inner_product(keyed(v2), keyed(w)) == want
+@given(_dists, _dists, st.randoms(use_true_random=False))
+def test_keyed_forms_give_the_reference_inner_product_exactly(v, w, rng):
+    # repeated summands and alpha-variants merge, and sums run in canonical
+    # order either way; w shares some summands with v up to renaming
+    v2 = add(v, scale(0.5j, v), scale(-0.25, alpha_variant(v, rng)))
+    w2 = add(w, scale(0.75, alpha_variant(v, rng)))
+    for right in (w, w2):
+        want = reference_inner_product(v2, right)
+        assert inner_product(v2, right) == want
+        assert inner_product(keyed(v2), keyed(right)) == want
     assert list(keyed(v2).values()) == [a for a, _ in canonicalize(v2).summands]
+
+
+def _closed_lams(count: int) -> list[Lam]:
+    """count closed lambdas binding x:U, no two alpha-equivalent: their
+    bodies are `inr^k inl x` and `inr^k inl *` for k below count / 2."""
+    out = []
+    for k in range(count):
+        t = InlV(Var("x") if k % 2 == 0 else STAR)
+        for _ in range(k // 2):
+            t = InrV(t)
+        out.append(Lam("x", UNIT, singleton(t)))
+    return out
+
+
+def test_closed_lambdas_in_one_hash_bucket_give_the_reference_inner_product():
+    # every key hashes alike (class, annotation, no free name), so the dict
+    # tells them apart by `compare` alone
+    rng = random.Random(7)
+    lams = _closed_lams(200)
+    v = Distribution(tuple((complex(k + 1, -k), t) for k, t in enumerate(lams)))
+    variants = [(complex(1, k), alpha_variant(t, rng)) for k, t in enumerate(lams)]
+    rng.shuffle(variants)
+    w = Distribution(tuple(variants))
+    kv, kw = keyed(v), keyed(w)
+    assert len({hash(k) for k in kv} | {hash(k) for k in kw}) == 1
+    assert len(kv) == len(kw) == 200
+    assert inner_product(kv, kw) == reference_inner_product(v, w)
+    assert inner_product(kw, kv) == reference_inner_product(w, v)
+
+
+def test_a_lambda_key_and_an_int_of_its_hash_are_told_apart():
+    # an int id and a lambda's key can share a hash; neither is equal to the
+    # other, and comparing them raises nothing.  An int hashes to itself
+    # only below the hash modulus, so the key is one whose hash lies there.
+    keys = (k for i in range(100) for k in keyed(singleton(Lam("x", UNIT, singleton(Var(f"y{i}"))))))
+    k = next(k for k in keys if abs(hash(k)) < sys.hash_info.modulus)
+    h = hash(k)
+    assert hash(h) == h
+    d = {k: "lambda", h: "int"}
+    assert len(d) == 2 and d[k] == "lambda" and d[h] == "int"
+    assert k != h and h != k
 
 
 def test_a_keyed_form_keeps_its_ground_values_alive():
@@ -238,3 +299,36 @@ def test_values_300000_deep_are_keyed_in_a_fresh_process():
     r = subprocess.run([sys.executable, "-c", _DEEP_KEYED], capture_output=True, text=True,
                        env=env, check=False)
     assert (r.returncode, r.stdout, r.stderr) == (0, "True False\n", "")
+
+
+_DEEP_LAMS_KEYED = """
+from qlam.inner import inner_product, keyed, orthogonal
+from qlam.syntax import Distribution, InlV, InrV, Lam, Var, singleton
+from qlam.types import UNIT
+
+
+def chain(outer, name):
+    t = outer(Lam(name, UNIT, singleton(Var(name))))
+    for _ in range(300_000):
+        t = InrV(t)
+    return t
+
+
+v = Distribution(((0.6, chain(InlV, "x")), (0.8, chain(InrV, "x"))))
+w = Distribution(((0.8, chain(InlV, "y")), (-0.6, chain(InrV, "y"))))
+kv, kw = keyed(v), keyed(w)
+assert list(kv.values()) == [0.6, 0.8] and list(kw.values()) == [0.8, -0.6]
+print(inner_product(kv, kw), inner_product(kv, kv) == 0.6 * 0.6 + 0.8 * 0.8,
+      orthogonal(kv, kw), orthogonal(kv, kv))
+"""
+
+
+def test_lambda_values_300000_deep_are_keyed_in_a_fresh_process():
+    # a value with a lambda inside was keyed by a tuple nested as deep as
+    # the value, whose hash ended the process with SIGSEGV; its key now
+    # hashes flat, and alpha-equivalent values are found equal by `compare`
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    r = subprocess.run([sys.executable, "-c", _DEEP_LAMS_KEYED], capture_output=True, text=True,
+                       env=env, check=False)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "0j True True False\n", "")

@@ -1,14 +1,15 @@
 """Parsing and checking in time linear in the term.
 
 `canonicalize` hands back a one-summand distribution as it is, so the
-parser's `mk_*` calls on single scrutinees and arguments neither compute
-alpha-keys nor compare terms.  The `mk_*` constructors order only the holes
-they fill, never the shared context around them.  The checker keeps the
-term or distribution it types and prints it only when an error is raised or
-a derivation's subject is read.
+parser's `mk_*` calls on single scrutinees and arguments compare no terms.
+The `mk_*` constructors order only the holes they fill, never the shared
+context around them.  The checker keeps the term or distribution it types
+and prints it only when an error is raised or a derivation's subject is
+read.
 
 The equivalence tests hold the new code to the behaviour it replaced: the
-merge-and-sort canonical form by keys (`reference_canonicalize`), derivation
+merge-and-sort canonical form by the nested keys of
+`test_syntax.reference_key` (`reference_canonicalize`), derivation
 subjects printed at every node (`eager_subjects`), and error texts recorded
 from the checker that printed eagerly (`eager_errors.json`).  The mechanism
 tests count the calls that made parsing and checking cost size × depth.
@@ -65,7 +66,6 @@ from qlam.syntax import (
     show_dist,
     show_term,
     singleton,
-    term_key,
 )
 from qlam.typecheck import (
     Derivation,
@@ -75,6 +75,7 @@ from qlam.typecheck import (
     check_program,
 )
 from qlam.types import BOOL, Arrow, qubits
+from test_syntax import reference_key
 
 _R2 = 1 / math.sqrt(2)
 
@@ -87,7 +88,7 @@ def reference_canonicalize(d: Distribution) -> Distribution:
     alpha-equivalent summands by adding coefficients, sort by the key."""
     acc: dict[tuple, list] = {}
     for a, t in d.summands:
-        k = term_key(t)
+        k = reference_key(t, {}, 0)
         slot = acc.get(k)
         if slot is None:
             acc[k] = [a, t]
@@ -206,7 +207,8 @@ def test_canonicalize_merges_shuffled_alpha_variants_into_the_first(d, seed):
     got = canonicalize(shuffled)
     assert got == reference_canonicalize(shuffled)
     for _, t in got.summands:
-        first = next(u for _, u in summands if term_key(u) == term_key(t))
+        first = next(u for _, u in summands
+                     if reference_key(u, {}, 0) == reference_key(t, {}, 0))
         assert t is first
 
 
@@ -329,9 +331,8 @@ def test_errors_match_the_eager_rendering():
 
 def test_one_summand_distribution_is_returned_without_a_key(monkeypatch):
     def refuse(*terms):
-        raise AssertionError("keyed or compared a one-summand distribution")
+        raise AssertionError("compared a one-summand distribution")
 
-    monkeypatch.setattr(syntax, "term_key", refuse)
     monkeypatch.setattr(syntax, "compare", refuse)
     for d in (singleton(Var("x")), singleton(InlV(Void()), -0.5j)):
         assert canonicalize(d) is d
@@ -351,7 +352,6 @@ def test_parsing_a_compiled_gate_keys_only_multi_summand_distributions(monkeypat
             return real(*terms)
         return wrapped
 
-    monkeypatch.setattr(syntax, "term_key", counting(syntax.term_key))
     monkeypatch.setattr(syntax, "compare", counting(syntax.compare))
     program = parse_program(text)
     # the gate's scrutinees are single terms and its leaves are read as
@@ -402,10 +402,9 @@ def test_applying_a_gate_to_a_state_keys_no_application(monkeypatch):
     def holes_only(real):
         def wrapped(*terms):
             if any(isinstance(t, App) for t in terms):
-                raise AssertionError("keyed or compared the operator with its argument")
+                raise AssertionError("compared the operator with its argument")
             return real(*terms)
         return wrapped
 
-    monkeypatch.setattr(syntax, "term_key", holes_only(syntax.term_key))
     monkeypatch.setattr(syntax, "compare", holes_only(syntax.compare))
     assert mk_app(lam, state) == want

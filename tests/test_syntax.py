@@ -1,19 +1,20 @@
 """Distribution algebra: canonical forms, congruence, substitution, printing.
 
-`reference_free_vars`, `reference_subst` and `reference_key` are the
-recursive walkers, one case per term form, that the loops over
-`syntax._FORMS` replaced.  The equivalence tests at the end hold free
-variables, substitution and alpha-keys to them on generator programs, on
-opened programs whose substitution renames binders, on compiled gates at
-n = 1..4, and on open values up to 80 layers deep under binders that shadow
-one another (`generator.deep_open_values`).  The walkers run on
-`types.walk`, so terms 10,000 deep need no recursion.
+`reference_free_vars` and `reference_subst` are the recursive walkers, one
+case per term form, that the loops over `syntax._FORMS` replaced.  The
+equivalence tests at the end hold free variables and substitution to them
+on generator programs, on opened programs whose substitution renames
+binders, on compiled gates at n = 1..4, and on open values up to 80 layers
+deep under binders that shadow one another (`generator.deep_open_values`).
+The walkers run on `types.walk`, so terms 10,000 deep need no recursion.
 
-`compare` orders terms without building keys.  The comparison tests at the
-end hold its sign to the keys' on generator terms, their alpha-variants and
-changed copies (`generator.alpha_variant`), and deep open values, and order
-terms that differ only under 10,000 layers with the recursion limit a few
-frames above the caller.
+`reference_key` builds the structural order as nested keys, one case per
+term form: the oracle for `compare`, which orders terms without building
+keys and is the order's only implementation.  The comparison tests at the
+end hold its sign to the reference keys' on generator terms, their
+alpha-variants and changed copies (`generator.alpha_variant`), and deep
+open values, and order terms that differ only under 10,000 layers with the
+recursion limit a few frames above the caller.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from generator import (
     flow_programs,
     trace_programs,
 )
+from qlam.inner import inner_product, keyed
 from qlam.quantum import GateMatrix, compile_gate, compile_isometry, gate_library
 from qlam.syntax import (
     App,
@@ -50,7 +52,6 @@ from qlam.syntax import (
     Var,
     Void,
     _FORMS,
-    _key,
     _trusted,
     add,
     alpha_eq,
@@ -58,7 +59,6 @@ from qlam.syntax import (
     compare,
     congruent,
     dist_alpha_eq,
-    dist_key,
     fresh_name,
     free_vars,
     free_vars_dist,
@@ -78,7 +78,6 @@ from qlam.syntax import (
     substitute_dist,
     substitute_many,
     substitute_many_dist,
-    term_key,
 )
 from qlam.surface import parse_program
 from qlam.typecheck import _same_context
@@ -354,12 +353,12 @@ def test_free_vars_of_deep_values_need_no_recursion():
 def test_keys_and_substitution_of_deep_open_values_need_no_recursion():
     depth = 10_000
     lam = Lam("x", UNIT, singleton(_inr_chain(depth, "x")))
-    assert term_key(lam)[:2] == ("lam", type_key(UNIT))
-    key = dist_key(singleton(lam))[1][1][2][1][1]
-    for _ in range(depth):
-        assert key[0] == "inr"
-        key = key[1]
-    assert key == ("bv", 1)
+    # a lambda is keyed flat and told apart from another in its hash bucket
+    # by `compare`: equal to an alpha-variant, and not to a body that ends in
+    # another value
+    k = keyed(singleton(lam))
+    assert inner_product(k, singleton(Lam("y", UNIT, singleton(_inr_chain(depth, "y"))))) == 1
+    assert inner_product(k, singleton(Lam("y", UNIT, singleton(_chain(depth, STAR))))) == 0
     # y := x under the binder x renames it to x_1, in a nested walk of the body
     open_lam = Lam("x", UNIT, singleton(PairV(_inr_chain(depth, "x"), Var("y"))))
     got = substitute(open_lam, "y", Var("x"))
@@ -659,6 +658,10 @@ def _reference_under_binders(names, body, mapping):
 
 
 def reference_key(t: PureTerm, bound: dict[str, int], depth: int) -> tuple:
+    """t's place in the structural order as a nested key, under binders:
+    bound maps each name bound around t to its binder's depth, and depth
+    counts the binders around t.  Two terms' keys compare as `compare`
+    compares the terms, and are equal exactly on alpha-equivalent ones."""
     match t:
         case Var(x):
             at = bound.get(x)
@@ -718,18 +721,12 @@ def _nodes(d: Distribution):
 
 
 def _walks_as_the_reference_walks(d: Distribution) -> None:
-    """Free variables and keys of every node of d, alone and under the
-    binders around it, equal the reference's."""
-    for x, around in _nodes(d):
-        bound = {name: depth for depth, name in enumerate(around)}
+    """Free variables of every node of d equal the reference's."""
+    for x, _ in _nodes(d):
         if isinstance(x, Distribution):
             assert free_vars_dist(x) == reference_free_vars(x)
-            assert dist_key(x) == reference_dkey(x, {}, 0)
-            assert _key(x, bound, len(around)) == reference_dkey(x, bound, len(around))
         else:
             assert free_vars(x) == reference_free_vars(x)
-            assert term_key(x) == reference_key(x, {}, 0)
-            assert _key(x, bound, len(around)) == reference_key(x, bound, len(around))
 
 
 def _substitutes_as_the_reference_substitutes(d: Distribution, mappings) -> int:
@@ -813,10 +810,7 @@ _OPEN_VALUES = [Var(n) for n in OPEN_NAMES] + [
 def test_deep_open_values_walk_as_the_reference_walks(v, name, value, other):
     # the references and `==` recurse a few frames per layer, so depths stay
     # where they run within the default recursion limit
-    bound = {"y": 0, "x": 1}
     assert free_vars(v) == reference_free_vars(v)
-    assert term_key(v) == reference_key(v, {}, 0)
-    assert _key(v, bound, 2) == reference_key(v, bound, 2)
     assert substitute(v, name, value) == reference_subst(v, {name: value})
     mapping = {name: value, "z" if name != "z" else "y": other}
     assert substitute_many(v, mapping) == reference_subst(v, mapping)
@@ -836,7 +830,7 @@ def test_substitution_into_deep_open_values_renames_binders():
 
 
 def _key_of(x: PureTerm | Distribution) -> tuple:
-    return dist_key(x) if isinstance(x, Distribution) else term_key(x)
+    return reference_dkey(x, {}, 0) if isinstance(x, Distribution) else reference_key(x, {}, 0)
 
 
 def _compares_as_the_keys_compare(x: PureTerm | Distribution,
