@@ -12,9 +12,11 @@ A keyed form keys a ground value by its node's `id`, a flat int that hashes
 in O(1) however deep the value is: ground values are interned, so while the
 keyed form keeps its summands' nodes alive, two equal ground values are one
 live node and have one id.  A value with a variable or a lambda inside is
-keyed by an `_Alpha` wrapper, hashed by what alpha-renaming keeps and equal
-to another wrapper exactly when `compare` finds their values
-alpha-equivalent.  No key nests, so a value's depth costs no recursion.
+keyed by an `_Alpha` wrapper, hashed by what alpha-renaming keeps of the
+value's whole shape, read in one walk, and equal to another wrapper exactly
+when `compare` finds their values alpha-equivalent.  Alpha-distinct values
+of different shapes hash apart, so few keys share a bucket.  No key nests,
+so a value's depth costs no recursion.
 """
 
 from __future__ import annotations
@@ -22,19 +24,33 @@ from __future__ import annotations
 import math
 
 from .config import get_tolerance
-from .syntax import Distribution, PureTerm, _merged, compare, free_vars, is_value, show_term
+from .syntax import _STACKED, Distribution, PureTerm, _merged, compare, free_vars, is_value, show_term
 
 
 class _Alpha:
     """The key of a value that is not ground.  Its hash reads only what
-    alpha-renaming keeps: the value's class, a lambda's interned annotation
-    and its free names.  Keys in one hash bucket are told apart by
-    `compare`."""
+    alpha-renaming keeps, from one walk of the whole value on an explicit
+    stack: its free names, and in walk order each node's class and a
+    lambda's interned annotation, each distribution's summand count and
+    each ground sub-value's id, where the walk stops.  Bound names are left
+    out, so alpha-variants hash alike.  The hash is one flat tuple's, taken
+    once.  Keys in one hash bucket are told apart by `compare`."""
     __slots__ = ("t", "_hash")
 
     def __init__(self, t: PureTerm):
         self.t = t
-        self._hash = hash((t.__class__, getattr(t, "ann", None), free_vars(t)))
+        shape, stack = [free_vars(t)], [t]
+        while stack:
+            x = stack.pop()
+            if x._term_key is not None:
+                shape.append(id(x))
+            elif x.__class__ is Distribution:
+                shape.append(len(x.summands))
+                stack += [u for _, u in x.summands]
+            else:
+                shape += (x.__class__, getattr(x, "ann", None))
+                stack += [getattr(x, part) for part, _ in _STACKED.get(x.__class__, ())]
+        self._hash = hash(tuple(shape))
 
     def __hash__(self) -> int:
         return self._hash

@@ -6,9 +6,12 @@ first: |10> is (inr *, inl *).  encode and decode translate between state
 vectors and value distributions over these tuples; compile_gate turns a
 g-qubit matrix acting on chosen qubits of an n-qubit register into a lambda
 that destructures its argument one qubit at a time and superposes the
-columns of U (x) I, written straight from the small matrix.  run_circuit folds
-a gate list over an input both ways, through the rewrite engine and through a
-tensor contraction of the state with each gate, so the two can be compared.
+columns of U (x) I, written straight from the small matrix.  The tree is
+built one loop per level, from the register's levels (each level's domain
+type, names and variable nodes), which a caller makes once and every gate
+on that register shares.  run_circuit folds a gate list over an input both
+ways, through the rewrite engine and through one matrix product of the
+state with each gate, so the two can be compared.
 """
 
 from __future__ import annotations
@@ -36,9 +39,11 @@ from .syntax import (
     Seq,
     Var,
     Void,
+    _set_dist_fv,
+    _set_summands,
     _trusted,
 )
-from .types import Type, qubits
+from .types import BOOL, Prod, Sharp
 
 
 class NotAnIsometry(ValueError):
@@ -174,46 +179,26 @@ def matrix_apply(gate: GateMatrix, state: StateVector) -> StateVector:
 # ---------------------------------------------------------------------------
 # compilation
 
-def _primed(base: str, depth: int) -> str:
-    return base + "'" * depth
-
-
-def _case_tree(images: list[Distribution], qubit_count: int) -> PureTerm:
-    """Build the tree bottom-up, one level per qubit from the last one out.
-    A node of the last qubit matches it and sequences it away in front of one
-    of two adjacent images; a node of qubit k splits off qubit k and passes
-    the rest of the register to one of two adjacent nodes of qubit k+1.
-    The nodes of one level share their variable nodes."""
-    z = _primed("z", qubit_count - 1)
-    w = _primed("x", qubit_count)
-    vz, vw = Var(z), Var(w)
-    ty = qubits(1)
-    nodes = [
-        _lam(z, ty, _match(vz, w, _seq(vw, left), w, _seq(vw, right)))
-        for left, right in zip(images[::2], images[1::2])
-    ]
-    for depth in range(qubit_count - 2, -1, -1):
-        z, x, y = _primed("z", depth), _primed("x", depth), _primed("y", depth)
-        w = _primed("x", depth + 1)
-        vz, vx, vy, vw = Var(z), Var(x), Var(y), Var(w)
-        ty = qubits(qubit_count - depth)
-        nodes = [
-            _lam(z, ty, _let(x, y, vz, _match(
-                vx,
-                w, _seq(vw, _one(_app(left, vy))),
-                w, _seq(vw, _one(_app(right, vy))),
-            )))
-            for left, right in zip(nodes[::2], nodes[1::2])
-        ]
-    return nodes[0]
+def _levels(qubit_count: int) -> list[tuple]:
+    """Per level of the case tree, qubit 0's first: the domain type of its
+    lambdas, the names z, x, y and w its nodes bind, and their variable
+    nodes, which all nodes of the level share.  The domain types are built
+    from the last qubit out, one node each: that of level k is Sharp(core),
+    where core pairs qubit k's boolean with the core of level k + 1."""
+    out = []
+    core = BOOL
+    for depth in range(qubit_count - 1, -1, -1):
+        names = [base + "'" * depth for base in "zxy"] + ["x" + "'" * (depth + 1)]
+        out.append((Sharp(core), *names, *map(Var, names)))
+        core = Prod(BOOL, core)
+    return out[::-1]
 
 
 # The tree's nodes are made by setting their slots directly: the frozen
 # dataclass __init__ sets each field through object.__setattr__, which costs
 # about twice as much, and every field here is valid as it stands.  Each
 # node distribution has one summand and is canonical, so canonicalizing it
-# would only walk the whole subtree again.  The helpers other than _seq wrap
-# their last argument in such a distribution.
+# would only walk the whole subtree again.
 
 def _slot_setters(cls: type) -> tuple:
     return tuple(getattr(cls, f).__set__ for f in (*cls.__match_args__, "_fv"))
@@ -221,54 +206,67 @@ def _slot_setters(cls: type) -> tuple:
 
 _new_object = object.__new__
 _LAM, _LET, _MATCH, _SEQ, _APP = map(_slot_setters, (Lam, LetPair, Match, Seq, App))
-_ONE = complex(1)
 
 
-def _one(t: PureTerm) -> Distribution:
-    return _trusted(((_ONE, t),))
-
-
-def _lam(name: str, ann: Type, body: PureTerm) -> Lam:
-    node = _new_object(Lam)
-    set_name, set_ann, set_body, set_fv = _LAM
-    set_name(node, name)
-    set_ann(node, ann)
-    set_body(node, _one(body))
-    set_fv(node, None)
-    return node
-
-
-def _let(left: str, right: str, scrutinee: PureTerm, body: PureTerm) -> LetPair:
-    node = _new_object(LetPair)
-    set_left, set_right, set_scrutinee, set_body, set_fv = _LET
-    set_left(node, left)
-    set_right(node, right)
-    set_scrutinee(node, scrutinee)
-    set_body(node, _one(body))
-    set_fv(node, None)
-    return node
-
-
-def _match(scrutinee: PureTerm, left_name: str, left: PureTerm,
-           right_name: str, right: PureTerm) -> Match:
-    node = _new_object(Match)
-    set_scrutinee, set_left_name, set_left, set_right_name, set_right, set_fv = _MATCH
-    set_scrutinee(node, scrutinee)
-    set_left_name(node, left_name)
-    set_left(node, _one(left))
-    set_right_name(node, right_name)
-    set_right(node, _one(right))
-    set_fv(node, None)
-    return node
-
-
-def _seq(head: PureTerm, tail: Distribution) -> Seq:
-    node = _new_object(Seq)
-    set_head, set_tail, set_fv = _SEQ
-    set_head(node, head)
-    set_tail(node, tail)
-    set_fv(node, None)
-    return node
+def _case_tree(images: list[Distribution], qubit_count: int, levels: list[tuple]) -> PureTerm:
+    """The tree over the images, its leaves, built bottom-up in one loop per
+    level from the last qubit out.  A node of the last qubit matches it and
+    sequences it away in front of one of two adjacent images; a node of
+    qubit k splits off qubit k and passes the rest of the register to one
+    of two adjacent nodes of qubit k+1.  The loop makes each node and its
+    one-summand distribution in place, through the slot setters, with no
+    Python call per node; the nodes of one level share its variable
+    nodes."""
+    new, one, set_summands, set_dist_fv = _new_object, complex(1), _set_summands, _set_dist_fv
+    set_name, set_ann, set_lam_body, set_lam_fv = _LAM
+    set_left, set_right, set_let_scrutinee, set_let_body, set_let_fv = _LET
+    set_scrutinee, set_left_name, set_left_body, set_right_name, set_right_body, set_match_fv = _MATCH
+    set_head, set_tail, set_seq_fv = _SEQ
+    set_fun, set_arg, set_app_fv = _APP
+    last = qubit_count - 1
+    nodes = images
+    for depth in range(last, -1, -1):
+        ty, z, x, y, w, vz, vx, vy, vw = levels[depth]
+        below = iter(nodes)
+        nodes = []
+        for pair in zip(below, below):
+            # each branch sequences the bit away in front of an image, or of
+            # a node of the next level applied to the rest of the register
+            left, right = branches = [new(Distribution), new(Distribution)]
+            for tail, branch in zip(pair, branches):
+                if depth < last:
+                    set_fun(app := new(App), tail)
+                    set_arg(app, vy)
+                    set_app_fv(app, None)
+                    set_summands(tail := new(Distribution), ((one, app),))
+                    set_dist_fv(tail, None)
+                set_head(seq := new(Seq), vw)
+                set_tail(seq, tail)
+                set_seq_fv(seq, None)
+                set_summands(branch, ((one, seq),))
+                set_dist_fv(branch, None)
+            set_scrutinee(node := new(Match), vz if depth == last else vx)
+            set_left_name(node, w)
+            set_left_body(node, left)
+            set_right_name(node, w)
+            set_right_body(node, right)
+            set_match_fv(node, None)
+            if depth < last:
+                set_summands(body := new(Distribution), ((one, node),))
+                set_dist_fv(body, None)
+                set_left(node := new(LetPair), x)
+                set_right(node, y)
+                set_let_scrutinee(node, vz)
+                set_let_body(node, body)
+                set_let_fv(node, None)
+            set_summands(body := new(Distribution), ((one, node),))
+            set_dist_fv(body, None)
+            set_name(node := new(Lam), z)
+            set_ann(node, ty)
+            set_lam_body(node, body)
+            set_lam_fv(node, None)
+            nodes.append(node)
+    return nodes[0]
 
 
 def _app(fun: PureTerm, arg: PureTerm) -> App:
@@ -290,7 +288,7 @@ def case_construct(qubit_count: int, images: Sequence[Distribution]) -> PureTerm
         raise ValueError(
             f"expected {1 << qubit_count} images for {qubit_count} qubits, got {len(images)}"
         )
-    return _case_tree(list(images), qubit_count)
+    return _case_tree(list(images), qubit_count, _levels(qubit_count))
 
 
 _MAX_REGISTER = 12
@@ -333,11 +331,11 @@ def _basis_values(qubit_count: int) -> list[PureTerm]:
     return values
 
 
-def _compile(
-    gate: GateMatrix, targets: Sequence[int], qubit_count: int, values: list[PureTerm]
-) -> PureTerm:
+def _compile(gate: GateMatrix, targets: Sequence[int],
+             values: list[PureTerm], levels: list[tuple]) -> PureTerm:
     """The case tree of U (x) I for a gate on the given targets, which must
-    already be checked, with the register's basis values by index."""
+    already be checked, from the register's basis values by index and its
+    tree's `_levels`, one per qubit."""
     m = gate.matrix
     bad = m[~np.isfinite(m)]
     if bad.size:
@@ -348,19 +346,19 @@ def _compile(
         raise NotAnIsometry(
             f"columns are not orthonormal (largest deviation {dev:.3g})"
         )
-    n = qubit_count
+    n = len(levels)
     spread = _spread(targets, n)
     mask = spread[-1]
     # the gate's rows in register index order, which is also summand order
     rows = sorted(range(len(spread)), key=spread.__getitem__)
     cut = get_tolerance()
-    # per gate column, its entries above the cut with their register offsets
-    # (the entries are finite, so the leaves need no validation)
-    entries = [
-        [(col[r], spread[r]) for r in rows if abs(col[r]) > cut]
-        for col in m.T.tolist()
-    ]
-    entries_of = {bits: entries[c] for c, bits in enumerate(spread)}
+    # per gate column, by its register offset, its entries above the cut with
+    # their register offsets (the entries are finite, so the leaves need no
+    # validation)
+    entries_of = {
+        bits: [(col[r], spread[r]) for r in rows if abs(col[r]) > cut]
+        for bits, col in zip(spread, m.T.tolist())
+    }
     images = []
     for k in range(1 << n):
         base = k & ~mask
@@ -368,7 +366,7 @@ def _compile(
         # a column cut away entirely by a coarse tolerance has no summand
         # left, which Distribution rejects
         images.append(_trusted(summands) if summands else Distribution(summands))
-    return case_construct(n, images)
+    return _case_tree(images, n, levels)
 
 
 def compile_gate(gate: GateMatrix, targets: Sequence[int], qubit_count: int) -> PureTerm:
@@ -382,7 +380,7 @@ def compile_gate(gate: GateMatrix, targets: Sequence[int], qubit_count: int) -> 
     orthonormal.
     """
     _check_targets(gate, targets, qubit_count)
-    return _compile(gate, targets, qubit_count, _basis_values(qubit_count))
+    return _compile(gate, targets, _basis_values(qubit_count), _levels(qubit_count))
 
 
 def compile_isometry(gate: GateMatrix) -> PureTerm:
@@ -393,7 +391,7 @@ def compile_isometry(gate: GateMatrix) -> PureTerm:
     Rejects matrices whose columns are not orthonormal.
     """
     n = gate.qubit_count
-    return _compile(gate, range(n), n, _basis_values(n))
+    return _compile(gate, range(n), _basis_values(n), _levels(n))
 
 
 def expand_gate(gate: GateMatrix, targets: Sequence[int], qubit_count: int) -> GateMatrix:
@@ -414,14 +412,15 @@ def expand_gate(gate: GateMatrix, targets: Sequence[int], qubit_count: int) -> G
 
 
 def _apply_gate(gate: GateMatrix, targets: Sequence[int], state: StateVector) -> StateVector:
-    """The gate applied to the target qubits of a state, as a contraction of
-    the state's (2,)*n tensor with the gate's (2,)*2g tensor."""
+    """The gate applied to the target qubits of a state by one matrix
+    product: the state's (2,)*n tensor with the target axes moved to the
+    front, in target order, is a 2^g x 2^(n-g) matrix that the gate
+    multiplies, and the product's axes go back where they came from."""
     n = state.qubit_count
-    g = len(targets)
-    u = gate.matrix.reshape((2,) * (2 * g))
-    psi = state.amplitudes.reshape((2,) * n)
-    out = np.tensordot(u, psi, axes=(list(range(g, 2 * g)), list(targets)))
-    return StateVector(np.moveaxis(out, list(range(g)), list(targets)).reshape(-1))
+    order = [*targets, *(q for q in range(n) if q not in targets)]
+    psi = state.amplitudes.reshape((2,) * n).transpose(order)
+    out = (gate.matrix @ psi.reshape(1 << len(targets), -1)).reshape((2,) * n)
+    return StateVector(out.transpose(np.argsort(order)).reshape(-1))
 
 
 def run_circuit(
@@ -436,16 +435,17 @@ def run_circuit(
     n = state.qubit_count
     d = encode(state)
     v = state
-    # every gate's case tree ends in the same basis values (a register too
-    # wide to compile fails at the first gate's target check)
-    values = _basis_values(n) if n <= _MAX_REGISTER else []
+    # every gate's case tree ends in the same basis values and has the same
+    # levels (a register too wide to compile fails at the first gate's
+    # target check)
+    values, levels = (_basis_values(n), _levels(n)) if n <= _MAX_REGISTER else ([], [])
     for gate, targets in gates:
         _check_targets(gate, targets, n)
-        lam = _compile(gate, targets, n, values)
+        lam = _compile(gate, targets, values, levels)
         # d is canonical (encode emits index order, normalize canonicalizes),
         # and so is the application of one lambda to each of its summands;
         # both validated their coefficients already
-        app = _trusted(tuple((a, App(lam, t)) for a, t in d.summands))
+        app = _trusted(tuple((a, _app(lam, t)) for a, t in d.summands))
         d = normalize(app, max_steps=max_steps)
         v = _apply_gate(gate, targets, v)
     return d, v

@@ -22,7 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generator import alpha_variant
-from qlam.inner import inner_product, keyed, norm, orthogonal
+from qlam import inner, syntax
+from qlam.inner import _Alpha, inner_product, keyed, norm, orthogonal
+from qlam.quantum import compile_gate, gate_library
 from qlam.syntax import (
     App,
     Distribution,
@@ -34,6 +36,8 @@ from qlam.syntax import (
     Void,
     add,
     canonicalize,
+    compare,
+    is_ground,
     scale,
     singleton,
 )
@@ -232,11 +236,26 @@ def _closed_lams(count: int) -> list[Lam]:
     return out
 
 
+def _one_shape_lams(count: int) -> list[Lam]:
+    """count closed lambdas `\\x:U. \\y:U. (v0, (v1, ... v7))`, at most 256, no
+    two alpha-equivalent: vi is x or y by bit i of the lambda's index.  They
+    differ only in which binder each variable names, so they have one
+    shape."""
+    out = []
+    for k in range(count):
+        names = ["x" if (k >> i) & 1 else "y" for i in range(8)]
+        t = Var(names[-1])
+        for name in reversed(names[:-1]):
+            t = PairV(Var(name), t)
+        out.append(Lam("x", UNIT, singleton(Lam("y", UNIT, singleton(t)))))
+    return out
+
+
 def test_closed_lambdas_in_one_hash_bucket_give_the_reference_inner_product():
-    # every key hashes alike (class, annotation, no free name), so the dict
-    # tells them apart by `compare` alone
+    # every key hashes alike (one shape, no free name), so the dict tells
+    # them apart by `compare` alone
     rng = random.Random(7)
-    lams = _closed_lams(200)
+    lams = _one_shape_lams(200)
     v = Distribution(tuple((complex(k + 1, -k), t) for k, t in enumerate(lams)))
     variants = [(complex(1, k), alpha_variant(t, rng)) for k, t in enumerate(lams)]
     rng.shuffle(variants)
@@ -246,6 +265,52 @@ def test_closed_lambdas_in_one_hash_bucket_give_the_reference_inner_product():
     assert len(kv) == len(kw) == 200
     assert inner_product(kv, kw) == reference_inner_product(v, w)
     assert inner_product(kw, kv) == reference_inner_product(w, v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_plain_values, st.randoms(use_true_random=False), st.sampled_from([0.0, 0.3]))
+def test_alpha_equivalent_values_hash_alike(v, rng, change):
+    # alpha_variant renames binders, and with change > 0 also alters some
+    # variables and unit values, after which w may or may not still be
+    # alpha-equivalent to v
+    w = alpha_variant(v, rng, change)
+    if not is_ground(v) and compare(v, w) == 0:
+        assert hash(_Alpha(v)) == hash(_Alpha(w))
+
+
+def test_alpha_variants_of_compiled_gates_hash_alike():
+    # lambdas whose bodies hold every term form
+    rng = random.Random(5)
+    seen = 0
+    for name, targets, n in (("H", [1], 2), ("CNOT", [2, 0], 3), ("SWAP", [0, 2], 3)):
+        lam = compile_gate(gate_library[name], targets, n)
+        for change in (0.0, 0.0, 0.02, 0.02):
+            w = alpha_variant(lam, rng, change)
+            if compare(lam, w) == 0:
+                seen += 1
+                assert hash(_Alpha(lam)) == hash(_Alpha(w))
+    assert seen >= 6
+
+
+def test_keying_alpha_distinct_lambdas_makes_few_comparisons(monkeypatch):
+    # the keys of lambdas of different shapes hash apart, so the dict
+    # compares next to none of them; their order is `compare` order, so
+    # merging makes one comparison per neighbouring pair
+    lams = _closed_lams(400)
+    v = Distribution(tuple((complex(k + 1), t) for k, t in enumerate(lams)))
+    calls = 0
+
+    def counted(x, y):
+        nonlocal calls
+        calls += 1
+        return compare(x, y)
+
+    monkeypatch.setattr(syntax, "compare", counted)
+    monkeypatch.setattr(inner, "compare", counted)
+    kv = keyed(v)
+    assert len(kv) == 400
+    assert inner_product(kv, kv) == sum(abs(a) ** 2 for a, _ in v.summands)
+    assert calls <= 4 * len(lams)
 
 
 def test_a_lambda_key_and_an_int_of_its_hash_are_told_apart():

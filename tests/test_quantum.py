@@ -556,20 +556,90 @@ def _public_case_tree(images, n):
     return nodes[0]
 
 
+def _domains(lam, n):
+    # the annotation of each level's lambda, down the tree's first branches
+    out = []
+    for depth in range(n):
+        out.append(lam.ann)
+        if depth < n - 1:
+            match = lam.body.summands[0][1].body.summands[0][1]
+            lam = match.left_body.summands[0][1].tail.summands[0][1].fun
+    return out
+
+
+def _assert_built_as_the_public_constructors_build(got, images, n):
+    want = _public_case_tree(images, n)
+    assert got == want and repr(got) == repr(want), n
+    # every cache field is set: free_vars reads it on each node
+    assert free_vars(got) == frozenset()
+    # each level's domain is the interned register type
+    assert all(ty is qubits(n - depth) for depth, ty in enumerate(_domains(got, n)))
+
+
 def test_case_tree_matches_one_built_by_the_public_constructors():
     rng = np.random.default_rng(23)
-    for n in range(1, 6):
+    for n in range(1, 8):
         images = []
         for _ in range(1 << n):
             amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
             amps[rng.random(1 << n) < 0.5] = 0
             amps[rng.integers(1 << n)] = 1
             images.append(encode(StateVector(amps / np.linalg.norm(amps))))
-        want = _public_case_tree(images, n)
-        got = case_construct(n, images)
-        assert got == want and repr(got) == repr(want), n
-        # every cache field is set: free_vars reads it on each node
-        assert free_vars(got) == frozenset()
+        _assert_built_as_the_public_constructors_build(case_construct(n, images), images, n)
+        assert [level[0] for level in quantum._levels(n)] == [qubits(n - d) for d in range(n)]
+
+
+def test_compiled_trees_match_ones_built_by_the_public_constructors():
+    # gates on reversed and non-adjacent targets, and whole-register
+    # isometries, each against the tree of its dense images
+    rng = np.random.default_rng(29)
+    for n in range(1, 8):
+        for g in range(1, min(n, 3) + 1):
+            gate = _random_unitary(rng, g)
+            targets = [int(q) for q in rng.permutation(n)[:g]]
+            for t in (targets, targets[::-1], sorted(targets)):
+                wide, _ = _dense_route(gate, t, n)
+                images = [encode(StateVector(wide.matrix[:, k])) for k in range(1 << n)]
+                _assert_built_as_the_public_constructors_build(
+                    compile_gate(gate, t, n), images, n)
+        if n <= 4:
+            gate = _random_unitary(rng, n)
+            images = [encode(StateVector(gate.matrix[:, k])) for k in range(1 << n)]
+            _assert_built_as_the_public_constructors_build(compile_isometry(gate), images, n)
+
+
+# ---------------------------------------------------------------- oracle
+
+
+def reference_apply_gate(gate, targets, state):
+    """The gate applied to the target qubits of a state, as a contraction of
+    the state's (2,)*n tensor with the gate's (2,)*2g tensor."""
+    n = state.qubit_count
+    g = len(targets)
+    u = gate.matrix.reshape((2,) * (2 * g))
+    psi = state.amplitudes.reshape((2,) * n)
+    out = np.tensordot(u, psi, axes=(list(range(g, 2 * g)), list(targets)))
+    return StateVector(np.moveaxis(out, list(range(g)), list(targets)).reshape(-1))
+
+
+def test_oracle_gives_the_contraction_exactly():
+    rng = np.random.default_rng(31)
+    for n in range(1, 8):
+        for g in range(1, min(n, 3) + 1):
+            for _ in range(4):
+                gate = _random_unitary(rng, g)
+                targets = [int(q) for q in rng.permutation(n)[:g]]
+                amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+                state = StateVector(amps / np.linalg.norm(amps))
+                got = quantum._apply_gate(gate, targets, state)
+                want = reference_apply_gate(gate, targets, state)
+                assert np.array_equal(got.amplitudes, want.amplitudes), (n, targets)
+
+
+def test_oracle_rejects_what_is_not_a_state():
+    # the product is checked as a state vector like any other
+    with pytest.raises(ValueError, match="norm"):
+        quantum._apply_gate(GateMatrix(2 * np.eye(2)), [0], _sv(1, 0))
 
 
 def test_compile_gate_cuts_at_the_tolerance_in_force():
