@@ -19,7 +19,7 @@ superposition of values.
 Every rule runs in one loop, `_Checker._run`.  A rule is a generator: it
 yields its premises in order, each a term or a distribution, is sent each
 one's typing, and returns its own, so it can bind names, test a type or
-snapshot the usage state between premises.  The loop types a variable, and
+give back a branch's uses between premises.  The loop types a variable, and
 a ground value whose typing is kept on it, at once, and keeps the rules
 that wait on a premise on one list.  A value is typed by one rule per form
 (unit, pair, inl, inr), its parts in field order; a ground value's typing
@@ -28,13 +28,19 @@ on `types.walk`, and the structural disjointness criterion keeps its
 pending positions on one stack, so the depth of a program or a type costs
 heap, not Python frames.
 
-Case branches are checked under the full shared context with forked usage
-state and must consume the same non-flat variables.  They must also be
-orthogonal, which is decided by a three-tier procedure: exhaustive
-enumeration over finite value inventories, a structural constructor-
-disjointness criterion, refusal.  Enumeration grounds each branch once per
-assignment of the binder and the shared variables.  A shared variable whose
-type has a Sharp may hold a superposition of its basis values, so every left
+Case branches are checked one after the other under the full shared
+context and must consume the same non-flat variables.  A branch that types
+has used each non-flat variable free in it exactly once: a second use
+raises, an inner match's branches agree and a superposition is closed.  A
+flat variable's count is never read.  So a branch's usage is its free
+variables: the left branch's are given back one use each before the right
+branch is typed, and the two sets are compared, at no cost per binding in
+scope.  The branches must also be orthogonal, which is decided by a
+three-tier procedure: exhaustive enumeration over finite value inventories,
+a structural constructor-disjointness criterion, refusal.  Enumeration
+grounds each branch once per assignment of the binder and the shared
+variables, the names free in either branch.  A shared variable whose type
+has a Sharp may hold a superposition of its basis values, so every left
 instance must be orthogonal to every right instance that agrees with it on
 the other, flat, shared variables, not only to the one under the same
 assignment.
@@ -48,8 +54,11 @@ instance the tier ground for it, which is the normal form of the lambda
 applied to that value.  Past its unit heads (`u ;` with u bound to ⋆), a
 branch instance that applies a tabled lambda to a name is that name's
 column, and one that is a distribution of ground values is keyed as it
-stands; every other instance is substituted and normalized.  The inventory
-and pair caps bound only the instances that are ground this way: when both
+stands.  A closed match on a ground value that the enumerated tier decided
+gets a table too, of its branches' instances, so a branch instance that is
+that very match is its scrutinee's column, which takes no rewrite steps.
+Every other instance is substituted and normalized.  The inventory and
+pair caps bound only the instances that are ground this way: when both
 branches read columns for the one shared name from tables over its type,
 its values are the tables' domain, whose size each table's own check
 bounded.  The tables live for one check.
@@ -204,10 +213,11 @@ class _Table:
     domain type `dom`, in the order of `_enumerate_values(dom)`, with the
     keyed normal form of the lambda applied to it.  The table is found by
     the lambda's identity; it keeps `lam`, which holds that identity and
-    lets a lookup confirm it."""
+    lets a lookup confirm it.  A closed match on a ground value has a table
+    too, with no `dom`, whose column for its scrutinee is its normal form."""
     __slots__ = ("lam", "dom", "columns")
 
-    def __init__(self, lam: Lam, dom: Type, columns: dict[PureTerm, Keyed]):
+    def __init__(self, lam: Lam | Match, dom: Type | None, columns: dict[PureTerm, Keyed]):
         self.lam = lam
         self.dom = dom
         self.columns = columns
@@ -219,7 +229,8 @@ class _Table:
 class _Checker:
     def __init__(self) -> None:
         self.scopes: dict[str, list[_Binding]] = {}
-        # the column tables of the lambdas checked so far, by identity
+        # the column tables of the lambdas and matches checked so far, by
+        # identity
         self.tables: dict[int, _Table] = {}
         # the match of each table-shaped lambda being checked, by identity,
         # with the cells its enumeration ground once it is decided
@@ -259,34 +270,6 @@ class _Checker:
                 where,
             )
         return e.ty
-
-    def _snapshot(self) -> list[tuple[_Binding, int]]:
-        return [(e, e.uses) for stack in self.scopes.values() for e in stack]
-
-    def _restore(self, snap: list[tuple[_Binding, int]]) -> None:
-        for e, u in snap:
-            e.uses = u
-
-    @staticmethod
-    def _delta(snap: list[tuple[_Binding, int]]) -> list[int]:
-        return [e.uses - u for e, u in snap]
-
-    def _merge_branch_usage(
-        self,
-        snap: list[tuple[_Binding, int]],
-        d1: list[int],
-        d2: list[int],
-        names_hint: Location,
-    ) -> None:
-        for (e, u0), a, b in zip(snap, d1, d2):
-            if not e.flat and a != b:
-                raise TypeCheckError(
-                    ErrorKind.LINEARITY_VIOLATION,
-                    f"a non-duplicable variable of type {e.ty} is consumed by one "
-                    "branch but not the other",
-                    names_hint,
-                )
-            e.uses = u0 + max(a, b)
 
     # -- the loop -----------------------------------------------------------
 
@@ -408,17 +391,30 @@ class _Checker:
                 form, core, lift = _form(ts, Sum, "matched term has", "a sum", here)
                 lt = lift(core.left)
                 rt = lift(core.right)
-                snap = self._snapshot()
                 self._bind(x1, lt)
                 t1, d1 = yield b1
                 self._unbind(x1, here)
-                delta1 = self._delta(snap)
-                self._restore(snap)
+                # a branch that types has used each non-flat name free in it
+                # once, so its usage is its free names: give theirs back
+                used1 = free_vars_dist(b1) - {x1}
+                for x in used1:
+                    self.scopes[x][-1].uses -= 1
                 self._bind(x2, rt)
                 t2, d2 = yield b2
                 self._unbind(x2, here)
-                delta2 = self._delta(snap)
-                self._merge_branch_usage(snap, delta1, delta2, here)
+                used2 = free_vars_dist(b2) - {x2}
+                if used1 != used2:
+                    # the first non-flat name in scope order that one branch
+                    # uses and the other does not
+                    either = used1 ^ used2
+                    for x, stack in self.scopes.items():
+                        if x in either and not stack[-1].flat:
+                            raise TypeCheckError(
+                                ErrorKind.LINEARITY_VIOLATION,
+                                f"a non-duplicable variable of type {stack[-1].ty} is "
+                                "consumed by one branch but not the other",
+                                here,
+                            )
                 joined = join_types(t1, t2)
                 if joined is None:
                     raise TypeCheckError(
@@ -426,9 +422,14 @@ class _Checker:
                         f"match branches have incompatible types {t1} and {t2}",
                         here,
                     )
-                cells = self._require_orthogonal(x1, lt, b1, x2, rt, b2, here)
+                shared = {x: self.scopes[x][-1].ty for x in sorted(used1 | used2)}
+                cells = _decide_orthogonality(shared, (x1, lt), b1, (x2, rt), b2, here, self.tables)
                 if id(here) in self._cells:
                     self._cells[id(here)] = cells
+                elif not shared and here.__class__ is Match and is_ground(here.scrutinee):
+                    # closed, on a ground injection: its normal form is the
+                    # instance of the branch its scrutinee selects
+                    self._tabulate(here, None, None, cells)
                 ty = lift(joined)
                 return ty, Derivation(f"match-{form}", here, ty, (ds, d1, d2))
 
@@ -550,34 +551,16 @@ class _Checker:
 
     # -- branch orthogonality ----------------------------------------------
 
-    def _require_orthogonal(
-        self,
-        x1: str,
-        t1: Type,
-        b1: Distribution,
-        x2: str,
-        t2: Type,
-        b2: Distribution,
-        here: Location,
-    ) -> list | None:
-        shared_names = sorted(
-            (free_vars_dist(b1) - {x1}) | (free_vars_dist(b2) - {x2})
-        )
-        shared: dict[str, Type] = {}
-        for x in shared_names:
-            stack = self.scopes.get(x)
-            assert stack, f"branch variable {x} escaped typing"
-            shared[x] = stack[-1].ty
-        return _decide_orthogonality(
-            shared, (x1, t1), b1, (x2, t2), b2, here, self.tables
-        )
-
-    def _tabulate(self, lam: Lam, dom: Type, y: str | None, cells: list | None) -> None:
+    def _tabulate(self, lam: Lam | Match, dom: Type | None, y: str | None,
+                  cells: list | None) -> None:
         """Keep the column table of a table-shaped lambda whose match the
         enumerated tier decided with no shared name but the let's right
         name y, if any: the lambda is then closed, and the instance ground
         for binder w (and y := v) is its column for inl w or inr w (paired
-        with v).  The columns go in the order of `_enumerate_values(dom)`."""
+        with v).  The columns go in the order of `_enumerate_values(dom)`.
+        A match given as lam was decided by that tier with no shared name,
+        and its scrutinee is a ground value, so its columns are the instances
+        of its branches."""
         if cells is None or cells[0][0].keys() != (set() if y is None else {y}):
             return
         columns: dict[PureTerm, Keyed] = {}
@@ -925,7 +908,7 @@ def _column_source(
     """The table and the argument's name when d is one unscaled application
     of a tabled lambda to a name."""
     t = _only(d)
-    if isinstance(t, App) and isinstance(t.arg, Var):
+    if isinstance(t, App) and isinstance(t.fun, Lam) and isinstance(t.arg, Var):
         table = tables.get(id(t.fun))
         if table is not None and table.lam is t.fun:
             return table, t.arg.name
@@ -940,10 +923,17 @@ def _instance(
 ) -> Keyed:
     """The keyed ground instance of branch b under the assignment, which
     binds every free name of b.  Past its unit heads, an application of a
-    tabled lambda to a name is that name's column, and a distribution of
-    ground values is keyed as it stands; any other branch, or a value with
-    no column, is substituted and normalized."""
+    tabled lambda to a name is that name's column, a tabled match is its
+    scrutinee's column, and a distribution of ground values is keyed as it
+    stands; any other branch, or a value with no column, is substituted and
+    normalized.  A column takes no rewrite steps."""
     d = _tail(b, assignment)
+    t = _only(d)
+    if t.__class__ is Match:
+        table = tables.get(id(t))
+        column = table.column(t.scrutinee) if table is not None and table.lam is t else None
+        if column is not None:
+            return column
     source = _column_source(d, tables)
     if source is not None:
         table, name = source

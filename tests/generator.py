@@ -324,6 +324,22 @@ DEEP_TYPES = {
     "prod": lambda n: "*".join(["U"] * (n + 1)),
 }
 
+
+# Two shapes whose checking once cost the square of n, as text.  The
+# left-branch chain nests each match in the left branch of the one above,
+# behind a unit head.  Under n `#B` lambdas, n matches nested in a
+# scrutinee are typed with n bindings in scope.
+def match_chain(n: int) -> str:
+    return "match inl * { inl a -> a ; " * n + "inl *" + " | inr b -> inr b }" * n
+
+
+def matches_under_bindings(n: int) -> str:
+    lams = "".join(f"\\x{i}:#B. " for i in range(n))
+    pair = "".join(f"(x{i}, " for i in range(n)) + "m" + ")" * n
+    arg = "match " * n + "inl *" + " { inl a -> inl a | inr b -> inr b }" * n
+    return f"{lams}(\\m:U+U. {pair}) ({arg})"
+
+
 # the layers the mixed shapes are made of, outermost first: each is text
 # before the rest and text after it
 _VALUE_LAYERS = (("inl ", ""), ("inr ", ""), ("(*, ", ")"), ("(", ", *)"))

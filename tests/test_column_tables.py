@@ -1,8 +1,9 @@
 """Column tables: a checked case-tree lambda is described by the keyed normal
 forms of its basis values, and the checker reads a branch `u ; f y` from f's
-table instead of normalizing it.  A table must agree with normalization, and
-checking must come out the same, type or error text, when every lookup
-misses."""
+table instead of normalizing it.  A closed match on a ground value, once
+decided, is kept the same way, so a branch `u ; match v {…}` is read from its
+table.  A table must agree with normalization, and checking must come out
+the same, type or error text, when every lookup misses."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import qlam.typecheck as typecheck
+from generator import match_chain
 from qlam.inner import keyed
 from qlam.quantum import (
     GateMatrix,
@@ -24,7 +26,7 @@ from qlam.quantum import (
 )
 from qlam.rewrite import normalize
 from qlam.surface import parse_program, pretty_print
-from qlam.syntax import App, scale, singleton
+from qlam.syntax import App, Match, scale, singleton
 from qlam.typecheck import ErrorKind, TypeCheckError, _Checker, _Table, check_program
 from qlam.types import Arrow, qubits
 
@@ -115,7 +117,8 @@ def test_checking_does_not_depend_on_the_tables(label, lam, monkeypatch):
 
 # handwritten programs near the table shapes: a binder that shadows the
 # let's right name, a flat shared name, literal unit heads, a match on the
-# let's right name, an operator that is not closed, and superposed leaves
+# let's right name, an operator that is not closed, superposed leaves, and
+# a tabled match as an operator, whose table is not a lambda's
 _NOT = r"(\z':#(U+U). match z' { inl u -> u ; inr * | inr u -> u ; inl * })"
 _ID = r"(\z':#(U+U). match z' { inl u -> u ; inl * | inr u -> u ; inr * })"
 _FLAT_NOT = r"(\z':U+U. match z' { inl u -> u ; inr * | inr u -> u ; inl * })"
@@ -139,6 +142,8 @@ NEAR_SHAPES = [
     r"| inr w -> w ; (0.8 * inl * + -0.6 * inr *) }",
     r"\z:#(U+U). match z { inl w -> w ; (0.6 * inl * + 0.8 * inr *) "
     r"| inr w -> w ; (0.6 * inl * + 0.8 * inr *) }",
+    r"\s:U+U. \y:U+U. match s { inl a -> a ; (match inl * { inl c -> c ; \x:U+U. inl x "
+    r"| inr d -> d ; \x:U+U. inr x }) y | inr b -> b ; inl y }",
 ]
 
 
@@ -153,6 +158,33 @@ def test_programs_near_the_table_shapes_check_as_without_tables(src, monkeypatch
 def test_near_shapes_are_decided_both_ways():
     outcomes = [_outcome(parse_program(src))[0] for src in NEAR_SHAPES]
     assert "typed" in outcomes and "rejected" in outcomes
+
+
+def test_a_kept_match_is_its_normal_form():
+    c = _Checker()
+    c.infer_dist(parse_program(match_chain(20)))
+    matches = [table for table in c.tables.values() if table.lam.__class__ is Match]
+    assert len(matches) == 20
+    for table in matches:
+        assert table.dom is None
+        match = table.lam
+        assert table.column(match.scrutinee) == keyed(normalize(singleton(match)))
+
+
+def _chain_with_a_collision(depth: int) -> str:
+    """`match_chain` whose outermost right branch is the left one's normal
+    form, so the outermost match is not orthogonal."""
+    return match_chain(depth).removesuffix(" | inr b -> inr b }") + " | inr b -> inl b }"
+
+
+@pytest.mark.parametrize("build", [match_chain, _chain_with_a_collision])
+def test_the_left_branch_chain_checks_as_without_tables(build, monkeypatch):
+    programs = [parse_program(build(depth)) for depth in (1, 2, 5, 20, 100, 200)]
+    with_tables = [_outcome(program) for program in programs]
+    monkeypatch.setattr(_Table, "column", lambda self, value: None)
+    assert [_outcome(program) for program in programs] == with_tables
+    assert {want[0] for want in with_tables} == {
+        "typed" if build is match_chain else "rejected"}
 
 
 @pytest.mark.parametrize("n", range(3, 9))

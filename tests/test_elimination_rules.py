@@ -6,10 +6,12 @@ over a superposition `Σ αᵢ f aᵢ`.  `derivations.json` holds the derivation
 (every node's rule, type and subject, in preorder) or the error text of each
 case below, recorded from the checker that typed the two shapes by separate
 code.  The rules run in one loop, so a `;` chain, `let`s, applications,
-lambdas, lambdas inside pairs and matches nested in the scrutinee check
-10,000 deep, and values 10,000 deep and a 10,000-term sum annotation check,
-and print, with no stack at all.  `_RecursiveChecker` keeps the mutual
-recursion the loop replaced, as the reference the loop is held to.
+lambdas, lambdas inside pairs, matches nested in the scrutinee or in the
+left branch, and matches under as many `#` lambdas check 10,000 deep, and
+values 10,000 deep and a 10,000-term sum annotation check, and print, with
+no stack at all.  `_RecursiveChecker` keeps the mutual recursion the loop
+replaced, and the usage snapshots its `match` rule replaced, as the
+reference the loop is held to.
 """
 
 from __future__ import annotations
@@ -23,7 +25,15 @@ import pytest
 
 from hypothesis import given, settings
 
-from generator import DEEP_VALUES, ProgramGen, deep_values, flow_programs, trace_programs
+from generator import (
+    DEEP_VALUES,
+    ProgramGen,
+    deep_values,
+    flow_programs,
+    match_chain,
+    matches_under_bindings,
+    trace_programs,
+)
 from qlam.config import get_tolerance
 from qlam.quantum import GateMatrix, StateVector, case_construct, compile_gate, encode, gate_library
 from qlam.rewrite import normalize
@@ -56,7 +66,9 @@ from qlam.typecheck import (
     Derivation,
     ErrorKind,
     TypeCheckError,
+    _Binding,
     _Checker,
+    _decide_orthogonality,
     _form,
     _holes,
     _same_context,
@@ -222,10 +234,6 @@ def _let_chain(depth: int) -> str:
     return "let (a, b) = (*, *) in a ; b ; " * depth + "*"
 
 
-def _match_chain(depth: int) -> str:
-    return "match inl * { inl a -> a ; " * depth + "inl *" + " | inr b -> inr b }" * depth
-
-
 def _app_chain(depth: int) -> str:
     return "(\\x:U. x) (" * depth + "*" + ")" * depth
 
@@ -252,12 +260,11 @@ def _pair_chain(depth: int) -> str:
     return "(*, " * depth + "*" + ")" * depth
 
 
-# each level of `_match_chain` normalizes the chain below it to decide its
-# branches orthogonal, so its cost grows with the square of its depth
 @pytest.mark.parametrize("build, depth", [
     (_seq_chain, 10_000),
     (_let_chain, 10_000),
-    (_match_chain, 1_000),
+    (match_chain, 10_000),
+    (matches_under_bindings, 10_000),
     (_app_chain, 10_000),
     (_lam_chain, 10_000),
     (_lam_pair_chain, 10_000),
@@ -359,7 +366,11 @@ def test_values_of_one_form_beside_an_elimination_share_no_context(text):
 #
 # `_RecursiveChecker` is the checker as it was before its rules ran in one
 # loop (`_Checker._run`): each rule calls `infer_term` or `infer_dist` for
-# its premises, and a value is typed on `types.walk`.  The tests below hold
+# its premises, and a value is typed on `types.walk`.  It also keeps the
+# usage bookkeeping the loop's `match` rule replaced: it snapshots the use
+# count of every binding in scope, restores it between the branches and
+# compares the two deltas, where the loop reads each branch's usage off its
+# free names; and it keeps no table of a closed match.  The tests below hold
 # the loop to it on the recorded cases, generator programs and programs
 # with two faults, on the programs and checks of `eager_errors.json`, on
 # compiled gates and planted defects at n = 1..4, and on the deep programs
@@ -368,6 +379,37 @@ def test_values_of_one_form_beside_an_elimination_share_no_context(text):
 
 
 class _RecursiveChecker(_Checker):
+    def _snapshot(self) -> list[tuple[_Binding, int]]:
+        return [(e, e.uses) for stack in self.scopes.values() for e in stack]
+
+    def _restore(self, snap: list[tuple[_Binding, int]]) -> None:
+        for e, u in snap:
+            e.uses = u
+
+    @staticmethod
+    def _delta(snap: list[tuple[_Binding, int]]) -> list[int]:
+        return [e.uses - u for e, u in snap]
+
+    def _merge_branch_usage(self, snap, d1, d2, names_hint) -> None:
+        for (e, u0), a, b in zip(snap, d1, d2):
+            if not e.flat and a != b:
+                raise TypeCheckError(
+                    ErrorKind.LINEARITY_VIOLATION,
+                    f"a non-duplicable variable of type {e.ty} is consumed by one "
+                    "branch but not the other",
+                    names_hint,
+                )
+            e.uses = u0 + max(a, b)
+
+    def _require_orthogonal(self, x1, t1, b1, x2, t2, b2, here) -> list | None:
+        shared_names = sorted((free_vars_dist(b1) - {x1}) | (free_vars_dist(b2) - {x2}))
+        shared: dict[str, Type] = {}
+        for x in shared_names:
+            stack = self.scopes.get(x)
+            assert stack, f"branch variable {x} escaped typing"
+            shared[x] = stack[-1].ty
+        return _decide_orthogonality(shared, (x1, t1), b1, (x2, t2), b2, here, self.tables)
+
     def infer_term(self, t: PureTerm) -> tuple[Type, Derivation]:
         match t:
             case Var(x):
@@ -647,11 +689,55 @@ def test_gates_are_typed_as_the_recursion_types_them(n):
         _assert_typed_as_the_recursion_types(d, expected=Arrow(qubits(n), qubits(n)))
 
 
-@pytest.mark.parametrize("build", [_seq_chain, _let_chain, _match_chain, _app_chain, _lam_chain,
-                                   _lam_pair_chain, _scrutinee_chain, _inl_chain, _pair_chain])
+@pytest.mark.parametrize("build", [_seq_chain, _let_chain, match_chain, matches_under_bindings,
+                                   _app_chain, _lam_chain, _lam_pair_chain, _scrutinee_chain,
+                                   _inl_chain, _pair_chain])
 def test_deep_programs_are_typed_as_the_recursion_types_them(build):
     # the recursion runs out of frames from 142 lets and from about 200
     # levels of the other shapes, in a fresh process; 100 leaves room for
     # the test runner's own frames
     for depth in (1, 2, 5, 20, 100):
         _assert_typed_as_the_recursion_types(parse_program(build(depth)))
+
+
+# the branch usage rule: a non-flat name that one branch consumes and the
+# other does not is reported, the first in scope order, by its type; a flat
+# one is free
+_USAGE = [
+    pytest.param(r"\x:#B. \y:#U. \s:U+U. match s { inl a -> x | inr b -> y }", "#(U+U)",
+                 id="first in scope"),
+    pytest.param(r"\y:#U. \x:#B. \s:U+U. match s { inl a -> x | inr b -> y }", "#U",
+                 id="first in scope, swapped"),
+    # the binder a shadows the outer a, which only the right branch uses
+    pytest.param(r"\a:#B. \s:U+U. match s { inl a -> inl a | inr b -> inr a }", "#(U+U)",
+                 id="shadowed"),
+    pytest.param(r"\a:#U. \x:#B. \s:U+U. match s { inl a -> x | inr b -> a }", "#U",
+                 id="shadowed, first in scope"),
+    pytest.param(r"\x:U. \s:U+U. match s { inl a -> x ; inl * | inr b -> inr b }", None,
+                 id="flat"),
+    # an inner match consumes x in both of its branches
+    pytest.param(r"\x:#B. \s:U+U. \t:U+U. match s { inl a -> match t { inl c -> inl inl x "
+                 r"| inr d -> inl inr x } | inr b -> inr x }", None, id="inner match"),
+    pytest.param(r"\x:#B. \s:U+U. \t:U+U. match s { inl a -> match t { inl c -> inl inl x "
+                 r"| inr d -> inl inr x } | inr b -> inr * }", "#(U+U)",
+                 id="inner match, one branch"),
+    # a lambda in a branch captures x
+    pytest.param(r"\x:#B. \s:U+U. match s { inl a -> inl (\u:U. x) | inr b -> inr x }", None,
+                 id="captured"),
+    pytest.param(r"\x:#B. \s:U+U. match s { inl a -> inl (\u:U. x) | inr b -> inr * }",
+                 "#(U+U)", id="captured, one branch"),
+]
+
+
+@pytest.mark.parametrize("src, named", _USAGE)
+def test_branch_usage_errors_are_typed_as_the_recursion_types_them(src, named):
+    d = parse_program(src)
+    _assert_typed_as_the_recursion_types(d)
+    if named is None:
+        check_program(d)
+        return
+    with pytest.raises(TypeCheckError) as e:
+        check_program(d)
+    assert e.value.kind is ErrorKind.LINEARITY_VIOLATION
+    assert e.value.message == (f"a non-duplicable variable of type {named} is consumed by "
+                               "one branch but not the other")

@@ -5,14 +5,17 @@ parser's `mk_*` calls on single scrutinees and arguments compare no terms.
 The `mk_*` constructors order only the holes they fill, never the shared
 context around them.  The checker keeps the term or distribution it types
 and prints it only when an error is raised or a derivation's subject is
-read.
+read.  A `match` reads each branch's linear usage off its free names, and
+a decided closed match on a ground value keeps its normal form, so neither
+the bindings in scope nor the matches below cost a `match` anything.
 
 The equivalence tests hold the new code to the behaviour it replaced: the
 merge-and-sort canonical form by the nested keys of
 `test_syntax.reference_key` (`reference_canonicalize`), derivation
 subjects printed at every node (`eager_subjects`), and error texts recorded
 from the checker that printed eagerly (`eager_errors.json`).  The mechanism
-tests count the calls that made parsing and checking cost size × depth.
+tests count the calls that made parsing and checking cost size × depth,
+and the scaling tests count the work at two sizes.
 """
 
 from __future__ import annotations
@@ -29,7 +32,14 @@ from hypothesis import strategies as st
 
 import qlam.syntax as syntax
 import qlam.typecheck as typecheck
-from generator import ProgramGen, alpha_variant, flow_programs, trace_programs
+from generator import (
+    ProgramGen,
+    alpha_variant,
+    flow_programs,
+    match_chain,
+    matches_under_bindings,
+    trace_programs,
+)
 from qlam.quantum import (
     GateMatrix,
     StateVector,
@@ -39,6 +49,7 @@ from qlam.quantum import (
     encode,
     gate_library,
 )
+from qlam.rewrite import trace_normalize
 from qlam.surface import parse_program, parse_type, pretty_print
 from qlam.syntax import (
     App,
@@ -408,3 +419,55 @@ def test_applying_a_gate_to_a_state_keys_no_application(monkeypatch):
 
     monkeypatch.setattr(syntax, "compare", holes_only(syntax.compare))
     assert mk_app(lam, state) == want
+
+
+def _counted_uses(monkeypatch, text: str) -> int:
+    """The reads and writes of a binding's use count while text checks."""
+    slot = typecheck._Binding.__dict__["uses"]
+    count = [0]
+
+    def read(e):
+        count[0] += 1
+        return slot.__get__(e)
+
+    def write(e, uses):
+        count[0] += 1
+        slot.__set__(e, uses)
+
+    d = parse_program(text)
+    with monkeypatch.context() as m:
+        m.setattr(typecheck._Binding, "uses", property(read, write))
+        check_program(d)
+    return count[0]
+
+
+def test_matches_under_bindings_touch_use_counts_in_linear_work(monkeypatch):
+    # a match that touched every binding in scope would make this the
+    # square of n
+    small, big = (_counted_uses(monkeypatch, matches_under_bindings(n)) for n in (500, 1000))
+    assert big <= 2.2 * small
+
+
+def _counted_steps(monkeypatch, text: str) -> tuple[int, int]:
+    """The normalizations the checker runs while text checks, and their
+    rewrite steps, counted through `trace_normalize`."""
+    runs = []
+
+    def traced(d, max_steps):
+        trace = trace_normalize(d, max_steps)
+        runs.append(len(trace) - 1)
+        return trace[-1]
+
+    d = parse_program(text)
+    with monkeypatch.context() as m:
+        m.setattr(typecheck, "normalize", traced)
+        check_program(d)
+    return len(runs), sum(runs)
+
+
+@pytest.mark.parametrize("build", [match_chain, matches_under_bindings])
+def test_the_checker_normalizes_in_linear_steps(build, monkeypatch):
+    # a level of the chain that normalized the chain below it would make
+    # the steps the square of n
+    small, big = (_counted_steps(monkeypatch, build(n)) for n in (200, 400))
+    assert all(b <= 2.2 * a for a, b in zip(small, big))
