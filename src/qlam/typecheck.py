@@ -45,23 +45,25 @@ instance must be orthogonal to every right instance that agrees with it on
 the other, flat, shared variables, not only to the one under the same
 assignment.
 
-Where an instance comes from.  A closed value of type ♯A → ♯B is fixed by
-the images of A's basis values, so the checker keeps a column table for
-each closed lambda of the two shapes `case_construct` emits,
-`\\z. match z {…}` and `\\z. let (x, y) = z in match x {…}`, whose match the
-enumerated tier decided: each basis value of the domain with the keyed
-instance the tier ground for it, which is the normal form of the lambda
-applied to that value.  Past its unit heads (`u ;` with u bound to ⋆), a
-branch instance that applies a tabled lambda to a name is that name's
-column, and one that is a distribution of ground values is keyed as it
-stands.  A closed match on a ground value that the enumerated tier decided
-gets a table too, of its branches' instances, so a branch instance that is
-that very match is its scrutinee's column, which takes no rewrite steps.
-Every other instance is substituted and normalized.  The inventory and
-pair caps bound only the instances that are ground this way: when both
-branches read columns for the one shared name from tables over its type,
-its values are the tables' domain, whose size each table's own check
-bounded.  The tables live for one check.
+Where an instance comes from.  Each check keeps one memo,
+`_Checker.instances`: a branch, held by identity, with the keyed instance
+ground for each assignment of values to its free names.  Before an instance is
+ground, the head redexes whose operand is ground are contracted in an
+environment of ground values, with no substitution: a unit head, a lambda
+applied to a value, a pair destructured, a case taken.  A branch entered by
+a case taken whose instance under the environment is kept is that
+instance, which takes no rewrite steps; so is the branch itself.  What is
+left is keyed as it stands when it is a distribution of ground values, and
+substituted and normalized otherwise.  So a case tree checks from the
+leaves up: a branch `u ; f y` that applies a checked lambda
+`\\z. match z {…}` or `\\z. let (x, y) = z in match x {…}` reads the
+instance of the branch of f that y's value selects, and a branch that is a
+closed match reads its taken branch's.  The inventory and pair caps bound
+only the instances that are ground this way: when both branches apply, past
+their head redexes, a lambda of those shapes whose match the enumerated
+tier decided to the one shared name, its values are that lambda's domain,
+whose size the lambda's own check bounded, and each instance is read from
+the memo.  The memo lives for one check.
 """
 
 from __future__ import annotations
@@ -208,30 +210,15 @@ class _Binding:
         self.uses = 0
 
 
-class _Table:
-    """The column table of a checked closed lambda: each basis value of its
-    domain type `dom`, in the order of `_enumerate_values(dom)`, with the
-    keyed normal form of the lambda applied to it.  The table is found by
-    the lambda's identity; it keeps `lam`, which holds that identity and
-    lets a lookup confirm it.  A closed match on a ground value has a table
-    too, with no `dom`, whose column for its scrutinee is its normal form."""
-    __slots__ = ("lam", "dom", "columns")
-
-    def __init__(self, lam: Lam | Match, dom: Type | None, columns: dict[PureTerm, Keyed]):
-        self.lam = lam
-        self.dom = dom
-        self.columns = columns
-
-    def column(self, value: PureTerm | None) -> Keyed | None:
-        return self.columns.get(value)
-
-
 class _Checker:
     def __init__(self) -> None:
         self.scopes: dict[str, list[_Binding]] = {}
-        # the column tables of the lambdas and matches checked so far, by
-        # identity
-        self.tables: dict[int, _Table] = {}
+        # the memo, by identity: each branch ground so far as (branch, its
+        # free names not of unit type, {their values (`_key`): keyed
+        # instance}), and each decided table-shaped lambda as (lambda,
+        # domain type, its match's binder values as injections, the let's
+        # right name's values or None)
+        self.instances: dict[int, tuple] = {}
         # the match of each table-shaped lambda being checked, by identity,
         # with the cells its enumeration ground once it is decided
         self._cells: dict[int, list | None] = {}
@@ -319,8 +306,8 @@ class _Checker:
                 raise TypeCheckError(ErrorKind.MISMATCH, f"not a pure term: {t!r}")
 
     def _lam(self, t: Lam) -> Iterator:
-        """The lambda rule; a lambda of a table shape gets its column table
-        once its body is typed."""
+        """The lambda rule; a lambda of a table shape is recorded in the
+        memo once its body is typed, if enumeration decided its match."""
         entry = self._bind(t.name, t.ann)
         shape = _table_shape(t)
         if shape is not None:
@@ -423,13 +410,10 @@ class _Checker:
                         here,
                     )
                 shared = {x: self.scopes[x][-1].ty for x in sorted(used1 | used2)}
-                cells = _decide_orthogonality(shared, (x1, lt), b1, (x2, rt), b2, here, self.tables)
+                cells = _decide_orthogonality(
+                    shared, (x1, lt), b1, (x2, rt), b2, here, self.instances)
                 if id(here) in self._cells:
                     self._cells[id(here)] = cells
-                elif not shared and here.__class__ is Match and is_ground(here.scrutinee):
-                    # closed, on a ground injection: its normal form is the
-                    # instance of the branch its scrutinee selects
-                    self._tabulate(here, None, None, cells)
                 ty = lift(joined)
                 return ty, Derivation(f"match-{form}", here, ty, (ds, d1, d2))
 
@@ -551,26 +535,17 @@ class _Checker:
 
     # -- branch orthogonality ----------------------------------------------
 
-    def _tabulate(self, lam: Lam | Match, dom: Type | None, y: str | None,
-                  cells: list | None) -> None:
-        """Keep the column table of a table-shaped lambda whose match the
-        enumerated tier decided with no shared name but the let's right
-        name y, if any: the lambda is then closed, and the instance ground
-        for binder w (and y := v) is its column for inl w or inr w (paired
-        with v).  The columns go in the order of `_enumerate_values(dom)`.
-        A match given as lam was decided by that tier with no shared name,
-        and its scrutinee is a ground value, so its columns are the instances
-        of its branches."""
-        if cells is None or cells[0][0].keys() != (set() if y is None else {y}):
-            return
-        columns: dict[PureTerm, Keyed] = {}
-        for tag, side in ((InlV, 1), (InrV, 2)):
-            for j, (w, _) in enumerate(cells[0][side]):
-                head = tag(w)
-                for cell in cells:
-                    key = head if y is None else PairV(head, cell[0][y])
-                    columns[key] = cell[side][j][1]
-        self.tables[id(lam)] = _Table(lam, dom, columns)
+    def _tabulate(self, lam: Lam, dom: Type, y: str | None, cells: list | None) -> None:
+        """Record a table-shaped lambda whose match the enumerated tier
+        decided with no shared name but the let's right name y, if any: the
+        lambda is then closed, and its value on inl w or inr w (paired with
+        v) is the instance ground for binder w (and y := v), which the memo
+        keeps.  The values that make up its domain are read off the cells
+        (`_decided_domain` pairs them)."""
+        if cells is not None and cells[0][0].keys() == (set() if y is None else {y}):
+            heads = [InlV(w) for w, _ in cells[0][1]] + [InrV(w) for w, _ in cells[0][2]]
+            rests = None if y is None else tuple(cell[0][y] for cell in cells)
+            self.instances[id(lam)] = (lam, dom, heads, rests)
 
 
 def _value_typed(t: PureTerm, parts: list) -> tuple[Type, Derivation]:
@@ -753,21 +728,13 @@ def _decide_orthogonality(
     binder2: tuple[str, Type],
     b2: Distribution,
     here: Location,
-    tables: Mapping[int, _Table],
+    memo: dict[int, tuple],
 ) -> list | None:
     """Decide the branches orthogonal or raise.  Returns the cells the
-    enumerated tier ground, None when the structural criterion decided."""
+    enumerated tier ground, None when the structural criterion decided.
+    Every instance it grounds is kept in memo."""
     x1, t1 = binder1
     x2, t2 = binder2
-    domain = _tabled_domain(shared, x1, b1, x2, b2, tables)
-    if domain is not None and _enumerate_values(t1) == _UNIT_VALUES == _enumerate_values(t2):
-        # every instance is a column of a table, whose size the lambda's own
-        # check bounded, so neither cap applies
-        (y, ty), = shared.items()
-        return _enumerated_orthogonality(
-            {y: domain}, set() if is_flat(ty) else {y},
-            x1, _UNIT_VALUES, b1, x2, _UNIT_VALUES, b2, tables, here,
-        )
     inventories: dict[str, tuple[PureTerm, ...]] = {}
     enumerable = True
     for x, ty in shared.items():
@@ -785,7 +752,19 @@ def _decide_orthogonality(
         if total <= _PAIR_CAP:
             superposable = {x for x, ty in shared.items() if not is_flat(ty)}
             return _enumerated_orthogonality(
-                inventories, superposable, x1, inv1, b1, x2, inv2, b2, tables, here
+                inventories, superposable, x1, inv1, b1, x2, inv2, b2, memo, here
+            )
+    if _enumerate_values(t1) == _UNIT_VALUES == _enumerate_values(t2):
+        domain = _decided_domain(shared, x1, b1, x2, b2, memo)
+        if domain is not None:
+            # every instance is read from the memo past the decided lambda's
+            # head redexes, and that lambda's own check bounded its domain,
+            # so neither cap applies; within the caps the domain is the
+            # inventory, in the same order
+            (y, ty), = shared.items()
+            return _enumerated_orthogonality(
+                {y: domain}, set() if is_flat(ty) else {y},
+                x1, _UNIT_VALUES, b1, x2, _UNIT_VALUES, b2, memo, here,
             )
     if (
         is_value_distribution(b1)
@@ -813,7 +792,7 @@ def _enumerated_orthogonality(
     x2: str,
     inv2: tuple[PureTerm, ...],
     b2: Distribution,
-    tables: Mapping[int, _Table],
+    memo: dict[int, tuple],
     here: Location,
 ) -> list:
     """Every ground instance of the left branch must be orthogonal to every
@@ -836,11 +815,11 @@ def _enumerated_orthogonality(
     groups: dict[tuple, list] = {}
     for combo in itertools.product(*(inventories[x] for x in names)):
         base = dict(zip(names, combo))
-        lefts = [(w1, _instance(b1, {**base, x1: w1}, tables, here)) for w1 in inv1]
+        lefts = [(w1, _instance(b1, {**base, x1: w1}, memo, here)) for w1 in inv1]
         holders = _holders((j1, left) for j1, (_, left) in enumerate(lefts))
         rights = []
         for w2 in inv2:
-            right = (w2, _instance(b2, {**base, x2: w2}, tables, here))
+            right = (w2, _instance(b2, {**base, x2: w2}, memo, here))
             rights.append(right)
             for j1 in sorted({j1 for k in right[1] for j1 in holders.get(k, ())}):
                 _require_pair_orthogonal(base, lefts[j1], base, right, here)
@@ -868,81 +847,110 @@ def _enumerated_orthogonality(
     return cells
 
 
-def _tabled_domain(
+def _decided_domain(
     shared: dict[str, Type],
     x1: str,
     b1: Distribution,
     x2: str,
     b2: Distribution,
-    tables: Mapping[int, _Table],
+    memo: Mapping[int, tuple],
 ) -> tuple[PureTerm, ...] | None:
-    """The values of the one shared name y when each branch reads a column
-    for it: after heads that are only its binder, it applies a tabled
-    lambda whose domain is y's type to y.  None otherwise."""
+    """The values of the one shared name y when each branch, past its head
+    redexes with its binder bound to ⋆, applies to y a table-shaped lambda
+    that memo records as decided at y's type.  None otherwise."""
     if len(shared) != 1:
         return None
     (y, ty), = shared.items()
     if y in (x1, x2):
         return None
     for x, b in ((x1, b1), (x2, b2)):
-        source = _column_source(_tail(b, {x: _VOID}), tables)
-        if source is None or source[1] != y or source[0].dom is not ty:
+        # y is left unbound, so a redex whose operand is y stays
+        t = _only(_peel(b, {x: _VOID}, {}))
+        if t.__class__ is not App or t.arg.__class__ is not Var or t.arg.name != y:
             return None
-    return tuple(source[0].columns)
+        decided = memo.get(id(t.fun))
+        if decided is None or decided[0] is not t.fun or decided[1] is not ty:
+            return None
+    # the values of its domain, in the order of `_enumerate_values`
+    _, _, heads, rests = decided
+    return tuple(heads) if rests is None else tuple(PairV(h, r) for h in heads for r in rests)
 
 
-def _tail(d: Distribution, assignment: Mapping[str, PureTerm]) -> Distribution:
-    """d without its unit heads: while d is one unscaled `h ; tail` whose
-    head is ⋆ or a name the assignment binds to ⋆, its tail."""
-    while isinstance(t := _only(d), Seq) and (
-        t.head is _VOID
-        or isinstance(t.head, Var) and assignment.get(t.head.name) is _VOID
-    ):
-        d = t.tail
+def _peel(d: Distribution, env: dict[str, PureTerm],
+          memo: Mapping[int, tuple]) -> Distribution | Keyed:
+    """d past its head redexes whose operand is a ground value or a name env
+    binds: a unit head, a lambda applied to a value, a pair destructured, a
+    case taken.  Each contraction binds its names in env, which maps names to
+    ground values, so nothing is substituted.  The instance that memo keeps
+    for a branch entered by a case taken, under env, is returned in place of
+    that branch; else the distribution left."""
+    while (t := _only(d)) is not None:
+        cls = t.__class__
+        if cls is Seq and _operand(t.head, env) is _VOID:
+            d = t.tail
+        elif cls is App and t.fun.__class__ is Lam and (v := _operand(t.arg, env)) is not None:
+            env[t.fun.name] = v
+            d = t.fun.body
+        elif cls is LetPair and (v := _operand(t.scrutinee, env)).__class__ is PairV:
+            env[t.left], env[t.right] = v.first, v.second
+            d = t.body
+        elif cls is Match and (v := _operand(t.scrutinee, env)).__class__ in (InlV, InrV):
+            x, d = (t.left_name, t.left_body) if v.__class__ is InlV else (t.right_name, t.right_body)
+            env[x] = v.value
+            kept = memo.get(id(d))
+            if kept is not None and kept[0] is d:
+                inst = kept[2].get(_key(env, kept[1]))
+                if inst is not None:
+                    return inst
+        else:
+            break
     return d
 
 
-def _column_source(
-    d: Distribution, tables: Mapping[int, _Table]
-) -> tuple[_Table, str] | None:
-    """The table and the argument's name when d is one unscaled application
-    of a tabled lambda to a name."""
-    t = _only(d)
-    if isinstance(t, App) and isinstance(t.fun, Lam) and isinstance(t.arg, Var):
-        table = tables.get(id(t.fun))
-        if table is not None and table.lam is t.fun:
-            return table, t.arg.name
-    return None
+def _operand(t: PureTerm, env: Mapping[str, PureTerm]) -> PureTerm | None:
+    """The ground value t is, as a ground value or a name env binds, else
+    None."""
+    if t.__class__ is Var:
+        return env.get(t.name)
+    return t if is_ground(t) else None
 
 
 def _instance(
     b: Distribution,
     assignment: dict[str, PureTerm],
-    tables: Mapping[int, _Table],
+    memo: dict[int, tuple],
     here: Location,
 ) -> Keyed:
     """The keyed ground instance of branch b under the assignment, which
-    binds every free name of b.  Past its unit heads, an application of a
-    tabled lambda to a name is that name's column, a tabled match is its
-    scrutinee's column, and a distribution of ground values is keyed as it
-    stands; any other branch, or a value with no column, is substituted and
-    normalized.  A column takes no rewrite steps."""
-    d = _tail(b, assignment)
-    t = _only(d)
-    if t.__class__ is Match:
-        table = tables.get(id(t))
-        column = table.column(t.scrutinee) if table is not None and table.lam is t else None
-        if column is not None:
-            return column
-    source = _column_source(d, tables)
-    if source is not None:
-        table, name = source
-        column = table.column(assignment.get(name))
-        if column is not None:
-            return column
-    elif all(is_ground(t) for _, t in d.summands):
-        return keyed(d)
-    return keyed(_ground_branch(b, assignment, here))
+    binds every free name of b, kept in memo.  An instance not kept yet is
+    read past b's head redexes (`_peel`, which extends the assignment): a
+    kept instance of a branch entered there is b's, a distribution of
+    ground values is keyed as it stands, and anything else is substituted
+    and normalized.  A contraction of `_peel` takes no rewrite steps."""
+    kept = memo.get(id(b))
+    if kept is None or kept[0] is not b:
+        # a name of unit type holds ⋆ under every assignment: it is no part
+        # of the key
+        names = tuple(x for x in free_vars_dist(b) if assignment[x] is not _VOID)
+        kept = memo[id(b)] = (b, names, {})
+    key = _key(assignment, kept[1])
+    inst = kept[2].get(key)
+    if inst is None:
+        d = _peel(b, assignment, memo)
+        if d.__class__ is Distribution:
+            d = keyed(d if all(is_ground(t) for _, t in d.summands)
+                      else _ground_branch(d, assignment, here))
+        inst = kept[2][key] = d
+    return inst
+
+
+def _key(env: Mapping[str, PureTerm], names: tuple[str, ...]) -> object:
+    """The key of an instance in its branch's entry: the value of the one
+    name, else the tuple of the names' values.  The value is interned, so a
+    case tree, whose branches have one name that is not of unit type, keys
+    its instances with no object of their own for the cyclic collector to
+    walk."""
+    return env[names[0]] if len(names) == 1 else tuple(map(env.__getitem__, names))
 
 
 def _holders(instances: Iterable[tuple[object, Keyed]]) -> dict[object, list]:

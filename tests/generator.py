@@ -325,12 +325,17 @@ DEEP_TYPES = {
 }
 
 
-# Two shapes whose checking once cost the square of n, as text.  The
+# Three shapes whose checking once cost the square of n, as text.  The
 # left-branch chain nests each match in the left branch of the one above,
-# behind a unit head.  Under n `#B` lambdas, n matches nested in a
+# behind a unit head; the beta chain puts a beta-redex with a unit head of
+# its own between the two.  Under n `#B` lambdas, n matches nested in a
 # scrutinee are typed with n bindings in scope.
 def match_chain(n: int) -> str:
     return "match inl * { inl a -> a ; " * n + "inl *" + " | inr b -> inr b }" * n
+
+
+def beta_chain(n: int) -> str:
+    return "match inl * { inl a -> a ; (\\u:U. u ; " * n + "inl *" + ") * | inr b -> inr b }" * n
 
 
 def matches_under_bindings(n: int) -> str:

@@ -1,9 +1,13 @@
-"""Column tables: a checked case-tree lambda is described by the keyed normal
-forms of its basis values, and the checker reads a branch `u ; f y` from f's
-table instead of normalizing it.  A closed match on a ground value, once
-decided, is kept the same way, so a branch `u ; match v {…}` is read from its
-table.  A table must agree with normalization, and checking must come out
-the same, type or error text, when every lookup misses."""
+"""Branch instances: each check keeps a memo of the keyed instances its
+enumeration grounds, by branch and the values of the branch's free names,
+and reads an instance past its head redexes (a unit head, a lambda applied
+to a value, a pair destructured, a case taken) in an environment.  So a
+case-tree branch `u ; f y` reads the instance of the branch of f that y's
+value selects, which is f's column for that value, the normal form of f
+applied to it, and a branch that is a closed match reads its taken
+branch's.  Every kept instance must be the normal form of its branch under
+its values, and checking must come out the same, type or error text, when
+the memo keeps nothing."""
 
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ import numpy as np
 import pytest
 
 import qlam.typecheck as typecheck
-from generator import match_chain
+from generator import beta_chain, match_chain
 from qlam.inner import keyed
 from qlam.quantum import (
     GateMatrix,
@@ -26,9 +30,28 @@ from qlam.quantum import (
 )
 from qlam.rewrite import normalize
 from qlam.surface import parse_program, pretty_print
-from qlam.syntax import App, Match, scale, singleton
-from qlam.typecheck import ErrorKind, TypeCheckError, _Checker, _Table, check_program
-from qlam.types import Arrow, qubits
+from qlam.syntax import (
+    App,
+    Distribution,
+    Match,
+    free_vars_dist,
+    scale,
+    singleton,
+    substitute_many_dist,
+)
+from qlam.typecheck import (
+    ErrorKind,
+    TypeCheckError,
+    _Checker,
+    _decided_domain,
+    _enumerate_values,
+    _ground_branch,
+    _instance,
+    _peel,
+    _table_shape,
+    check_program,
+)
+from qlam.types import UNIT, Arrow, Sum, qubits
 
 LIBRARY = ("I", "X", "Y", "Z", "H", "S", "T", "CNOT", "CZ", "SWAP")
 
@@ -87,38 +110,102 @@ def _outcome(program) -> tuple:
     return ("typed", ty)
 
 
-@pytest.mark.parametrize("label, lam", TERMS, ids=[label for label, _ in TERMS])
-def test_every_column_is_the_normal_form_of_the_application(label, lam):
+class _Forgetful(dict):
+    """A memo that keeps nothing, so every instance is read past its head
+    redexes down to what is keyed or normalized."""
+
+    def __setitem__(self, key, value) -> None:
+        pass
+
+
+def _forget(monkeypatch) -> None:
+    init = _Checker.__init__
+
+    def forgetful(self) -> None:
+        init(self)
+        self.instances = _Forgetful()
+
+    monkeypatch.setattr(_Checker, "__init__", forgetful)
+
+
+def _assert_kept_instances_are_normal_forms(c: _Checker) -> int:
+    """Every instance c keeps is the normal form of its branch under the
+    values it is kept for; returns how many there are."""
+    count = 0
+    for entry in c.instances.values():
+        if entry[0].__class__ is Distribution:
+            b, names, kept = entry
+            for key, inst in kept.items():
+                # the names left out of the key hold the unit value
+                assignment = dict.fromkeys(free_vars_dist(b), typecheck._VOID)
+                assignment.update(zip(names, (key,) if len(names) == 1 else key))
+                assert inst == keyed(normalize(substitute_many_dist(b, assignment)))
+                count += 1
+    return count
+
+
+def _checked(program) -> _Checker:
     c = _Checker()
     try:
-        c.infer_dist(singleton(lam))
+        c.infer_dist(program)
     except TypeCheckError:
         pass
+    return c
+
+
+@pytest.mark.parametrize("label, lam", TERMS, ids=[label for label, _ in TERMS])
+def test_every_column_is_the_normal_form_of_the_application(label, lam):
+    c = _checked(singleton(lam))
+    kept = _assert_kept_instances_are_normal_forms(c)
     if not label.startswith(("duplicate", "distant", "scaled")):
-        assert id(lam) in c.tables
-    for table in c.tables.values():
-        assert table.dom is typecheck.ground_unknowns(table.lam.ann)
-        for value, column in table.columns.items():
-            assert column == keyed(normalize(singleton(App(table.lam, value))))
+        assert kept > 0
+        decided = c.instances[id(lam)]
+        assert decided[0] is lam and decided[1] is typecheck.ground_unknowns(lam.ann)
+        for value in _enumerate_values(decided[1]):
+            application = singleton(App(lam, value))
+            # read from the memo: a kept instance, not a distribution left
+            column = _peel(application, {}, c.instances)
+            assert column.__class__ is not Distribution
+            assert column == keyed(normalize(application))
+
+
+# gates on two or more qubits: their match applies a decided lambda to the
+# let's right name in both branches
+LET_SHAPED = [(label, lam) for label, lam in TERMS if _table_shape(lam)[1] is not None
+              and not label.startswith(("duplicate", "distant", "scaled"))]
+
+
+@pytest.mark.parametrize("label, lam", LET_SHAPED, ids=[label for label, _ in LET_SHAPED])
+def test_a_decided_domain_is_the_inventory(label, lam):
+    c = _checked(singleton(lam))
+    m, y = _table_shape(lam)
+    f = _peel(m.left_body, {m.left_name: typecheck._VOID}, {}).summands[0][1].fun
+    ty = c.instances[id(f)][1]
+    domain = _decided_domain({y: ty}, m.left_name, m.left_body, m.right_name, m.right_body,
+                             c.instances)
+    assert domain == _enumerate_values(ty)
 
 
 @pytest.mark.parametrize("label, lam", TERMS, ids=[label for label, _ in TERMS])
 def test_checking_does_not_depend_on_the_tables(label, lam, monkeypatch):
     program = singleton(lam)
-    with_tables = _outcome(program)
-    monkeypatch.setattr(_Table, "column", lambda self, value: None)
-    assert _outcome(program) == with_tables
+    with_memo = _outcome(program)
+    _forget(monkeypatch)
+    assert _outcome(program) == with_memo
     if label.startswith(("duplicate", "scaled")):
-        assert with_tables[0] == "rejected"
+        assert with_memo[0] == "rejected"
     elif not label.startswith("distant"):
         n = int(label.rsplit("/", 1)[1])
-        assert with_tables == ("typed", Arrow(qubits(n), qubits(n)))
+        assert with_memo == ("typed", Arrow(qubits(n), qubits(n)))
 
 
 # handwritten programs near the table shapes: a binder that shadows the
 # let's right name, a flat shared name, literal unit heads, a match on the
-# let's right name, an operator that is not closed, superposed leaves, and
-# a tabled match as an operator, whose table is not a lambda's
+# let's right name, an operator that is not closed, superposed leaves, a
+# closed match as an operator, and the head redexes an instance is read past:
+# a beta-redex whose binder shadows the shared name, a let and a match on a
+# name of the wrong type, a scaled one-summand head and a lambda applied to
+# an open value
 _NOT = r"(\z':#(U+U). match z' { inl u -> u ; inr * | inr u -> u ; inl * })"
 _ID = r"(\z':#(U+U). match z' { inl u -> u ; inl * | inr u -> u ; inr * })"
 _FLAT_NOT = r"(\z':U+U. match z' { inl u -> u ; inr * | inr u -> u ; inl * })"
@@ -144,15 +231,29 @@ NEAR_SHAPES = [
     r"| inr w -> w ; (0.6 * inl * + 0.8 * inr *) }",
     r"\s:U+U. \y:U+U. match s { inl a -> a ; (match inl * { inl c -> c ; \x:U+U. inl x "
     r"| inr d -> d ; \x:U+U. inr x }) y | inr b -> b ; inl y }",
+    r"\z:(U+U)*(U+U). let (x, y) = z in match x { inl w -> w ; (\y:U+U. match inl * { "
+    r"inl c -> c ; y | inr d -> d ; match y { inl e -> e ; inr * | inr f -> f ; inl * } }) "
+    r"(inr *) | inr w -> w ; (\v:U+U. inl *) y }",
+    r"\s:U+U. \y:U+U. match s { inl a -> a ; let (p, q) = y in p ; q ; inl * "
+    r"| inr b -> b ; inr * }",
+    r"\s:U+U. \y:U*U. match s { inl a -> a ; match y { inl c -> c ; inl * "
+    r"| inr d -> d ; inl * } | inr b -> b ; inr * }",
+    r"\z:#(U+U). match z { inl w -> (-1 * *) ; w ; inl * | inr w -> w ; inr * }",
+    r"\z:#(U+U). match z { inl w -> (-1 * *) ; w ; inl * | inr w -> (-1 * *) ; w ; inl * }",
+    r"\s:U+U. \y:U+U. match s { inl a -> a ; (\p:(U+U)*U. let (c, d) = p in d ; c) (y, *) "
+    r"| inr b -> b ; " + _FLAT_NOT + " y }",
+    r"\s:U+U. \y:U+U. match s { inl a -> a ; (\p:(U+U)*U. let (c, d) = p in d ; c) (y, *) "
+    r"| inr b -> b ; " + _FLAT_ID + " y }",
 ]
 
 
 @pytest.mark.parametrize("src", NEAR_SHAPES)
 def test_programs_near_the_table_shapes_check_as_without_tables(src, monkeypatch):
     program = parse_program(src)
-    with_tables = _outcome(program)
-    monkeypatch.setattr(_Table, "column", lambda self, value: None)
-    assert _outcome(program) == with_tables
+    with_memo = _outcome(program)
+    _assert_kept_instances_are_normal_forms(_checked(program))
+    _forget(monkeypatch)
+    assert _outcome(program) == with_memo
 
 
 def test_near_shapes_are_decided_both_ways():
@@ -160,15 +261,60 @@ def test_near_shapes_are_decided_both_ways():
     assert "typed" in outcomes and "rejected" in outcomes
 
 
+# branches read past their head redexes, under an assignment, as
+# substituting and normalizing them reads them: the value or the error
+# kind and text.  Typing rules out the names of the wrong type, so these
+# are read directly
+_HEADS = [
+    ("u ; inl *", {"u": "*"}),
+    ("u ; inl *", {"u": "inl *"}),
+    ("let (p, q) = y in p ; q ; inl *", {"y": "inl *"}),
+    ("let (p, q) = y in p ; q ; inl *", {"y": "(*, *)"}),
+    ("u ; match y { inl a -> a ; inl * | inr b -> b ; inr * }", {"u": "*", "y": "(*, *)"}),
+    (r"(\y:U+U. match y { inl a -> a ; y' | inr b -> b ; inr * }) inl *", {"y'": "inr *"}),
+    (r"(\p:U*U. let (a, b) = p in a ; b ; inl *) (u, u)", {"u": "*"}),
+    ("-1 * (u ; inl *)", {"u": "*"}),
+    (r"(match y { inl a -> a ; \x:U. inl x | inr b -> b ; \x:U. inr x }) u",
+     {"u": "*", "y": "inr *"}),
+    (r"(match y { inl a -> a ; \x:U. inl x | inr b -> b ; \x:U. inr x }) u",
+     {"u": "*", "y": "inl (*, *)"}),
+]
+
+
+def _read(read):
+    try:
+        return read()
+    except TypeCheckError as e:
+        return (e.kind, str(e))
+
+
+@pytest.mark.parametrize("src, values", _HEADS)
+def test_an_instance_is_read_past_its_head_redexes_as_normalization_reads_it(src, values):
+    b = parse_program(src)
+    assignment = {x: _only_term(v) for x, v in values.items()}
+    want = _read(lambda: keyed(_ground_branch(b, dict(assignment), "here")))
+    assert _read(lambda: _instance(b, dict(assignment), {}, "here")) == want
+
+
+def _only_term(text: str):
+    return parse_program(text).summands[0][1]
+
+
 def test_a_kept_match_is_its_normal_form():
     c = _Checker()
     c.infer_dist(parse_program(match_chain(20)))
-    matches = [table for table in c.tables.values() if table.lam.__class__ is Match]
-    assert len(matches) == 20
-    for table in matches:
-        assert table.dom is None
-        match = table.lam
-        assert table.column(match.scrutinee) == keyed(normalize(singleton(match)))
+    _assert_kept_instances_are_normal_forms(c)
+    # each closed match of the chain is read as the kept instance of the
+    # branch its scrutinee selects
+    match = parse_program(match_chain(20)).summands[0][1]
+    c = _Checker()
+    c.infer_dist(singleton(match))
+    for _ in range(20):
+        assert match.__class__ is Match
+        kept = _peel(singleton(match), {}, c.instances)
+        assert kept.__class__ is not Distribution
+        assert kept == keyed(normalize(singleton(match)))
+        match = match.left_body.summands[0][1].tail.summands[0][1]
 
 
 def _chain_with_a_collision(depth: int) -> str:
@@ -177,28 +323,45 @@ def _chain_with_a_collision(depth: int) -> str:
     return match_chain(depth).removesuffix(" | inr b -> inr b }") + " | inr b -> inl b }"
 
 
-@pytest.mark.parametrize("build", [match_chain, _chain_with_a_collision])
+def _beta_chain_with_a_collision(depth: int) -> str:
+    """`beta_chain` whose outermost right branch is the left one's normal
+    form."""
+    return beta_chain(depth).removesuffix(" | inr b -> inr b }") + " | inr b -> inl b }"
+
+
+@pytest.mark.parametrize("build", [match_chain, _chain_with_a_collision,
+                                   beta_chain, _beta_chain_with_a_collision])
 def test_the_left_branch_chain_checks_as_without_tables(build, monkeypatch):
     programs = [parse_program(build(depth)) for depth in (1, 2, 5, 20, 100, 200)]
-    with_tables = [_outcome(program) for program in programs]
-    monkeypatch.setattr(_Table, "column", lambda self, value: None)
-    assert [_outcome(program) for program in programs] == with_tables
-    assert {want[0] for want in with_tables} == {
-        "typed" if build is match_chain else "rejected"}
+    with_memo = [_outcome(program) for program in programs]
+    _assert_kept_instances_are_normal_forms(_checked(programs[3]))
+    _forget(monkeypatch)
+    assert [_outcome(program) for program in programs] == with_memo
+    if build in (match_chain, beta_chain):
+        assert all(want == ("typed", Sum(UNIT, UNIT)) for want in with_memo)
+    else:
+        assert all(want[:2] == ("rejected", ErrorKind.ORTHOGONALITY_FAILURE) for want in with_memo)
 
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_a_compiled_gate_checks_without_normalizing_every_level(n, monkeypatch):
-    calls = []
+    calls, reads = [], []
     real = typecheck.normalize
     monkeypatch.setattr(typecheck, "normalize", lambda *a, **k: calls.append(1) or real(*a, **k))
+    operand = typecheck._operand
+    monkeypatch.setattr(typecheck, "_operand", lambda *a: reads.append(1) or operand(*a))
     # at most one per leaf; normalizing each level's subtree again for every
-    # value of the register's rest makes n * 2^n
+    # value of the register's rest makes n * 2^n.  Each of the n * 2^n
+    # instances reads at most four operands (a unit head, a beta-redex, a
+    # let and a case taken) before the memo has the branch it enters;
+    # reading on down to a leaf makes about 2 n per instance
     lam = compile_gate(gate_library["X"], [n - 1], n)
     for program in (singleton(lam), parse_program(pretty_print(singleton(lam)))):
         calls.clear()
+        reads.clear()
         assert check_program(program)[0] == Arrow(qubits(n), qubits(n))
         assert len(calls) <= 1 << n
+        assert len(reads) <= 4 * n << n
 
 
 def _wide_gates():

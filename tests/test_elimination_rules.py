@@ -370,12 +370,11 @@ def test_values_of_one_form_beside_an_elimination_share_no_context(text):
 # usage bookkeeping the loop's `match` rule replaced: it snapshots the use
 # count of every binding in scope, restores it between the branches and
 # compares the two deltas, where the loop reads each branch's usage off its
-# free names; and it keeps no table of a closed match.  The tests below hold
-# the loop to it on the recorded cases, generator programs and programs
-# with two faults, on the programs and checks of `eager_errors.json`, on
-# compiled gates and planted defects at n = 1..4, and on the deep programs
-# above at depths the recursion reaches: types by identity, derivations by
-# `==`, error texts by `==`.
+# free names.  The tests below hold the loop to it on the recorded cases,
+# generator programs and programs with two faults, on the programs and
+# checks of `eager_errors.json`, on compiled gates and planted defects at
+# n = 1..4, and on the deep programs above at depths the recursion reaches:
+# types by identity, derivations by `==`, error texts by `==`.
 
 
 class _RecursiveChecker(_Checker):
@@ -408,7 +407,7 @@ class _RecursiveChecker(_Checker):
             stack = self.scopes.get(x)
             assert stack, f"branch variable {x} escaped typing"
             shared[x] = stack[-1].ty
-        return _decide_orthogonality(shared, (x1, t1), b1, (x2, t2), b2, here, self.tables)
+        return _decide_orthogonality(shared, (x1, t1), b1, (x2, t2), b2, here, self.instances)
 
     def infer_term(self, t: PureTerm) -> tuple[Type, Derivation]:
         match t:

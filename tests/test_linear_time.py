@@ -35,6 +35,7 @@ import qlam.typecheck as typecheck
 from generator import (
     ProgramGen,
     alpha_variant,
+    beta_chain,
     flow_programs,
     match_chain,
     matches_under_bindings,
@@ -465,7 +466,7 @@ def _counted_steps(monkeypatch, text: str) -> tuple[int, int]:
     return len(runs), sum(runs)
 
 
-@pytest.mark.parametrize("build", [match_chain, matches_under_bindings])
+@pytest.mark.parametrize("build", [match_chain, beta_chain, matches_under_bindings])
 def test_the_checker_normalizes_in_linear_steps(build, monkeypatch):
     # a level of the chain that normalized the chain below it would make
     # the steps the square of n
