@@ -14,17 +14,23 @@ comment.
 
 The lexer is one `findall` of a single regex.  Each token is a plain tuple
 `(kind, value)`, with no offsets: punctuation, keywords and the end are
-shared tuples, and each distinct identifier, scalar or register literal of a
-text is read once.  A register literal is a ground value written as the
-printer writes a register of up to `_MAX_REGISTER` qubits, such as
-`(inl *, (inr *, inl *))`.  `parse_program` reads each one as a single
-`value` token, which the parse loop takes as an atom, as it takes `*`.  The
+shared tuples, and each distinct identifier, scalar, register literal or
+superposition literal of a text is read once.  A register literal is a
+ground value written as the printer writes a register of up to
+`_MAX_REGISTER` qubits, such as `(inl *, (inr *, inl *))`.  `parse_program`
+reads each one as a single `value` token, which the parse loop takes as an
+atom, as it takes `*`.  A superposition literal is a sum of ground values
+in parentheses, as the printer writes one, such as
+`(0.6 * (inl *, inr *) + 0-0.8i * (inr *, inr *))`.  It is a single `sum`
+token, read once per text, each register literal in it through the text's
+one read of that literal.  The parse loop takes it where it takes a `value`
+token, as a fresh distribution of its summands at each occurrence.  The
 parser names a token by its index.  Only when a `ParseError` or
 `HeadNotPure` error is raised is the span of that token, its offsets, line
 and column, found, by scanning the text again with the plain regex, which
-has no register token.  Errors come from the plain tokens: where the read
-with register tokens raises, `parse_program` reads the text again without
-them and raises what that read raises.
+has neither literal token.  Errors come from the plain tokens: where the
+read with literal tokens raises, `parse_program` reads the text again
+without them and raises what that read raises.
 
 Terms are parsed by one loop over the tokens and an explicit stack, with no
 recursion, so nesting depth costs heap, not Python frames.  A frame is pushed
@@ -105,9 +111,10 @@ _NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 # any other character, and `_lex_error` tells it apart from a malformed number
 # such as `.²`.
 _SKIP = r"(?:[ \t\r\n]+|--[^\n]*)*"
+_SCALAR_TEXT = rf"{_NUM}(?:/sqrt2|/{_NUM}|[+-]{_NUM}i|i)?"
 _TOKENS = (
     r"[A-Za-z_][A-Za-z0-9_']*"
-    rf"|{_NUM}(?:/sqrt2|/{_NUM}|[+-]{_NUM}i|i)?"
+    rf"|{_SCALAR_TEXT}"
     r"|->|\.(?![^\W\d_A-Za-z])|[-\\(),;+*={}|:#]"
     r"|."
     r"|\Z"
@@ -116,17 +123,27 @@ _TOKEN_RE = re.compile(rf"{_SKIP}({_TOKENS})", re.S)
 # A register literal as the printer writes it: pairs nested to the right,
 # `, ` between components, each left component and the last right one a
 # chain of `inl `/`inr ` over `*`, and at most as many pairs as a register
-# of `_MAX_REGISTER` qubits has.  `_REGISTER_TOKEN_RE` reads one as a single
-# token; anything else, a deeper literal's outer pairs among it, is read as
-# `_TOKEN_RE` reads it.
+# of `_MAX_REGISTER` qubits has.  A superposition literal, as the printer
+# writes a sum of ground values in parentheses: two or more summands joined
+# by ` + `, each an optional `-`, scalar and ` * ` before a register literal
+# or a chain.  `_REGISTER_TOKEN_RE` reads either as a single token; anything
+# else, a deeper literal's outer pairs among it, is read as `_TOKEN_RE`
+# reads it.
 _CHAIN = r"(?:in[lr] )*\*"
-_RIGHT = _CHAIN
+_TAIL = _CHAIN
 for _ in range(_MAX_REGISTER - 2):
-    _RIGHT = rf"{_CHAIN}|\({_CHAIN}, (?:{_RIGHT})\)"
-_REGISTER_TOKEN_RE = re.compile(rf"{_SKIP}(\({_CHAIN}, (?:{_RIGHT})\)|{_TOKENS})", re.S)
+    _TAIL = rf"{_CHAIN}|\({_CHAIN}, (?:{_TAIL})\)"
+_REGISTER = rf"\({_CHAIN}, (?:{_TAIL})\)"
 # a scalar's parts: the number, then `/sqrt2`, a denominator, an imaginary
 # part after the real one, or `i`
-_SCALAR_RE = re.compile(rf"({_NUM})(?:(/sqrt2)|/({_NUM})|([+-]{_NUM})i|(i))?")
+_SCALAR = rf"({_NUM})(?:(/sqrt2)|/({_NUM})|([+-]{_NUM})i|(i))?"
+_SCALAR_RE = re.compile(_SCALAR)
+_SUMMAND_TEXT = rf"(?:-?{_SCALAR_TEXT} \* )?(?:{_REGISTER}|{_CHAIN})"
+_REGISTER_TOKEN_RE = re.compile(
+    rf"{_SKIP}(\({_SUMMAND_TEXT}(?: \+ {_SUMMAND_TEXT})+\)|{_REGISTER}|{_TOKENS})", re.S)
+# one summand of a superposition literal, read from its start: the `-`, the
+# scalar's parts and the register literal or chain
+_SUMMAND_RE = re.compile(rf"(?:(-?){_SCALAR} \* )?([^+]+)(?: \+ |$)")
 _SQRT2 = math.sqrt(2)
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
@@ -143,13 +160,18 @@ _VOID = Void()
 
 def _lex(text: str, pattern: re.Pattern = _TOKEN_RE) -> list[_Token]:
     """The tokens of text, the last one the end, as pattern reads them.
-    Each distinct identifier, scalar and register literal is read once, and
-    its tuple shared by all its occurrences."""
+    Each distinct identifier, scalar, register literal and superposition
+    literal is read once, and its tuple shared by all its occurrences."""
     found = pattern.findall(text)
     if found[-2:] == ["", ""]:
         found.pop()  # blanks or a comment at the end, then the end again
     tokens = dict(_SHARED)
     for s in set(found).difference(tokens):
+        if s in tokens:
+            continue  # a register literal, read inside a superposition
+        if s[0] == "(" and " + " in s:
+            tokens[s] = ("sum", _superposition(s, tokens))
+            continue
         tok = _token(s)
         if tok is None:
             raise _lex_error(text)
@@ -159,7 +181,8 @@ def _lex(text: str, pattern: re.Pattern = _TOKEN_RE) -> list[_Token]:
 
 def _token(s: str) -> _Token | None:
     """The token of s, a match of `_REGISTER_TOKEN_RE` that is neither
-    punctuation nor a keyword, or None where lexing stops at it."""
+    punctuation, a keyword nor a superposition literal, or None where
+    lexing stops at it."""
     if s[0] in _IDENT_START:
         return ("ident", s)
     if s[0] == "(":
@@ -169,6 +192,35 @@ def _token(s: str) -> _Token | None:
         if value is not None:
             return ("scalar", value)
     return None
+
+
+def _superposition(s: str, tokens: dict[str, _Token]) -> tuple[tuple[complex, PureTerm], ...]:
+    """The summands of a superposition literal, in order, as the parse loop
+    builds them from its plain tokens: each coefficient computed and
+    checked as `_scaled` does, and each register literal read once per
+    text, through tokens.  A zero denominator or a non-finite coefficient
+    raises a `ParseError`, with no span: `parse_program` then reads the
+    text token by token, and raises what that read raises."""
+    summands = []
+    for minus, num, sqrt2, denom, imag, i, value in _SUMMAND_RE.findall(s, 1, len(s) - 1):
+        if value[0] == "(":
+            tok = tokens.get(value)
+            if tok is None:
+                tok = tokens[value] = _token(value)
+            v = tok[1]
+        else:
+            v = _chain(value)
+        if not num:
+            summands.append((_ONE, v))
+            continue
+        c = _number(num, sqrt2, denom, imag, i)
+        if c is None:
+            raise ParseError("zero denominator in scalar")
+        a = complex(-c if minus else c) * _ONE
+        if not cmath.isfinite(a):
+            raise ParseError(f"non-finite coefficient {a!r}")
+        summands.append((a, v))
+    return tuple(summands)
 
 
 def _register(s: str) -> PureTerm:
@@ -191,7 +243,12 @@ def _chain(c: str) -> PureTerm:
 
 def _scalar(s: str) -> complex | float | None:
     """The value of a scalar token, or None for a zero denominator."""
-    num, sqrt2, denom, imag, i = _SCALAR_RE.match(s).groups()
+    return _number(*_SCALAR_RE.match(s).groups())
+
+
+def _number(num: str, sqrt2: str, denom: str, imag: str, i: str) -> complex | float | None:
+    """The value of a scalar from the parts `_SCALAR_RE` reads, or None for
+    a zero denominator."""
     x = float(num)
     if sqrt2:
         return x / _SQRT2
@@ -233,7 +290,7 @@ _ONE = complex(1)
 # The tokens that may start what the parse loop reads next: an atom (after
 # `inl`/`inr`, and as an argument), a head term (after a scalar or `;`) or a
 # summand.
-_ATOM = frozenset({"*", "ident", "value", "(", "inl", "inr"})
+_ATOM = frozenset({"*", "ident", "value", "sum", "(", "inl", "inr"})
 _HEAD = _ATOM | {"\\", "let", "match"}
 _SUMMAND = _HEAD | {"-", "scalar"}
 # The frames on its stack, tuples whose first item is the kind; `at` is the
@@ -350,10 +407,11 @@ def _read_type(p: _Parser) -> Type:
 def parse_program(text: str) -> Distribution:
     """The distribution that text writes down.
 
-    It is read with each register literal as one token.  Where that raises
-    a `ParseError` or `HeadNotPure`, the text is read again token by token,
-    and what that raises is raised: the same error, text and span as
-    without register tokens, which a literal could otherwise move."""
+    It is read with each register literal and each superposition literal
+    as one token.  Where that raises a `ParseError` or `HeadNotPure`, the
+    text is read again token by token, and what that raises is raised: the
+    same error, text and span as without literal tokens, which a literal
+    could otherwise move."""
     try:
         return _parse(_Parser(text, _REGISTER_TOKEN_RE))
     except (ParseError, TypeCheckError):
@@ -388,6 +446,11 @@ def _parse(p: _Parser) -> Distribution:
                 break
             if kind == "value":
                 v = tok[1]
+                break
+            if kind == "sum":
+                # a fresh distribution for each occurrence, as the plain
+                # tokens' parenthesized sum gives
+                v = _trusted(tok[1])
                 break
             at = pos - 1
             if kind not in reading:

@@ -11,7 +11,8 @@ equivalence tests hold the loops to them: the same `repr`, or the same error
 type, text and span, on generator programs and types with blanks, comments
 and extra parentheses, on damaged text and on compiled gates.
 
-`parse_program` reads each register literal as one token.  The register
+`parse_program` reads each register literal, and each parenthesized
+superposition of them as the printer writes one, as one token.  The register
 tests hold it to the same loop on the plain tokens: the same `repr` and the
 same interned values, the same error, text and span, literals at and past
 the depth bound, and each distinct literal of a text read once.
@@ -20,6 +21,7 @@ the depth bound, and each distinct literal of a text read once.
 from __future__ import annotations
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -31,9 +33,12 @@ from generator import DEEP_TYPES, deep_types, types
 from qlam.quantum import (
     _MAX_REGISTER,
     GateMatrix,
+    StateVector,
     basis_value,
+    case_construct,
     compile_gate,
     compile_isometry,
+    encode,
     gate_library,
 )
 from qlam.surface import ParseError, parse_program, parse_type, pretty_print
@@ -63,7 +68,7 @@ from qlam.syntax import (
     show_term,
     singleton,
 )
-from qlam.typecheck import ErrorKind, TypeCheckError
+from qlam.typecheck import ErrorKind, TypeCheckError, check_program
 from qlam.types import BOOL, UNIT, Arrow, Prod, Sharp, Sum, Type, show_type
 from test_lexer import _damaged_texts, _spaced_texts, _unitary
 
@@ -477,6 +482,11 @@ def _plain_parse(text: str) -> Distribution:
     return surface._parse(surface._Parser(text))
 
 
+def _kinds(text: str) -> list[str]:
+    """The kinds of the tokens parse_program reads first."""
+    return [kind for kind, _ in surface._lex(text, surface._REGISTER_TOKEN_RE)]
+
+
 def _one_object_per_value(x: Distribution, y: Distribution) -> bool:
     """Whether x and y, of equal `repr`, hold every ground value at the same
     place as the same object."""
@@ -537,7 +547,7 @@ def test_literals_at_and_past_the_depth_bound_parse_as_the_plain_tokens(width):
     rng = random.Random(width)
     for _ in range(20):
         text = _literal(rng, width)
-        kinds = [kind for kind, _ in surface._lex(text, surface._REGISTER_TOKEN_RE)]
+        kinds = _kinds(text)
         if width <= _MAX_REGISTER:
             assert kinds == ["value", "eof"]
         else:
@@ -589,16 +599,158 @@ def test_errors_near_register_literals_are_the_plain_tokens_errors(text):
 
 
 def test_each_distinct_register_literal_is_read_once(monkeypatch):
-    read = []
-    register = surface._register
+    sums, registers = [], []
+    superposition, register = surface._superposition, surface._register
 
-    def reading(s):
-        read.append(s)
+    def reading_sum(s, tokens):
+        sums.append(s)
+        return superposition(s, tokens)
+
+    def reading_register(s):
+        registers.append(s)
         return register(s)
 
-    monkeypatch.setattr(surface, "_register", reading)
-    text = pretty_print(singleton(_GATES[1]))
-    assert repr(parse_program(text)) == repr(_plain_parse(text))
-    # the eight basis values of three qubits, each read once
-    assert sorted(read) == sorted(set(read))
-    assert set(read) == {show_term(basis_value(k, 3)) for k in range(8)}
+    monkeypatch.setattr(surface, "_superposition", reading_sum)
+    monkeypatch.setattr(surface, "_register", reading_register)
+    # a dense gate of three qubits, as compiled, and with each of four
+    # columns as the image of two basis values
+    u = _unitary(np.random.default_rng(37), 3)
+    columns = [encode(StateVector(u[:, k])) for k in range(8)]
+    for lam, images in [(_GATES[1], columns), (None, columns[:4] * 2)]:
+        text = pretty_print(singleton(lam or case_construct(3, images)))
+        sums.clear()
+        registers.clear()
+        assert repr(parse_program(text)) == repr(_plain_parse(text))
+        # each column's superposition and each of the eight basis values of
+        # three qubits, read once
+        assert sorted(sums) == sorted(set(sums))
+        assert set(sums) == {f"({pretty_print(d)})" for d in images}
+        assert sorted(registers) == sorted(set(registers))
+        assert set(registers) == {show_term(basis_value(k, 3)) for k in range(8)}
+
+
+def test_each_occurrence_of_a_superposition_literal_is_its_own_distribution():
+    text = ("\\s:U+U. match s { inl a -> a ; (0.6 * (inl *, *) + 0.8 * (inr *, *))"
+            " | inr b -> b ; (0.6 * (inl *, *) + 0.8 * (inr *, *)) }")
+    assert _kinds(text).count("sum") == 2
+    (_, lam), = parse_program(text).summands
+    (_, match), = lam.body.summands
+    (_, left), = match.left_body.summands
+    (_, right), = match.right_body.summands
+    assert left.tail == right.tail
+    assert left.tail is not right.tail
+    assert left.tail.summands[0][1] is right.tail.summands[0][1]
+
+
+def test_superposition_tokens_parse_as_the_plain_tokens_on_compiled_gates():
+    rng = np.random.default_rng(32)
+    for n in range(1, 6):
+        _same_as_plain(pretty_print(singleton(compile_isometry(GateMatrix(_unitary(rng, n))))))
+
+
+def _checked(d: Distribution) -> tuple[str, str]:
+    """The type check_program gives d, or its error's kind and text."""
+    try:
+        return "typed", str(check_program(d)[0])
+    except TypeCheckError as e:
+        return e.kind.name, str(e)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_superposition_tokens_parse_as_the_plain_tokens_on_planted_gates(n):
+    rng = np.random.default_rng(n)
+    u = _unitary(rng, n)
+    columns = [encode(StateVector(u[:, k])) for k in range(1 << n)]
+    far = 3 if n == 2 else 5
+    planted = {"duplicate": [columns[0]] * 2 + columns[2:],
+               "distant": columns[:far] + [columns[0]] + columns[far + 1:],
+               "scaled": columns[:1] + [scale(2, columns[1])] + columns[2:]}
+    for name, images in planted.items():
+        text = pretty_print(singleton(case_construct(n, images)))
+        _same_as_plain(text)
+        assert _checked(parse_program(text)) == _checked(_plain_parse(text)), name
+
+
+_SUM = "(0.6 * inl * + 0.8 * inr *)"
+
+
+@pytest.mark.parametrize("text", [
+    "(-0.6 * inl * + 0.8 * inr *)",
+    "(0.6-0.1i * (inl *, *) + -0.3+0.2i * (inr *, *))",
+    "(2i * inl * + 0.5 * inr *)",
+    "(1/sqrt2 * (inl *, inr *) + 1/sqrt2 * (inr *, inl *))",
+    "(3/4 * inl * + -1e-3 * inr * + .5 * *)",
+    "(inl * + 0.5 * inr *)",
+    "((inl *, *) + (inr *, *))",
+    "(0.5 * inl * + 0.5 * inl * + inl * + inl *)",
+    "(inl inr * + inr inl inl * + *)",
+    "(0.5 * " + "(*, " * 12 + "*" + ")" * 12 + " + 0.5 * inl *)",
+    _SUM + " *",
+    "(\\x:#(U+U). x) " + _SUM,
+    "(\\x:#(U+U). x) " + _SUM + " " + _SUM,
+    "inl " + _SUM,
+    "inr inl " + _SUM,
+    "(" + _SUM + ", inl *)",
+    "(*, " + _SUM + ")",
+    "* ; " + _SUM,
+    "0.5 * " + _SUM + " + 0.5 * " + _SUM,
+    "- " + _SUM,
+    "(1e308 * inl * + 1e308 * inl *)",
+    "inl (1e308 * inl * + 1e308 * inl *)",
+    "\\x:" + _SUM + ". x",
+    "let " + _SUM + " = z in z",
+])
+def test_superposition_literals_parse_as_the_plain_tokens(text):
+    kinds = _kinds(text)
+    wide = "(*, " * 12 in text
+    assert ("sum" in kinds) != wide
+    assert _parsed(parse_program, text) == _parsed(_plain_parse, text)
+    try:
+        _plain_parse(text)
+    except (ParseError, TypeCheckError):
+        return
+    _same_as_plain(text)
+
+
+@pytest.mark.parametrize("text", [
+    "(0.6 * inl *\n + 0.8 * inr *)",
+    "(0.6 * inl * + -- note\n0.8 * inr *)",
+    "(0.6 * inl * +  0.8 * inr *)",
+    "(0.6 *inl * + 0.8 * inr *)",
+    "(- 0.6 * inl * + 0.8 * inr *)",
+    "( 0.6 * inl * + 0.8 * inr *)",
+    "(0.6 * inl *)",
+    "(0.6 * inl * + 0.8 * x)",
+    "(0.6 * inl * + 0.8 * inr (inl *, *))",
+])
+def test_other_sums_are_read_token_by_token(text):
+    assert "sum" not in _kinds(text)
+    assert _parsed(parse_program, text) == _parsed(_plain_parse, text)
+
+
+@pytest.mark.parametrize("scalar, message", [
+    ("1/0", "zero denominator in scalar"),
+    ("1e400", "non-finite coefficient (inf+nanj)"),
+    ("-1e400", "non-finite coefficient (-inf+nanj)"),
+    ("1e400i", "non-finite coefficient (nan+infj)"),
+    ("0.5/0.0", "zero denominator in scalar"),
+])
+def test_a_bad_coefficient_in_a_superposition_literal_gives_the_plain_tokens_error(
+        scalar, message):
+    for text in [f"(\\x:U. x ; ({scalar} * inl * + 0.5 * inr *)) *",
+                 f"(0.5 * (inl *, *) + {scalar} * (inr *, *))",
+                 f"match s {{ inl a -> ({scalar} * inl * + *)\n | inr b -> b }}"]:
+        got = _parsed(parse_program, text)
+        assert got == _parsed(_plain_parse, text)
+        assert got[0] == "ParseError" and got[1].endswith(message)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([pretty_print(singleton(lam)) for lam in _GATES[:2]]),
+       st.randoms(use_true_random=False),
+       st.sampled_from(["1/0", "1e400", "-1e400", "0/0", "1e-400", "1e308"]))
+def test_a_bad_coefficient_in_a_printed_gate_gives_the_plain_tokens_error(text, rng, bad):
+    scalars = list(re.finditer(rf"(?<=[( ])-?{surface._SCALAR_TEXT}(?= \* )", text))
+    m = rng.choice(scalars)
+    text = text[:m.start()] + bad + text[m.end():]
+    assert _parsed(parse_program, text) == _parsed(_plain_parse, text)
