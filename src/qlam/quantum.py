@@ -43,7 +43,7 @@ from .syntax import (
     _set_summands,
     _trusted,
 )
-from .types import BOOL, Prod, Sharp
+from .types import BOOL, Prod, Sharp, _MAX_REGISTER
 
 
 class NotAnIsometry(ValueError):
@@ -289,9 +289,6 @@ def case_construct(qubit_count: int, images: Sequence[Distribution]) -> PureTerm
             f"expected {1 << qubit_count} images for {qubit_count} qubits, got {len(images)}"
         )
     return _case_tree(list(images), qubit_count, _levels(qubit_count))
-
-
-_MAX_REGISTER = 12
 
 
 def _check_targets(gate: GateMatrix, targets: Sequence[int], qubit_count: int) -> None:

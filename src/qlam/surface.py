@@ -54,7 +54,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import islice
 
-from .quantum import _MAX_REGISTER
 from .syntax import (
     App,
     Distribution,
@@ -79,7 +78,7 @@ from .syntax import (
     show_dist,
 )
 from .typecheck import ErrorKind, TypeCheckError
-from .types import Arrow, BOOL, Prod, Sharp, Sum, Type, UNIT
+from .types import Arrow, BOOL, Prod, Sharp, Sum, Type, UNIT, _MAX_REGISTER
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,12 @@ instance must be orthogonal to every right instance that agrees with it on
 the other, flat, shared variables, not only to the one under the same
 assignment.
 
+Enumeration runs when each inventory holds at most `_CAP` values, and so
+does the product of a match's binder and shared-name inventories; `_CAP` is
+the size of the basis of the widest register the front end compiles.  One
+rule decides every match, whatever its branches look like.  An inventory is
+built for one call and kept by no one after it.
+
 Where an instance comes from.  Each check keeps one memo,
 `_Checker.instances`: a branch, held by identity, with the keyed instance
 ground for each assignment of values to its free names.  Before an instance is
@@ -54,16 +60,11 @@ applied to a value, a pair destructured, a case taken.  A branch entered by
 a case taken whose instance under the environment is kept is that
 instance, which takes no rewrite steps; so is the branch itself.  What is
 left is keyed as it stands when it is a distribution of ground values, and
-substituted and normalized otherwise.  So a case tree checks from the
-leaves up: a branch `u ; f y` that applies a checked lambda
-`\\z. match z {…}` or `\\z. let (x, y) = z in match x {…}` reads the
-instance of the branch of f that y's value selects, and a branch that is a
-closed match reads its taken branch's.  The inventory and pair caps bound
-only the instances that are ground this way: when both branches apply, past
-their head redexes, a lambda of those shapes whose match the enumerated
-tier decided to the one shared name, its values are that lambda's domain,
-whose size the lambda's own check bounded, and each instance is read from
-the memo.  The memo lives for one check.
+substituted and normalized otherwise.  So a match whose branches apply a
+checked lambda to a shared name reads, for each of the name's values, the
+instance of the lambda's branch that the value selects, and a branch that
+is a closed match reads its taken branch's: a case tree checks from the
+leaves up.  The memo lives for one check.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ from .types import (
     UNIT,
     Unit,
     Unknown,
-    _MEMO,
+    _MAX_REGISTER,
     ground_unknowns,
     is_flat,
     join_types,
@@ -130,10 +131,9 @@ TypingContext = Mapping[str, Type]
 # an error is raised or a derivation's subject is read, or a fixed text.
 Location = str | PureTerm | Distribution
 
-_INVENTORY_CAP = 256
-# enumeration runs when the product of the binder and shared-name inventory
-# sizes is at most this, which bounds the ground instances of each branch
-_PAIR_CAP = 1024
+# the most values an inventory holds, and the most assignments of a match's
+# binder and shared names, which bounds the ground instances of each branch
+_CAP = 1 << _MAX_REGISTER
 _INSTANCE_STEPS = 4096
 
 
@@ -215,13 +215,8 @@ class _Checker:
         self.scopes: dict[str, list[_Binding]] = {}
         # the memo, by identity: each branch ground so far as (branch, its
         # free names not of unit type, {their values (`_key`): keyed
-        # instance}), and each decided table-shaped lambda as (lambda,
-        # domain type, its match's binder values as injections, the let's
-        # right name's values or None)
+        # instance})
         self.instances: dict[int, tuple] = {}
-        # the match of each table-shaped lambda being checked, by identity,
-        # with the cells its enumeration ground once it is decided
-        self._cells: dict[int, list | None] = {}
 
     # -- context plumbing ---------------------------------------------------
 
@@ -306,16 +301,10 @@ class _Checker:
                 raise TypeCheckError(ErrorKind.MISMATCH, f"not a pure term: {t!r}")
 
     def _lam(self, t: Lam) -> Iterator:
-        """The lambda rule; a lambda of a table shape is recorded in the
-        memo once its body is typed, if enumeration decided its match."""
+        """The lambda rule."""
         entry = self._bind(t.name, t.ann)
-        shape = _table_shape(t)
-        if shape is not None:
-            self._cells[id(shape[0])] = None
         bt, bd = yield t.body
         self._unbind(t.name, t)
-        if shape is not None:
-            self._tabulate(t, entry.ty, shape[1], self._cells.pop(id(shape[0])))
         ty = Arrow(entry.ty, bt)
         return ty, Derivation("lambda", t, ty, (bd,))
 
@@ -410,10 +399,7 @@ class _Checker:
                         here,
                     )
                 shared = {x: self.scopes[x][-1].ty for x in sorted(used1 | used2)}
-                cells = _decide_orthogonality(
-                    shared, (x1, lt), b1, (x2, rt), b2, here, self.instances)
-                if id(here) in self._cells:
-                    self._cells[id(here)] = cells
+                _decide_orthogonality(shared, (x1, lt), b1, (x2, rt), b2, here, self.instances)
                 ty = lift(joined)
                 return ty, Derivation(f"match-{form}", here, ty, (ds, d1, d2))
 
@@ -533,20 +519,6 @@ class _Checker:
         ty = Sharp(ground_unknowns(joined))
         return ty, Derivation("superposition", cd, ty, tuple(children))
 
-    # -- branch orthogonality ----------------------------------------------
-
-    def _tabulate(self, lam: Lam, dom: Type, y: str | None, cells: list | None) -> None:
-        """Record a table-shaped lambda whose match the enumerated tier
-        decided with no shared name but the let's right name y, if any: the
-        lambda is then closed, and its value on inl w or inr w (paired with
-        v) is the instance ground for binder w (and y := v), which the memo
-        keeps.  The values that make up its domain are read off the cells
-        (`_decided_domain` pairs them)."""
-        if cells is not None and cells[0][0].keys() == (set() if y is None else {y}):
-            heads = [InlV(w) for w, _ in cells[0][1]] + [InrV(w) for w, _ in cells[0][2]]
-            rests = None if y is None else tuple(cell[0][y] for cell in cells)
-            self.instances[id(lam)] = (lam, dom, heads, rests)
-
 
 def _value_typed(t: PureTerm, parts: list) -> tuple[Type, Derivation]:
     """The typing of a unit value, pair or injection by its rule, from its
@@ -651,71 +623,50 @@ def _only(d: Distribution) -> PureTerm | None:
     return s[0][1] if len(s) == 1 and s[0][0] == 1 else None
 
 
-def _table_shape(lam: Lam) -> tuple[Match, str | None] | None:
-    """The match of a lambda of one of the two shapes `case_construct`
-    emits, `\\z. match z {…}` and `\\z. let (x, y) = z in match x {…}`, with
-    the let's right name y (None for the first shape); None for any other
-    lambda."""
-    t = _only(lam.body)
-    scrutinee, y = lam.name, None
-    if isinstance(t, LetPair) and t.scrutinee == Var(lam.name):
-        scrutinee, y, t = t.left, t.right, _only(t.body)
-    if isinstance(t, Match) and t.scrutinee == Var(scrutinee):
-        return t, y
-    return None
-
-
 def _enumerate_values(ty: Type) -> tuple[PureTerm, ...] | None:
     """All ground values of an arrow-free type, None when not enumerable.
 
     The superposition modality does not change the inventory of basis values,
-    so Sharp is transparent here.  Types are interned, so the inventory is
-    kept per type in `_inventories`, and it is a tuple, so that no caller can
-    change a shared one.  It is built children first (`walk`), so a deep type
-    costs no Python frames, and a subtype that occurs twice is enumerated
-    once, so a type costs its distinct nodes, not its paths.
+    so Sharp is transparent here.  The inventory is a tuple, so that no
+    caller can change a shared one.  It is built children first (`walk`), so
+    a deep type costs no Python frames, and types are interned, so the
+    inventories of one call are kept by type and a subtype that occurs twice
+    is enumerated once: a type costs its distinct nodes, not its paths.
+    Nothing is kept past the call, so no register's values outlive it.
     """
-    return walk(ty, _inventory_parts, _inventory)
+    kept: dict[Type, tuple[PureTerm, ...] | None] = {}
 
+    def parts(t: Type) -> tuple[PureTerm, ...] | list | None:
+        # the inventory of a unit, a placeholder, an arrow (None) or a type
+        # already enumerated, else the type's parts
+        cls = t.__class__
+        if cls is Unit or cls is Unknown:
+            return _UNIT_VALUES
+        if cls is Arrow:
+            return None
+        inv = kept.get(t, kept)
+        return list(map(t.__getattribute__, cls.__match_args__)) if inv is kept else inv
 
-# inventories by type; emptied when it holds `_MEMO` of them, so that it keeps
-# a bounded number of types alive
-_inventories: dict[Type, tuple[PureTerm, ...] | None] = {}
-
-
-def _inventory_parts(ty: Type) -> tuple[PureTerm, ...] | list | None:
-    """For `walk`: the inventory of a unit, a placeholder, an arrow (None)
-    or a type already enumerated, else the type's parts."""
-    cls = ty.__class__
-    if cls is Unit or cls is Unknown:
-        return _UNIT_VALUES
-    if cls is Arrow:
-        return None
-    inv = _inventories.get(ty, _inventories)
-    if inv is not _inventories:
+    def build(t: Type, invs: list) -> tuple[PureTerm, ...] | None:
+        kept[t] = inv = _inventory(t, invs)
         return inv
-    return list(map(ty.__getattribute__, cls.__match_args__))
+
+    return walk(ty, parts, build)
 
 
 def _inventory(ty: Type, parts: list) -> tuple[PureTerm, ...] | None:
-    """For `walk`: the inventory of a Sharp, a sum or a product from its
-    parts' inventories, or None past `_INVENTORY_CAP` values; it is kept in
-    `_inventories`."""
+    """The inventory of a Sharp, a sum or a product from its parts'
+    inventories, or None past `_CAP` values."""
     lv, rv = parts[0], parts[-1]
     if ty.__class__ is Sharp:
-        inv = lv
-    elif lv is None or rv is None:
-        inv = None
-    elif ty.__class__ is Sum:
-        inv = (None if len(lv) + len(rv) > _INVENTORY_CAP else
-               tuple(InlV(v) for v in lv) + tuple(InrV(v) for v in rv))
-    else:
-        inv = (None if len(lv) * len(rv) > _INVENTORY_CAP else
-               tuple(PairV(a, b) for a in lv for b in rv))
-    if len(_inventories) >= _MEMO:
-        _inventories.clear()
-    _inventories[ty] = inv
-    return inv
+        return lv
+    if lv is None or rv is None:
+        return None
+    if ty.__class__ is Sum:
+        return (None if len(lv) + len(rv) > _CAP else
+                tuple(InlV(v) for v in lv) + tuple(InrV(v) for v in rv))
+    return (None if len(lv) * len(rv) > _CAP else
+            tuple(PairV(a, b) for a in lv for b in rv))
 
 
 _UNIT_VALUES = (_VOID,)
@@ -729,43 +680,25 @@ def _decide_orthogonality(
     b2: Distribution,
     here: Location,
     memo: dict[int, tuple],
-) -> list | None:
-    """Decide the branches orthogonal or raise.  Returns the cells the
-    enumerated tier ground, None when the structural criterion decided.
-    Every instance it grounds is kept in memo."""
+) -> None:
+    """Decide the branches orthogonal or raise.  Every instance the
+    enumerated tier grounds is kept in memo."""
     x1, t1 = binder1
     x2, t2 = binder2
-    inventories: dict[str, tuple[PureTerm, ...]] = {}
-    enumerable = True
-    for x, ty in shared.items():
+    invs = []
+    total = 1
+    for ty in (*shared.values(), t1, t2):
         inv = _enumerate_values(ty)
-        if inv is None:
-            enumerable = False
+        if inv is None or (total := total * len(inv)) > _CAP:
             break
-        inventories[x] = inv
-    inv1 = _enumerate_values(t1) if enumerable else None
-    inv2 = _enumerate_values(t2) if enumerable else None
-    if enumerable and inv1 is not None and inv2 is not None:
-        total = len(inv1) * len(inv2)
-        for inv in inventories.values():
-            total *= len(inv)
-        if total <= _PAIR_CAP:
-            superposable = {x for x, ty in shared.items() if not is_flat(ty)}
-            return _enumerated_orthogonality(
-                inventories, superposable, x1, inv1, b1, x2, inv2, b2, memo, here
-            )
-    if _enumerate_values(t1) == _UNIT_VALUES == _enumerate_values(t2):
-        domain = _decided_domain(shared, x1, b1, x2, b2, memo)
-        if domain is not None:
-            # every instance is read from the memo past the decided lambda's
-            # head redexes, and that lambda's own check bounded its domain,
-            # so neither cap applies; within the caps the domain is the
-            # inventory, in the same order
-            (y, ty), = shared.items()
-            return _enumerated_orthogonality(
-                {y: domain}, set() if is_flat(ty) else {y},
-                x1, _UNIT_VALUES, b1, x2, _UNIT_VALUES, b2, memo, here,
-            )
+        invs.append(inv)
+    else:
+        *inventories, inv1, inv2 = invs
+        superposable = {x for x, ty in shared.items() if not is_flat(ty)}
+        _enumerated_orthogonality(
+            dict(zip(shared, inventories)), superposable, x1, inv1, b1, x2, inv2, b2, memo, here
+        )
+        return
     if (
         is_value_distribution(b1)
         and is_value_distribution(b2)
@@ -773,7 +706,7 @@ def _decide_orthogonality(
             [t for _, t in b1.summands], [t for _, t in b2.summands]
         )
     ):
-        return None
+        return
     raise TypeCheckError(
         ErrorKind.ORTHOGONALITY_UNDECIDED,
         "cannot decide that the branches are orthogonal: they are not value "
@@ -794,7 +727,7 @@ def _enumerated_orthogonality(
     b2: Distribution,
     memo: dict[int, tuple],
     here: Location,
-) -> list:
+) -> None:
     """Every ground instance of the left branch must be orthogonal to every
     ground instance of the right one that gives the flat shared names the
     same values.
@@ -807,11 +740,9 @@ def _enumerated_orthogonality(
     instance is compared only with the instances that share a key with it
     (`_holders`).  The pairs under one assignment are compared as soon as
     they are grounded, so a failure among them is reported before any pair
-    across assignments.  Returns the cells (assignment, [(w1, left)],
-    [(w2, right)]) in enumeration order.
+    across assignments.
     """
     names = sorted(inventories)
-    cells = []
     groups: dict[tuple, list] = {}
     for combo in itertools.product(*(inventories[x] for x in names)):
         base = dict(zip(names, combo))
@@ -823,10 +754,8 @@ def _enumerated_orthogonality(
             rights.append(right)
             for j1 in sorted({j1 for k in right[1] for j1 in holders.get(k, ())}):
                 _require_pair_orthogonal(base, lefts[j1], base, right, here)
-        cell = (base, lefts, rights)
-        cells.append(cell)
         flat = tuple(v for x, v in base.items() if x not in superposable)
-        groups.setdefault(flat, []).append(cell)
+        groups.setdefault(flat, []).append((base, lefts, rights))
     for group in groups.values():
         holders = _holders(
             ((i2, j2), right)
@@ -844,36 +773,6 @@ def _enumerated_orthogonality(
             for i2, j2, j1 in sorted(pairs):
                 base2, _, rights = group[i2]
                 _require_pair_orthogonal(base1, lefts[j1], base2, rights[j2], here)
-    return cells
-
-
-def _decided_domain(
-    shared: dict[str, Type],
-    x1: str,
-    b1: Distribution,
-    x2: str,
-    b2: Distribution,
-    memo: Mapping[int, tuple],
-) -> tuple[PureTerm, ...] | None:
-    """The values of the one shared name y when each branch, past its head
-    redexes with its binder bound to ⋆, applies to y a table-shaped lambda
-    that memo records as decided at y's type.  None otherwise."""
-    if len(shared) != 1:
-        return None
-    (y, ty), = shared.items()
-    if y in (x1, x2):
-        return None
-    for x, b in ((x1, b1), (x2, b2)):
-        # y is left unbound, so a redex whose operand is y stays
-        t = _only(_peel(b, {x: _VOID}, {}))
-        if t.__class__ is not App or t.arg.__class__ is not Var or t.arg.name != y:
-            return None
-        decided = memo.get(id(t.fun))
-        if decided is None or decided[0] is not t.fun or decided[1] is not ty:
-            return None
-    # the values of its domain, in the order of `_enumerate_values`
-    _, _, heads, rests = decided
-    return tuple(heads) if rests is None else tuple(PairV(h, r) for h in heads for r in rests)
 
 
 def _peel(d: Distribution, env: dict[str, PureTerm],

@@ -167,6 +167,11 @@ UNIT = Unit()
 BOOL = Sum(UNIT, UNIT)
 
 
+# the widest register the front end compiles, and so the most basis values,
+# 2^12, the checker enumerates for one type or one `match`
+_MAX_REGISTER = 12
+
+
 def qubits(n: int) -> Type:
     """The type of n-qubit states: Sharp of a right-nested product of booleans."""
     if n < 1:
@@ -196,8 +201,8 @@ def peel_sharps(a: Type) -> tuple[int, Type]:
 
 
 # entries in each of the `subtype` and `join_types` memos, where the least
-# recently used entry goes first, and in the checker's inventories, which are
-# emptied when full; so a memo keeps at most this many calls' types alive
+# recently used entry goes first; so a memo keeps at most this many calls'
+# types alive
 _MEMO = 1024
 
 

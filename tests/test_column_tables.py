@@ -43,15 +43,13 @@ from qlam.typecheck import (
     ErrorKind,
     TypeCheckError,
     _Checker,
-    _decided_domain,
     _enumerate_values,
     _ground_branch,
     _instance,
     _peel,
-    _table_shape,
     check_program,
 )
-from qlam.types import UNIT, Arrow, Sum, qubits
+from qlam.types import BOOL, UNIT, Arrow, Prod, Sum, ground_unknowns, peel_sharps, qubits
 
 LIBRARY = ("I", "X", "Y", "Z", "H", "S", "T", "CNOT", "CZ", "SWAP")
 
@@ -132,15 +130,13 @@ def _assert_kept_instances_are_normal_forms(c: _Checker) -> int:
     """Every instance c keeps is the normal form of its branch under the
     values it is kept for; returns how many there are."""
     count = 0
-    for entry in c.instances.values():
-        if entry[0].__class__ is Distribution:
-            b, names, kept = entry
-            for key, inst in kept.items():
-                # the names left out of the key hold the unit value
-                assignment = dict.fromkeys(free_vars_dist(b), typecheck._VOID)
-                assignment.update(zip(names, (key,) if len(names) == 1 else key))
-                assert inst == keyed(normalize(substitute_many_dist(b, assignment)))
-                count += 1
+    for b, names, kept in c.instances.values():
+        for key, inst in kept.items():
+            # the names left out of the key hold the unit value
+            assignment = dict.fromkeys(free_vars_dist(b), typecheck._VOID)
+            assignment.update(zip(names, (key,) if len(names) == 1 else key))
+            assert inst == keyed(normalize(substitute_many_dist(b, assignment)))
+            count += 1
     return count
 
 
@@ -159,9 +155,7 @@ def test_every_column_is_the_normal_form_of_the_application(label, lam):
     kept = _assert_kept_instances_are_normal_forms(c)
     if not label.startswith(("duplicate", "distant", "scaled")):
         assert kept > 0
-        decided = c.instances[id(lam)]
-        assert decided[0] is lam and decided[1] is typecheck.ground_unknowns(lam.ann)
-        for value in _enumerate_values(decided[1]):
+        for value in _enumerate_values(ground_unknowns(lam.ann)):
             application = singleton(App(lam, value))
             # read from the memo: a kept instance, not a distribution left
             column = _peel(application, {}, c.instances)
@@ -169,21 +163,30 @@ def test_every_column_is_the_normal_form_of_the_application(label, lam):
             assert column == keyed(normalize(application))
 
 
-# gates on two or more qubits: their match applies a decided lambda to the
-# let's right name in both branches
-LET_SHAPED = [(label, lam) for label, lam in TERMS if _table_shape(lam)[1] is not None
+# gates on two or more qubits: their root destructures the register, and
+# each branch of its match applies a lambda to the let's right name
+LET_SHAPED = [(label, lam) for label, lam in TERMS if int(label.rsplit("/", 1)[1]) > 1
               and not label.startswith(("duplicate", "distant", "scaled"))]
 
 
 @pytest.mark.parametrize("label, lam", LET_SHAPED, ids=[label for label, _ in LET_SHAPED])
 def test_a_decided_domain_is_the_inventory(label, lam):
     c = _checked(singleton(lam))
-    m, y = _table_shape(lam)
-    f = _peel(m.left_body, {m.left_name: typecheck._VOID}, {}).summands[0][1].fun
-    ty = c.instances[id(f)][1]
-    domain = _decided_domain({y: ty}, m.left_name, m.left_body, m.right_name, m.right_body,
-                             c.instances)
-    assert domain == _enumerate_values(ty)
+    let = lam.body.summands[0][1]
+    m = let.body.summands[0][1]
+    assert m.__class__ is Match and m.scrutinee.name == let.left
+    # the let's right name holds the rest of the register
+    rest = _enumerate_values(peel_sharps(ground_unknowns(lam.ann))[1].right)
+    for x, b in ((m.left_name, m.left_body), (m.right_name, m.right_body)):
+        entry = c.instances[id(b)]
+        assert entry[0] is b and entry[1] == (let.right,)
+        assert set(entry[2]) == set(rest)
+        for value in rest:
+            # read past the branch's head redexes to the kept instance of
+            # the lambda's branch that the value selects
+            kept = _peel(b, {x: typecheck._VOID, let.right: value}, c.instances)
+            assert kept.__class__ is not Distribution
+            assert kept is entry[2][value]
 
 
 @pytest.mark.parametrize("label, lam", TERMS, ids=[label for label, _ in TERMS])
@@ -395,3 +398,29 @@ def test_a_wide_duplicate_column_is_found_at_the_root(copy):
     with pytest.raises(TypeCheckError) as e:
         check_program(singleton(case_construct(n, images)))
     assert e.value.kind is ErrorKind.ORTHOGONALITY_FAILURE
+
+
+def _routed(n: int, left: str, right: str) -> str:
+    """A match whose branches each pass a shared n-qubit register y through a
+    lambda that pairs it with `left *` or `right *`."""
+    reg = "#(" + "*".join(["(U+U)"] * n) + ")"
+    return (rf"\y:{reg}. \s:U+U. match s {{ inl a -> a ; (\q:{reg}. ({left} *, q)) y "
+            rf"| inr b -> b ; (\q:{reg}. ({right} *, q)) y }}")
+
+
+@pytest.mark.parametrize("n", [9, 12])
+def test_a_register_wide_shared_name_is_enumerated(n):
+    # 2^n values of y, up to the widest register, decide the match whatever
+    # shape the lambda has
+    ty, _ = check_program(parse_program(_routed(n, "inl", "inr")))
+    assert ty == Arrow(qubits(n), Arrow(BOOL, Prod(BOOL, qubits(n))))
+    with pytest.raises(TypeCheckError) as e:
+        check_program(parse_program(_routed(n, "inl", "inl")))
+    assert e.value.kind is ErrorKind.ORTHOGONALITY_FAILURE
+
+
+@pytest.mark.parametrize("left, right", [("inl", "inr"), ("inl", "inl")])
+def test_a_shared_name_past_the_widest_register_is_undecided(left, right):
+    with pytest.raises(TypeCheckError) as e:
+        check_program(parse_program(_routed(13, left, right)))
+    assert e.value.kind is ErrorKind.ORTHOGONALITY_UNDECIDED

@@ -72,7 +72,6 @@ from qlam.typecheck import (
     _form,
     _holes,
     _same_context,
-    _table_shape,
     _value_typed,
     check_program,
 )
@@ -400,14 +399,14 @@ class _RecursiveChecker(_Checker):
                 )
             e.uses = u0 + max(a, b)
 
-    def _require_orthogonal(self, x1, t1, b1, x2, t2, b2, here) -> list | None:
+    def _require_orthogonal(self, x1, t1, b1, x2, t2, b2, here) -> None:
         shared_names = sorted((free_vars_dist(b1) - {x1}) | (free_vars_dist(b2) - {x2}))
         shared: dict[str, Type] = {}
         for x in shared_names:
             stack = self.scopes.get(x)
             assert stack, f"branch variable {x} escaped typing"
             shared[x] = stack[-1].ty
-        return _decide_orthogonality(shared, (x1, t1), b1, (x2, t2), b2, here, self.instances)
+        _decide_orthogonality(shared, (x1, t1), b1, (x2, t2), b2, here, self.instances)
 
     def infer_term(self, t: PureTerm) -> tuple[Type, Derivation]:
         match t:
@@ -416,13 +415,8 @@ class _RecursiveChecker(_Checker):
                 return ty, Derivation("var", t, ty)
             case Lam(x, ann, body):
                 entry = self._bind(x, ann)
-                shape = _table_shape(t)
-                if shape is not None:
-                    self._cells[id(shape[0])] = None
                 bt, bd = self.infer_dist(body)
                 self._unbind(x, t)
-                if shape is not None:
-                    self._tabulate(t, entry.ty, shape[1], self._cells.pop(id(shape[0])))
                 ty = Arrow(entry.ty, bt)
                 return ty, Derivation("lambda", t, ty, (bd,))
             case Void() | PairV() | InlV() | InrV():
@@ -509,9 +503,7 @@ class _RecursiveChecker(_Checker):
             raise TypeCheckError(
                 ErrorKind.MISMATCH, f"match branches have incompatible types {t1} and {t2}", here,
             )
-        cells = self._require_orthogonal(x1, lt, b1, x2, rt, b2, here)
-        if id(here) in self._cells:
-            self._cells[id(here)] = cells
+        self._require_orthogonal(x1, lt, b1, x2, rt, b2, here)
         ty = lift(joined)
         return ty, Derivation(f"match-{form}", here, ty, (ds, d1, d2))
 

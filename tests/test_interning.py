@@ -18,7 +18,15 @@ from hypothesis import strategies as st
 import qlam.typecheck as typecheck
 import qlam.types as types
 from generator import trace_programs
-from qlam.quantum import GateMatrix, StateVector, basis_value, compile_isometry, encode
+from qlam.quantum import (
+    GateMatrix,
+    StateVector,
+    basis_value,
+    compile_gate,
+    compile_isometry,
+    encode,
+    gate_library,
+)
 from qlam.rewrite import normalize
 from qlam.surface import parse_program, pretty_print
 from qlam.syntax import (
@@ -176,7 +184,6 @@ def test_intern_table_lets_dead_values_go():
     # but a property test may have, and the memos keep their calls' types
     for memo in (types.subtype, types.join_types):
         memo.cache_clear()
-    typecheck._inventories.clear()
     chain, links = Sharp(Sharp(Unknown())), []
     for _ in range(30):
         chain = Prod(chain, BOOL)
@@ -186,6 +193,18 @@ def test_intern_table_lets_dead_values_go():
     gc.collect()
     assert all(link() is None for link in links)
     assert len(types._INTERNED) <= types_before - 30
+
+
+def test_a_checked_gate_keeps_no_values_alive():
+    # checking X on the last of ten qubits enumerates registers of up to 2^9
+    # values; once the gate and its check are gone, so are they
+    gc.collect()
+    before = _value_entries()
+    lam = compile_gate(gate_library["X"], [9], 10)
+    check_program(singleton(lam))
+    del lam
+    gc.collect()
+    assert _value_entries() <= before
 
 
 def test_each_ground_value_is_typed_once(monkeypatch):

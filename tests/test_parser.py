@@ -31,7 +31,6 @@ from hypothesis import strategies as st
 import qlam.surface as surface
 from generator import DEEP_TYPES, deep_types, types
 from qlam.quantum import (
-    _MAX_REGISTER,
     GateMatrix,
     StateVector,
     basis_value,
@@ -69,7 +68,7 @@ from qlam.syntax import (
     singleton,
 )
 from qlam.typecheck import ErrorKind, TypeCheckError, check_program
-from qlam.types import BOOL, UNIT, Arrow, Prod, Sharp, Sum, Type, show_type
+from qlam.types import _MAX_REGISTER, BOOL, UNIT, Arrow, Prod, Sharp, Sum, Type, show_type
 from test_lexer import _damaged_texts, _spaced_texts, _unitary
 
 # ---------------------------------------------------------------- reference
@@ -562,9 +561,15 @@ def test_literals_at_and_past_the_depth_bound_parse_as_the_plain_tokens(width):
 def test_literals_with_other_spacing_are_read_token_by_token():
     rng = random.Random(3)
     for text in [_literal(rng, 4, "  "), _literal(rng, 4, ""), "(inl *, -- note\n inr *)",
-                 "((inl *, *), *)", "( inl *, *)", "(inl *, inr * )", "(inl\t*, *)"]:
-        assert "value" not in surface._lex(text, surface._REGISTER_TOKEN_RE)[0]
+                 "( inl *, *)", "(inl *, inr * )", "(inl\t*, *)"]:
+        kinds = _kinds(text)
+        assert "value" not in kinds
+        assert kinds == [kind for kind, _ in surface._lex(text, surface._TOKEN_RE)]
         _same_as_plain(text)
+    # the inner pair is printed as the printer writes it, the outer one not
+    text = "((inl *, *), *)"
+    assert _kinds(text) == ["(", "value", ",", "*", ")", "eof"]
+    _same_as_plain(text)
 
 
 _gate_texts = st.sampled_from([pretty_print(singleton(lam)) for lam in _GATES])

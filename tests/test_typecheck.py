@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +46,7 @@ from qlam.syntax import (
     singleton,
 )
 from qlam.typecheck import (
-    _INVENTORY_CAP,
+    _CAP,
     Derivation,
     ErrorKind,
     TypeCheckError,
@@ -675,13 +674,13 @@ def reference_enumerate_values(ty):
         case Sum(l, r):
             lv = reference_enumerate_values(l)
             rv = reference_enumerate_values(r)
-            if lv is None or rv is None or len(lv) + len(rv) > _INVENTORY_CAP:
+            if lv is None or rv is None or len(lv) + len(rv) > _CAP:
                 return None
             return tuple(InlV(v) for v in lv) + tuple(InrV(v) for v in rv)
         case Prod(l, r):
             lv = reference_enumerate_values(l)
             rv = reference_enumerate_values(r)
-            if lv is None or rv is None or len(lv) * len(rv) > _INVENTORY_CAP:
+            if lv is None or rv is None or len(lv) * len(rv) > _CAP:
                 return None
             return tuple(PairV(a, b) for a in lv for b in rv)
         case _:
@@ -691,10 +690,19 @@ def reference_enumerate_values(ty):
 @settings(max_examples=300, deadline=None)
 @given(types(), deep_types(300), st.integers(1, 10))
 def test_inventories_are_the_recursive_ones(a, text, n):
-    # registers of n qubits have 2^n values, which reach the cap at n = 8
     for ty in (a, Sharp(a), Prod(a, BOOL), Sum(BOOL, a), parse_type(text),
                qubits(n), Prod(a, qubits(n)), Sum(qubits(n), a)):
         assert _enumerate_values(ty) == reference_enumerate_values(ty)
+
+
+def test_the_cap_is_the_widest_register():
+    # a 12-qubit register has 2^12 values, as many as the cap allows; one
+    # more value, or one more qubit, is past it
+    assert _CAP == 1 << 12
+    assert _enumerate_values(qubits(12)) == reference_enumerate_values(qubits(12))
+    assert len(_enumerate_values(qubits(12))) == _CAP
+    assert _enumerate_values(Sum(qubits(12), UNIT)) is None
+    assert _enumerate_values(qubits(13)) is None
 
 
 def test_a_shared_part_is_enumerated_once(monkeypatch):
@@ -707,16 +715,19 @@ def test_a_shared_part_is_enumerated_once(monkeypatch):
         ty, value = Prod(ty, ty), PairV(value, value)
         if k <= 8:
             assert _enumerate_values(ty) == reference_enumerate_values(ty)
-    built = count(1)
+    built = []
     real = typecheck._inventory
 
     def counted(t, parts):
-        assert next(built) <= 62, "a part is enumerated twice"
+        built.append(t)
+        assert len(built) <= 62, "a part is enumerated twice in one call"
         return real(t, parts)
 
     monkeypatch.setattr(typecheck, "_inventory", counted)
-    assert _enumerate_values(ty) == (value,)
-    assert _enumerate_values(Sum(Sharp(ty), ty)) == (InlV(value), InrV(value))
+    # nothing is kept between calls, so each builds its own distinct parts
+    for t, want in ((ty, (value,)), (Sum(Sharp(ty), ty), (InlV(value), InrV(value)))):
+        built.clear()
+        assert _enumerate_values(t) == want
 
 
 def reference_structurally_disjoint(v1, v2):
