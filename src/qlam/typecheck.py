@@ -48,10 +48,12 @@ assignment.
 Enumeration runs when each inventory holds at most `_CAP` values, and so
 does the product of a match's binder and shared-name inventories; `_CAP` is
 the size of the basis of the widest register the front end compiles.  One
-rule decides every match, whatever its branches look like.  An inventory is
-built for one call and kept by no one after it.
+rule, `_Checker._orthogonal_branches`, decides every match, whatever its
+branches look like.
 
-Where an instance comes from.  Each check keeps one memo,
+Where an instance comes from.  What a check keeps to decide its matches is
+the checker's own, and goes away with it: the inventory of each type it
+enumerates, `_Checker.inventories`, built once per check, and one memo,
 `_Checker.instances`: a branch, held by identity, with the keyed instance
 ground for each assignment of values to its free names.  Before an instance is
 ground, the head redexes whose operand is ground are contracted in an
@@ -64,7 +66,7 @@ substituted and normalized otherwise.  So a match whose branches apply a
 checked lambda to a shared name reads, for each of the name's values, the
 instance of the lambda's branch that the value selects, and a branch that
 is a closed match reads its taken branch's: a case tree checks from the
-leaves up.  The memo lives for one check.
+leaves up.
 """
 
 from __future__ import annotations
@@ -217,6 +219,8 @@ class _Checker:
         # free names not of unit type, {their values (`_key`): keyed
         # instance})
         self.instances: dict[int, tuple] = {}
+        # the inventory of each type enumerated so far, None past `_CAP`
+        self.inventories: dict[Type, tuple[PureTerm, ...] | None] = {}
 
     # -- context plumbing ---------------------------------------------------
 
@@ -399,7 +403,7 @@ class _Checker:
                         here,
                     )
                 shared = {x: self.scopes[x][-1].ty for x in sorted(used1 | used2)}
-                _decide_orthogonality(shared, (x1, lt), b1, (x2, rt), b2, here, self.instances)
+                self._orthogonal_branches(shared, (x1, lt), b1, (x2, rt), b2, here)
                 ty = lift(joined)
                 return ty, Derivation(f"match-{form}", here, ty, (ds, d1, d2))
 
@@ -422,10 +426,18 @@ class _Checker:
             return self._elim(s, d)
         if is_value_distribution(d):
             return self._superposition(d, expected_core=None)
-        raise _not_one_elimination(d)
+        raise TypeCheckError(
+            ErrorKind.MISMATCH,
+            "a proper distribution must be a superposition of values or a single "
+            "elimination distributed across its summands",
+            d,
+        )
 
     def check_dist(self, d: Distribution, expected: Type) -> Derivation:
-        cd, shared = _canonical(d)
+        """The derivation of d at the expected type.  A proper superposition
+        of values is checked against it; anything else is typed as `_dist`
+        types it and its type tested against it."""
+        cd, _ = _canonical(d)
         s = cd.summands
         single = len(s) == 1 and s[0][0] == 1
         if not single and is_value_distribution(cd):
@@ -443,10 +455,7 @@ class _Checker:
                     d,
                 )
             return self._run(self._superposition(cd, expected_core=core))[1]
-        if not (single or shared):
-            raise _not_one_elimination(cd)
-        # cd is canonical already: a proper one goes to the elimination rule
-        ty, der = self._run(self._dist(cd) if single else self._elim(s, cd))
+        ty, der = self._run(self._dist(cd))
         if not subtype(ty, expected):
             if single:
                 raise TypeCheckError(
@@ -519,6 +528,138 @@ class _Checker:
         ty = Sharp(ground_unknowns(joined))
         return ty, Derivation("superposition", cd, ty, tuple(children))
 
+    # -- orthogonality ------------------------------------------------------
+
+    def _orthogonal_branches(self, shared: dict[str, Type], binder1: tuple[str, Type],
+                             b1: Distribution, binder2: tuple[str, Type], b2: Distribution,
+                             here: Location) -> None:
+        """Decide the branches of a match orthogonal or raise.  `shared`
+        maps the names free in either branch, in name order, to their types.
+
+        When the shared names and both binders have inventories whose sizes
+        multiply to at most `_CAP`, every ground instance of the left branch
+        must be orthogonal to every ground instance of the right one that
+        gives the flat shared names the same values.  The binders hold basis values of different cases, so every pair of theirs
+        counts.  So does every pair of values of a shared name whose type is
+        not flat: it may hold σ = Σ αᵢ eᵢ, and ⟨L(σ)|R(σ)⟩ = Σᵢⱼ ᾱᵢ αⱼ
+        ⟨L(eᵢ)|R(eⱼ)⟩ is zero for every σ only when each ⟨L(eᵢ)|R(eⱼ)⟩ is.
+        A flat name holds one basis value, the same in both branches.  Each
+        instance is keyed once, and an instance is compared only with the
+        instances that share a key with it (`_holders`).  The pairs under
+        one assignment are compared as soon as they are grounded, so a
+        failure among them is reported before any pair across assignments.
+        Otherwise the branches must be value distributions with disjoint
+        constructors."""
+        x1, t1 = binder1
+        x2, t2 = binder2
+        invs = []
+        total = 1
+        for ty in (*shared.values(), t1, t2):
+            inv = _enumerate_values(ty, self.inventories)
+            if inv is None or (total := total * len(inv)) > _CAP:
+                if (
+                    is_value_distribution(b1)
+                    and is_value_distribution(b2)
+                    and _structurally_disjoint(
+                        [t for _, t in b1.summands], [t for _, t in b2.summands]
+                    )
+                ):
+                    return
+                raise TypeCheckError(
+                    ErrorKind.ORTHOGONALITY_UNDECIDED,
+                    "cannot decide that the branches are orthogonal: they are not value "
+                    "distributions with disjoint constructors, and their free variables "
+                    "do not all have finitely enumerable types within budget",
+                    here,
+                )
+            invs.append(inv)
+        *invs, inv1, inv2 = invs
+        groups: dict[tuple, list] = {}
+        for combo in itertools.product(*invs):
+            base = dict(zip(shared, combo))
+            lefts = [(w1, self._instance(b1, {**base, x1: w1}, here)) for w1 in inv1]
+            holders = _holders((j1, left) for j1, (_, left) in enumerate(lefts))
+            rights = []
+            for w2 in inv2:
+                right = (w2, self._instance(b2, {**base, x2: w2}, here))
+                rights.append(right)
+                for j1 in sorted({j1 for k in right[1] for j1 in holders.get(k, ())}):
+                    _require_pair_orthogonal(base, lefts[j1], base, right, here)
+            flat = tuple(v for x, v in base.items() if is_flat(shared[x]))
+            groups.setdefault(flat, []).append((base, lefts, rights))
+        for group in groups.values():
+            holders = _holders(
+                ((i2, j2), right)
+                for i2, (_, _, rights) in enumerate(group)
+                for j2, (_, right) in enumerate(rights)
+            )
+            for i1, (base1, lefts, _) in enumerate(group):
+                pairs = {
+                    (i2, j2, j1)
+                    for j1, (_, left) in enumerate(lefts)
+                    for k in left
+                    for i2, j2 in holders.get(k, ())
+                    if i2 != i1
+                }
+                for i2, j2, j1 in sorted(pairs):
+                    base2, _, rights = group[i2]
+                    _require_pair_orthogonal(base1, lefts[j1], base2, rights[j2], here)
+
+    def _instance(self, b: Distribution, assignment: dict[str, PureTerm],
+                  here: Location) -> Keyed:
+        """The keyed ground instance of branch b under the assignment, which
+        binds every free name of b, kept in `instances`.  An instance not
+        kept yet is read past b's head redexes (`_peel`, which extends the
+        assignment): a kept instance of a branch entered there is b's, a
+        distribution of ground values is keyed as it stands, and anything
+        else is substituted and normalized.  A contraction of `_peel` takes
+        no rewrite steps."""
+        kept = self.instances.get(id(b))
+        if kept is None or kept[0] is not b:
+            # a name of unit type holds ⋆ under every assignment: it is no part
+            # of the key
+            names = tuple(x for x in free_vars_dist(b) if assignment[x] is not _VOID)
+            kept = self.instances[id(b)] = (b, names, {})
+        key = _key(assignment, kept[1])
+        inst = kept[2].get(key)
+        if inst is None:
+            d = self._peel(b, assignment)
+            if d.__class__ is Distribution:
+                d = keyed(d if all(is_ground(t) for _, t in d.summands)
+                          else _ground_branch(d, assignment, here))
+            inst = kept[2][key] = d
+        return inst
+
+    def _peel(self, d: Distribution, env: dict[str, PureTerm]) -> Distribution | Keyed:
+        """d past its head redexes whose operand is a ground value or a name
+        env binds: a unit head, a lambda applied to a value, a pair
+        destructured, a case taken.  Each contraction binds its names in env,
+        which maps names to ground values, so nothing is substituted.  The
+        instance kept for a branch entered by a case taken, under env, is
+        returned in place of that branch; else the distribution left."""
+        while len(s := d.summands) == 1 and s[0][0] == 1:
+            t = s[0][1]
+            cls = t.__class__
+            if cls is Seq and _operand(t.head, env) is _VOID:
+                d = t.tail
+            elif cls is App and t.fun.__class__ is Lam and (v := _operand(t.arg, env)) is not None:
+                env[t.fun.name] = v
+                d = t.fun.body
+            elif cls is LetPair and (v := _operand(t.scrutinee, env)).__class__ is PairV:
+                env[t.left], env[t.right] = v.first, v.second
+                d = t.body
+            elif cls is Match and (v := _operand(t.scrutinee, env)).__class__ in (InlV, InrV):
+                x, d = (t.left_name, t.left_body) if v.__class__ is InlV else (t.right_name, t.right_body)
+                env[x] = v.value
+                kept = self.instances.get(id(d))
+                if kept is not None and kept[0] is d:
+                    inst = kept[2].get(_key(env, kept[1]))
+                    if inst is not None:
+                        return inst
+            else:
+                break
+        return d
+
 
 def _value_typed(t: PureTerm, parts: list) -> tuple[Type, Derivation]:
     """The typing of a unit value, pair or injection by its rule, from its
@@ -580,15 +721,6 @@ def _canonical(d: Distribution) -> tuple[Distribution, bool]:
     return Distribution(tuple((a, first[id(h)]) for a, h in ordered.summands)), True
 
 
-def _not_one_elimination(here: Distribution) -> TypeCheckError:
-    return TypeCheckError(
-        ErrorKind.MISMATCH,
-        "a proper distribution must be a superposition of values or a single "
-        "elimination distributed across its summands",
-        here,
-    )
-
-
 def _holes(summands: tuple[tuple[complex, PureTerm], ...]) -> Distribution:
     """The distribution of the terms in the holes of summands that share one
     elimination form.  The coefficients come from a checked distribution or
@@ -617,24 +749,18 @@ def _unlifted(ty: Type) -> Type:
     return ty
 
 
-def _only(d: Distribution) -> PureTerm | None:
-    """The term of a one-summand, unscaled distribution, else None."""
-    s = d.summands
-    return s[0][1] if len(s) == 1 and s[0][0] == 1 else None
-
-
-def _enumerate_values(ty: Type) -> tuple[PureTerm, ...] | None:
+def _enumerate_values(ty: Type, kept: dict[Type, tuple | None]) -> tuple[PureTerm, ...] | None:
     """All ground values of an arrow-free type, None when not enumerable.
 
     The superposition modality does not change the inventory of basis values,
     so Sharp is transparent here.  The inventory is a tuple, so that no
     caller can change a shared one.  It is built children first (`walk`), so
     a deep type costs no Python frames, and types are interned, so the
-    inventories of one call are kept by type and a subtype that occurs twice
-    is enumerated once: a type costs its distinct nodes, not its paths.
-    Nothing is kept past the call, so no register's values outlive it.
+    inventory of each type built is kept by type in `kept`, the caller's
+    dict: a subtype that occurs twice, here or in a later call given the
+    same dict, is enumerated once, and a type costs its distinct nodes, not
+    its paths.  Nothing is kept anywhere else.
     """
-    kept: dict[Type, tuple[PureTerm, ...] | None] = {}
 
     def parts(t: Type) -> tuple[PureTerm, ...] | list | None:
         # the inventory of a unit, a placeholder, an arrow (None) or a type
@@ -672,175 +798,12 @@ def _inventory(ty: Type, parts: list) -> tuple[PureTerm, ...] | None:
 _UNIT_VALUES = (_VOID,)
 
 
-def _decide_orthogonality(
-    shared: dict[str, Type],
-    binder1: tuple[str, Type],
-    b1: Distribution,
-    binder2: tuple[str, Type],
-    b2: Distribution,
-    here: Location,
-    memo: dict[int, tuple],
-) -> None:
-    """Decide the branches orthogonal or raise.  Every instance the
-    enumerated tier grounds is kept in memo."""
-    x1, t1 = binder1
-    x2, t2 = binder2
-    invs = []
-    total = 1
-    for ty in (*shared.values(), t1, t2):
-        inv = _enumerate_values(ty)
-        if inv is None or (total := total * len(inv)) > _CAP:
-            break
-        invs.append(inv)
-    else:
-        *inventories, inv1, inv2 = invs
-        superposable = {x for x, ty in shared.items() if not is_flat(ty)}
-        _enumerated_orthogonality(
-            dict(zip(shared, inventories)), superposable, x1, inv1, b1, x2, inv2, b2, memo, here
-        )
-        return
-    if (
-        is_value_distribution(b1)
-        and is_value_distribution(b2)
-        and _structurally_disjoint(
-            [t for _, t in b1.summands], [t for _, t in b2.summands]
-        )
-    ):
-        return
-    raise TypeCheckError(
-        ErrorKind.ORTHOGONALITY_UNDECIDED,
-        "cannot decide that the branches are orthogonal: they are not value "
-        "distributions with disjoint constructors, and their free variables "
-        "do not all have finitely enumerable types within budget",
-        here,
-    )
-
-
-def _enumerated_orthogonality(
-    inventories: dict[str, tuple[PureTerm, ...]],
-    superposable: set[str],
-    x1: str,
-    inv1: tuple[PureTerm, ...],
-    b1: Distribution,
-    x2: str,
-    inv2: tuple[PureTerm, ...],
-    b2: Distribution,
-    memo: dict[int, tuple],
-    here: Location,
-) -> None:
-    """Every ground instance of the left branch must be orthogonal to every
-    ground instance of the right one that gives the flat shared names the
-    same values.
-
-    The binders hold basis values of different cases, so every pair of theirs
-    counts.  So does every pair of values of a superposable shared name: it
-    may hold σ = Σ αᵢ eᵢ, and ⟨L(σ)|R(σ)⟩ = Σᵢⱼ ᾱᵢ αⱼ ⟨L(eᵢ)|R(eⱼ)⟩ is zero for
-    every σ only when each ⟨L(eᵢ)|R(eⱼ)⟩ is.  A flat name holds one basis
-    value, the same in both branches.  Each instance is keyed once, and an
-    instance is compared only with the instances that share a key with it
-    (`_holders`).  The pairs under one assignment are compared as soon as
-    they are grounded, so a failure among them is reported before any pair
-    across assignments.
-    """
-    names = sorted(inventories)
-    groups: dict[tuple, list] = {}
-    for combo in itertools.product(*(inventories[x] for x in names)):
-        base = dict(zip(names, combo))
-        lefts = [(w1, _instance(b1, {**base, x1: w1}, memo, here)) for w1 in inv1]
-        holders = _holders((j1, left) for j1, (_, left) in enumerate(lefts))
-        rights = []
-        for w2 in inv2:
-            right = (w2, _instance(b2, {**base, x2: w2}, memo, here))
-            rights.append(right)
-            for j1 in sorted({j1 for k in right[1] for j1 in holders.get(k, ())}):
-                _require_pair_orthogonal(base, lefts[j1], base, right, here)
-        flat = tuple(v for x, v in base.items() if x not in superposable)
-        groups.setdefault(flat, []).append((base, lefts, rights))
-    for group in groups.values():
-        holders = _holders(
-            ((i2, j2), right)
-            for i2, (_, _, rights) in enumerate(group)
-            for j2, (_, right) in enumerate(rights)
-        )
-        for i1, (base1, lefts, _) in enumerate(group):
-            pairs = {
-                (i2, j2, j1)
-                for j1, (_, left) in enumerate(lefts)
-                for k in left
-                for i2, j2 in holders.get(k, ())
-                if i2 != i1
-            }
-            for i2, j2, j1 in sorted(pairs):
-                base2, _, rights = group[i2]
-                _require_pair_orthogonal(base1, lefts[j1], base2, rights[j2], here)
-
-
-def _peel(d: Distribution, env: dict[str, PureTerm],
-          memo: Mapping[int, tuple]) -> Distribution | Keyed:
-    """d past its head redexes whose operand is a ground value or a name env
-    binds: a unit head, a lambda applied to a value, a pair destructured, a
-    case taken.  Each contraction binds its names in env, which maps names to
-    ground values, so nothing is substituted.  The instance that memo keeps
-    for a branch entered by a case taken, under env, is returned in place of
-    that branch; else the distribution left."""
-    while (t := _only(d)) is not None:
-        cls = t.__class__
-        if cls is Seq and _operand(t.head, env) is _VOID:
-            d = t.tail
-        elif cls is App and t.fun.__class__ is Lam and (v := _operand(t.arg, env)) is not None:
-            env[t.fun.name] = v
-            d = t.fun.body
-        elif cls is LetPair and (v := _operand(t.scrutinee, env)).__class__ is PairV:
-            env[t.left], env[t.right] = v.first, v.second
-            d = t.body
-        elif cls is Match and (v := _operand(t.scrutinee, env)).__class__ in (InlV, InrV):
-            x, d = (t.left_name, t.left_body) if v.__class__ is InlV else (t.right_name, t.right_body)
-            env[x] = v.value
-            kept = memo.get(id(d))
-            if kept is not None and kept[0] is d:
-                inst = kept[2].get(_key(env, kept[1]))
-                if inst is not None:
-                    return inst
-        else:
-            break
-    return d
-
-
 def _operand(t: PureTerm, env: Mapping[str, PureTerm]) -> PureTerm | None:
     """The ground value t is, as a ground value or a name env binds, else
     None."""
     if t.__class__ is Var:
         return env.get(t.name)
     return t if is_ground(t) else None
-
-
-def _instance(
-    b: Distribution,
-    assignment: dict[str, PureTerm],
-    memo: dict[int, tuple],
-    here: Location,
-) -> Keyed:
-    """The keyed ground instance of branch b under the assignment, which
-    binds every free name of b, kept in memo.  An instance not kept yet is
-    read past b's head redexes (`_peel`, which extends the assignment): a
-    kept instance of a branch entered there is b's, a distribution of
-    ground values is keyed as it stands, and anything else is substituted
-    and normalized.  A contraction of `_peel` takes no rewrite steps."""
-    kept = memo.get(id(b))
-    if kept is None or kept[0] is not b:
-        # a name of unit type holds ⋆ under every assignment: it is no part
-        # of the key
-        names = tuple(x for x in free_vars_dist(b) if assignment[x] is not _VOID)
-        kept = memo[id(b)] = (b, names, {})
-    key = _key(assignment, kept[1])
-    inst = kept[2].get(key)
-    if inst is None:
-        d = _peel(b, assignment, memo)
-        if d.__class__ is Distribution:
-            d = keyed(d if all(is_ground(t) for _, t in d.summands)
-                      else _ground_branch(d, assignment, here))
-        inst = kept[2][key] = d
-    return inst
 
 
 def _key(env: Mapping[str, PureTerm], names: tuple[str, ...]) -> object:
@@ -899,12 +862,6 @@ def _ground_branch(
         raise TypeCheckError(
             ErrorKind.ORTHOGONALITY_UNDECIDED,
             f"an instantiated branch did not reduce to values ({e})",
-            here,
-        )
-    if not is_value_distribution(nf):
-        raise TypeCheckError(
-            ErrorKind.ORTHOGONALITY_UNDECIDED,
-            "an instantiated branch did not reduce to values",
             here,
         )
     return nf
@@ -984,15 +941,13 @@ def check_orthogonal_judgment(
             c.check_dist(branch, result)
     x1, t1 = binder1
     x2, t2 = binder2
-    grounded = {x: ground_unknowns(ty) for x, ty in ctx_shared.items()}
-    _decide_orthogonality(
-        grounded,
+    _Checker()._orthogonal_branches(
+        {x: ground_unknowns(ctx_shared[x]) for x in sorted(ctx_shared)},
         (x1, ground_unknowns(t1)),
         v1,
         (x2, ground_unknowns(t2)),
         v2,
         "the orthogonality judgment",
-        {},
     )
     return True
 

@@ -68,7 +68,6 @@ from qlam.typecheck import (
     TypeCheckError,
     _Binding,
     _Checker,
-    _decide_orthogonality,
     _form,
     _holes,
     _same_context,
@@ -406,7 +405,7 @@ class _RecursiveChecker(_Checker):
             stack = self.scopes.get(x)
             assert stack, f"branch variable {x} escaped typing"
             shared[x] = stack[-1].ty
-        _decide_orthogonality(shared, (x1, t1), b1, (x2, t2), b2, here, self.instances)
+        self._orthogonal_branches(shared, (x1, t1), b1, (x2, t2), b2, here)
 
     def infer_term(self, t: PureTerm) -> tuple[Type, Derivation]:
         match t:

@@ -45,8 +45,6 @@ from qlam.typecheck import (
     _Checker,
     _enumerate_values,
     _ground_branch,
-    _instance,
-    _peel,
     check_program,
 )
 from qlam.types import BOOL, UNIT, Arrow, Prod, Sum, ground_unknowns, peel_sharps, qubits
@@ -150,15 +148,15 @@ def _checked(program) -> _Checker:
 
 
 @pytest.mark.parametrize("label, lam", TERMS, ids=[label for label, _ in TERMS])
-def test_every_column_is_the_normal_form_of_the_application(label, lam):
+def test_an_applied_gate_reads_its_normal_form_from_the_memo(label, lam):
     c = _checked(singleton(lam))
     kept = _assert_kept_instances_are_normal_forms(c)
     if not label.startswith(("duplicate", "distant", "scaled")):
         assert kept > 0
-        for value in _enumerate_values(ground_unknowns(lam.ann)):
+        for value in _enumerate_values(ground_unknowns(lam.ann), {}):
             application = singleton(App(lam, value))
             # read from the memo: a kept instance, not a distribution left
-            column = _peel(application, {}, c.instances)
+            column = c._peel(application, {})
             assert column.__class__ is not Distribution
             assert column == keyed(normalize(application))
 
@@ -170,13 +168,13 @@ LET_SHAPED = [(label, lam) for label, lam in TERMS if int(label.rsplit("/", 1)[1
 
 
 @pytest.mark.parametrize("label, lam", LET_SHAPED, ids=[label for label, _ in LET_SHAPED])
-def test_a_decided_domain_is_the_inventory(label, lam):
+def test_each_branch_keeps_one_instance_per_value_of_the_register_rest(label, lam):
     c = _checked(singleton(lam))
     let = lam.body.summands[0][1]
     m = let.body.summands[0][1]
     assert m.__class__ is Match and m.scrutinee.name == let.left
     # the let's right name holds the rest of the register
-    rest = _enumerate_values(peel_sharps(ground_unknowns(lam.ann))[1].right)
+    rest = _enumerate_values(peel_sharps(ground_unknowns(lam.ann))[1].right, {})
     for x, b in ((m.left_name, m.left_body), (m.right_name, m.right_body)):
         entry = c.instances[id(b)]
         assert entry[0] is b and entry[1] == (let.right,)
@@ -184,13 +182,13 @@ def test_a_decided_domain_is_the_inventory(label, lam):
         for value in rest:
             # read past the branch's head redexes to the kept instance of
             # the lambda's branch that the value selects
-            kept = _peel(b, {x: typecheck._VOID, let.right: value}, c.instances)
+            kept = c._peel(b, {x: typecheck._VOID, let.right: value})
             assert kept.__class__ is not Distribution
             assert kept is entry[2][value]
 
 
 @pytest.mark.parametrize("label, lam", TERMS, ids=[label for label, _ in TERMS])
-def test_checking_does_not_depend_on_the_tables(label, lam, monkeypatch):
+def test_checking_does_not_depend_on_the_memo(label, lam, monkeypatch):
     program = singleton(lam)
     with_memo = _outcome(program)
     _forget(monkeypatch)
@@ -296,7 +294,7 @@ def test_an_instance_is_read_past_its_head_redexes_as_normalization_reads_it(src
     b = parse_program(src)
     assignment = {x: _only_term(v) for x, v in values.items()}
     want = _read(lambda: keyed(_ground_branch(b, dict(assignment), "here")))
-    assert _read(lambda: _instance(b, dict(assignment), {}, "here")) == want
+    assert _read(lambda: _Checker()._instance(b, dict(assignment), "here")) == want
 
 
 def _only_term(text: str):
@@ -314,7 +312,7 @@ def test_a_kept_match_is_its_normal_form():
     c.infer_dist(singleton(match))
     for _ in range(20):
         assert match.__class__ is Match
-        kept = _peel(singleton(match), {}, c.instances)
+        kept = c._peel(singleton(match), {})
         assert kept.__class__ is not Distribution
         assert kept == keyed(normalize(singleton(match)))
         match = match.left_body.summands[0][1].tail.summands[0][1]
@@ -365,6 +363,19 @@ def test_a_compiled_gate_checks_without_normalizing_every_level(n, monkeypatch):
         assert check_program(program)[0] == Arrow(qubits(n), qubits(n))
         assert len(calls) <= 1 << n
         assert len(reads) <= 4 * n << n
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_a_check_builds_each_inventory_once(n, monkeypatch):
+    # every match of H's case tree enumerates its binder and the rest of
+    # the register; the checker keeps what it enumerates, so no type is
+    # built twice in one check, however many matches share it
+    built = []
+    real = typecheck._inventory
+    monkeypatch.setattr(typecheck, "_inventory", lambda t, parts: built.append(t) or real(t, parts))
+    lam = compile_gate(gate_library["H"], [n - 1], n)
+    assert check_program(singleton(lam))[0] == Arrow(qubits(n), qubits(n))
+    assert built and len(built) == len(set(built))
 
 
 def _wide_gates():

@@ -102,7 +102,7 @@ def test_encoded_states_reach_the_same_value_objects(n, seed):
     rng = np.random.default_rng(seed)
     v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     d = encode(StateVector(v / np.linalg.norm(v)))
-    inventory = _enumerate_values(qubits(n))
+    inventory = _enumerate_values(qubits(n), {})
     reparsed = parse_program(pretty_print(d))
     for k, (a, t) in enumerate(d.summands):
         _assert_interned(t)

@@ -684,6 +684,8 @@ def test_parse_matrix_errors():
         parse_matrix("")
     with pytest.raises(FileFormatError):
         parse_matrix("size 2\n1 0\n0 1\n")
+    with pytest.raises(FileFormatError, match="bad dimension 'x'"):
+        parse_matrix("dim x")
     with pytest.raises(FileFormatError):
         parse_matrix("dim 3\n1 0 0\n0 1 0\n0 0 1\n")     # not a power of two
     with pytest.raises(ValueError):

@@ -649,6 +649,18 @@ def test_an_operator_that_took_steps_is_stuck_as_it_stands():
     assert _outcome(_machine, d) == (kind, text)
 
 
+def test_an_operator_whose_argument_reduces_to_a_proper_distribution_is_stuck():
+    # the inner argument is reduced in an argument frame under the operator
+    # frame, so the stuck term is found by looking past that argument frame
+    d = parse_program(r"((\g:#(U+U). \y:U. y) ((\x:U. 0.6 * inl x + 0.8 * inr x) *)) *")
+    res = step(d)
+    assert isinstance(res, Stuck) and res.reason == "operator reduced to a proper distribution"
+    assert _bits(res) == _bits(reference_step(d))
+    kind, text = _outcome(normalize, d)
+    assert kind is StuckError and text.endswith("operator reduced to a proper distribution")
+    assert _outcome(reference_normalize, d) == (kind, text)
+
+
 def test_an_operator_whose_reduct_merges_to_one_term_applies():
     # merged where an argument's context canonicalizes the reduct; at the
     # top of the operator the two summands stand as they are, and are stuck

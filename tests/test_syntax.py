@@ -115,6 +115,8 @@ def test_value_layer_is_enforced():
     with pytest.raises(ValueError):
         InlV(Seq(STAR, singleton(STAR)))
     with pytest.raises(ValueError):
+        InrV(App(Var("f"), STAR))
+    with pytest.raises(ValueError):
         LetPair("x", "x", PairV(STAR, STAR), singleton(STAR))
 
 
@@ -944,6 +946,12 @@ def _chain(depth: int, t: PureTerm) -> PureTerm:
 def test_deep_pair_signs_are_the_keys_signs_at_small_depth():
     for x, y, want in _deep_pairs(40):
         assert _compares_as_the_keys_compare(x, y) == want
+
+
+def test_a_distribution_with_fewer_summands_and_the_same_first_is_below():
+    one, two = parse_program("inl *"), parse_program("inl * + inr *")
+    assert _compares_as_the_keys_compare(one, two) == -1
+    assert compare(two, one) == 1
 
 
 def test_terms_that_differ_only_under_10000_layers_compare_without_recursion():

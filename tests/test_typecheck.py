@@ -334,6 +334,33 @@ def test_mixed_tails_fit_no_notation():
     _rejects(ErrorKind.MISMATCH, lambda: type_of_program(d))
 
 
+@pytest.mark.parametrize("src, subject", [
+    # the holes are reordered, and each summand keeps its own term
+    (r"0.6 * (\x:#B. x) (inr *) + 0.8 * (\x:#B. x) (inl *)",
+     r"0.8 * (\x:#(U+U). x) inl * + 0.6 * (\x:#(U+U). x) inr *"),
+    # equal holes merge into one unscaled summand, which keeps the first term
+    (r"0.5 * (\x:#B. x) (inl *) + 0.5 * (\x:#B. x) (inl *)", r"(\x:#(U+U). x) inl *"),
+])
+def test_a_shared_context_orders_and_merges_its_summands_by_their_holes(src, subject):
+    ty, der = check_program(parse_program(src))
+    assert ty == SBOOL
+    assert (der.rule, der.subject) == ("apply", subject)
+    assert check_distribution({}, parse_program(src), SBOOL) is True
+
+
+def test_operators_that_differ_share_no_context():
+    # the two lambdas are not alpha-equivalent, so the summands are neither
+    # one elimination nor a superposition of values
+    d = parse_program(r"0.6 * (\x:U. inl x) * + 0.8 * (\x:U. inr x) *")
+    text = ("Mismatch: a proper distribution must be a superposition of values or a single "
+            r"elimination distributed across its summands (in 0.6 * (\x:U. inl x) * + "
+            r"0.8 * (\x:U. inr x) *)")
+    for check in (lambda: check_program(d), lambda: check_distribution({}, d, SBOOL)):
+        with pytest.raises(TypeCheckError) as e:
+            check()
+        assert e.value.kind is ErrorKind.MISMATCH and str(e.value) == text
+
+
 def test_ghz_style_register():
     ghz = Distribution((
         (_R2, PairV(INL, PairV(INL, INL))),
@@ -692,17 +719,17 @@ def reference_enumerate_values(ty):
 def test_inventories_are_the_recursive_ones(a, text, n):
     for ty in (a, Sharp(a), Prod(a, BOOL), Sum(BOOL, a), parse_type(text),
                qubits(n), Prod(a, qubits(n)), Sum(qubits(n), a)):
-        assert _enumerate_values(ty) == reference_enumerate_values(ty)
+        assert _enumerate_values(ty, {}) == reference_enumerate_values(ty)
 
 
 def test_the_cap_is_the_widest_register():
     # a 12-qubit register has 2^12 values, as many as the cap allows; one
     # more value, or one more qubit, is past it
     assert _CAP == 1 << 12
-    assert _enumerate_values(qubits(12)) == reference_enumerate_values(qubits(12))
-    assert len(_enumerate_values(qubits(12))) == _CAP
-    assert _enumerate_values(Sum(qubits(12), UNIT)) is None
-    assert _enumerate_values(qubits(13)) is None
+    assert _enumerate_values(qubits(12), {}) == reference_enumerate_values(qubits(12))
+    assert len(_enumerate_values(qubits(12), {})) == _CAP
+    assert _enumerate_values(Sum(qubits(12), UNIT), {}) is None
+    assert _enumerate_values(qubits(13), {}) is None
 
 
 def test_a_shared_part_is_enumerated_once(monkeypatch):
@@ -714,7 +741,7 @@ def test_a_shared_part_is_enumerated_once(monkeypatch):
     for k in range(1, 61):
         ty, value = Prod(ty, ty), PairV(value, value)
         if k <= 8:
-            assert _enumerate_values(ty) == reference_enumerate_values(ty)
+            assert _enumerate_values(ty, {}) == reference_enumerate_values(ty)
     built = []
     real = typecheck._inventory
 
@@ -724,10 +751,10 @@ def test_a_shared_part_is_enumerated_once(monkeypatch):
         return real(t, parts)
 
     monkeypatch.setattr(typecheck, "_inventory", counted)
-    # nothing is kept between calls, so each builds its own distinct parts
+    # each call is given a fresh dict, so each builds its own distinct parts
     for t, want in ((ty, (value,)), (Sum(Sharp(ty), ty), (InlV(value), InrV(value)))):
         built.clear()
-        assert _enumerate_values(t) == want
+        assert _enumerate_values(t, {}) == want
 
 
 def reference_structurally_disjoint(v1, v2):
