@@ -4,11 +4,13 @@ A basis state of an n-qubit register is a right-nested tuple of booleans with
 qubit 0 outermost, so index k maps to the bits of k read most significant
 first: |10> is (inr *, inl *).  encode and decode translate between state
 vectors and value distributions over these tuples; compile_gate turns a
-g-qubit matrix acting on chosen qubits of an n-qubit register into a lambda
-that destructures its argument one qubit at a time and superposes the
-columns of U (x) I, written straight from the small matrix.  The tree is
-built one loop per level, from the register's levels (each level's domain
-type, names and variable nodes), which a caller makes once and every gate
+g-qubit matrix acting on chosen qubits of an n-qubit register into one
+lambda whose body destructures its argument one qubit at a time, each level
+splitting in place the rest of the register the level above leaves, with
+no lambda or application below the root, and superposes the columns of
+U (x) I, written straight from the small matrix.  The tree is built one
+loop per level, from the register's levels (the register type, and each
+level's names and variable nodes), which a caller makes once and every gate
 on that register shares.  run_circuit folds a gate list over an input both
 ways, through the rewrite engine and through one matrix product of the
 state with each gate, so the two can be compared.
@@ -43,7 +45,7 @@ from .syntax import (
     _set_summands,
     _trusted,
 )
-from .types import BOOL, Prod, Sharp, _MAX_REGISTER
+from .types import _MAX_REGISTER, qubits
 
 
 class NotAnIsometry(ValueError):
@@ -179,19 +181,23 @@ def matrix_apply(gate: GateMatrix, state: StateVector) -> StateVector:
 # ---------------------------------------------------------------------------
 # compilation
 
-def _levels(qubit_count: int) -> list[tuple]:
-    """Per level of the case tree, qubit 0's first: the domain type of its
-    lambdas, the names z, x, y and w its nodes bind, and their variable
-    nodes, which all nodes of the level share.  The domain types are built
-    from the last qubit out, one node each: that of level k is Sharp(core),
-    where core pairs qubit k's boolean with the core of level k + 1."""
+def _levels(qubit_count: int) -> tuple:
+    """The root's domain type, the register type #B^n, and per level of the
+    case tree, qubit 0's first: the name of the register the level is given
+    (z at the root, below it the y of the level above), the names x and y
+    its let splits that register into (x and y at the root, then x1 and y1,
+    ...; the last level matches its register whole and leaves them unused),
+    the name x' (x1', ...) its match's branches bind, and the variable
+    nodes of the register, of x and of x', which all nodes of the level
+    share.  No two levels bind the same name, so no binder shadows
+    another."""
     out = []
-    core = BOOL
-    for depth in range(qubit_count - 1, -1, -1):
-        names = [base + "'" * depth for base in "zxy"] + ["x" + "'" * (depth + 1)]
-        out.append((Sharp(core), *names, *map(Var, names)))
-        core = Prod(BOOL, core)
-    return out[::-1]
+    register = "z"
+    for depth in range(qubit_count):
+        x, y = (base + str(depth or "") for base in "xy")
+        out.append((register, x, y, x + "'", *map(Var, (register, x, x + "'"))))
+        register = y
+    return qubits(qubit_count), out
 
 
 # The tree's nodes are made by setting their slots directly: the frozen
@@ -208,44 +214,40 @@ _new_object = object.__new__
 _LAM, _LET, _MATCH, _SEQ, _APP = map(_slot_setters, (Lam, LetPair, Match, Seq, App))
 
 
-def _case_tree(images: list[Distribution], qubit_count: int, levels: list[tuple]) -> PureTerm:
-    """The tree over the images, its leaves, built bottom-up in one loop per
-    level from the last qubit out.  A node of the last qubit matches it and
-    sequences it away in front of one of two adjacent images; a node of
-    qubit k splits off qubit k and passes the rest of the register to one
-    of two adjacent nodes of qubit k+1.  The loop makes each node and its
-    one-summand distribution in place, through the slot setters, with no
-    Python call per node; the nodes of one level share its variable
-    nodes."""
+def _case_tree(images: list[Distribution], qubit_count: int, levels: tuple) -> PureTerm:
+    """The tree over the images, its leaves: one lambda whose body is
+    built bottom-up in one loop per level from the last qubit out.  A node
+    of the last qubit matches it and sequences it away in front of one of
+    two adjacent images; a node of qubit k splits the register it is given
+    into qubit k and the rest, matches qubit k and sequences it away in
+    front of one of two adjacent nodes of qubit k+1, which split that rest
+    in place: no node below the root is a lambda or an application.  The
+    loop makes each node and its one-summand distribution in place, through
+    the slot setters, with no Python call per node; the nodes of one level
+    share its variable nodes."""
     new, one, set_summands, set_dist_fv = _new_object, complex(1), _set_summands, _set_dist_fv
     set_name, set_ann, set_lam_body, set_lam_fv = _LAM
     set_left, set_right, set_let_scrutinee, set_let_body, set_let_fv = _LET
     set_scrutinee, set_left_name, set_left_body, set_right_name, set_right_body, set_match_fv = _MATCH
     set_head, set_tail, set_seq_fv = _SEQ
-    set_fun, set_arg, set_app_fv = _APP
+    register_type, levels = levels
     last = qubit_count - 1
     nodes = images
     for depth in range(last, -1, -1):
-        ty, z, x, y, w, vz, vx, vy, vw = levels[depth]
+        _, x, y, w, vr, vx, vw = levels[depth]
         below = iter(nodes)
         nodes = []
         for pair in zip(below, below):
             # each branch sequences the bit away in front of an image, or of
-            # a node of the next level applied to the rest of the register
+            # a node of the next level
             left, right = branches = [new(Distribution), new(Distribution)]
             for tail, branch in zip(pair, branches):
-                if depth < last:
-                    set_fun(app := new(App), tail)
-                    set_arg(app, vy)
-                    set_app_fv(app, None)
-                    set_summands(tail := new(Distribution), ((one, app),))
-                    set_dist_fv(tail, None)
                 set_head(seq := new(Seq), vw)
                 set_tail(seq, tail)
                 set_seq_fv(seq, None)
                 set_summands(branch, ((one, seq),))
                 set_dist_fv(branch, None)
-            set_scrutinee(node := new(Match), vz if depth == last else vx)
+            set_scrutinee(node := new(Match), vr if depth == last else vx)
             set_left_name(node, w)
             set_left_body(node, left)
             set_right_name(node, w)
@@ -256,17 +258,17 @@ def _case_tree(images: list[Distribution], qubit_count: int, levels: list[tuple]
                 set_dist_fv(body, None)
                 set_left(node := new(LetPair), x)
                 set_right(node, y)
-                set_let_scrutinee(node, vz)
+                set_let_scrutinee(node, vr)
                 set_let_body(node, body)
                 set_let_fv(node, None)
             set_summands(body := new(Distribution), ((one, node),))
             set_dist_fv(body, None)
-            set_name(node := new(Lam), z)
-            set_ann(node, ty)
-            set_lam_body(node, body)
-            set_lam_fv(node, None)
-            nodes.append(node)
-    return nodes[0]
+            nodes.append(body)
+    set_name(lam := new(Lam), levels[0][0])
+    set_ann(lam, register_type)
+    set_lam_body(lam, nodes[0])
+    set_lam_fv(lam, None)
+    return lam
 
 
 def _app(fun: PureTerm, arg: PureTerm) -> App:
@@ -280,8 +282,9 @@ def _app(fun: PureTerm, arg: PureTerm) -> App:
 
 def case_construct(qubit_count: int, images: Sequence[Distribution]) -> PureTerm:
     """The lambda that sends basis state k of an n-qubit register to the k-th
-    image: nested let/match destructuring, one qubit per level, with the
-    consumed bits sequenced away in front of each image."""
+    image: nested let/match destructuring under the one lambda, one qubit
+    per level, with the consumed bits sequenced away in front of each
+    image."""
     if qubit_count < 1:
         raise ValueError("the register needs at least one qubit")
     if len(images) != 1 << qubit_count:
@@ -343,7 +346,7 @@ def _compile(gate: GateMatrix, targets: Sequence[int],
         raise NotAnIsometry(
             f"columns are not orthonormal (largest deviation {dev:.3g})"
         )
-    n = len(levels)
+    n = len(levels[1])
     spread = _spread(targets, n)
     mask = spread[-1]
     # the gate's rows in register index order, which is also summand order
@@ -434,8 +437,8 @@ def run_circuit(
     v = state
     # every gate's case tree ends in the same basis values and has the same
     # levels (a register too wide to compile fails at the first gate's
-    # target check)
-    values, levels = (_basis_values(n), _levels(n)) if n <= _MAX_REGISTER else ([], [])
+    # target check, before any value is read)
+    values, levels = (_basis_values(n) if n <= _MAX_REGISTER else []), _levels(n)
     for gate, targets in gates:
         _check_targets(gate, targets, n)
         lam = _compile(gate, targets, values, levels)

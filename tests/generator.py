@@ -9,7 +9,10 @@ superpositions (case analysis of a superposed scrutinee, application to a
 superposed argument, destructuring of superposed pairs); those traces only
 type in aggregate, so the family is observed end to end, by its normal form
 and norm.  `value_distributions` supplies raw material for the algebra and
-inner product laws.  Everything is deterministic in the seed.
+inner product laws.  `nested_case_tree` builds a case tree with a lambda
+at every internal node, the shape compiled gates had before each became one
+lambda, from the leaves `gate_images` gives.  Everything is deterministic in
+the seed.
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ from qlam.syntax import (
 )
 from hypothesis import strategies as st
 
-from qlam.types import BOOL, UNIT, Arrow, Prod, Sharp, Sum, Type, Unknown
+from qlam.quantum import GateMatrix, StateVector, encode, expand_gate
+from qlam.types import BOOL, UNIT, Arrow, Prod, Sharp, Sum, Type, Unknown, qubits
 
 STAR = Void()
 INL = InlV(STAR)
@@ -296,6 +300,44 @@ def flow_programs(seed: int, count: int) -> list[tuple[Distribution, Type]]:
 def value_distributions(seed: int, count: int) -> list[Distribution]:
     g = ProgramGen(seed)
     return [g.value_distribution() for _ in range(count)]
+
+
+# -- compiled case trees ---------------------------------------------------
+
+
+def gate_images(gate: GateMatrix, targets, n: int) -> list[Distribution]:
+    """The leaves `compile_gate(gate, targets, n)` ends in: the encoded
+    columns of the gate widened to the register."""
+    wide = expand_gate(gate, targets, n).matrix
+    return [encode(StateVector(wide[:, k])) for k in range(1 << n)]
+
+
+def nested_case_tree(images: list[Distribution], n: int) -> Lam:
+    """The case tree over the images with a lambda at every internal node,
+    built with the public constructors: a node of qubit k binds the rest of
+    the register, splits off qubit k and applies one of two nodes of qubit
+    k+1 to the rest, `x' ; (\\z':#B^m. let (x', y') = z' in match x' {…}) y`.
+    This is the shape the front end compiled every gate to before it built
+    one lambda per gate, and the reference the flat tree is held to."""
+    z, w = "z" + "'" * (n - 1), "x" + "'" * n
+    nodes = [
+        Lam(z, qubits(1), singleton(Match(
+            Var(z), w, singleton(Seq(Var(w), left)), w, singleton(Seq(Var(w), right)),
+        )))
+        for left, right in zip(images[::2], images[1::2])
+    ]
+    for depth in range(n - 2, -1, -1):
+        z, x, y = (base + "'" * depth for base in "zxy")
+        w = "x" + "'" * (depth + 1)
+        nodes = [
+            Lam(z, qubits(n - depth), singleton(LetPair(x, y, Var(z), singleton(Match(
+                Var(x),
+                w, singleton(Seq(Var(w), singleton(App(left, Var(y))))),
+                w, singleton(Seq(Var(w), singleton(App(right, Var(y))))),
+            )))))
+            for left, right in zip(nodes[::2], nodes[1::2])
+        ]
+    return nodes[0]
 
 
 # -- Hypothesis strategies -------------------------------------------------

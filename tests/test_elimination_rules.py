@@ -30,8 +30,10 @@ from generator import (
     ProgramGen,
     deep_values,
     flow_programs,
+    gate_images,
     match_chain,
     matches_under_bindings,
+    nested_case_tree,
     trace_programs,
 )
 from qlam.config import get_tolerance
@@ -124,24 +126,30 @@ def _kron_unitary(n: int) -> np.ndarray:
     return u
 
 
-def _gates() -> list[tuple[str, Distribution]]:
+def _gates(flat: bool) -> list[tuple[str, Distribution]]:
+    """Compiled gates: flat, as the front end builds them, at n = 2 and 3,
+    or nested, by `nested_case_tree` over the same leaves, at n = 1..3.  At
+    n = 1 the two shapes are one."""
     out = []
-    for n in (1, 2, 3):
+    prefix = "flat " if flat else ""
+    for n in (2, 3) if flat else (1, 2, 3):
         for name in ("X", "H", "S", "CNOT", "SWAP") if n < 3 else ("CNOT",):
             gate = gate_library[name]
             g = gate.qubit_count
             if g > n:
                 continue
             targets = tuple(range(n - g, n))[::-1]
-            lam = compile_gate(gate, targets, n)
-            out.append((f"gate {name} {targets} n={n}", singleton(lam)))
+            lam = (compile_gate(gate, targets, n) if flat
+                   else nested_case_tree(gate_images(gate, targets, n), n))
+            out.append((f"{prefix}gate {name} {targets} n={n}", singleton(lam)))
         u = _kron_unitary(n)
-        lam = compile_gate(GateMatrix(u), tuple(range(n)), n)
-        out.append((f"kron n={n}", singleton(lam)))
-        out.append((f"kron n={n} re-parsed", parse_program(pretty_print(singleton(lam)))))
         images = [encode(StateVector(u[:, k])) for k in range(1 << n)]
+        lam = compile_gate(GateMatrix(u), tuple(range(n)), n) if flat else nested_case_tree(images, n)
+        out.append((f"{prefix}kron n={n}", singleton(lam)))
+        out.append((f"{prefix}kron n={n} re-parsed", parse_program(pretty_print(singleton(lam)))))
         images[1] = images[0]
-        out.append((f"kron n={n} duplicate", singleton(case_construct(n, images))))
+        lam = case_construct(n, images) if flat else nested_case_tree(images, n)
+        out.append((f"{prefix}kron n={n} duplicate", singleton(lam)))
     return out
 
 
@@ -201,7 +209,7 @@ def _cases() -> list[tuple[str, Distribution]]:
     out = [(src, parse_program(src)) for src in _TEXTS]
     out += [(f"trace {i}", d) for i, (d, _) in enumerate(trace_programs(31, 100))]
     out += [(f"flow {i}", d) for i, (d, _) in enumerate(flow_programs(32, 100))]
-    return out + _gates() + _distributed()
+    return out + _gates(False) + _gates(True) + _distributed()
 
 
 def test_derivations_match_the_recorded_ones():

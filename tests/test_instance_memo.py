@@ -162,7 +162,7 @@ def test_an_applied_gate_reads_its_normal_form_from_the_memo(label, lam):
 
 
 # gates on two or more qubits: their root destructures the register, and
-# each branch of its match applies a lambda to the let's right name
+# each branch of its match splits or matches the let's right name in place
 LET_SHAPED = [(label, lam) for label, lam in TERMS if int(label.rsplit("/", 1)[1]) > 1
               and not label.startswith(("duplicate", "distant", "scaled"))]
 
@@ -181,7 +181,7 @@ def test_each_branch_keeps_one_instance_per_value_of_the_register_rest(label, la
         assert set(entry[2]) == set(rest)
         for value in rest:
             # read past the branch's head redexes to the kept instance of
-            # the lambda's branch that the value selects
+            # the inner match's branch that the value selects
             kept = c._peel(b, {x: typecheck._VOID, let.right: value})
             assert kept.__class__ is not Distribution
             assert kept is entry[2][value]
@@ -354,7 +354,8 @@ def test_a_compiled_gate_checks_without_normalizing_every_level(n, monkeypatch):
     # at most one per leaf; normalizing each level's subtree again for every
     # value of the register's rest makes n * 2^n.  Each of the n * 2^n
     # instances reads at most four operands (a unit head, a beta-redex, a
-    # let and a case taken) before the memo has the branch it enters;
+    # let and a case taken; a compiled gate has no beta-redex) before the
+    # memo has the branch it enters;
     # reading on down to a leaf makes about 2 n per instance
     lam = compile_gate(gate_library["X"], [n - 1], n)
     for program in (singleton(lam), parse_program(pretty_print(singleton(lam)))):

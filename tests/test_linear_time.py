@@ -39,6 +39,7 @@ from generator import (
     flow_programs,
     match_chain,
     matches_under_bindings,
+    nested_case_tree,
     trace_programs,
 )
 from qlam.quantum import (
@@ -274,8 +275,9 @@ def test_derivation_subjects_match_the_eager_rendering():
 _EAGER = json.loads((Path(__file__).parent / "eager_errors.json").read_text())
 
 
-def _gate_with_defect(n: int, kind: str) -> PureTerm:
-    """A case tree for an n-qubit unitary, n >= 2, with one planted defect.
+def _gate_with_defect(n: int, kind: str, flat: bool) -> PureTerm:
+    """A case tree for an n-qubit unitary, n >= 2, with one planted defect,
+    flat as `case_construct` builds it or by `nested_case_tree`.
 
     The unitary is a Kronecker product of fixed one-qubit gates with two rows
     swapped; it is built by elementwise products only, so its entries are
@@ -295,7 +297,7 @@ def _gate_with_defect(n: int, kind: str) -> PureTerm:
         images[3] = images[0]
     else:
         images[0] = scale(2, images[0])
-    return case_construct(n, images)
+    return case_construct(n, images) if flat else nested_case_tree(images, n)
 
 
 def _error_cases():
@@ -315,12 +317,13 @@ def _error_cases():
             {"s": parse_type("U+U")}, ("a", parse_type("U")), parse_program("s"),
             ("b", parse_type("U")), parse_program("inl *"), parse_type("U+U")))
     cases.append(("orthogonality judgment", judgment))
-    for n in (2, 3):
-        for kind in ("duplicate", "distant", "scaled"):
-            def gate(n=n, kind=kind):
-                program = parse_program(pretty_print(singleton(_gate_with_defect(n, kind))))
-                return str(check_program(program)[0])
-            cases.append((f"gate n={n} {kind}", gate))
+    for flat in (False, True):
+        for n in (2, 3):
+            for kind in ("duplicate", "distant", "scaled"):
+                def gate(n=n, kind=kind, flat=flat):
+                    tree = _gate_with_defect(n, kind, flat)
+                    return str(check_program(parse_program(pretty_print(singleton(tree))))[0])
+                cases.append((f"{'flat ' if flat else ''}gate n={n} {kind}", gate))
     return cases
 
 

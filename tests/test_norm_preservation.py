@@ -6,6 +6,11 @@ index bit apart) and distant (two or more), compiled gates, one-qubit
 lambdas from the program generator's building blocks, and compositions of
 these.  The inputs are dense superpositions, so two columns that are not
 orthogonal show up in the norm of the output whatever bits they differ in.
+
+What holds is per rule: each superposition and each `match` is checked
+within the tolerance on its own, so an accepted program's norm error is the
+sum of its rules' errors, not the tolerance.  A chain of near-isometries
+pins that.
 """
 
 from __future__ import annotations
@@ -13,13 +18,16 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generator import ProgramGen, _unitary2
+from qlam.config import tolerance
 from qlam.inner import norm
 from qlam.quantum import GateMatrix, StateVector, case_construct, compile_gate, encode
 from qlam.rewrite import normalize
+from qlam.surface import parse_program
 from qlam.syntax import (
     App,
     Distribution,
@@ -35,7 +43,7 @@ from qlam.syntax import (
     scale,
     singleton,
 )
-from qlam.typecheck import TypeCheckError, check_distribution
+from qlam.typecheck import TypeCheckError, check_distribution, check_program
 from qlam.types import BOOL, UNIT, Arrow, Sharp, qubits
 
 
@@ -123,3 +131,25 @@ def test_accepted_register_maps_preserve_the_norm(nmap, seed):
     state = encode(StateVector(_unit(np.random.default_rng(seed), 1 << n)))
     out = normalize(mk_app(lam, state))
     assert math.isclose(norm(out), 1.0, abs_tol=1e-9)
+
+
+def _near_isometry_chain(k: int) -> str:
+    """k copies of a map on #(U+U) whose images have squared norm
+    1 + 0.9e-6, inside the default tolerance, applied in a row to a unit
+    superposition."""
+    a = math.sqrt(1 + 0.9e-6)
+    lam = f"(\\x:#(U+U). match x {{ inl u -> u ; ({a!r} * inl *) | inr u -> u ; ({a!r} * inr *) }})"
+    return f"{lam} (" * k + "0.6 * inl * + 0.8 * inr *" + ")" * k
+
+
+@pytest.mark.parametrize("k, squared", [(1, 1.0000009), (100, 1.00009), (2000, 1.0018)])
+def test_norm_error_adds_up_across_rules(k, squared):
+    # every superposition of the chain is within the tolerance, so it is
+    # accepted at #(U+U); its normal form's squared norm is (1 + 0.9e-6)^k,
+    # which at k = 2000 is 1,800 times the tolerance away from 1
+    with tolerance(1e-6):
+        program = parse_program(_near_isometry_chain(k))
+        assert str(check_program(program)[0]) == "#(U+U)"
+        got = sum(abs(a) ** 2 for a, _ in normalize(program).summands)
+    assert got == pytest.approx((1 + 0.9e-6) ** k, rel=0, abs=1e-9)
+    assert round(got, len(str(squared)) - 2) == squared

@@ -33,6 +33,7 @@ from qlam.inner import norm
 from qlam.rewrite import normalize
 from qlam.syntax import (
     App,
+    Distribution,
     InlV,
     InrV,
     Lam,
@@ -49,6 +50,8 @@ from qlam.syntax import (
 )
 from qlam.typecheck import check_distribution, type_of_program
 from qlam.types import Arrow, qubits
+
+from generator import gate_images, nested_case_tree
 
 STAR = Void()
 INL = InlV(STAR)
@@ -534,37 +537,23 @@ def test_compile_gate_errors_match_dense_route():
 
 def _public_case_tree(images, n):
     # the case tree built with the public constructors, each of which runs
-    # the dataclass __init__ and its checks
-    z, w = "z" + "'" * (n - 1), "x" + "'" * n
-    nodes = [
-        Lam(z, qubits(1), singleton(Match(
-            Var(z), w, singleton(Seq(Var(w), left)), w, singleton(Seq(Var(w), right)),
-        )))
-        for left, right in zip(images[::2], images[1::2])
-    ]
+    # the dataclass __init__ and its checks: one lambda on the register,
+    # and below it, per qubit but the last, a let that splits the register
+    # the level is given and a match on its first part
+    def node(scrutinee, w, left, right):
+        return Match(Var(scrutinee), w, singleton(Seq(Var(w), left)),
+                     w, singleton(Seq(Var(w), right)))
+
+    register = f"y{n - 2 or ''}" if n > 1 else "z"
+    w = f"x{n - 1 or ''}'"
+    nodes = [singleton(node(register, w, left, right))
+             for left, right in zip(images[::2], images[1::2])]
     for depth in range(n - 2, -1, -1):
-        z, x, y = (base + "'" * depth for base in "zxy")
-        w = "x" + "'" * (depth + 1)
-        nodes = [
-            Lam(z, qubits(n - depth), singleton(LetPair(x, y, Var(z), singleton(Match(
-                Var(x),
-                w, singleton(Seq(Var(w), singleton(App(left, Var(y))))),
-                w, singleton(Seq(Var(w), singleton(App(right, Var(y))))),
-            )))))
-            for left, right in zip(nodes[::2], nodes[1::2])
-        ]
-    return nodes[0]
-
-
-def _domains(lam, n):
-    # the annotation of each level's lambda, down the tree's first branches
-    out = []
-    for depth in range(n):
-        out.append(lam.ann)
-        if depth < n - 1:
-            match = lam.body.summands[0][1].body.summands[0][1]
-            lam = match.left_body.summands[0][1].tail.summands[0][1].fun
-    return out
+        x, y = f"x{depth or ''}", f"y{depth or ''}"
+        register = f"y{depth - 1 or ''}" if depth else "z"
+        nodes = [singleton(LetPair(x, y, Var(register), singleton(node(x, x + "'", left, right))))
+                 for left, right in zip(nodes[::2], nodes[1::2])]
+    return Lam("z", qubits(n), nodes[0])
 
 
 def _assert_built_as_the_public_constructors_build(got, images, n):
@@ -572,8 +561,8 @@ def _assert_built_as_the_public_constructors_build(got, images, n):
     assert got == want and repr(got) == repr(want), n
     # every cache field is set: free_vars reads it on each node
     assert free_vars(got) == frozenset()
-    # each level's domain is the interned register type
-    assert all(ty is qubits(n - depth) for depth, ty in enumerate(_domains(got, n)))
+    # the domain is the interned register type
+    assert got.ann is qubits(n)
 
 
 def test_case_tree_matches_one_built_by_the_public_constructors():
@@ -586,7 +575,7 @@ def test_case_tree_matches_one_built_by_the_public_constructors():
             amps[rng.integers(1 << n)] = 1
             images.append(encode(StateVector(amps / np.linalg.norm(amps))))
         _assert_built_as_the_public_constructors_build(case_construct(n, images), images, n)
-        assert [level[0] for level in quantum._levels(n)] == [qubits(n - d) for d in range(n)]
+        assert quantum._levels(n)[0] is qubits(n)
 
 
 def test_compiled_trees_match_ones_built_by_the_public_constructors():
@@ -606,6 +595,115 @@ def test_compiled_trees_match_ones_built_by_the_public_constructors():
             gate = _random_unitary(rng, n)
             images = [encode(StateVector(gate.matrix[:, k])) for k in range(1 << n)]
             _assert_built_as_the_public_constructors_build(compile_isometry(gate), images, n)
+
+
+# ------------------------------------------------- flat and nested trees
+
+
+def _bits(d):
+    # the summands in order, each coefficient by the bits of its two floats
+    return [(a.real.hex(), a.imag.hex(), t) for a, t in d.summands]
+
+
+def _superposed(rng, n):
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    amps[rng.random(1 << n) < 0.3] = 0
+    amps[rng.integers(1 << n)] = 1
+    return StateVector(amps / np.linalg.norm(amps))
+
+
+def _flat_and_nested_gates():
+    # library gates on every placement, and random unitaries on random
+    # targets, at n = 1..5
+    rng = np.random.default_rng(37)
+    for name, gate in gate_library.items():
+        for targets, n in _placements(gate, 5):
+            yield f"{name} {targets}/{n}", gate, list(targets), n
+    for n in range(1, 6):
+        for g in range(1, min(n, 3) + 1):
+            targets = [int(q) for q in rng.permutation(n)[:g]]
+            yield f"random {targets}/{n}", _random_unitary(rng, g), targets, n
+
+
+def test_flat_and_nested_trees_give_the_same_normal_forms():
+    rng = np.random.default_rng(41)
+    for label, gate, targets, n in _flat_and_nested_gates():
+        flat = compile_gate(gate, targets, n)
+        nested = nested_case_tree(gate_images(gate, targets, n), n)
+        inputs = [singleton(basis_value(k, n)) for k in range(1 << n)]
+        inputs += [encode(_superposed(rng, n)) for _ in range(2)]
+        for d in inputs:
+            got, want = normalize(mk_app(flat, d)), normalize(mk_app(nested, d))
+            assert got == want and _bits(got) == _bits(want), label
+
+
+def _ghz(n):
+    return [(gate_library["H"], [0])] + [(gate_library["CNOT"], [q, q + 1]) for q in range(n - 1)]
+
+
+def _layered(rng, n, layers):
+    # each layer: a one-qubit library gate on every qubit, then CNOTs on
+    # disjoint neighbouring pairs from a random offset
+    ones = [k for k, g in gate_library.items() if g.qubit_count == 1]
+    gates = []
+    for _ in range(layers):
+        gates += [(gate_library[ones[rng.integers(len(ones))]], [q]) for q in range(n)]
+        gates += [(gate_library["CNOT"], [q, q + 1]) for q in range(int(rng.integers(2)), n - 1, 2)]
+    return gates
+
+
+def _nested_run(gates, state):
+    # run_circuit's rewriting route, folded over nested trees
+    n = state.qubit_count
+    d = encode(state)
+    for gate, targets in gates:
+        d = normalize(mk_app(nested_case_tree(gate_images(gate, targets, n), n), d))
+    return d
+
+
+def test_run_circuit_is_the_fold_over_nested_trees():
+    rng = np.random.default_rng(43)
+    for n in range(3, 7):
+        for gates in (_ghz(n), _layered(rng, n, 2)):
+            for state in (_zero_state(n), _superposed(rng, n)):
+                d, _ = run_circuit(gates, state)
+                want = _nested_run(gates, state)
+                assert d == want and _bits(d) == _bits(want), n
+
+
+def _scopes(node):
+    # the node's children, each with the names the node binds in it
+    match node:
+        case Distribution():
+            return [(t, frozenset()) for _, t in node.summands]
+        case Lam(x, _, body):
+            return [(body, {x})]
+        case LetPair(x, y, scrutinee, body):
+            return [(scrutinee, set()), (body, {x, y})]
+        case Match(scrutinee, x, left, y, right):
+            return [(scrutinee, set()), (left, {x}), (right, {y})]
+        case Seq(a, b) | App(a, b) | PairV(a, b):
+            return [(a, set()), (b, set())]
+        case InlV(v) | InrV(v):
+            return [(v, set())]
+    return []
+
+
+def test_a_compiled_gate_is_one_lambda_in_which_no_binder_shadows_another():
+    rng = np.random.default_rng(47)
+    terms = [(n, compile_gate(gate_library["H"], [n - 1], n)) for n in (1, 2, 3, 6, 12)]
+    terms += [(n, compile_isometry(_random_unitary(rng, n))) for n in (1, 2, 3, 4)]
+    for n, lam in terms:
+        counts = {}
+        stack = [(lam, frozenset())]
+        while stack:
+            node, bound = stack.pop()
+            counts[type(node)] = counts.get(type(node), 0) + 1
+            for child, names in _scopes(node):
+                assert not names & bound, (n, names)
+                stack.append((child, bound | names))
+        assert counts[Lam] == 1 and App not in counts, n
+        assert counts[Match] == (1 << n) - 1 and counts.get(LetPair, 0) == (1 << (n - 1)) - 1, n
 
 
 # ---------------------------------------------------------------- oracle
