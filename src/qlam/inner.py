@@ -71,7 +71,7 @@ def keyed(v: Distribution) -> Keyed:
     order.  A caller that pairs one value distribution with many others keys
     it once and passes this instead."""
     _require_values(v)
-    merged = _merged(v.summands)
+    merged = v.summands if v._ordered else _merged(v.summands)
     out = Keyed((_Alpha(t) if t._term_key is None else id(t), a) for a, t in merged)
     out.held = merged
     return out

@@ -41,8 +41,6 @@ from .syntax import (
     Seq,
     Var,
     Void,
-    _set_dist_fv,
-    _set_summands,
     _trusted,
 )
 from .types import _MAX_REGISTER, qubits
@@ -203,8 +201,9 @@ def _levels(qubit_count: int) -> tuple:
 # The tree's nodes are made by setting their slots directly: the frozen
 # dataclass __init__ sets each field through object.__setattr__, which costs
 # about twice as much, and every field here is valid as it stands.  Each
-# node distribution has one summand and is canonical, so canonicalizing it
-# would only walk the whole subtree again.
+# node distribution has one summand and is canonical, so it is made by
+# `_trusted`, in order: canonicalizing it would only walk the whole subtree
+# again.
 
 def _slot_setters(cls: type) -> tuple:
     return tuple(getattr(cls, f).__set__ for f in (*cls.__match_args__, "_fv"))
@@ -222,10 +221,10 @@ def _case_tree(images: list[Distribution], qubit_count: int, levels: tuple) -> P
     into qubit k and the rest, matches qubit k and sequences it away in
     front of one of two adjacent nodes of qubit k+1, which split that rest
     in place: no node below the root is a lambda or an application.  The
-    loop makes each node and its one-summand distribution in place, through
-    the slot setters, with no Python call per node; the nodes of one level
-    share its variable nodes."""
-    new, one, set_summands, set_dist_fv = _new_object, complex(1), _set_summands, _set_dist_fv
+    loop makes each node in place, through the slot setters, and its
+    one-summand distribution with one call; the nodes of one level share
+    its variable nodes."""
+    new, one = _new_object, complex(1)
     set_name, set_ann, set_lam_body, set_lam_fv = _LAM
     set_left, set_right, set_let_scrutinee, set_let_body, set_let_fv = _LET
     set_scrutinee, set_left_name, set_left_body, set_right_name, set_right_body, set_match_fv = _MATCH
@@ -240,13 +239,13 @@ def _case_tree(images: list[Distribution], qubit_count: int, levels: tuple) -> P
         for pair in zip(below, below):
             # each branch sequences the bit away in front of an image, or of
             # a node of the next level
-            left, right = branches = [new(Distribution), new(Distribution)]
-            for tail, branch in zip(pair, branches):
+            branches = []
+            for tail in pair:
                 set_head(seq := new(Seq), vw)
                 set_tail(seq, tail)
                 set_seq_fv(seq, None)
-                set_summands(branch, ((one, seq),))
-                set_dist_fv(branch, None)
+                branches.append(_trusted(((one, seq),), True))
+            left, right = branches
             set_scrutinee(node := new(Match), vr if depth == last else vx)
             set_left_name(node, w)
             set_left_body(node, left)
@@ -254,16 +253,13 @@ def _case_tree(images: list[Distribution], qubit_count: int, levels: tuple) -> P
             set_right_body(node, right)
             set_match_fv(node, None)
             if depth < last:
-                set_summands(body := new(Distribution), ((one, node),))
-                set_dist_fv(body, None)
+                body = _trusted(((one, node),), True)
                 set_left(node := new(LetPair), x)
                 set_right(node, y)
                 set_let_scrutinee(node, vr)
                 set_let_body(node, body)
                 set_let_fv(node, None)
-            set_summands(body := new(Distribution), ((one, node),))
-            set_dist_fv(body, None)
-            nodes.append(body)
+            nodes.append(_trusted(((one, node),), True))
     set_name(lam := new(Lam), levels[0][0])
     set_ann(lam, register_type)
     set_lam_body(lam, nodes[0])

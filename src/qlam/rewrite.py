@@ -48,13 +48,23 @@ StuckError where the redex position holds no redex or an operator reduces to
 more than one unscaled term, the ValueError of a merge that overflows where
 a context canonicalizes the reduct, StepLimitExceeded for the step past the
 limit, then the ValueError of a spliced coefficient that overflows.
+
+The checker grounds a branch instance on the same machine: its summands
+start in an environment that binds the branch's free names to ground
+values, so nothing is substituted, and it passes a memo of the instances
+it keeps.  A case taken at the top of a summand whose coefficient is still
+1 asks the memo for the normal form of the branch it enters under the
+environment, and takes it, when there is one, as its reduct, in one step:
+from there the summand would have reached that normal form by the same
+contractions and multiplications.  Evaluation starts every summand in the
+empty environment and passes no memo.
 """
 
 from __future__ import annotations
 
 import cmath
 import random
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from .syntax import (
@@ -189,8 +199,10 @@ _STUCK = (None, None, "sequencing head is not the unit value",
           "destructured term is not a pair value", "matched term is not an injection value")
 
 
-def _cells(d: Distribution) -> list[list]:
-    return [[c, t, _NO_ENV, _TOP] for c, t in d.summands]
+def _cells(d: Distribution, env: dict = _NO_ENV) -> list[list]:
+    """The summands of d as cells, each started in env, which binds d's free
+    names to closed machine values."""
+    return [[c, t, env, _TOP] for c, t in d.summands]
 
 
 def _summands(cells: list[list]) -> list[tuple[complex, PureTerm]]:
@@ -217,7 +229,8 @@ def _value(t: PureTerm, env: dict) -> tuple:
 
 
 def _run(cells: list[list], max_steps: int, rng: random.Random | None,
-         stepping: bool) -> Iterator[bool]:
+         stepping: bool, memo: Callable[[Distribution, dict], tuple | None] | None = None
+         ) -> Iterator[bool]:
     """Evaluate the summands of cells in place, yielding after every step
     when stepping.  A contraction binds its values in the environment, unless
     the step is seen (stepping) or a value it binds has a name free in the
@@ -225,7 +238,13 @@ def _run(cells: list[list], max_steps: int, rng: random.Random | None,
     through the frames.  `work` holds the unfinished cells from the
     rightmost to the leftmost, so the leftmost is popped from the end; under
     rng the one popped is drawn as `rng.choice` draws from the list of
-    reducible summands."""
+    reducible summands.
+
+    A case taken at the top of a summand whose coefficient is still 1 asks
+    memo, when there is one, for the normal form of the branch it enters
+    under the environment: summands of closed values, or None.  Given them,
+    it takes them as its reduct: the normal form that evaluating the branch
+    from there would give.  Evaluation passes no memo."""
     work = [cell for cell in reversed(cells) if not is_value(cell[1])]
     steps = 0
     while work:
@@ -288,7 +307,11 @@ def _run(cells: list[list], max_steps: int, rng: random.Random | None,
                     body = substitute_many_dist(body, {x: _read_back(*u) for x, u in own.items()})
                 env = _NO_ENV
             else:
-                env = {**env, **own}
+                env = {**env, **own} if own else env
+                if memo is not None and tag == _MATCH and k is _TOP and c == 1:
+                    kept = memo(body, env)
+                    if kept is not None:
+                        body, env = _trusted(kept), _NO_ENV
             summands = body.summands
             if k is not _TOP:
                 if len(summands) > 1 and k[0] != _OP:

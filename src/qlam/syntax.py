@@ -84,9 +84,9 @@ from .types import _INTERNED, _TAGS as _TYPE_TAGS, Type, _enter, _type_parts, em
 
 def _cache():
     """A field for data derived from the node, None until it is computed
-    (`_fv` by `free_vars`, `_text` by printing) or set when an interned node
-    is made.  It takes no part in construction, equality, `repr` or `match`
-    patterns."""
+    (`_fv` by `free_vars`, `_text` by printing, a distribution's `_ordered`
+    by `canonicalize`) or set when an interned node is made.  It takes no
+    part in construction, equality, `repr` or `match` patterns."""
     return field(init=False, default=None, compare=False, repr=False)
 
 
@@ -311,6 +311,11 @@ _FORMS: dict[type, _Form] = {
 class Distribution:
     summands: tuple[tuple[complex, PureTerm], ...]
     _fv: frozenset[str] | None = _cache()
+    # True once its summands are known to strictly increase in the
+    # structural order, set where it is built in order or by `canonicalize`:
+    # such a distribution is its own canonical form, and none of its
+    # summands is compared again
+    _ordered: bool | None = _cache()
     # no key of its own, as a term that is not a ground value has none, so
     # `compare` may read it before it tests the class
     _term_key = None
@@ -336,14 +341,18 @@ class Distribution:
         return show_dist(self)
 
 
-def _trusted(summands: tuple[tuple[complex, PureTerm], ...]) -> Distribution:
+def _trusted(summands: tuple[tuple[complex, PureTerm], ...],
+             ordered: bool | None = None) -> Distribution:
     """A distribution of summands that are already valid: a non-empty tuple
     of finite complex coefficients and pure terms.  It skips the checks of
     `Distribution.__post_init__`, which public construction runs, so callers
-    pass only coefficients taken from a validated distribution or literals."""
+    pass only coefficients taken from a validated distribution or literals.
+    A caller that built the summands in the structural order says so
+    (`ordered`)."""
     d = _new_object(Distribution)
     _set_summands(d, summands)
     _set_dist_fv(d, None)
+    _set_dist_ordered(d, ordered)
     return d
 
 
@@ -352,6 +361,7 @@ def _trusted(summands: tuple[tuple[complex, PureTerm], ...]) -> Distribution:
 _new_object = object.__new__
 _set_summands = Distribution.summands.__set__
 _set_dist_fv = Distribution._fv.__set__
+_set_dist_ordered = Distribution._ordered.__set__
 
 
 def singleton(t: PureTerm, coeff: complex = 1) -> Distribution:
@@ -698,10 +708,15 @@ def canonicalize(d: Distribution) -> Distribution:
     kept) into the first of them, and order the summands by `compare`, the
     structural order.  A distribution whose summands already strictly
     increase comes back as it is, after one comparison per neighbouring
-    pair; a one-summand distribution makes none, so building a term from
-    single summands costs time linear in it."""
-    merged = _merged(d.summands)
-    return d if merged is d.summands else Distribution(merged)
+    pair; a one-summand distribution makes none, and one marked as built in
+    order (`_ordered`) none either, so building a term from single summands,
+    or from a distribution in one context after another, costs time linear
+    in it."""
+    if not d._ordered:
+        merged = _merged(d.summands)
+        d = d if merged is d.summands else Distribution(merged)
+        _set_dist_ordered(d, True)
+    return d
 
 
 def _merged(summands: tuple[tuple[complex, PureTerm], ...]) -> tuple[tuple[complex, PureTerm], ...]:
@@ -814,8 +829,8 @@ def _in_context(d: Distribution, build: Callable[[PureTerm], PureTerm]) -> Distr
     canonicalizing the holes gives the canonical result without keying a
     copy of the context per summand.  The coefficients come from a validated
     distribution and the terms from node constructors, so the result skips
-    re-validation."""
-    return _trusted(tuple((a, build(t)) for a, t in canonicalize(d).summands))
+    re-validation, and it is in order."""
+    return _trusted(tuple((a, build(t)) for a, t in canonicalize(d).summands), True)
 
 
 def _require_values(d: Distribution, what: str) -> None:

@@ -49,30 +49,33 @@ Enumeration runs when each inventory holds at most `_CAP` values, and so
 does the product of a match's binder and shared-name inventories; `_CAP` is
 the size of the basis of the widest register the front end compiles.  One
 rule, `_Checker._orthogonal_branches`, decides every match, whatever its
-branches look like.
+branches look like.  Whether it can enumerate depends only on the types of
+the shared names and binders, so a match too wide for the cap is refused
+before its branches are typed (`_Checker._enumerated`), unless its branches
+are value distributions with disjoint constructors.
 
 Where an instance comes from.  What a check keeps to decide its matches is
 the checker's own, and goes away with it: the inventory of each type it
 enumerates, `_Checker.inventories`, built once per check, and one memo,
 `_Checker.instances`: a branch, held by identity, with the keyed instance
-ground for each assignment of values to its free names.  Before an instance is
-ground, the head redexes whose operand is ground are contracted in an
-environment of ground values, with no substitution: a unit head, a lambda
-applied to a value, a pair destructured, a case taken.  A branch entered by
-a case taken whose instance under the environment is kept is that
-instance, which takes no rewrite steps; so is the branch itself.  What is
-left is keyed as it stands when it is a distribution of ground values, and
-substituted and normalized otherwise.  So a match whose branches apply a
-checked lambda to a shared name reads, for each of the name's values, the
-instance of the lambda's branch that the value selects, and a branch that
-is a closed match reads its taken branch's: a case tree checks from the
-leaves up.
+ground for each assignment of values to its free names.  An instance is
+ground on the rewriting machine (`rewrite._run`), whose summands start in
+the environment of the assignment: each ground value is a machine value
+with an empty environment, so nothing is substituted, and every
+contraction counts against `_INSTANCE_STEPS`.  A case taken at the top of
+a summand whose coefficient is still 1 enters a branch; when the memo
+keeps that branch's instance under the environment, the machine takes the
+kept instance as the reduct, which is the normal form it would have
+reached.  So a match whose branches apply a checked lambda to a shared
+name reads, for each of the name's values, the instance of the lambda's
+branch that the value selects, and a branch that is a closed match reads
+its taken branch's: a case tree checks from the leaves up.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
@@ -80,7 +83,10 @@ from functools import cached_property
 
 from .config import get_tolerance
 from .inner import Keyed, keyed, orthogonal
-from .rewrite import StepLimitExceeded, StuckError, normalize
+from .rewrite import _NO_ENV, StepLimitExceeded, StuckError, _cells, _summands
+# `normalize` and `substitute_many_dist` are bound here, though no longer
+# called, for callers that patch this module's namespace
+from .rewrite import _run as _run_machine, normalize  # noqa: F401
 from .syntax import (
     App,
     Distribution,
@@ -96,6 +102,7 @@ from .syntax import (
     Void,
     _FORMS,
     _VOID,
+    _set_dist_ordered,
     _trusted,
     alpha_eq,
     canonicalize,
@@ -221,6 +228,8 @@ class _Checker:
         self.instances: dict[int, tuple] = {}
         # the inventory of each type enumerated so far, None past `_CAP`
         self.inventories: dict[Type, tuple[PureTerm, ...] | None] = {}
+        # the kept instance that the machine read last (`_kept`)
+        self.read: Keyed | None = None
 
     # -- context plumbing ---------------------------------------------------
 
@@ -339,7 +348,7 @@ class _Checker:
                         f"operator has type {tf}, a function type is required",
                         here,
                     )
-                ta, da = yield _holes(summands)
+                ta, da = yield _holes(summands, True)
                 if not subtype(ta, tf.dom):
                     what = "argument" if isinstance(here, PureTerm) else "argument distribution"
                     raise TypeCheckError(
@@ -349,7 +358,7 @@ class _Checker:
                     )
                 return tf.cod, Derivation("apply", here, tf.cod, (df, da))
             case Seq(_, tail):
-                th, dh = yield _holes(summands)
+                th, dh = yield _holes(summands, True)
                 what = ("sequencing head has" if isinstance(here, PureTerm)
                         else "sequencing heads have")
                 form, _, lift = _form(th, Unit, what, "the unit", here)
@@ -357,7 +366,7 @@ class _Checker:
                 ty = lift(tt)
                 return ty, Derivation(f"seq-{form}", here, ty, (dh, dt))
             case LetPair(x, y, _, body):
-                ts, ds = yield _holes(summands)
+                ts, ds = yield _holes(summands, True)
                 form, core, lift = _form(ts, Prod, "destructured term has", "a product", here)
                 self._bind(x, lift(core.left))
                 self._bind(y, lift(core.right))
@@ -367,22 +376,28 @@ class _Checker:
                 ty = lift(bt)
                 return ty, Derivation(f"let-{form}", here, ty, (ds, bd))
             case Match(_, x1, b1, x2, b2):
-                ts, ds = yield _holes(summands)
+                ts, ds = yield _holes(summands, True)
                 form, core, lift = _form(ts, Sum, "matched term has", "a sum", here)
                 lt = lift(core.left)
                 rt = lift(core.right)
+                used1 = free_vars_dist(b1) - {x1}
+                used2 = free_vars_dist(b2) - {x2}
+                names = sorted(used1 | used2)
+                if all(x in self.scopes for x in names):  # else typing a branch reports it
+                    # the types decide how the branches are enumerated, or
+                    # refuse, before any work below this match
+                    shared = {x: self.scopes[x][-1].ty for x in names}
+                    invs = self._enumerated(shared, lt, b1, rt, b2, here)
                 self._bind(x1, lt)
                 t1, d1 = yield b1
                 self._unbind(x1, here)
                 # a branch that types has used each non-flat name free in it
                 # once, so its usage is its free names: give theirs back
-                used1 = free_vars_dist(b1) - {x1}
                 for x in used1:
                     self.scopes[x][-1].uses -= 1
                 self._bind(x2, rt)
                 t2, d2 = yield b2
                 self._unbind(x2, here)
-                used2 = free_vars_dist(b2) - {x2}
                 if used1 != used2:
                     # the first non-flat name in scope order that one branch
                     # uses and the other does not
@@ -402,8 +417,7 @@ class _Checker:
                         f"match branches have incompatible types {t1} and {t2}",
                         here,
                     )
-                shared = {x: self.scopes[x][-1].ty for x in sorted(used1 | used2)}
-                self._orthogonal_branches(shared, (x1, lt), b1, (x2, rt), b2, here)
+                self._orthogonal_branches(shared, invs, x1, b1, x2, b2, here)
                 ty = lift(joined)
                 return ty, Derivation(f"match-{form}", here, ty, (ds, d1, d2))
 
@@ -530,28 +544,17 @@ class _Checker:
 
     # -- orthogonality ------------------------------------------------------
 
-    def _orthogonal_branches(self, shared: dict[str, Type], binder1: tuple[str, Type],
-                             b1: Distribution, binder2: tuple[str, Type], b2: Distribution,
-                             here: Location) -> None:
-        """Decide the branches of a match orthogonal or raise.  `shared`
-        maps the names free in either branch, in name order, to their types.
-
-        When the shared names and both binders have inventories whose sizes
-        multiply to at most `_CAP`, every ground instance of the left branch
-        must be orthogonal to every ground instance of the right one that
-        gives the flat shared names the same values.  The binders hold basis values of different cases, so every pair of theirs
-        counts.  So does every pair of values of a shared name whose type is
-        not flat: it may hold σ = Σ αᵢ eᵢ, and ⟨L(σ)|R(σ)⟩ = Σᵢⱼ ᾱᵢ αⱼ
-        ⟨L(eᵢ)|R(eⱼ)⟩ is zero for every σ only when each ⟨L(eᵢ)|R(eⱼ)⟩ is.
-        A flat name holds one basis value, the same in both branches.  Each
-        instance is keyed once, and an instance is compared only with the
-        instances that share a key with it (`_holders`).  The pairs under
-        one assignment are compared as soon as they are grounded, so a
-        failure among them is reported before any pair across assignments.
-        Otherwise the branches must be value distributions with disjoint
-        constructors."""
-        x1, t1 = binder1
-        x2, t2 = binder2
+    def _enumerated(self, shared: dict[str, Type], t1: Type, b1: Distribution, t2: Type,
+                    b2: Distribution, here: Location) -> list | None:
+        """How a match's branches are decided orthogonal, from the types of
+        the names free in either branch (`shared`, in name order) and of the
+        binders (t1, t2), and from the branches' text, so before they are
+        typed.  When every one of those types has an inventory and their
+        sizes multiply to at most `_CAP`, the branches are enumerated over
+        the inventories, which are returned: the shared names', then the
+        binders'.  Otherwise the branches must be value distributions with
+        disjoint constructors, and None is returned, or the match is
+        undecided."""
         invs = []
         total = 1
         for ty in (*shared.values(), t1, t2):
@@ -564,7 +567,7 @@ class _Checker:
                         [t for _, t in b1.summands], [t for _, t in b2.summands]
                     )
                 ):
-                    return
+                    return None
                 raise TypeCheckError(
                     ErrorKind.ORTHOGONALITY_UNDECIDED,
                     "cannot decide that the branches are orthogonal: they are not value "
@@ -573,6 +576,29 @@ class _Checker:
                     here,
                 )
             invs.append(inv)
+        return invs
+
+    def _orthogonal_branches(self, shared: dict[str, Type], invs: list | None, x1: str,
+                             b1: Distribution, x2: str, b2: Distribution,
+                             here: Location) -> None:
+        """Decide the branches of a match orthogonal over the inventories
+        `_enumerated` gave, or raise; None, when the structural criterion
+        has decided them, holds nothing to enumerate.
+
+        Every ground instance of the left branch must be orthogonal to every
+        ground instance of the right one that gives the flat shared names
+        the same values.  The binders hold basis values of different cases,
+        so every pair of theirs counts.  So does every pair of values of a
+        shared name whose type is not flat: it may hold σ = Σ αᵢ eᵢ, and
+        ⟨L(σ)|R(σ)⟩ = Σᵢⱼ ᾱᵢ αⱼ ⟨L(eᵢ)|R(eⱼ)⟩ is zero for every σ only
+        when each ⟨L(eᵢ)|R(eⱼ)⟩ is.  A flat name holds one basis value, the
+        same in both branches.  Each instance is keyed once, and an instance
+        is compared only with the instances that share a key with it
+        (`_holders`).  The pairs under one assignment are compared as soon
+        as they are grounded, so a failure among them is reported before
+        any pair across assignments."""
+        if invs is None:
+            return
         *invs, inv1, inv2 = invs
         groups: dict[tuple, list] = {}
         for combo in itertools.product(*invs):
@@ -609,56 +635,49 @@ class _Checker:
                   here: Location) -> Keyed:
         """The keyed ground instance of branch b under the assignment, which
         binds every free name of b, kept in `instances`.  An instance not
-        kept yet is read past b's head redexes (`_peel`, which extends the
-        assignment): a kept instance of a branch entered there is b's, a
-        distribution of ground values is keyed as it stands, and anything
-        else is substituted and normalized.  A contraction of `_peel` takes
-        no rewrite steps."""
+        kept yet is b evaluated on the rewriting machine in the assignment's
+        environment, in at most `_INSTANCE_STEPS` steps, where a case taken
+        at the top reads the instance kept for the branch it enters
+        (`_kept`).  A normal form that is the instance read last is that
+        instance, keyed once."""
         kept = self.instances.get(id(b))
         if kept is None or kept[0] is not b:
             # a name of unit type holds ⋆ under every assignment: it is no part
             # of the key
             names = tuple(x for x in free_vars_dist(b) if assignment[x] is not _VOID)
             kept = self.instances[id(b)] = (b, names, {})
-        key = _key(assignment, kept[1])
+        env = {x: (v, _NO_ENV) for x, v in assignment.items()}
+        key = _key(env, kept[1])
         inst = kept[2].get(key)
         if inst is None:
-            d = self._peel(b, assignment)
-            if d.__class__ is Distribution:
-                d = keyed(d if all(is_ground(t) for _, t in d.summands)
-                          else _ground_branch(d, assignment, here))
-            inst = kept[2][key] = d
+            self.read = None
+            cells = _cells(b, env)
+            try:
+                for _ in _run_machine(cells, _INSTANCE_STEPS, None, False, self._kept):
+                    pass
+            except (StuckError, StepLimitExceeded) as e:
+                raise TypeCheckError(
+                    ErrorKind.ORTHOGONALITY_UNDECIDED,
+                    f"an instantiated branch did not reduce to values ({e})",
+                    here,
+                )
+            summands = _summands(cells)
+            inst = self.read
+            if inst is None or not _same_summands(summands, inst.held):
+                # each coefficient was checked where the machine spliced it
+                inst = keyed(canonicalize(_trusted(tuple(summands))))
+            kept[2][key] = inst
         return inst
 
-    def _peel(self, d: Distribution, env: dict[str, PureTerm]) -> Distribution | Keyed:
-        """d past its head redexes whose operand is a ground value or a name
-        env binds: a unit head, a lambda applied to a value, a pair
-        destructured, a case taken.  Each contraction binds its names in env,
-        which maps names to ground values, so nothing is substituted.  The
-        instance kept for a branch entered by a case taken, under env, is
-        returned in place of that branch; else the distribution left."""
-        while len(s := d.summands) == 1 and s[0][0] == 1:
-            t = s[0][1]
-            cls = t.__class__
-            if cls is Seq and _operand(t.head, env) is _VOID:
-                d = t.tail
-            elif cls is App and t.fun.__class__ is Lam and (v := _operand(t.arg, env)) is not None:
-                env[t.fun.name] = v
-                d = t.fun.body
-            elif cls is LetPair and (v := _operand(t.scrutinee, env)).__class__ is PairV:
-                env[t.left], env[t.right] = v.first, v.second
-                d = t.body
-            elif cls is Match and (v := _operand(t.scrutinee, env)).__class__ in (InlV, InrV):
-                x, d = (t.left_name, t.left_body) if v.__class__ is InlV else (t.right_name, t.right_body)
-                env[x] = v.value
-                kept = self.instances.get(id(d))
-                if kept is not None and kept[0] is d:
-                    inst = kept[2].get(_key(env, kept[1]))
-                    if inst is not None:
-                        return inst
-            else:
-                break
-        return d
+    def _kept(self, b: Distribution, env: dict) -> tuple | None:
+        """The summands of the instance kept for branch b under the machine
+        environment env, or None; the instance is kept in `read`."""
+        kept = self.instances.get(id(b))
+        if kept is not None and kept[0] is b:
+            self.read = kept[2].get(_key(env, kept[1]))
+            if self.read is not None:
+                return self.read.held
+        return None
 
 
 def _value_typed(t: PureTerm, parts: list) -> tuple[Type, Derivation]:
@@ -705,31 +724,38 @@ def _canonical(d: Distribution) -> tuple[Distribution, bool]:
     the hole of one shared elimination context.  Such summands order and
     merge as their holes do, so their holes are canonicalized instead: the
     context is compared once per summand, here, and not again in every
-    comparison of two of them."""
+    comparison of two of them.  The distribution returned is marked in
+    order, and so are the holes `_elim` takes from it: a distribution
+    already in order is not compared again at the next level down."""
     s = d.summands
     form = _FORMS.get(s[0][1].__class__)
     if form is None or form.hole is None or not all(_same_context(s[0][1], t) for _, t in s[1:]):
         return canonicalize(d), False
+    if d._ordered:
+        return d, True
     holes = _holes(s)
     ordered = canonicalize(holes)
     if ordered is holes:
+        _set_dist_ordered(d, True)
         return d, True
     # a merged summand keeps the first term, as its hole is the first hole
     first: dict[int, PureTerm] = {}
     for (_, t), (_, h) in zip(s, holes.summands):
         first.setdefault(id(h), t)
-    return Distribution(tuple((a, first[id(h)]) for a, h in ordered.summands)), True
+    return _trusted(tuple((a, first[id(h)]) for a, h in ordered.summands), True), True
 
 
-def _holes(summands: tuple[tuple[complex, PureTerm], ...]) -> Distribution:
+def _holes(summands: tuple[tuple[complex, PureTerm], ...], ordered: bool | None = None
+           ) -> Distribution:
     """The distribution of the terms in the holes of summands that share one
     elimination form.  The coefficients come from a checked distribution or
-    are the literal 1 of a single term, so it skips re-validation."""
+    are the literal 1 of a single term, so it skips re-validation.  Summands
+    in order in one context have their holes in order (`ordered`)."""
     part = _FORMS[summands[0][1].__class__].hole
     if len(summands) == 1:
         a, t = summands[0]
-        return _trusted(((a, getattr(t, part)),))
-    return _trusted(tuple((a, getattr(t, part)) for a, t in summands))
+        return _trusted(((a, getattr(t, part)),), ordered)
+    return _trusted(tuple((a, getattr(t, part)) for a, t in summands), ordered)
 
 
 def _form(ty: Type, core_class: type, what: str, required: str, here: Location) -> tuple:
@@ -798,21 +824,19 @@ def _inventory(ty: Type, parts: list) -> tuple[PureTerm, ...] | None:
 _UNIT_VALUES = (_VOID,)
 
 
-def _operand(t: PureTerm, env: Mapping[str, PureTerm]) -> PureTerm | None:
-    """The ground value t is, as a ground value or a name env binds, else
-    None."""
-    if t.__class__ is Var:
-        return env.get(t.name)
-    return t if is_ground(t) else None
+def _key(env: Mapping[str, tuple], names: tuple[str, ...]) -> object:
+    """The key of an instance in its branch's entry, from the machine
+    environment: the value of the one name, else the tuple of the names'
+    values.  The value is interned, so a case tree, whose branches have one
+    name that is not of unit type, keys its instances with no object of
+    their own for the cyclic collector to walk."""
+    return env[names[0]][0] if len(names) == 1 else tuple(env[x][0] for x in names)
 
 
-def _key(env: Mapping[str, PureTerm], names: tuple[str, ...]) -> object:
-    """The key of an instance in its branch's entry: the value of the one
-    name, else the tuple of the names' values.  The value is interned, so a
-    case tree, whose branches have one name that is not of unit type, keys
-    its instances with no object of their own for the cyclic collector to
-    walk."""
-    return env[names[0]] if len(names) == 1 else tuple(map(env.__getitem__, names))
+def _same_summands(s1: Sequence[tuple], s2: Sequence[tuple]) -> bool:
+    """Whether two lists of summands hold the same terms, by identity, in
+    the same order and with equal coefficients."""
+    return len(s1) == len(s2) and all(t is u and a == b for (a, t), (b, u) in zip(s1, s2))
 
 
 def _holders(instances: Iterable[tuple[object, Keyed]]) -> dict[object, list]:
@@ -850,21 +874,6 @@ def _require_pair_orthogonal(
 def _assignment(base: dict[str, PureTerm]) -> str:
     text = ", ".join(f"{x} := {show_term(v)}" for x, v in base.items())
     return text or "the empty substitution"
-
-
-def _ground_branch(
-    b: Distribution, assignment: dict[str, PureTerm], here: Location
-) -> Distribution:
-    inst = substitute_many_dist(b, assignment)
-    try:
-        nf = normalize(inst, max_steps=_INSTANCE_STEPS)
-    except (StuckError, StepLimitExceeded) as e:
-        raise TypeCheckError(
-            ErrorKind.ORTHOGONALITY_UNDECIDED,
-            f"an instantiated branch did not reduce to values ({e})",
-            here,
-        )
-    return nf
 
 
 def _structurally_disjoint(v1: list[PureTerm], v2: list[PureTerm]) -> bool:
@@ -941,14 +950,11 @@ def check_orthogonal_judgment(
             c.check_dist(branch, result)
     x1, t1 = binder1
     x2, t2 = binder2
-    _Checker()._orthogonal_branches(
-        {x: ground_unknowns(ctx_shared[x]) for x in sorted(ctx_shared)},
-        (x1, ground_unknowns(t1)),
-        v1,
-        (x2, ground_unknowns(t2)),
-        v2,
-        "the orthogonality judgment",
-    )
+    c = _Checker()
+    shared = {x: ground_unknowns(ctx_shared[x]) for x in sorted(ctx_shared)}
+    where = "the orthogonality judgment"
+    invs = c._enumerated(shared, ground_unknowns(t1), v1, ground_unknowns(t2), v2, where)
+    c._orthogonal_branches(shared, invs, x1, v1, x2, v2, where)
     return True
 
 

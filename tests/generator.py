@@ -380,6 +380,15 @@ def beta_chain(n: int) -> str:
     return "match inl * { inl a -> a ; (\\u:U. u ; " * n + "inl *" + ") * | inr b -> inr b }" * n
 
 
+def near_isometry_chain(k: int) -> str:
+    """k copies of a map on #(U+U) whose images have squared norm
+    1 + 0.9e-6, inside the default tolerance, applied in a row to a unit
+    superposition: two summands that differ only k levels down."""
+    a = math.sqrt(1 + 0.9e-6)
+    lam = f"(\\x:#(U+U). match x {{ inl u -> u ; ({a!r} * inl *) | inr u -> u ; ({a!r} * inr *) }})"
+    return f"{lam} (" * k + "0.6 * inl * + 0.8 * inr *" + ")" * k
+
+
 def matches_under_bindings(n: int) -> str:
     lams = "".join(f"\\x{i}:#B. " for i in range(n))
     pair = "".join(f"(x{i}, " for i in range(n)) + "m" + ")" * n

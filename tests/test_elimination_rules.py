@@ -413,7 +413,8 @@ class _RecursiveChecker(_Checker):
             stack = self.scopes.get(x)
             assert stack, f"branch variable {x} escaped typing"
             shared[x] = stack[-1].ty
-        self._orthogonal_branches(shared, (x1, t1), b1, (x2, t2), b2, here)
+        invs = self._enumerated(shared, t1, b1, t2, b2, here)
+        self._orthogonal_branches(shared, invs, x1, b1, x2, b2, here)
 
     def infer_term(self, t: PureTerm) -> tuple[Type, Derivation]:
         match t:

@@ -1,13 +1,14 @@
 """Branch instances: each check keeps a memo of the keyed instances its
 enumeration grounds, by branch and the values of the branch's free names,
-and reads an instance past its head redexes (a unit head, a lambda applied
-to a value, a pair destructured, a case taken) in an environment.  So a
-case-tree branch `u ; f y` reads the instance of the branch of f that y's
-value selects, which is f's column for that value, the normal form of f
-applied to it, and a branch that is a closed match reads its taken
-branch's.  Every kept instance must be the normal form of its branch under
-its values, and checking must come out the same, type or error text, when
-the memo keeps nothing."""
+and grounds an instance on the rewriting machine, started in an
+environment of the values, where a case taken at the top of a summand
+reads the kept instance of the branch it enters.  So a case-tree branch
+`u ; f y` reads the instance of the branch of f that y's value selects,
+which is f's column for that value, the normal form of f applied to it,
+and a branch that is a closed match reads its taken branch's.  Every kept
+instance must be the normal form of its branch under its values, and
+checking must come out the same, type or error text, when the memo keeps
+nothing."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import pytest
 
 import qlam.typecheck as typecheck
 from generator import beta_chain, match_chain
-from qlam.inner import keyed
+from qlam.inner import Keyed, keyed
 from qlam.quantum import (
     GateMatrix,
     StateVector,
@@ -28,7 +29,7 @@ from qlam.quantum import (
     encode,
     gate_library,
 )
-from qlam.rewrite import normalize
+from qlam.rewrite import StepLimitExceeded, StuckError, normalize
 from qlam.surface import parse_program, pretty_print
 from qlam.syntax import (
     App,
@@ -44,7 +45,6 @@ from qlam.typecheck import (
     TypeCheckError,
     _Checker,
     _enumerate_values,
-    _ground_branch,
     check_program,
 )
 from qlam.types import BOOL, UNIT, Arrow, Prod, Sum, ground_unknowns, peel_sharps, qubits
@@ -107,8 +107,8 @@ def _outcome(program) -> tuple:
 
 
 class _Forgetful(dict):
-    """A memo that keeps nothing, so every instance is read past its head
-    redexes down to what is keyed or normalized."""
+    """A memo that keeps nothing, so every instance is evaluated down to its
+    normal form."""
 
     def __setitem__(self, key, value) -> None:
         pass
@@ -147,17 +147,35 @@ def _checked(program) -> _Checker:
     return c
 
 
+def _reads(c: _Checker, monkeypatch) -> list:
+    """The kept instances c's machine reads from now on, in order."""
+    reads = []
+    kept = c._kept
+
+    def recorded(b, env):
+        held = kept(b, env)
+        if held is not None:
+            reads.append(c.read)
+        return held
+
+    monkeypatch.setattr(c, "_kept", recorded)
+    return reads
+
+
 @pytest.mark.parametrize("label, lam", TERMS, ids=[label for label, _ in TERMS])
-def test_an_applied_gate_reads_its_normal_form_from_the_memo(label, lam):
+def test_an_applied_gate_reads_its_normal_form_from_the_memo(label, lam, monkeypatch):
     c = _checked(singleton(lam))
     kept = _assert_kept_instances_are_normal_forms(c)
     if not label.startswith(("duplicate", "distant", "scaled")):
         assert kept > 0
+        reads = _reads(c, monkeypatch)
         for value in _enumerate_values(ground_unknowns(lam.ann), {}):
             application = singleton(App(lam, value))
-            # read from the memo: a kept instance, not a distribution left
-            column = c._peel(application, {})
-            assert column.__class__ is not Distribution
+            reads.clear()
+            column = c._instance(application, {}, "here")
+            # read from the memo at the root's case taken: the kept
+            # instance of the branch the value selects
+            assert len(reads) == 1 and column is reads[0]
             assert column == keyed(normalize(application))
 
 
@@ -168,23 +186,28 @@ LET_SHAPED = [(label, lam) for label, lam in TERMS if int(label.rsplit("/", 1)[1
 
 
 @pytest.mark.parametrize("label, lam", LET_SHAPED, ids=[label for label, _ in LET_SHAPED])
-def test_each_branch_keeps_one_instance_per_value_of_the_register_rest(label, lam):
+def test_each_branch_keeps_one_instance_per_value_of_the_register_rest(label, lam, monkeypatch):
     c = _checked(singleton(lam))
     let = lam.body.summands[0][1]
     m = let.body.summands[0][1]
     assert m.__class__ is Match and m.scrutinee.name == let.left
     # the let's right name holds the rest of the register
     rest = _enumerate_values(peel_sharps(ground_unknowns(lam.ann))[1].right, {})
+    reads = _reads(c, monkeypatch)
     for x, b in ((m.left_name, m.left_body), (m.right_name, m.right_body)):
         entry = c.instances[id(b)]
         assert entry[0] is b and entry[1] == (let.right,)
         assert set(entry[2]) == set(rest)
+        # ground again with the branch's entry gone: the machine reads past
+        # the branch's head redexes to the kept instance of the inner
+        # match's branch that the value selects, which is the branch's
+        del c.instances[id(b)]
         for value in rest:
-            # read past the branch's head redexes to the kept instance of
-            # the inner match's branch that the value selects
-            kept = c._peel(b, {x: typecheck._VOID, let.right: value})
-            assert kept.__class__ is not Distribution
-            assert kept is entry[2][value]
+            reads.clear()
+            got = c._instance(b, {x: typecheck._VOID, let.right: value}, "here")
+            assert len(reads) == 1 and got is reads[0]
+            assert got == entry[2][value]
+        assert c.instances[id(b)][2] == entry[2]
 
 
 @pytest.mark.parametrize("label, lam", TERMS, ids=[label for label, _ in TERMS])
@@ -203,10 +226,10 @@ def test_checking_does_not_depend_on_the_memo(label, lam, monkeypatch):
 # handwritten programs near the table shapes: a binder that shadows the
 # let's right name, a flat shared name, literal unit heads, a match on the
 # let's right name, an operator that is not closed, superposed leaves, a
-# closed match as an operator, and the head redexes an instance is read past:
-# a beta-redex whose binder shadows the shared name, a let and a match on a
-# name of the wrong type, a scaled one-summand head and a lambda applied to
-# an open value
+# closed match as an operator, and head redexes the machine contracts before
+# a case taken: a beta-redex whose binder shadows the shared name, a let and
+# a match on a name of the wrong type, a scaled one-summand head and a
+# lambda applied to an open value
 _NOT = r"(\z':#(U+U). match z' { inl u -> u ; inr * | inr u -> u ; inl * })"
 _ID = r"(\z':#(U+U). match z' { inl u -> u ; inl * | inr u -> u ; inr * })"
 _FLAT_NOT = r"(\z':U+U. match z' { inl u -> u ; inr * | inr u -> u ; inl * })"
@@ -262,10 +285,10 @@ def test_near_shapes_are_decided_both_ways():
     assert "typed" in outcomes and "rejected" in outcomes
 
 
-# branches read past their head redexes, under an assignment, as
-# substituting and normalizing them reads them: the value or the error
-# kind and text.  Typing rules out the names of the wrong type, so these
-# are read directly
+# branches ground on the machine under an assignment as substituting and
+# normalizing them grounds them: the value or the error kind and text.
+# Typing rules out the names of the wrong type, so these are ground
+# directly
 _HEADS = [
     ("u ; inl *", {"u": "*"}),
     ("u ; inl *", {"u": "inl *"}),
@@ -289,11 +312,23 @@ def _read(read):
         return (e.kind, str(e))
 
 
+def _substituted_and_normalized(b: Distribution, assignment: dict) -> Keyed:
+    """The instance of b under the assignment as the checker ground it
+    before it evaluated in an environment: substituted, then normalized
+    within the same step budget, with the same error."""
+    try:
+        return keyed(normalize(substitute_many_dist(b, assignment),
+                               max_steps=typecheck._INSTANCE_STEPS))
+    except (StuckError, StepLimitExceeded) as e:
+        raise TypeCheckError(ErrorKind.ORTHOGONALITY_UNDECIDED,
+                             f"an instantiated branch did not reduce to values ({e})", "here")
+
+
 @pytest.mark.parametrize("src, values", _HEADS)
 def test_an_instance_is_read_past_its_head_redexes_as_normalization_reads_it(src, values):
     b = parse_program(src)
     assignment = {x: _only_term(v) for x, v in values.items()}
-    want = _read(lambda: keyed(_ground_branch(b, dict(assignment), "here")))
+    want = _read(lambda: _substituted_and_normalized(b, dict(assignment)))
     assert _read(lambda: _Checker()._instance(b, dict(assignment), "here")) == want
 
 
@@ -301,19 +336,22 @@ def _only_term(text: str):
     return parse_program(text).summands[0][1]
 
 
-def test_a_kept_match_is_its_normal_form():
+def test_a_kept_match_is_its_normal_form(monkeypatch):
     c = _Checker()
     c.infer_dist(parse_program(match_chain(20)))
     _assert_kept_instances_are_normal_forms(c)
-    # each closed match of the chain is read as the kept instance of the
-    # branch its scrutinee selects
+    # each closed match of the chain is ground as the kept instance of the
+    # branch its scrutinee selects, in one step: the case taken
     match = parse_program(match_chain(20)).summands[0][1]
     c = _Checker()
     c.infer_dist(singleton(match))
+    reads = _reads(c, monkeypatch)
+    monkeypatch.setattr(typecheck, "_INSTANCE_STEPS", 1)
     for _ in range(20):
         assert match.__class__ is Match
-        kept = c._peel(singleton(match), {})
-        assert kept.__class__ is not Distribution
+        reads.clear()
+        kept = c._instance(singleton(match), {}, "here")
+        assert len(reads) == 1 and kept is reads[0]
         assert kept == keyed(normalize(singleton(match)))
         match = match.left_body.summands[0][1].tail.summands[0][1]
 
@@ -346,24 +384,25 @@ def test_the_left_branch_chain_checks_as_without_tables(build, monkeypatch):
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_a_compiled_gate_checks_without_normalizing_every_level(n, monkeypatch):
-    calls, reads = [], []
+    calls, grounds = [], []
     real = typecheck.normalize
     monkeypatch.setattr(typecheck, "normalize", lambda *a, **k: calls.append(1) or real(*a, **k))
-    operand = typecheck._operand
-    monkeypatch.setattr(typecheck, "_operand", lambda *a: reads.append(1) or operand(*a))
-    # at most one per leaf; normalizing each level's subtree again for every
-    # value of the register's rest makes n * 2^n.  Each of the n * 2^n
-    # instances reads at most four operands (a unit head, a beta-redex, a
-    # let and a case taken; a compiled gate has no beta-redex) before the
-    # memo has the branch it enters;
-    # reading on down to a leaf makes about 2 n per instance
+    instance = _Checker._instance
+    monkeypatch.setattr(_Checker, "_instance",
+                        lambda self, *a: grounds.append(1) or instance(self, *a))
+    # each branch is ground once per value of the register's rest, n * 2^n
+    # instances in all, and each instance takes at most three contractions
+    # on the machine: a unit head, a let and a case taken, which reads the
+    # kept instance of the branch it enters.  Grounding on down to a leaf
+    # would take about 3 n per instance
+    monkeypatch.setattr(typecheck, "_INSTANCE_STEPS", 3)
     lam = compile_gate(gate_library["X"], [n - 1], n)
     for program in (singleton(lam), parse_program(pretty_print(singleton(lam)))):
         calls.clear()
-        reads.clear()
+        grounds.clear()
         assert check_program(program)[0] == Arrow(qubits(n), qubits(n))
-        assert len(calls) <= 1 << n
-        assert len(reads) <= 4 * n << n
+        assert not calls
+        assert len(grounds) <= n << n
 
 
 @pytest.mark.parametrize("n", [3, 5, 8])
@@ -436,3 +475,48 @@ def test_a_shared_name_past_the_widest_register_is_undecided(left, right):
     with pytest.raises(TypeCheckError) as e:
         check_program(parse_program(_routed(13, left, right)))
     assert e.value.kind is ErrorKind.ORTHOGONALITY_UNDECIDED
+
+
+@pytest.mark.parametrize("units, undecided", [(4000, False), (5000, True)])
+def test_every_contraction_of_an_instance_counts_against_the_step_budget(units, undecided):
+    # a unit head is a contraction like any other: the branches' instances
+    # take units + 1 steps, and past `_INSTANCE_STEPS` (4096) the match is
+    # undecided
+    chain = "* ; " * units
+    program = parse_program(rf"\s:U+U. match s {{ inl a -> a ; {chain}inl * "
+                            rf"| inr b -> b ; {chain}inr * }}")
+    if not undecided:
+        assert check_program(program)[0] == Arrow(BOOL, BOOL)
+        return
+    with pytest.raises(TypeCheckError) as e:
+        check_program(program)
+    assert e.value.kind is ErrorKind.ORTHOGONALITY_UNDECIDED
+    assert "no normal form within 4096 steps" in str(e.value)
+
+
+def test_a_match_too_wide_to_enumerate_is_refused_before_its_branches_are_typed(monkeypatch):
+    # the root of a 14-qubit case tree shares the register's rest, 2^13
+    # values: the types refuse it before anything below it is checked, so
+    # no branch instance is ground
+    grounds = []
+    instance = _Checker._instance
+    monkeypatch.setattr(_Checker, "_instance",
+                        lambda self, *a: grounds.append(1) or instance(self, *a))
+    n = 14
+    lam = case_construct(n, [singleton(basis_value(k ^ 1, n)) for k in range(1 << n)])
+    with pytest.raises(TypeCheckError) as e:
+        check_program(singleton(lam))
+    assert e.value.kind is ErrorKind.ORTHOGONALITY_UNDECIDED
+    assert not grounds
+
+
+@pytest.mark.parametrize("n, kind", [(12, ErrorKind.MISMATCH),
+                                     (13, ErrorKind.ORTHOGONALITY_UNDECIDED)])
+def test_a_typing_error_inside_a_match_too_wide_to_enumerate_loses_to_the_refusal(n, kind):
+    # the left branch passes a pair where the register goes: typing it
+    # reports a Mismatch, but a match that cannot be enumerated is refused
+    # before its branches are typed
+    text = _routed(n, "inl", "inr").replace(") y | ", ") (y, *) | ")
+    with pytest.raises(TypeCheckError) as e:
+        check_program(parse_program(text))
+    assert e.value.kind is kind

@@ -30,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qlam.rewrite as rewrite
 import qlam.syntax as syntax
 import qlam.typecheck as typecheck
 from generator import (
@@ -39,6 +40,7 @@ from generator import (
     flow_programs,
     match_chain,
     matches_under_bindings,
+    near_isometry_chain,
     nested_case_tree,
     trace_programs,
 )
@@ -51,7 +53,6 @@ from qlam.quantum import (
     encode,
     gate_library,
 )
-from qlam.rewrite import trace_normalize
 from qlam.surface import parse_program, parse_type, pretty_print
 from qlam.syntax import (
     App,
@@ -453,25 +454,75 @@ def test_matches_under_bindings_touch_use_counts_in_linear_work(monkeypatch):
 
 
 def _counted_steps(monkeypatch, text: str) -> tuple[int, int]:
-    """The normalizations the checker runs while text checks, and their
-    rewrite steps, counted through `trace_normalize`."""
-    runs = []
+    """The branch instances the checker grounds while text checks, and the
+    values its rewriting machine reads while it grounds them, a few per
+    contraction."""
+    grounds, reads = [0], [0]
+    instance, value = typecheck._Checker._instance, rewrite._value
 
-    def traced(d, max_steps):
-        trace = trace_normalize(d, max_steps)
-        runs.append(len(trace) - 1)
-        return trace[-1]
+    def ground(self, *args):
+        grounds[0] += 1
+        return instance(self, *args)
+
+    def read(*args):
+        reads[0] += 1
+        return value(*args)
 
     d = parse_program(text)
     with monkeypatch.context() as m:
-        m.setattr(typecheck, "normalize", traced)
+        m.setattr(typecheck._Checker, "_instance", ground)
+        m.setattr(rewrite, "_value", read)
         check_program(d)
-    return len(runs), sum(runs)
+    return grounds[0], reads[0]
 
 
 @pytest.mark.parametrize("build", [match_chain, beta_chain, matches_under_bindings])
 def test_the_checker_normalizes_in_linear_steps(build, monkeypatch):
-    # a level of the chain that normalized the chain below it would make
-    # the steps the square of n
+    # a level of the chain that evaluated the chain below it would make
+    # the machine's work the square of n
     small, big = (_counted_steps(monkeypatch, build(n)) for n in (200, 400))
+    assert small[0] > 0
     assert all(b <= 2.2 * a for a, b in zip(small, big))
+
+
+class _Walked(dict):
+    """`syntax._STACKED`, counting the pairs of compound nodes `_compare`
+    walks into."""
+
+    def __init__(self, table: dict) -> None:
+        super().__init__(table)
+        self.count = 0
+
+    def __getitem__(self, cls: type) -> tuple:
+        self.count += 1
+        return super().__getitem__(cls)
+
+
+def _counted_compares(monkeypatch, run) -> int:
+    """The `compare` calls, and the node pairs `_compare` walks into, while
+    run() runs."""
+    calls = []
+    real = syntax.compare
+    with monkeypatch.context() as m:
+        m.setattr(syntax, "compare", lambda x, y: calls.append(1) or real(x, y))
+        m.setattr(syntax, "_STACKED", walked := _Walked(syntax._STACKED))
+        run()
+    return len(calls) + walked.count
+
+
+def _compared(monkeypatch, k: int) -> tuple[int, int]:
+    """The comparison work of parsing, and of checking, the near-isometry
+    chain of k maps."""
+    text = near_isometry_chain(k)
+    program = parse_program(text)
+    return (_counted_compares(monkeypatch, lambda: parse_program(text)),
+            _counted_compares(monkeypatch, lambda: check_program(program)))
+
+
+def test_a_chain_of_maps_over_a_superposition_compares_in_linear_work(monkeypatch):
+    # the chain distributes into two summands that differ only k levels
+    # down; a level that compared them again from the top, once they are in
+    # order, would make the work the square of k
+    small, big = (_compared(monkeypatch, k) for k in (250, 500))
+    assert small[0] > 0
+    assert all(b <= 2.2 * a for a, b in zip(small, big)), (small, big)

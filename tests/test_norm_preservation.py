@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generator import ProgramGen, _unitary2
+from generator import ProgramGen, _unitary2, near_isometry_chain
 from qlam.config import tolerance
 from qlam.inner import norm
 from qlam.quantum import GateMatrix, StateVector, case_construct, compile_gate, encode
@@ -133,22 +133,13 @@ def test_accepted_register_maps_preserve_the_norm(nmap, seed):
     assert math.isclose(norm(out), 1.0, abs_tol=1e-9)
 
 
-def _near_isometry_chain(k: int) -> str:
-    """k copies of a map on #(U+U) whose images have squared norm
-    1 + 0.9e-6, inside the default tolerance, applied in a row to a unit
-    superposition."""
-    a = math.sqrt(1 + 0.9e-6)
-    lam = f"(\\x:#(U+U). match x {{ inl u -> u ; ({a!r} * inl *) | inr u -> u ; ({a!r} * inr *) }})"
-    return f"{lam} (" * k + "0.6 * inl * + 0.8 * inr *" + ")" * k
-
-
 @pytest.mark.parametrize("k, squared", [(1, 1.0000009), (100, 1.00009), (2000, 1.0018)])
 def test_norm_error_adds_up_across_rules(k, squared):
     # every superposition of the chain is within the tolerance, so it is
     # accepted at #(U+U); its normal form's squared norm is (1 + 0.9e-6)^k,
     # which at k = 2000 is 1,800 times the tolerance away from 1
     with tolerance(1e-6):
-        program = parse_program(_near_isometry_chain(k))
+        program = parse_program(near_isometry_chain(k))
         assert str(check_program(program)[0]) == "#(U+U)"
         got = sum(abs(a) ** 2 for a, _ in normalize(program).summands)
     assert got == pytest.approx((1 + 0.9e-6) ** k, rel=0, abs=1e-9)
