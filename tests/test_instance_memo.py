@@ -229,11 +229,20 @@ def test_checking_does_not_depend_on_the_memo(label, lam, monkeypatch):
 # closed match as an operator, and head redexes the machine contracts before
 # a case taken: a beta-redex whose binder shadows the shared name, a let and
 # a match on a name of the wrong type, a scaled one-summand head and a
-# lambda applied to an open value
+# lambda applied to an open value; cases taken under the weights 0.6 and
+# 0.8, whose branch merges three weights: scaling the merged weight, as a
+# memo read there would, gives other bits than merging the scaled ones; and
+# a case taken in an argument, whose branch applies a Hadamard map under
+# three weights: the context merges them before the map, as a memo read
+# there would not
 _NOT = r"(\z':#(U+U). match z' { inl u -> u ; inr * | inr u -> u ; inl * })"
 _ID = r"(\z':#(U+U). match z' { inl u -> u ; inl * | inr u -> u ; inr * })"
 _FLAT_NOT = r"(\z':U+U. match z' { inl u -> u ; inr * | inr u -> u ; inl * })"
 _FLAT_ID = r"(\z':U+U. match z' { inl u -> u ; inl * | inr u -> u ; inr * })"
+_MERGED = "match {} * {{ inl a -> a ; (0.05 * inl * + 0.05 * inl * + 0.9 * inl *) | inr b -> b ; inr * }}"
+_R = "0.7071067811865476"
+_H = (rf"(\q:#(U+U). match q {{ inl u -> u ; ({_R} * inl * + {_R} * inr *) "
+      rf"| inr u -> u ; ({_R} * inl * + -{_R} * inr *) }})")
 NEAR_SHAPES = [
     rf"\z:#((U+U)*(U+U)). let (x, y) = z in match x {{ inl w -> w ; {_ID} y "
     rf"| inr w -> w ; {_NOT} y }}",
@@ -268,6 +277,11 @@ NEAR_SHAPES = [
     r"| inr b -> b ; " + _FLAT_NOT + " y }",
     r"\s:U+U. \y:U+U. match s { inl a -> a ; (\p:(U+U)*U. let (c, d) = p in d ; c) (y, *) "
     r"| inr b -> b ; " + _FLAT_ID + " y }",
+    r"\s:U+U. match s { inl x -> x ; (0.6 * (" + _MERGED.format("inl") + ") + 0.8 * ("
+    + _MERGED.format("inr") + r")) | inr y -> y ; (0.8 * inl * + -0.6 * inr *) }",
+    rf"\s:U+U. match s {{ inl x -> x ; (\z:#(U+U). z) (match inl * {{ inl a -> a ; "
+    rf"(0.05 * ({_H} inl *) + 0.15 * ({_H} inl *) + 0.8 * ({_H} inl *)) | inr b -> b ; "
+    rf"{_H} inr * }}) | inr y -> y ; (\z:#(U+U). z) ({_R} * inl * + -{_R} * inr *) }}",
 ]
 
 
