@@ -61,8 +61,9 @@ class _Alpha:
 
 class Keyed(dict):
     """A value distribution's canonical coefficients by flat key, holding
-    the summands whose nodes the keys of ground values are the ids of."""
-    __slots__ = ("held",)
+    in `summands`, as a distribution does, the summands whose nodes the
+    keys of ground values are the ids of."""
+    __slots__ = ("summands",)
 
 
 def keyed(v: Distribution) -> Keyed:
@@ -73,7 +74,7 @@ def keyed(v: Distribution) -> Keyed:
     _require_values(v)
     merged = v.summands if v._ordered else _merged(v.summands)
     out = Keyed((_Alpha(t) if t._term_key is None else id(t), a) for a, t in merged)
-    out.held = merged
+    out.summands = merged
     return out
 
 

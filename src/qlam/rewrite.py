@@ -52,12 +52,17 @@ limit, then the ValueError of a spliced coefficient that overflows.
 The checker grounds a branch instance on the same machine: its summands
 start in an environment that binds the branch's free names to ground
 values, so nothing is substituted, and it passes a memo of the instances
-it keeps.  A case taken at the top of a summand whose coefficient is still
-1 asks the memo for the normal form of the branch it enters under the
-environment, and takes it, when there is one, as its reduct, in one step:
-from there the summand would have reached that normal form by the same
-contractions and multiplications.  Evaluation starts every summand in the
-empty environment and passes no memo.
+it keeps.  Under the memo, a contraction at the top of a summand whose
+coefficient is still 1 ends that summand's cell, in one step, with a reduct
+of values kept whole: a case taken whose entered branch has an instance in
+the memo under the environment takes that instance, the normal form the
+summand would have reached from there by the same contractions and
+multiplications, and any contraction whose reduct is two or more ground
+values takes that reduct.  The cell is not split into a cell per summand,
+and no coefficient is multiplied or checked: 1 times a finite coefficient
+is finite, and the reader multiplies each through when it reads the
+summands back.  Evaluation starts every summand in the empty environment
+and passes no memo, so it splits every reduct.
 """
 
 from __future__ import annotations
@@ -188,7 +193,9 @@ def trace_normalize(
 #
 # A summand is a cell [coefficient, term, environment, continuation].  A
 # finished cell holds a machine value; a cell that a step splits into
-# several summands becomes [None, its parts' cells, None, None].
+# several summands becomes [None, its parts' cells, None, None]; a cell
+# ended whole under the memo holds [coefficient, its reduct, None, None],
+# whose summands are closed values.
 
 _NO_ENV: dict = {}
 _ONE = complex(1)
@@ -207,13 +214,16 @@ def _cells(d: Distribution, env: dict = _NO_ENV) -> list[list]:
 
 def _summands(cells: list[list]) -> list[tuple[complex, PureTerm]]:
     """The summands of cells in list order, values bound in an environment
-    read back."""
+    read back, and a reduct that ended a cell whole multiplied through by
+    the cell's coefficient, as a split would multiply each part."""
     out = []
     todo = cells[::-1]
     while todo:
         c, t, env, _ = todo.pop()
         if c is None:
             todo.extend(reversed(t))
+        elif env is None:
+            out += [(c * a, u) for a, u in t.summands]
         else:
             out.append((c, _read_back(t, env) if t._term_key is None else t))
     return out
@@ -240,11 +250,12 @@ def _run(cells: list[list], max_steps: int, rng: random.Random | None,
     rng the one popped is drawn as `rng.choice` draws from the list of
     reducible summands.
 
-    A case taken at the top of a summand whose coefficient is still 1 asks
-    memo, when there is one, for the normal form of the branch it enters
-    under the environment: summands of closed values, or None.  Given them,
-    it takes them as its reduct: the normal form that evaluating the branch
-    from there would give.  Evaluation passes no memo."""
+    Given a memo, a contraction at the top of a summand whose coefficient
+    is still 1 ends the cell whole, in one step, when its reduct is the
+    memo's or two or more ground values.  A case taken asks memo for the
+    normal form of the branch it enters under the environment: an object
+    whose `summands` are closed values, or None; given one, that is the
+    reduct.  Evaluation passes no memo."""
     work = [cell for cell in reversed(cells) if not is_value(cell[1])]
     steps = 0
     while work:
@@ -308,10 +319,18 @@ def _run(cells: list[list], max_steps: int, rng: random.Random | None,
                 env = _NO_ENV
             else:
                 env = {**env, **own} if own else env
-                if memo is not None and tag == _MATCH and k is _TOP and c == 1:
-                    kept = memo(body, env)
-                    if kept is not None:
-                        body, env = _trusted(kept), _NO_ENV
+                if memo is not None and k is _TOP and c == 1:
+                    whole = memo(body, env) if tag == _MATCH else None
+                    if whole is not None or len(body.summands) > 1 and all(
+                            u._term_key is not None for _, u in body.summands):
+                        # the cell is done: every summand of the reduct is a
+                        # closed value, and 1 times a finite coefficient is
+                        # finite, so nothing is split or checked
+                        steps += 1
+                        if steps > max_steps:
+                            raise StepLimitExceeded(max_steps)
+                        cell[:] = c, body if whole is None else whole, None, None
+                        break
             summands = body.summands
             if k is not _TOP:
                 if len(summands) > 1 and k[0] != _OP:

@@ -64,6 +64,8 @@ from .syntax import (
     PureTerm,
     Var,
     Void,
+    _CLOSED,
+    _set_dist_fv,
     _trusted,
     canonicalize,
     is_value_distribution,
@@ -448,8 +450,9 @@ def _parse(p: _Parser) -> Distribution:
                 break
             if kind == "sum":
                 # a fresh distribution for each occurrence, as the plain
-                # tokens' parenthesized sum gives
+                # tokens' parenthesized sum gives, closed, as a ground value is
                 v = _trusted(tok[1])
+                _set_dist_fv(v, _CLOSED)
                 break
             at = pos - 1
             if kind not in reading:

@@ -60,22 +60,28 @@ enumerates, `_Checker.inventories`, built once per check, and one memo,
 `_Checker.instances`: a branch, held by identity, with the keyed instance
 ground for each assignment of values to its free names.  An instance is
 ground on the rewriting machine (`rewrite._run`), whose summands start in
-the environment of the assignment: each ground value is a machine value
-with an empty environment, so nothing is substituted, and every
-contraction counts against `_INSTANCE_STEPS`.  A case taken at the top of
-a summand whose coefficient is still 1 enters a branch; when the memo
-keeps that branch's instance under the environment, the machine takes the
-kept instance as the reduct, which is the normal form it would have
-reached.  So a match whose branches apply a checked lambda to a shared
-name reads, for each of the name's values, the instance of the lambda's
-branch that the value selects, and a branch that is a closed match reads
-its taken branch's: a case tree checks from the leaves up.
+the environment of the assignment, built once per assignment: each ground
+value is a machine value with an empty environment, so nothing is
+substituted, and every contraction counts against `_INSTANCE_STEPS`.  A
+case taken at the top of a summand whose coefficient is still 1 enters a
+branch; when the memo keeps that branch's instance under the environment,
+the machine ends the summand with the kept instance, the normal form it
+would have reached, whole.  A branch whose one summand ends that way has
+that very instance as its own, and a branch whose one summand ends in a
+reduct of two or more ground values, such as a leaf `u ; Σ αᵢ vᵢ` of a
+compiled gate, has that reduct, multiplied through by the coefficient 1
+as evaluation multiplies it, keyed once.  So a match whose branches apply
+a checked lambda to a shared name reads, for each of the name's values,
+the instance of the lambda's branch that the value selects, and a branch
+that is a closed match reads its taken branch's: a case tree checks from
+the leaves up, and an instance that reads the memo costs a few
+contractions however wide the register is.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
@@ -228,8 +234,6 @@ class _Checker:
         self.instances: dict[int, tuple] = {}
         # the inventory of each type enumerated so far, None past `_CAP`
         self.inventories: dict[Type, tuple[PureTerm, ...] | None] = {}
-        # the kept instance that the machine read last (`_kept`)
-        self.read: Keyed | None = None
 
     # -- context plumbing ---------------------------------------------------
 
@@ -602,18 +606,21 @@ class _Checker:
         *invs, inv1, inv2 = invs
         groups: dict[tuple, list] = {}
         for combo in itertools.product(*invs):
-            base = dict(zip(shared, combo))
-            lefts = [(w1, self._instance(b1, {**base, x1: w1}, here)) for w1 in inv1]
+            # the assignment as the machine environment its instances start in
+            base = {x: (v, _NO_ENV) for x, v in zip(shared, combo)}
+            lefts = [(w1, self._instance(b1, {**base, x1: (w1, _NO_ENV)}, here)) for w1 in inv1]
             holders = _holders((j1, left) for j1, (_, left) in enumerate(lefts))
             rights = []
             for w2 in inv2:
-                right = (w2, self._instance(b2, {**base, x2: w2}, here))
+                right = (w2, self._instance(b2, {**base, x2: (w2, _NO_ENV)}, here))
                 rights.append(right)
                 for j1 in sorted({j1 for k in right[1] for j1 in holders.get(k, ())}):
                     _require_pair_orthogonal(base, lefts[j1], base, right, here)
-            flat = tuple(v for x, v in base.items() if is_flat(shared[x]))
+            flat = tuple(v for x, (v, _) in base.items() if is_flat(shared[x]))
             groups.setdefault(flat, []).append((base, lefts, rights))
         for group in groups.values():
+            if len(group) == 1:
+                continue
             holders = _holders(
                 ((i2, j2), right)
                 for i2, (_, _, rights) in enumerate(group)
@@ -631,26 +638,26 @@ class _Checker:
                     base2, _, rights = group[i2]
                     _require_pair_orthogonal(base1, lefts[j1], base2, rights[j2], here)
 
-    def _instance(self, b: Distribution, assignment: dict[str, PureTerm],
-                  here: Location) -> Keyed:
-        """The keyed ground instance of branch b under the assignment, which
-        binds every free name of b, kept in `instances`.  An instance not
-        kept yet is b evaluated on the rewriting machine in the assignment's
-        environment, in at most `_INSTANCE_STEPS` steps, where a case taken
-        at the top reads the instance kept for the branch it enters
-        (`_kept`).  A normal form that is the instance read last is that
-        instance, keyed once."""
+    def _instance(self, b: Distribution, env: dict[str, tuple], here: Location) -> Keyed:
+        """The keyed ground instance of branch b in env, a machine
+        environment that binds every free name of b to a ground value, kept
+        in `instances`.  An instance not kept yet is b evaluated on the
+        rewriting machine, started in env, in at most `_INSTANCE_STEPS`
+        steps, where a case taken at the top reads the instance kept for the
+        branch it enters (`_kept`).  When the machine ends b's one summand
+        with that instance, it is b's.  Otherwise the normal form is keyed
+        once; a reduct that ended a summand whole is first multiplied
+        through by the summand's coefficient, as evaluation multiplies it,
+        so the instance has evaluation's coefficient bits."""
         kept = self.instances.get(id(b))
         if kept is None or kept[0] is not b:
             # a name of unit type holds ⋆ under every assignment: it is no part
             # of the key
-            names = tuple(x for x in free_vars_dist(b) if assignment[x] is not _VOID)
+            names = tuple(x for x in free_vars_dist(b) if env[x][0] is not _VOID)
             kept = self.instances[id(b)] = (b, names, {})
-        env = {x: (v, _NO_ENV) for x, v in assignment.items()}
         key = _key(env, kept[1])
         inst = kept[2].get(key)
         if inst is None:
-            self.read = None
             cells = _cells(b, env)
             try:
                 for _ in _run_machine(cells, _INSTANCE_STEPS, None, False, self._kept):
@@ -661,22 +668,19 @@ class _Checker:
                     f"an instantiated branch did not reduce to values ({e})",
                     here,
                 )
-            summands = _summands(cells)
-            inst = self.read
-            if inst is None or not _same_summands(summands, inst.held):
+            inst = cells[0][1] if len(cells) == 1 else None
+            if inst.__class__ is not Keyed:
                 # each coefficient was checked where the machine spliced it
-                inst = keyed(canonicalize(_trusted(tuple(summands))))
+                inst = keyed(canonicalize(_trusted(tuple(_summands(cells)))))
             kept[2][key] = inst
         return inst
 
-    def _kept(self, b: Distribution, env: dict) -> tuple | None:
-        """The summands of the instance kept for branch b under the machine
-        environment env, or None; the instance is kept in `read`."""
+    def _kept(self, b: Distribution, env: dict) -> Keyed | None:
+        """The instance kept for branch b under the machine environment env,
+        or None."""
         kept = self.instances.get(id(b))
         if kept is not None and kept[0] is b:
-            self.read = kept[2].get(_key(env, kept[1]))
-            if self.read is not None:
-                return self.read.held
+            return kept[2].get(_key(env, kept[1]))
         return None
 
 
@@ -833,12 +837,6 @@ def _key(env: Mapping[str, tuple], names: tuple[str, ...]) -> object:
     return env[names[0]][0] if len(names) == 1 else tuple(env[x][0] for x in names)
 
 
-def _same_summands(s1: Sequence[tuple], s2: Sequence[tuple]) -> bool:
-    """Whether two lists of summands hold the same terms, by identity, in
-    the same order and with equal coefficients."""
-    return len(s1) == len(s2) and all(t is u and a == b for (a, t), (b, u) in zip(s1, s2))
-
-
 def _holders(instances: Iterable[tuple[object, Keyed]]) -> dict[object, list]:
     """For each key, the tags of the keyed instances that hold it, in order.
     Two instances that share no key have an inner product of exactly 0, so
@@ -853,9 +851,9 @@ def _holders(instances: Iterable[tuple[object, Keyed]]) -> dict[object, list]:
 
 
 def _require_pair_orthogonal(
-    base1: dict[str, PureTerm],
+    base1: dict[str, tuple],
     left: tuple[PureTerm, Keyed],
-    base2: dict[str, PureTerm],
+    base2: dict[str, tuple],
     right: tuple[PureTerm, Keyed],
     here: Location,
 ) -> None:
@@ -871,8 +869,8 @@ def _require_pair_orthogonal(
         )
 
 
-def _assignment(base: dict[str, PureTerm]) -> str:
-    text = ", ".join(f"{x} := {show_term(v)}" for x, v in base.items())
+def _assignment(base: dict[str, tuple]) -> str:
+    text = ", ".join(f"{x} := {show_term(v)}" for x, (v, _) in base.items())
     return text or "the empty substitution"
 
 

@@ -29,7 +29,7 @@ from qlam.quantum import (
     encode,
     gate_library,
 )
-from qlam.rewrite import StepLimitExceeded, StuckError, normalize
+from qlam.rewrite import _NO_ENV, StepLimitExceeded, StuckError, normalize
 from qlam.surface import parse_program, pretty_print
 from qlam.syntax import (
     App,
@@ -126,16 +126,39 @@ def _forget(monkeypatch) -> None:
 
 def _assert_kept_instances_are_normal_forms(c: _Checker) -> int:
     """Every instance c keeps is the normal form of its branch under the
-    values it is kept for; returns how many there are."""
+    values it is kept for, down to the coefficient bits; returns how many
+    there are."""
     count = 0
     for b, names, kept in c.instances.values():
         for key, inst in kept.items():
             # the names left out of the key hold the unit value
             assignment = dict.fromkeys(free_vars_dist(b), typecheck._VOID)
             assignment.update(zip(names, (key,) if len(names) == 1 else key))
-            assert inst == keyed(normalize(substitute_many_dist(b, assignment)))
+            want = normalize(substitute_many_dist(b, assignment))
+            assert inst == keyed(want)
+            assert _bits(inst) == _bits(want)
             count += 1
     return count
+
+
+def _bits(d) -> list:
+    """The coefficients of a distribution or keyed form, to the bit: -0.0
+    and 0.0 are equal, but print apart."""
+    return [(a.real.hex(), a.imag.hex()) for a, _ in d.summands]
+
+
+def test_a_kept_instance_has_the_coefficient_bits_of_evaluation():
+    # two-summand images whose imaginary parts are -0.0: evaluation
+    # multiplies a leaf's reduct through by the summand's coefficient 1,
+    # which gives them +0.0, and so must the instance the checker keeps
+    images = []
+    for k in range(4):
+        a, b = (0.6, 0.8) if k < 2 else (0.8, -0.6)
+        images.append(Distribution(((complex(a, -0.0), basis_value(k & 1, 2)),
+                                    (complex(b, -0.0), basis_value(k & 1 | 2, 2)))))
+    lam = case_construct(2, images)
+    assert check_program(singleton(lam))[0] == Arrow(qubits(2), qubits(2))
+    assert _assert_kept_instances_are_normal_forms(_checked(singleton(lam))) == 8
 
 
 def _checked(program) -> _Checker:
@@ -153,10 +176,10 @@ def _reads(c: _Checker, monkeypatch) -> list:
     kept = c._kept
 
     def recorded(b, env):
-        held = kept(b, env)
-        if held is not None:
-            reads.append(c.read)
-        return held
+        inst = kept(b, env)
+        if inst is not None:
+            reads.append(inst)
+        return inst
 
     monkeypatch.setattr(c, "_kept", recorded)
     return reads
@@ -204,7 +227,7 @@ def test_each_branch_keeps_one_instance_per_value_of_the_register_rest(label, la
         del c.instances[id(b)]
         for value in rest:
             reads.clear()
-            got = c._instance(b, {x: typecheck._VOID, let.right: value}, "here")
+            got = c._instance(b, _env({x: typecheck._VOID, let.right: value}), "here")
             assert len(reads) == 1 and got is reads[0]
             assert got == entry[2][value]
         assert c.instances[id(b)][2] == entry[2]
@@ -343,7 +366,12 @@ def test_an_instance_is_read_past_its_head_redexes_as_normalization_reads_it(src
     b = parse_program(src)
     assignment = {x: _only_term(v) for x, v in values.items()}
     want = _read(lambda: _substituted_and_normalized(b, dict(assignment)))
-    assert _read(lambda: _Checker()._instance(b, dict(assignment), "here")) == want
+    assert _read(lambda: _Checker()._instance(b, _env(assignment), "here")) == want
+
+
+def _env(assignment: dict) -> dict:
+    """The machine environment that binds each name to its ground value."""
+    return {x: (v, _NO_ENV) for x, v in assignment.items()}
 
 
 def _only_term(text: str):

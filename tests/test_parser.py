@@ -647,6 +647,25 @@ def test_each_occurrence_of_a_superposition_literal_is_its_own_distribution():
     assert left.tail.summands[0][1] is right.tail.summands[0][1]
 
 
+def test_a_superposition_literal_is_closed_when_it_is_read():
+    # its free names are set, empty, as a ground value's are, so a walk for
+    # free names stops at a gate's leaf instead of visiting its summands
+    n = 3
+    lam = compile_isometry(GateMatrix(_unitary(np.random.default_rng(41), n)))
+    leaves, todo = [], [parse_program(pretty_print(singleton(lam)))]
+    while todo:
+        x = todo.pop()
+        if x.__class__ is Distribution:
+            if len(x.summands) > 1 and all(t._term_key is not None for _, t in x.summands):
+                leaves.append(x)
+            todo += [t for _, t in x.summands]
+        elif x._term_key is None:
+            todo += [y for y in map(x.__getattribute__, x.__match_args__)
+                     if isinstance(y, (PureTerm, Distribution))]
+    assert len(leaves) == 1 << n
+    assert all(d._fv == frozenset() for d in leaves)
+
+
 def test_superposition_tokens_parse_as_the_plain_tokens_on_compiled_gates():
     rng = np.random.default_rng(32)
     for n in range(1, 6):
