@@ -23,10 +23,13 @@ give back a branch's uses between premises.  The loop types a variable, and
 a ground value whose typing is kept on it, at once, and keeps the rules
 that wait on a premise on one list.  A value is typed by one rule per form
 (unit, pair, inl, inr), its parts in field order; a ground value's typing
-is kept on the node.  Inventories of basis values are built children first
-on `types.walk`, and the structural disjointness criterion keeps its
-pending positions on one stack, so the depth of a program or a type costs
-heap, not Python frames.
+is kept on the node, with its derivation node.  A superposition of ground
+values is typed at once, by their kept typings.  Every other rule builds
+its derivation node only while the checker records: `check_program` checks
+without, and checks again, recording, when its derivation is first read.
+Inventories of basis values are built children first on `types.walk`, and
+the structural disjointness criterion keeps its pending positions on one
+stack, so the depth of a program or a type costs heap, not Python frames.
 
 Case branches are checked one after the other under the full shared
 context and must consume the same non-flat variables.  A branch that types
@@ -87,7 +90,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
-from .config import get_tolerance
+from .config import get_tolerance, tolerance
 from .inner import Keyed, keyed, orthogonal
 from .rewrite import _NO_ENV, StepLimitExceeded, StuckError, _cells, _summands
 # `normalize` and `substitute_many_dist` are bound here, though no longer
@@ -189,9 +192,12 @@ class TypeCheckError(Exception):
 class Derivation:
     """One node of the reconstructed typing derivation.
 
-    `node` is the term or distribution the rule types.  `subject` is its
-    printed form, clipped to 72 characters; it is rendered when first read,
-    so checking never prints a term that nobody looks at.
+    A check builds nodes only while it records (`_Checker.record`), apart
+    from the node kept with each ground value's typing; `check_program`
+    gives a derivation that records when first read.  `node` is the term or
+    distribution the rule types.  `subject` is its printed form, clipped to
+    72 characters; it is rendered when first read, so checking never prints
+    a term that nobody looks at.
     """
     rule: str
     node: PureTerm | Distribution = field(repr=False)
@@ -226,7 +232,10 @@ class _Binding:
 
 
 class _Checker:
-    def __init__(self) -> None:
+    def __init__(self, record: bool = False) -> None:
+        # whether the rules build derivation nodes; a typing's derivation is
+        # None otherwise, unless it is the kept typing of a ground value
+        self.record = record
         self.scopes: dict[str, list[_Binding]] = {}
         # the memo, by identity: each branch ground so far as (branch, its
         # free names not of unit type, {their values (`_key`): keyed
@@ -270,6 +279,10 @@ class _Checker:
             )
         return e.ty
 
+    def _node(self, rule: str, here: Location, ty: Type, *children) -> Derivation | None:
+        """A rule's derivation node while recording, else None."""
+        return Derivation(rule, here, ty, children) if self.record else None
+
     # -- the loop -----------------------------------------------------------
 
     def _run(self, typing: tuple[Type, Derivation] | Iterator) -> tuple[Type, Derivation]:
@@ -307,7 +320,7 @@ class _Checker:
         match t:
             case Var(x):
                 ty = self._use(x, t)
-                return ty, Derivation("var", t, ty)
+                return ty, self._node("var", t, ty)
             case Lam():
                 return self._lam(t)
             case Void() | PairV() | InlV() | InrV():
@@ -323,7 +336,7 @@ class _Checker:
         bt, bd = yield t.body
         self._unbind(t.name, t)
         ty = Arrow(entry.ty, bt)
-        return ty, Derivation("lambda", t, ty, (bd,))
+        return ty, self._node("lambda", t, ty, bd)
 
     def _value(self, t: PureTerm) -> Iterator:
         """The rule of a unit value, pair or injection whose typing is not
@@ -360,7 +373,7 @@ class _Checker:
                         f"{what} has type {ta}, expected {tf.dom}",
                         here,
                     )
-                return tf.cod, Derivation("apply", here, tf.cod, (df, da))
+                return tf.cod, self._node("apply", here, tf.cod, df, da)
             case Seq(_, tail):
                 th, dh = yield _holes(summands, True)
                 what = ("sequencing head has" if isinstance(here, PureTerm)
@@ -368,7 +381,7 @@ class _Checker:
                 form, _, lift = _form(th, Unit, what, "the unit", here)
                 tt, dt = yield tail
                 ty = lift(tt)
-                return ty, Derivation(f"seq-{form}", here, ty, (dh, dt))
+                return ty, self._node(f"seq-{form}", here, ty, dh, dt)
             case LetPair(x, y, _, body):
                 ts, ds = yield _holes(summands, True)
                 form, core, lift = _form(ts, Prod, "destructured term has", "a product", here)
@@ -378,7 +391,7 @@ class _Checker:
                 self._unbind(y, here)
                 self._unbind(x, here)
                 ty = lift(bt)
-                return ty, Derivation(f"let-{form}", here, ty, (ds, bd))
+                return ty, self._node(f"let-{form}", here, ty, ds, bd)
             case Match(_, x1, b1, x2, b2):
                 ts, ds = yield _holes(summands, True)
                 form, core, lift = _form(ts, Sum, "matched term has", "a sum", here)
@@ -423,7 +436,7 @@ class _Checker:
                     )
                 self._orthogonal_branches(shared, invs, x1, b1, x2, b2, here)
                 ty = lift(joined)
-                return ty, Derivation(f"match-{form}", here, ty, (ds, d1, d2))
+                return ty, self._node(f"match-{form}", here, ty, ds, d1, d2)
 
     # -- distributions ------------------------------------------------------
 
@@ -488,14 +501,26 @@ class _Checker:
             )
         return der
 
-    def _superposition(self, cd: Distribution, expected_core: Type | None) -> Iterator:
+    def _superposition(self, cd: Distribution, expected_core: Type | None
+                       ) -> tuple[Type, Derivation | None] | Iterator:
         """A canonical proper distribution of values: the superposition rule.
 
         Closed, norm 1 within tolerance, summands pairwise orthogonal (free
         after canonicalization: distinct canonical values have inner product
         zero), no function type.  With an expected core each summand is checked
-        against it, otherwise the summand types are joined.
+        against it, otherwise the summand types are joined.  A ground value
+        is typed with no context and raises nothing, so when every summand is
+        one the rule is done at once, each summand typed by its kept typing
+        or on `walk`; otherwise the rule is a generator that waits on each
+        summand as a premise (`_superposed_premises`).
         """
+        if all(t._term_key is not None for _, t in cd.summands):
+            joined, children = expected_core, []
+            for _, t in cd.summands:
+                ty, der = t._typing or walk(t, _ground_parts, _value_typed)
+                joined = _joined(joined, ty, t, expected_core, cd)
+                children.append(der)
+            return self._superposed(cd, joined, expected_core, children)
         for x in sorted(free_vars_dist(cd)):
             if x in self.scopes:
                 raise TypeCheckError(
@@ -506,37 +531,35 @@ class _Checker:
             raise TypeCheckError(
                 ErrorKind.UNBOUND_VARIABLE, f"unbound variable {x}", cd
             )
-        children = []
-        joined: Type | None = expected_core
+        return self._superposed_premises(cd, expected_core)
+
+    def _superposed_premises(self, cd: Distribution, expected_core: Type | None) -> Iterator:
+        """The superposition rule of closed values not all ground, such as
+        lambdas: each summand is typed as a premise, and joined before the
+        next is typed."""
+        joined, children = expected_core, []
         for _, t in cd.summands:
             # t is closed, so no binding of this checker can reach it
             ty, der = yield t
+            joined = _joined(joined, ty, t, expected_core, cd)
             children.append(der)
-            if expected_core is not None:
-                if not subtype(ty, expected_core):
-                    raise TypeCheckError(
-                        ErrorKind.MISMATCH,
-                        f"superposed value has type {ty}, expected {expected_core}",
-                        t,
-                    )
-            elif joined is None:
-                joined = ty
-            else:
-                joined = join_types(joined, ty)
-                if joined is None:
-                    raise TypeCheckError(
-                        ErrorKind.MISMATCH,
-                        "superposed values have incompatible types",
-                        cd,
-                    )
-        assert joined is not None
+        return self._superposed(cd, joined, expected_core, children)
+
+    def _superposed(self, cd: Distribution, joined: Type, expected_core: Type | None,
+                    children: list) -> tuple[Type, Derivation | None]:
+        """The typing of the superposition cd from its summands' joined type:
+        no function type, and norm 1 within tolerance."""
         if expected_core is None and isinstance(joined, Arrow):
             raise TypeCheckError(
                 ErrorKind.SUP_AT_ARROW_TYPE,
                 "a superposition cannot inhabit a function type",
                 cd,
             )
-        total = sum(abs(a) ** 2 for a, _ in cd.summands)
+        try:
+            total = sum(abs(a) ** 2 for a, _ in cd.summands)
+        except OverflowError:
+            # a weight past the square root of the largest float
+            total = float("inf")
         if abs(total - 1.0) > get_tolerance():
             raise TypeCheckError(
                 ErrorKind.NORM_VIOLATION,
@@ -544,7 +567,7 @@ class _Checker:
                 cd,
             )
         ty = Sharp(ground_unknowns(joined))
-        return ty, Derivation("superposition", cd, ty, tuple(children))
+        return ty, self._node("superposition", cd, ty, *children)
 
     # -- orthogonality ------------------------------------------------------
 
@@ -670,8 +693,13 @@ class _Checker:
                 )
             inst = cells[0][1] if len(cells) == 1 else None
             if inst.__class__ is not Keyed:
-                # each coefficient was checked where the machine spliced it
-                inst = keyed(canonicalize(_trusted(tuple(_summands(cells)))))
+                # each coefficient was checked where the machine spliced it; a
+                # reduct in order that ended the one cell whole with the
+                # coefficient 1 (a split cell has None) stays in order when
+                # multiplied through by it
+                ordered = (inst is not None and cells[0][2] is None and cells[0][0] == 1
+                           and inst._ordered)
+                inst = keyed(canonicalize(_trusted(tuple(_summands(cells)), ordered)))
             kept[2][key] = inst
         return inst
 
@@ -684,11 +712,13 @@ class _Checker:
         return None
 
 
-def _value_typed(t: PureTerm, parts: list) -> tuple[Type, Derivation]:
+def _value_typed(t: PureTerm, parts: list) -> tuple[Type, Derivation | None]:
     """The typing of a unit value, pair or injection by its rule, from its
     parts' typings.  A ground value has no variables, so neither its
     type nor its derivation depends on the context: they are kept on the
-    node, and each distinct ground value is typed once."""
+    node, and each distinct ground value is typed once.  A value with a
+    part typed with no node, an open part typed while not recording, gets
+    none either."""
     cls = t.__class__
     if cls is Void:
         ty, rule = UNIT, "unit"
@@ -698,10 +728,35 @@ def _value_typed(t: PureTerm, parts: list) -> tuple[Type, Derivation]:
         ty, rule = Sum(parts[0][0], Unknown()), "inl"
     else:
         ty, rule = Sum(Unknown(), parts[0][0]), "inr"
-    typing = ty, Derivation(rule, t, ty, tuple(d for _, d in parts))
+    children = tuple(d for _, d in parts)
+    if None in children:
+        return ty, None
+    typing = ty, Derivation(rule, t, ty, children)
     if is_ground(t):
         object.__setattr__(t, "_typing", typing)
     return typing
+
+
+def _ground_parts(t: PureTerm) -> tuple[Type, Derivation] | list:
+    """A ground value's kept typing, else its parts, for `walk`."""
+    return t._typing or list(map(t.__getattribute__, t.__class__.__match_args__))
+
+
+def _joined(joined: Type | None, ty: Type, t: PureTerm, expected_core: Type | None,
+            cd: Distribution) -> Type:
+    """The join of the types of a superposition's summands so far, joined,
+    with the type ty of its next summand t; with an expected core, the core,
+    which ty must be a subtype of."""
+    if expected_core is None:
+        joined = ty if joined is None else join_types(joined, ty)
+        if joined is None:
+            raise TypeCheckError(ErrorKind.MISMATCH,
+                                 "superposed values have incompatible types", cd)
+        return joined
+    if not subtype(ty, expected_core):
+        raise TypeCheckError(ErrorKind.MISMATCH,
+                             f"superposed value has type {ty}, expected {expected_core}", t)
+    return expected_core
 
 
 def _same_context(t0: PureTerm, t: PureTerm) -> bool:
@@ -957,11 +1012,30 @@ def check_orthogonal_judgment(
 
 
 def check_program(d: Distribution) -> tuple[Type, Derivation]:
-    """Type a closed program, returning its minimal type and the derivation."""
-    c = _Checker()
-    ty, der = c.infer_dist(d)
-    return ground_unknowns(ty), der
+    """Type a closed program, returning its minimal type and its derivation.
+    The check builds no derivation: the one returned is built when first
+    read (`_Recorded`)."""
+    return type_of_program(d), _Recorded(d, get_tolerance())
 
 
 def type_of_program(d: Distribution) -> Type:
-    return check_program(d)[0]
+    return ground_unknowns(_Checker().infer_dist(d)[0])
+
+
+class _Recorded:
+    """The derivation of a program that checked, built when an attribute of
+    it is first read: the check runs again with recording on, under the
+    tolerance of the first check, and every read after that is answered
+    from the one tree it built."""
+
+    def __init__(self, d: Distribution, tol: float) -> None:
+        self._program = d
+        self._tolerance = tol
+
+    @cached_property
+    def _tree(self) -> Derivation:
+        with tolerance(self._tolerance):
+            return _Checker(record=True).infer_dist(self._program)[1]
+
+    def __getattr__(self, name: str) -> object:
+        return getattr(self._tree, name)

@@ -108,6 +108,27 @@ def test_check_merge_overflow_is_a_syntax_error_with_position(write, capsys):
     assert "non-finite coefficient" in event["message"]
 
 
+@pytest.mark.parametrize("src, where", [
+    # a weight past the square root of the largest float squares to inf, a
+    # norm violation and not an internal error, whether the summands are
+    # ground values or closed values typed one by one
+    ("1.4e154 * *\n", "1.4e+154 * *"),
+    ("1.4e154 * inl (\\x:U. x)\n", "1.4e+154 * inl (\\x:U. x)"),
+])
+@pytest.mark.parametrize("command", ["check", "eval", "equiv", "equiv-second"])
+def test_a_weight_whose_square_overflows_is_a_norm_violation(write, capsys, src, where,
+                                                             command):
+    path, other = write("overflow.qlam", src), write("unit.qlam", "*\n")
+    argv = {"check": ["check", path], "eval": ["eval", path],
+            "equiv": ["equiv", path, other], "equiv-second": ["equiv", other, path]}[command]
+    assert main([*argv, "--format", "json-lines"]) == 1
+    message = f"NormViolation: squared amplitudes sum to inf, expected 1 (in {where})"
+    assert json.loads(_lines(capsys)[-1]) == {
+        "event": "error", "kind": "NormViolation", "message": message}
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_check_missing_file(tmp_path):
     assert main(["check", str(tmp_path / "nope.qlam")]) == 3
 

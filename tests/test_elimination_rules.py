@@ -36,7 +36,9 @@ from generator import (
     nested_case_tree,
     trace_programs,
 )
-from qlam.config import get_tolerance
+from qlam import typecheck
+from qlam.cli import main
+from qlam.config import get_tolerance, tolerance
 from qlam.quantum import GateMatrix, StateVector, case_construct, compile_gate, encode, gate_library
 from qlam.rewrite import normalize
 from qlam.surface import parse_program, parse_type, pretty_print
@@ -75,6 +77,7 @@ from qlam.typecheck import (
     _same_context,
     _value_typed,
     check_program,
+    type_of_program,
 )
 from qlam.types import (
     BOOL,
@@ -227,6 +230,82 @@ def test_recorded_cases_cover_every_elimination_rule():
                  "match-pure", "match-super", "superposition"):
         assert rule in rules
     assert sum("error" in want for _, want in recorded) >= 10
+
+
+# ----------------------------------------------------- derivations on demand
+
+
+def _counted(monkeypatch) -> list[Derivation]:
+    """Every `Derivation` the checker builds from now on, in order."""
+    built = []
+    real = typecheck.Derivation
+
+    def counted(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(typecheck, "Derivation", counted)
+    return built
+
+
+def test_a_check_builds_no_rule_node_and_a_read_builds_the_recorded_tree(monkeypatch):
+    # a check builds only the typings it keeps on ground values typed for
+    # the first time; reading the derivation checks again, recording, and
+    # gives the recorded tree, and a second read builds nothing
+    recorded = dict(json.loads(_RECORDED.read_text()))
+    built = _counted(monkeypatch)
+    read = 0
+    for name, d in _cases():
+        try:
+            _, der = check_program(d)
+        except TypeCheckError:
+            continue
+        assert all(node.rule in ("unit", "pair", "inl", "inr")
+                   and node.node._typing[1] is node for node in built), name
+        assert len({id(node.node) for node in built}) == len(built), name
+        if name.startswith(("trace", "flow", "flat gate")):
+            built.clear()
+            assert _preorder(der) == recorded[name]["derivation"], name
+            # a program that is one ground value reads its kept typing
+            assert built or der.rule in ("unit", "pair", "inl", "inr"), name
+            n, children = len(built), der.children
+            assert _preorder(der) == recorded[name]["derivation"]
+            assert len(built) == n and der.children is children
+            read += 1
+        built.clear()
+    assert read >= 150
+
+
+def test_the_commands_build_no_rule_node(monkeypatch, tmp_path, capsys):
+    built = _counted(monkeypatch)
+    text = pretty_print(singleton(compile_gate(gate_library["CNOT"], [2, 0], 3)))
+    path = tmp_path / "cnot.qlam"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 0
+    assert main(["eval", str(path)]) == 0
+    assert main(["equiv", str(path), str(path)]) == 0
+    program = parse_program(text)
+    type_of_program(program)
+    capsys.readouterr()
+    assert all(node.rule in ("unit", "pair", "inl", "inr") for node in built)
+    # the counting sees the rules' nodes, once a derivation is read
+    assert check_program(program)[1].rule == "lambda" and built[-1].rule == "lambda"
+
+
+@pytest.mark.parametrize("src, checked_at, read_at", [
+    # accepted only at the looser tolerance, read at the tighter one
+    ("0.6 * inl * + 0.801 * inr *", 1e-2, 1e-6),
+    ("(\\x:#(U+U). x) (0.6 * inl * + 0.8000001 * inr *)", 1e-6, 1e-9),
+])
+def test_a_read_gives_the_tree_of_the_tolerance_checked_at(src, checked_at, read_at):
+    d = parse_program(src)
+    with tolerance(read_at), pytest.raises(TypeCheckError):
+        check_program(d)
+    with tolerance(checked_at):
+        _, der = check_program(d)
+        want = _preorder(_Checker(record=True).infer_dist(d)[1])
+    with tolerance(read_at):
+        assert _preorder(der) == want
 
 
 # ------------------------------------------------------------- depth floors
@@ -600,9 +679,9 @@ class _RecursiveChecker(_Checker):
 
 def _typed(checker_class, d: Distribution, context=(), expected: Type | None = None):
     """The typing of d, or with an expected type its derivation, by a new
-    checker of checker_class under the context's bindings; or the text of
-    the error it raises."""
-    c = checker_class()
+    checker of checker_class, recording, under the context's bindings; or
+    the text of the error it raises."""
+    c = checker_class(record=True)
     for x, ty in context:
         c._bind(x, ty)
     try:

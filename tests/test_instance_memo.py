@@ -17,6 +17,7 @@ import time
 import numpy as np
 import pytest
 
+import qlam.syntax as syntax
 import qlam.typecheck as typecheck
 from generator import beta_chain, match_chain
 from qlam.inner import Keyed, keyed
@@ -458,6 +459,21 @@ def test_a_check_builds_each_inventory_once(n, monkeypatch):
     lam = compile_gate(gate_library["H"], [n - 1], n)
     assert check_program(singleton(lam))[0] == Arrow(qubits(n), qubits(n))
     assert built and len(built) == len(set(built))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_each_leaf_superposition_is_put_in_order_once(n, monkeypatch):
+    # typing a leaf `u ; Σ αᵢ vᵢ` of a compiled gate read back from its text
+    # puts the superposition in order and marks it; the instance that ends
+    # whole in it, multiplied through by the coefficient 1, keeps the mark,
+    # so it is not sorted again when it is keyed
+    u = _random_unitary(np.random.default_rng(40 + n), 1 << n)
+    program = parse_program(pretty_print(singleton(compile_gate(GateMatrix(u), range(n), n))))
+    sorts = []
+    real = syntax._merged
+    monkeypatch.setattr(syntax, "_merged", lambda summands: sorts.append(1) or real(summands))
+    assert check_program(program)[0] == Arrow(qubits(n), qubits(n))
+    assert len(sorts) == 1 << n
 
 
 def _wide_gates():

@@ -671,8 +671,8 @@ def test_programs_are_typed_as_the_recursive_value_rules_type_them():
         except TypeCheckError:  # HeadNotPure, which the parser raises
             pass
     for d in programs:
-        _assert_same_typing(_typing_outcome(_Checker().infer_dist, d),
-                            _typing_outcome(_ReferenceChecker().infer_dist, d))
+        _assert_same_typing(_typing_outcome(_Checker(record=True).infer_dist, d),
+                            _typing_outcome(_ReferenceChecker(record=True).infer_dist, d))
 
 
 # the free names of the open values below; the non-flat ones make a second
@@ -684,7 +684,7 @@ _OPEN_CONTEXT = {"x": UNIT, "x_1": Sharp(UNIT), "y": BOOL, "z": qubits(1)}
 @given(st.integers(1, 80).flatmap(deep_open_values))
 def test_open_values_are_typed_as_the_recursive_value_rules_type_them(v):
     outcomes = []
-    for checker in (_Checker(), _ReferenceChecker()):
+    for checker in (_Checker(record=True), _ReferenceChecker(record=True)):
         for x, ty in _OPEN_CONTEXT.items():
             checker._bind(x, ty)
         outcomes.append(_typing_outcome(checker.infer_term, v))
