@@ -194,7 +194,8 @@ class Derivation:
 
     A check builds nodes only while it records (`_Checker.record`), apart
     from the node kept with each ground value's typing; `check_program`
-    gives a derivation that records when first read.  `node` is the term or
+    gives a `LazyDerivation`, which checks again, recording, when first
+    read, and stands in for the tree it builds.  `node` is the term or
     distribution the rule types.  `subject` is its printed form, clipped to
     72 characters; it is rendered when first read, so checking never prints
     a term that nobody looks at.
@@ -324,7 +325,7 @@ class _Checker:
             case Lam():
                 return self._lam(t)
             case Void() | PairV() | InlV() | InrV():
-                return t._typing or self._value(t)
+                return self._value(t) if t._term_key is None else _ground_typed(t)
             case App() | Seq() | LetPair() | Match():
                 return self._elim(((1, t),), t)
             case _:
@@ -517,7 +518,7 @@ class _Checker:
         if all(t._term_key is not None for _, t in cd.summands):
             joined, children = expected_core, []
             for _, t in cd.summands:
-                ty, der = t._typing or walk(t, _ground_parts, _value_typed)
+                ty, der = _ground_typed(t)
                 joined = _joined(joined, ty, t, expected_core, cd)
                 children.append(der)
             return self._superposed(cd, joined, expected_core, children)
@@ -735,6 +736,12 @@ def _value_typed(t: PureTerm, parts: list) -> tuple[Type, Derivation | None]:
     if is_ground(t):
         object.__setattr__(t, "_typing", typing)
     return typing
+
+
+def _ground_typed(t: PureTerm) -> tuple[Type, Derivation]:
+    """A ground value's typing: its kept one, or else its rule's over its
+    parts', which it then keeps, children first (`walk`)."""
+    return t._typing or walk(t, _ground_parts, _value_typed)
 
 
 def _ground_parts(t: PureTerm) -> tuple[Type, Derivation] | list:
@@ -1011,31 +1018,46 @@ def check_orthogonal_judgment(
     return True
 
 
-def check_program(d: Distribution) -> tuple[Type, Derivation]:
+def check_program(d: Distribution) -> tuple[Type, LazyDerivation]:
     """Type a closed program, returning its minimal type and its derivation.
-    The check builds no derivation: the one returned is built when first
-    read (`_Recorded`)."""
-    return type_of_program(d), _Recorded(d, get_tolerance())
+    The check builds no derivation: the one returned stands in for it and
+    builds it when first read (`LazyDerivation`)."""
+    return type_of_program(d), LazyDerivation(d, get_tolerance())
 
 
 def type_of_program(d: Distribution) -> Type:
     return ground_unknowns(_Checker().infer_dist(d)[0])
 
 
-class _Recorded:
-    """The derivation of a program that checked, built when an attribute of
-    it is first read: the check runs again with recording on, under the
-    tolerance of the first check, and every read after that is answered
-    from the one tree it built."""
+class LazyDerivation:
+    """The derivation of a program that checked, built when first read: the
+    check runs again, recording, under the tolerance of the first check.
+    `tree` is that `Derivation`; a `Derivation`'s attributes, `==`, `hash`
+    and `repr` answer from it, and any other name is missing without a
+    build.  The stand-in is not a `Derivation` instance: `isinstance` and
+    `dataclasses` take `tree`."""
+
+    _NAMES = frozenset(dir(Derivation)).union(Derivation.__dataclass_fields__)
 
     def __init__(self, d: Distribution, tol: float) -> None:
         self._program = d
         self._tolerance = tol
 
     @cached_property
-    def _tree(self) -> Derivation:
+    def tree(self) -> Derivation:
         with tolerance(self._tolerance):
             return _Checker(record=True).infer_dist(self._program)[1]
 
     def __getattr__(self, name: str) -> object:
-        return getattr(self._tree, name)
+        if name in self._NAMES:
+            return getattr(self.tree, name)
+        raise AttributeError(name)
+
+    def __eq__(self, other: object) -> bool:
+        return self.tree == (other.tree if isinstance(other, LazyDerivation) else other)
+
+    def __hash__(self) -> int:
+        return hash(self.tree)
+
+    def __repr__(self) -> str:
+        return repr(self.tree)

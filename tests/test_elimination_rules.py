@@ -16,6 +16,7 @@ reference the loop is held to.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -274,6 +275,24 @@ def test_a_check_builds_no_rule_node_and_a_read_builds_the_recorded_tree(monkeyp
             read += 1
         built.clear()
     assert read >= 150
+
+
+def test_a_derivation_read_compares_hashes_and_prints_as_the_recorded_tree(monkeypatch):
+    for src in ("0.6 * inl * + 0.8 * inr *", "(\\x:#(U+U). x) (0.6 * inl * + 0.8 * inr *)",
+                "0.6 * (\\y:U. y, inl *) + 0.8 * (\\y:U. y, inr *)"):
+        d = parse_program(src)
+        want = _Checker(record=True).infer_dist(d)[1]
+        _, der = check_program(d)
+        _, again = check_program(d)
+        built = _counted(monkeypatch)
+        # a name a Derivation lacks is missing, and asking builds nothing
+        assert not hasattr(der, "not_a_field") and not hasattr(der, "__deepcopy__")
+        assert not built
+        assert der == want and want == der and der == again and der != want.children
+        assert hash(der) == hash(want) and repr(der) == repr(want)
+        assert isinstance(der.tree, Derivation) and der.tree == want
+        assert dataclasses.replace(der.tree) == want
+        monkeypatch.undo()
 
 
 def test_the_commands_build_no_rule_node(monkeypatch, tmp_path, capsys):

@@ -37,6 +37,7 @@ from qlam.syntax import (
     Seq,
     Var,
     Void,
+    free_vars_dist,
     mk_app,
     mk_inl,
     mk_inr,
@@ -643,6 +644,13 @@ class _ReferenceChecker(_Checker):
         if isinstance(t, (Void, PairV, InlV, InrV)):
             return reference_value_rule(t, self.infer_term)
         return super()._term(t)
+
+    def _superposition(self, cd, expected_core):
+        # each summand of a closed superposition is a premise typed through
+        # `_term` above, where the checker types ground summands at once
+        if free_vars_dist(cd):
+            return super()._superposition(cd, expected_core)
+        return self._superposed_premises(cd, expected_core)
 
 
 def _typing_outcome(infer, x):
