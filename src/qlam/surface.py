@@ -14,9 +14,9 @@ comment.
 
 The lexer is one `findall` of a single regex.  Each token is a plain tuple
 `(kind, value)`, with no offsets: punctuation, keywords and the end are
-shared tuples, and each distinct identifier, scalar, register literal or
-superposition literal of a text is read once.  A register literal is a
-ground value written as the printer writes a register of up to
+shared tuples, and each distinct identifier, scalar, register literal,
+superposition literal or binder phrase of a text is read once.  A register
+literal is a ground value written as the printer writes a register of up to
 `_MAX_REGISTER` qubits, such as `(inl *, (inr *, inl *))`.  `parse_program`
 reads each one as a single `value` token, which the parse loop takes as an
 atom, as it takes `*`.  A superposition literal is a sum of ground values
@@ -24,13 +24,18 @@ in parentheses, as the printer writes one, such as
 `(0.6 * (inl *, inr *) + 0-0.8i * (inr *, inr *))`.  It is a single `sum`
 token, read once per text, each register literal in it through the text's
 one read of that literal.  The parse loop takes it where it takes a `value`
-token, as a fresh distribution of its summands at each occurrence.  The
-parser names a token by its index.  Only when a `ParseError` or
+token, as a fresh distribution of its summands at each occurrence.  A
+binder phrase is a binder's header as the printer writes it: `\\x:T.`,
+`let (x, y) =`, `{ inl x ->` or `| inr y ->`, single spaces where the
+printer puts them and no name a keyword.  Each is one token, which the
+parse loop takes where it would read the phrase's plain tokens; a lambda
+phrase's annotation is typed once per process, through `_annotation`.
+The parser names a token by its index.  Only when a `ParseError` or
 `HeadNotPure` error is raised is the span of that token, its offsets, line
 and column, found, by scanning the text again with the plain regex, which
-has neither literal token.  Errors come from the plain tokens: where the
-read with literal tokens raises, `parse_program` reads the text again
-without them and raises what that read raises.
+has no literal or phrase token.  Errors come from the plain tokens: where
+the read with literal and phrase tokens raises, `parse_program` reads the
+text again without them and raises what that read raises.
 
 Terms are parsed by one loop over the tokens and an explicit stack, with no
 recursion, so nesting depth costs heap, not Python frames.  A frame is pushed
@@ -52,6 +57,7 @@ import math
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 
 from .syntax import (
@@ -80,7 +86,7 @@ from .syntax import (
     show_dist,
 )
 from .typecheck import ErrorKind, TypeCheckError
-from .types import Arrow, BOOL, Prod, Sharp, Sum, Type, UNIT, _MAX_REGISTER
+from .types import Arrow, BOOL, Prod, Sharp, Sum, Type, UNIT, _MAX_REGISTER, _MEMO
 
 
 @dataclass(frozen=True)
@@ -113,8 +119,10 @@ _NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 # such as `.²`.
 _SKIP = r"(?:[ \t\r\n]+|--[^\n]*)*"
 _SCALAR_TEXT = rf"{_NUM}(?:/sqrt2|/{_NUM}|[+-]{_NUM}i|i)?"
+_NAME = r"[A-Za-z_][A-Za-z0-9_']*"
+_KEYWORDS = ("let", "in", "match", "inl", "inr")
 _TOKENS = (
-    r"[A-Za-z_][A-Za-z0-9_']*"
+    rf"{_NAME}"
     rf"|{_SCALAR_TEXT}"
     r"|->|\.(?![^\W\d_A-Za-z])|[-\\(),;+*={}|:#]"
     r"|."
@@ -127,9 +135,7 @@ _TOKEN_RE = re.compile(rf"{_SKIP}({_TOKENS})", re.S)
 # of `_MAX_REGISTER` qubits has.  A superposition literal, as the printer
 # writes a sum of ground values in parentheses: two or more summands joined
 # by ` + `, each an optional `-`, scalar and ` * ` before a register literal
-# or a chain.  `_REGISTER_TOKEN_RE` reads either as a single token; anything
-# else, a deeper literal's outer pairs among it, is read as `_TOKEN_RE`
-# reads it.
+# or a chain.
 _CHAIN = r"(?:in[lr] )*\*"
 _TAIL = _CHAIN
 for _ in range(_MAX_REGISTER - 2):
@@ -140,8 +146,24 @@ _REGISTER = rf"\({_CHAIN}, (?:{_TAIL})\)"
 _SCALAR = rf"({_NUM})(?:(/sqrt2)|/({_NUM})|([+-]{_NUM})i|(i))?"
 _SCALAR_RE = re.compile(_SCALAR)
 _SUMMAND_TEXT = rf"(?:-?{_SCALAR_TEXT} \* )?(?:{_REGISTER}|{_CHAIN})"
+# A binder phrase as the printer writes one: a lambda's `\x:T.` before a
+# space, its annotation written with `U`, `#`, `+`, `*`, parentheses and
+# ` -> `; `let (x, y) =`; and a match's `{ inl x ->` and `| inr y ->`.  A
+# name in a phrase is no keyword, which the plain tokens would read as one.
+# `_REGISTER_TOKEN_RE` reads each literal and each phrase as a single token;
+# anything else, a deeper literal's outer pairs among it, is read as
+# `_TOKEN_RE` reads it.
+_KEYWORD = f"(?:{'|'.join(_KEYWORDS)})"
+_TYPE_TEXT = r"[#()+*U]+(?: -> [#()+*U]+)*"
+_PHRASE = (
+    rf"\\(?!{_KEYWORD}:){_NAME}:{_TYPE_TEXT}\.(?= )"
+    rf"|let \((?!{_KEYWORD},){_NAME}, (?!{_KEYWORD}\)){_NAME}\) ="
+    rf"|\{{ inl (?!{_KEYWORD} ){_NAME} ->"
+    rf"|\| inr (?!{_KEYWORD} ){_NAME} ->"
+)
 _REGISTER_TOKEN_RE = re.compile(
-    rf"{_SKIP}(\({_SUMMAND_TEXT}(?: \+ {_SUMMAND_TEXT})+\)|{_REGISTER}|{_TOKENS})", re.S)
+    rf"{_SKIP}(\({_SUMMAND_TEXT}(?: \+ {_SUMMAND_TEXT})+\)|{_REGISTER}|{_PHRASE}|{_TOKENS})",
+    re.S)
 # one summand of a superposition literal, read from its start: the `-`, the
 # scalar's parts and the register literal or chain
 _SUMMAND_RE = re.compile(rf"(?:(-?){_SCALAR} \* )?([^+]+)(?: \+ |$)")
@@ -153,7 +175,7 @@ _Token = tuple[str, object]
 # the tokens every text shares: punctuation, keywords and the end
 _SHARED: dict[str, _Token] = {
     s: (s, s) for s in ("->", ".", "-", "\\", "(", ")", ",", ";", "+", "*", "=", "{", "}", "|",
-                        ":", "#", "let", "in", "match", "inl", "inr")
+                        ":", "#", *_KEYWORDS)
 }
 _SHARED[""] = ("eof", None)
 _VOID = Void()
@@ -161,8 +183,9 @@ _VOID = Void()
 
 def _lex(text: str, pattern: re.Pattern = _TOKEN_RE) -> list[_Token]:
     """The tokens of text, the last one the end, as pattern reads them.
-    Each distinct identifier, scalar, register literal and superposition
-    literal is read once, and its tuple shared by all its occurrences."""
+    Each distinct identifier, scalar, register literal, superposition
+    literal and binder phrase is read once, and its tuple shared by all its
+    occurrences."""
     found = pattern.findall(text)
     if found[-2:] == ["", ""]:
         found.pop()  # blanks or a comment at the end, then the end again
@@ -170,8 +193,12 @@ def _lex(text: str, pattern: re.Pattern = _TOKEN_RE) -> list[_Token]:
     for s in set(found).difference(tokens):
         if s in tokens:
             continue  # a register literal, read inside a superposition
-        if s[0] == "(" and " + " in s:
+        c = s[0]
+        if c == "(" and " + " in s:
             tokens[s] = ("sum", _superposition(s, tokens))
+            continue
+        if c in "\\{|" or s.startswith("let ("):
+            tokens[s] = _phrase(s)
             continue
         tok = _token(s)
         if tok is None:
@@ -180,10 +207,24 @@ def _lex(text: str, pattern: re.Pattern = _TOKEN_RE) -> list[_Token]:
     return list(map(tokens.__getitem__, found))
 
 
+def _phrase(s: str) -> _Token:
+    """The token of a binder phrase: a lambda's name and annotation, whose
+    text is read once per process, a `let`'s two names, or a branch's name.
+    Its kind is the phrase as the printer writes it, with the names as
+    placeholders."""
+    c = s[0]
+    if c == "\\":
+        name, ann = s[1:-1].split(":", 1)
+        return ("\\x:T.", (name, _annotation(ann)))
+    if c == "l":
+        return ("let (x, y) =", tuple(s[5:-3].split(", ")))
+    return ("{ inl x ->" if c == "{" else "| inr y ->", s[6:-3])
+
+
 def _token(s: str) -> _Token | None:
     """The token of s, a match of `_REGISTER_TOKEN_RE` that is neither
-    punctuation, a keyword nor a superposition literal, or None where
-    lexing stops at it."""
+    punctuation, a keyword, a superposition literal nor a binder phrase, or
+    None where lexing stops at it."""
     if s[0] in _IDENT_START:
         return ("ident", s)
     if s[0] == "(":
@@ -292,7 +333,7 @@ _ONE = complex(1)
 # `inl`/`inr`, and as an argument), a head term (after a scalar or `;`) or a
 # summand.
 _ATOM = frozenset({"*", "ident", "value", "sum", "(", "inl", "inr"})
-_HEAD = _ATOM | {"\\", "let", "match"}
+_HEAD = _ATOM | {"\\", "let", "match", "\\x:T.", "let (x, y) ="}
 _SUMMAND = _HEAD | {"-", "scalar"}
 # The frames on its stack, tuples whose first item is the kind; `at` is the
 # index of a token, where an error in the construct is reported:
@@ -408,11 +449,11 @@ def _read_type(p: _Parser) -> Type:
 def parse_program(text: str) -> Distribution:
     """The distribution that text writes down.
 
-    It is read with each register literal and each superposition literal
-    as one token.  Where that raises a `ParseError` or `HeadNotPure`, the
-    text is read again token by token, and what that raises is raised: the
-    same error, text and span as without literal tokens, which a literal
-    could otherwise move."""
+    It is read with each register literal, each superposition literal and
+    each binder phrase as one token.  Where that raises a `ParseError` or
+    `HeadNotPure`, the text is read again token by token, and what that
+    raises is raised: the same error, text and span as without literal and
+    phrase tokens, which a literal or phrase could otherwise move."""
     try:
         return _parse(_Parser(text, _REGISTER_TOKEN_RE))
     except (ParseError, TypeCheckError):
@@ -474,6 +515,12 @@ def _parse(p: _Parser) -> Distribution:
                     pos += 1
                 push((_SCALED, -coeff if kind == "-" else coeff, at))
                 reading = _HEAD
+            elif kind == "\\x:T.":
+                push((_LAM, *tok[1]))
+                reading = _SUMMAND
+            elif kind == "let (x, y) =":
+                push((_LET, at, *tok[1]))
+                reading = _SUMMAND
             else:
                 p.pos = pos
                 if kind == "\\":
@@ -577,18 +624,28 @@ def _parse(p: _Parser) -> Distribution:
                     p.expect("in", "'in'")
                     stack[-1] = (_LET_BODY, *top[1:], v)
                 elif frame == _MATCH:
-                    p.expect("{", "'{' after the matched term")
-                    p.expect("inl", "'inl'")
-                    stack[-1] = (_LEFT, top[1], v, p.expect("ident", "a name"))
-                    p.expect("->", "'->'")
+                    x1 = _branch(p, "{ inl x ->", "{", "'{' after the matched term", "inl")
+                    stack[-1] = (_LEFT, top[1], v, x1)
                 else:
-                    p.expect("|", "'|' between the branches")
-                    p.expect("inr", "'inr'")
-                    stack[-1] = (_RIGHT, *top[1:], _dist(v), p.expect("ident", "a name"))
-                    p.expect("->", "'->'")
+                    x2 = _branch(p, "| inr y ->", "|", "'|' between the branches", "inr")
+                    stack[-1] = (_RIGHT, *top[1:], _dist(v), x2)
                 pos = p.pos
                 reading = _SUMMAND
                 break
+
+
+def _branch(p: _Parser, phrase: str, opener: str, what: str, injection: str) -> str:
+    """The name a match branch binds: its phrase token, or its plain tokens,
+    the opener, the injection, the name and `->`."""
+    tok = p.tokens[p.pos]
+    if tok[0] == phrase:
+        p.pos += 1
+        return tok[1]
+    p.expect(opener, what)
+    p.expect(injection, f"'{injection}'")
+    name = p.expect("ident", "a name")
+    p.expect("->", "'->'")
+    return name
 
 
 def _scaled(p: _Parser, coeff: complex | float, v: PureTerm | Distribution,
@@ -672,6 +729,14 @@ def parse_type(text: str) -> Type:
     t = _read_type(p)
     p.expect("eof", "end of input")
     return t
+
+
+@lru_cache(maxsize=_MEMO)
+def _annotation(text: str) -> Type:
+    """The type of a lambda phrase's annotation text, as `parse_type` reads
+    it.  The memo is bounded as the `subtype` and `join_types` memos are, and
+    like them holds types only, so it keeps no value alive."""
+    return parse_type(text)
 
 
 def pretty_print(d: Distribution) -> str:

@@ -15,11 +15,18 @@ and extra parentheses, on damaged text and on compiled gates.
 superposition of them as the printer writes one, as one token.  The register
 tests hold it to the same loop on the plain tokens: the same `repr` and the
 same interned values, the same error, text and span, literals at and past
-the depth bound, and each distinct literal of a text read once.
+the depth bound, and each distinct literal of a text read once.  It also
+reads each binder header the printer writes (`\\x:T.`, `let (x, y) =`,
+`{ inl x ->`, `| inr y ->`) as one token, and the phrase tests hold that
+read to the plain tokens in the same way: on generator programs and gates,
+with other spacing or a comment inside a phrase, with a keyword as a binder
+name, and with each distinct annotation text typed once per process by a
+memo that keeps no value alive.
 """
 
 from __future__ import annotations
 
+import gc
 import random
 import re
 
@@ -29,7 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qlam.surface as surface
-from generator import DEEP_TYPES, deep_types, types
+from generator import DEEP_TYPES, deep_types, flow_programs, trace_programs, types
 from qlam.quantum import (
     GateMatrix,
     StateVector,
@@ -69,6 +76,7 @@ from qlam.syntax import (
 )
 from qlam.typecheck import ErrorKind, TypeCheckError, check_program
 from qlam.types import _MAX_REGISTER, BOOL, UNIT, Arrow, Prod, Sharp, Sum, Type, show_type
+from test_interning import _value_entries
 from test_lexer import _damaged_texts, _spaced_texts, _unitary
 
 # ---------------------------------------------------------------- reference
@@ -778,3 +786,148 @@ def test_a_bad_coefficient_in_a_printed_gate_gives_the_plain_tokens_error(text, 
     m = rng.choice(scalars)
     text = text[:m.start()] + bad + text[m.end():]
     assert _parsed(parse_program, text) == _parsed(_plain_parse, text)
+
+
+# ----------------------------------------------------------- binder phrases
+
+_PHRASE_KINDS = frozenset({"\\x:T.", "let (x, y) =", "{ inl x ->", "| inr y ->"})
+
+
+def _plain_kinds(text: str) -> list[str]:
+    return [kind for kind, _ in surface._lex(text, surface._TOKEN_RE)]
+
+
+def test_phrase_tokens_parse_as_the_plain_tokens_on_generator_programs():
+    texts = [pretty_print(d) for d, _ in trace_programs(11, 300) + flow_programs(12, 300)]
+    texts += [pretty_print(singleton(lam)) for lam in _GATES]
+    phrases = 0
+    for text in texts:
+        _same_as_plain(text)
+        phrases += sum(kind in _PHRASE_KINDS for kind in _kinds(text))
+    # every binder the printer writes is one token
+    assert phrases == sum(len(re.findall(r"\\|let \(|\{ inl |\| inr ", text)) for text in texts)
+
+
+@pytest.mark.parametrize("text", [
+    "(\\x:U. x) *",
+    "(\\f:U -> U. f) (\\x:U. x)",
+    "(\\f:(U -> U) -> U+U. f) (\\g:U -> U. g *)",
+    "(\\x':#((U+U)*(U+U)). x') (inl *, inr *)",
+    "let (a, b) = (*, inl *) in (b, a)",
+    "let (lets, x_1) = (*, *) in x_1 ; lets",
+    "match inl * { inl inl' -> inl' | inr in_ -> in_ }",
+    "\\s:U+U. match s { inl a -> a ; (\\y:U. y) * | inr b -> b }",
+])
+def test_binder_phrases_are_one_token_each(text):
+    kinds = _kinds(text)
+    plain = _plain_kinds(text)
+    assert len(kinds) < len(plain)
+    assert _PHRASE_KINDS & set(kinds)
+    _same_as_plain(text)
+
+
+@pytest.mark.parametrize("text", [
+    "(\\x: U. x) *",
+    "(\\x :U. x) *",
+    "(\\x:U.\nx) *",
+    "(\\x:U.\tx) *",
+    "(\\x:U -- note\n. x) *",
+    "(\\x:U+ U. x) *",
+    "(\\f:U->U. f) g",
+    "(\\x:B. x) inl *",
+    "let (a,b) = z in a ; b",
+    "let ( a, b) = z in a ; b",
+    "let (a, b)= z in a ; b",
+    "let  (a, b) = z in a ; b",
+    "let (a, -- note\n b) = z in a ; b",
+    "match z {inl a -> a |inr b -> b}",
+    "match z { inl a-> a | inr b-> b }",
+    "match z { inl  a -> a |  inr b\n-> b }",
+    "match z { inl -- note\n a -> a | inr -- note\n b -> b }",
+])
+def test_phrases_with_other_spacing_are_read_token_by_token(text):
+    assert _kinds(text) == _plain_kinds(text)
+    _same_as_plain(text)
+
+
+# A name in a phrase that is a keyword: the plain tokens read it as the
+# keyword, so these texts are syntax errors, and a phrase must not take the
+# keyword for a name.
+_KEYWORD_BINDERS = [
+    ("let (let, x) = (*, *) in x", "line 1, column 6: expected a name, found 'let'"),
+    ("let (x, in) = (*, *) in x", "line 1, column 9: expected a name, found 'in'"),
+    ("(\\in:U. *) *", "line 1, column 3: expected a parameter name, found 'in'"),
+    ("(\\inr:U. *) *", "line 1, column 3: expected a parameter name, found 'inr'"),
+    ("match inl * { inl match -> * | inr b -> b }",
+     "line 1, column 19: expected a name, found 'match'"),
+    ("match inl * { inl a -> a | inr inl -> inl }",
+     "line 1, column 32: expected a name, found 'inl'"),
+]
+
+
+@pytest.mark.parametrize("text, message", _KEYWORD_BINDERS)
+def test_a_keyword_as_a_binder_name_is_the_plain_tokens_error(text, message):
+    for kind, value in surface._lex(text, surface._REGISTER_TOKEN_RE):
+        if kind in _PHRASE_KINDS:
+            names = value[:1] if kind == "\\x:T." else value if kind == "let (x, y) =" else (value,)
+            assert not surface._SHARED.keys() & set(names)
+    got = _parsed(parse_program, text)
+    assert got == _parsed(_plain_parse, text)
+    assert got[:2] == ("ParseError", message)
+
+
+@pytest.mark.parametrize("text", [
+    "(\\x:U+. x) *",
+    "(\\x:(U+U. x) *",
+    "(\\x:U)+U. x) *",
+    "(\\x:UU. x) *",
+    "(\\x:U -> . x) *",
+    "(\\x:#. x) *",
+    "let (a, a) = (*, *) in a",
+    "match * { inl a -> a | inr b -> b } x",
+    "match inl * { inl a -> a | inr b -> b",
+    "\\x:U. let (a, b) = x in a { inl c -> c",
+    "(\\x:U. x) | inr b -> b",
+])
+def test_errors_in_and_after_phrases_are_the_plain_tokens_errors(text):
+    got = _parsed(parse_program, text)
+    assert got == _parsed(_plain_parse, text)
+    assert got[0] in ("ParseError", "TypeCheckError")
+
+
+def test_each_distinct_annotation_text_is_read_once(monkeypatch):
+    read = []
+    real = surface.parse_type
+
+    def reading(text):
+        read.append(text)
+        return real(text)
+
+    monkeypatch.setattr(surface, "parse_type", reading)
+    surface._annotation.cache_clear()
+    texts = [pretty_print(d) for d, _ in trace_programs(5, 200)]
+    annotations = {m[1] for text in texts for m in re.finditer(r"\\[\w']+:(.+?)\. ", text)}
+    for text in texts:
+        assert repr(parse_program(text)) == repr(_plain_parse(text))
+    assert sorted(read) == sorted(annotations)
+    # a second pass, and a text whose two lambdas share an annotation, read
+    # none again
+    read.clear()
+    for text in texts:
+        parse_program(text)
+    (_, app), = parse_program("(\\x:U+U. x) ((\\y:U+U. y) inl *)").summands
+    assert app.fun.ann is app.arg.fun.ann
+    assert read == []
+
+
+def test_the_annotation_memo_keeps_no_value_alive():
+    texts = [pretty_print(d) for d, _ in flow_programs(21, 100)]
+    texts += [pretty_print(singleton(lam)) for lam in _GATES]
+    gc.collect()
+    before = _value_entries()
+    programs = [parse_program(text) for text in texts]
+    assert _value_entries() > before
+    del programs
+    gc.collect()
+    assert _value_entries() <= before
+    assert surface._annotation.cache_info().maxsize == surface._MEMO
